@@ -30,7 +30,7 @@ from .simulate import (
     simulate,
 )
 from .smoluchowski import MassSpectrum, solve
-from .trees import LEAF, serialize, shape_node, shapes_up_to
+from .trees import LEAF, serialize, shape_node
 
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
@@ -178,18 +178,12 @@ def cmd_limit(args) -> int:
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["shape_serial", "mass_assignment", "value", "error"])
-        for shape in shapes_up_to(args.max_leaves):
-            from .limit import _assignments, time_integral
-            from .trees import symmetry_exponent
-
-            sym = 2.0 ** (-symmetry_exponent(shape))
-            for masses, weight in _assignments(mu0, shape.n_leaves):
-                val, err, _, _ = time_integral(
-                    shape, masses, path, args.t, lambda tree: 1.0, kernel,
-                    tol=args.tol)
-                writer.writerow([
-                    shape.serial, ";".join(repr(m) for m in masses),
-                    repr(sym * weight * val), repr(sym * weight * err)])
+        for shape, masses, coef, (val, err, _, _) in limit_measure.terms(
+                lambda tree: 1.0, args.max_leaves, path, kernel, mu0, args.t,
+                tol=args.tol):
+            writer.writerow([
+                shape.serial, ";".join(repr(m) for m in masses),
+                repr(coef * val), repr(coef * err)])
     return 0
 
 

@@ -193,11 +193,15 @@ class GelationError(RuntimeError):
     pass
 
 
+# horizons from this fraction of the gelation time on are refused
+GELATION_FRACTION = 0.95
+
+
 def check_gelation(kernel: Kernel, masses, weights, t_end: float,
-                   allow_gelation: bool = False, fraction: float = 0.95) -> None:
+                   allow_gelation: bool = False) -> None:
     tgel = gelation_time(kernel, masses, weights)
-    if t_end >= fraction * tgel and not allow_gelation:
+    if t_end >= GELATION_FRACTION * tgel and not allow_gelation:
         raise GelationError(
-            f"horizon {t_end} is at or beyond {fraction:g} of the gelation time "
+            f"horizon {t_end} is at or beyond {GELATION_FRACTION:g} of the gelation time "
             f"{tgel:g}; pass allow_gelation to override"
         )

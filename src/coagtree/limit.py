@@ -14,6 +14,8 @@ Gauss-Legendre quadrature.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -25,17 +27,19 @@ from .smoluchowski import MassSpectrum, SolutionPath
 from .trees import (
     HistoricalTree,
     TreeShape,
-    build_tree,
+    build_preorder,
     edge_intervals,
     epsilon,
-    hist_leaf,
-    hist_node,
     internal_interaction_rate,
     kernel_product,
+    preorder,
     shape_of,
     shapes_up_to,
     symmetry_exponent,
 )
+
+# Gauss-Legendre orders tried in turn until two successive ones agree
+GL_ORDERS = (8, 12, 18, 27)
 
 
 @dataclass(frozen=True)
@@ -57,42 +61,21 @@ class TreeDensityQuery:
         return build_preorder(self.shape, self.masses, self.times)
 
 
-def build_preorder(shape: TreeShape, masses, times) -> HistoricalTree:
-    """Historical tree from leaf masses (left to right) and internal times in
-    pre-order (each parent listed before its children)."""
-    if len(masses) != shape.n_leaves:
-        raise ValueError("need one mass per leaf")
-    if len(times) != shape.n_leaves - 1:
-        raise ValueError("need one time per internal node")
-    mi = iter(masses)
-    ti = iter(times)
-
-    def rec(s: TreeShape) -> HistoricalTree:
-        if s.is_leaf:
-            return hist_leaf(next(mi))
-        tt = next(ti)
-        return hist_node(tt, rec(s.left), rec(s.right))
-
-    return rec(shape)
-
-
-def _edge_exponent(tree: HistoricalTree, path: SolutionPath, t: float) -> float:
-    total = 0.0
+def _labeled_density(tree: HistoricalTree, path: SolutionPath, t: float,
+                     kernel: Kernel) -> float:
+    """K_xi * exp(-sum over lifetime intervals of Lambda): the density
+    without its symmetry factor 2^(-q)."""
+    exponent = 0.0
     for e in edge_intervals(tree, t):
-        total += path.survival_exponent(e.mass, e.birth, e.death)
-    return total
+        exponent += path.survival_exponent(e.mass, e.birth, e.death)
+    return kernel_product(tree, kernel) * math.exp(-exponent)
 
 
 def density_product(tree: HistoricalTree, path: SolutionPath, t: float,
                     kernel: Optional[Kernel] = None) -> float:
     """Product-form density at ``tree`` with horizon ``t``."""
-    kernel = kernel or path.kernel
     q = symmetry_exponent(shape_of(tree))
-    return (
-        2.0 ** (-q)
-        * kernel_product(tree, kernel)
-        * math.exp(-_edge_exponent(tree, path, t))
-    )
+    return 2.0 ** (-q) * _labeled_density(tree, path, t, kernel or path.kernel)
 
 
 def density_recursive(tree: HistoricalTree, path: SolutionPath, t: float,
@@ -124,29 +107,9 @@ def density(query: TreeDensityQuery, path: SolutionPath,
 # quadrature over the node-time simplex
 
 
-def _preorder_parents(shape: TreeShape) -> list[int]:
-    """Parent index of each internal node in pre-order; -1 for the root."""
-    parents: list[int] = []
-
-    def rec(s: TreeShape, parent: int):
-        if s.is_leaf:
-            return
-        me = len(parents)
-        parents.append(parent)
-        rec(s.left, me)
-        rec(s.right, me)
-
-    rec(shape, -1)
-    return parents
-
-
-_GL_CACHE: dict[int, tuple] = {}
-
-
+@functools.cache
 def _gl(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _simplex_integral(shape: TreeShape, t: float, evaluate: Callable,
@@ -159,7 +122,7 @@ def _simplex_integral(shape: TreeShape, t: float, evaluate: Callable,
     are known discontinuity locations of the integrand in any single time
     coordinate; panels are split there so Gauss-Legendre stays accurate.
     """
-    parents = _preorder_parents(shape)
+    parents = [parent for s, parent in preorder(shape) if not s.is_leaf]
     d = len(parents)
     if d == 0:
         return np.asarray(evaluate(()), dtype=float)
@@ -194,13 +157,14 @@ class LimitFunctionalResult:
 
 def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
                   f: Callable, kernel: Optional[Kernel] = None,
-                  tol: float = 1e-8, orders=(8, 12, 18, 27)):
+                  tol: float = 1e-8):
     """Integral over node times of K_xi * exp(-sum Lambda) * [f(tree), 1].
 
     This is the labeled-tree transition functional at fixed leaf masses; no
     symmetry factor and no initial-measure weights are applied.  Returns
     (value, error, one_value, one_error) where ``one_*`` is the same integral
-    with f replaced by 1.
+    with f replaced by 1.  The errors are the change between the last two
+    ``GL_ORDERS``: the first pair to agree within tol / 10, else the last.
 
     Discontinuity locations declared by ``f`` through a ``time_breakpoints``
     attribute split the quadrature panels.
@@ -211,67 +175,62 @@ def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
         return 0.0, 0.0, 0.0, 0.0
 
     def evaluate(times):
-        if len(times) == 0:
-            tree = hist_leaf(masses[0])
-        else:
-            tree = build_preorder(shape, masses, times)
-        core = kernel_product(tree, kernel) * math.exp(-_edge_exponent(tree, path, t))
+        tree = build_preorder(shape, masses, times)
+        core = _labeled_density(tree, path, t, kernel)
         return np.array([core * f(tree), core])
 
     breakpoints = tuple(getattr(f, "time_breakpoints", ()))
-    prev = None
-    for order in orders:
+    prev = _simplex_integral(shape, t, evaluate, GL_ORDERS[0], breakpoints)
+    for order in GL_ORDERS[1:]:
         cur = _simplex_integral(shape, t, evaluate, order, breakpoints)
-        if prev is not None:
-            diff = np.abs(cur - prev)
-            if (diff <= 0.1 * tol).all():
-                return float(cur[0]), float(diff[0]), float(cur[1]), float(diff[1])
+        diff = np.abs(cur - prev)
+        if (diff <= 0.1 * tol).all():
+            break
         prev = cur
-    diff = np.abs(cur - prev) if len(orders) > 1 else np.abs(cur)
     return float(cur[0]), float(diff[0]), float(cur[1]), float(diff[1])
 
 
-def _assignments(mu0: MassSpectrum, n: int):
-    """Ordered leaf-mass assignments over the atoms of mu0 with their weights."""
-    import itertools
+def terms(f: Callable, tau_max_leaves: int, path: SolutionPath,
+          kernel: Optional[Kernel], mu0: MassSpectrum, t: float,
+          tol: float = 1e-8):
+    """The terms of <f, mu~_t> over shapes with at most ``tau_max_leaves`` leaves.
 
+    Yields ``(shape, masses, coefficient, time_integral(...))`` for every
+    canonical shape and ordered assignment of mu0's atoms to its leaves,
+    where coefficient = 2^(-q(shape)) * (product of the atoms' weights).
+    Assignments of zero weight are skipped.
+    """
+    kernel = kernel or path.kernel
     atoms = list(zip(mu0.masses, mu0.weights))
-    for combo in itertools.product(atoms, repeat=n):
-        masses = tuple(m for m, _ in combo)
-        weight = 1.0
-        for _, w in combo:
-            weight *= w
-        if weight > 0:
-            yield masses, weight
+    for shape in shapes_up_to(tau_max_leaves):
+        sym = 2.0 ** (-symmetry_exponent(shape))
+        for combo in itertools.product(atoms, repeat=shape.n_leaves):
+            masses = tuple(m for m, _ in combo)
+            weight = 1.0
+            for _, w in combo:
+                weight *= w
+            if weight > 0:
+                yield shape, masses, sym * weight, time_integral(
+                    shape, masses, path, t, f, kernel, tol=tol)
 
 
 def functional(f: Callable, tau_max_leaves: int, path: SolutionPath,
                kernel: Optional[Kernel], mu0: MassSpectrum, t: float,
-               tol: float = 1e-8,
-               mass_filter: Optional[Callable] = None) -> LimitFunctionalResult:
+               tol: float = 1e-8) -> LimitFunctionalResult:
     """<f, mu~_t> for f supported on shapes with at most ``tau_max_leaves`` leaves.
 
-    Sums 2^(-q(tau)) * (product of atom weights) * (time-simplex integral)
-    over all canonical shapes and ordered atom assignments.  ``mass_filter``
-    optionally prunes assignments by total mass before integrating.  The tail
-    bound is the mu~_t-mass of trees outside the enumerated shapes, computed
-    from the f == 1 integrals against the solved total cluster density.
+    Sums the :func:`terms`.  The tail bound is the mu~_t-mass of trees
+    outside the enumerated shapes, computed from the f == 1 integrals
+    against the solved total cluster density.
     """
-    kernel = kernel or path.kernel
     value = 0.0
     error = 0.0
     captured = 0.0
-    for shape in shapes_up_to(tau_max_leaves):
-        n = shape.n_leaves
-        sym = 2.0 ** (-symmetry_exponent(shape))
-        for masses, weight in _assignments(mu0, n):
-            if mass_filter is not None and not mass_filter(sum(masses)):
-                continue
-            val, err, one, one_err = time_integral(
-                shape, masses, path, t, f, kernel, tol=tol)
-            value += sym * weight * val
-            error += sym * weight * err
-            captured += sym * weight * one
+    for _, _, coef, (val, err, one, _) in terms(
+            f, tau_max_leaves, path, kernel, mu0, t, tol):
+        value += coef * val
+        error += coef * err
+        captured += coef * one
     tail = max(path.moment(0.0, t) - captured, 0.0)
     return LimitFunctionalResult(value, error, tail)
 
@@ -287,18 +246,14 @@ def pushforward_check(path: SolutionPath, mu0: MassSpectrum, kernel: Kernel,
     """Compare the mass pushforward of mu~_t against mu_t for small masses.
 
     For each total mass reachable with at most ``n_max`` atoms, sums the
-    limit-measure weight over all shapes and assignments of that mass and
-    compares with the solved spectrum's weight there.
+    limit-measure weight of the :func:`terms` of that mass and compares with
+    the solved spectrum's weight there.
     """
     sums: dict[float, float] = {}
-    for shape in shapes_up_to(n_max):
-        n = shape.n_leaves
-        sym = 2.0 ** (-symmetry_exponent(shape))
-        for masses, weight in _assignments(mu0, n):
-            _, _, one, _ = time_integral(
-                shape, masses, path, t, lambda tree: 1.0, kernel, tol=tol)
-            key = round(sum(masses), 10)
-            sums[key] = sums.get(key, 0.0) + sym * weight * one
+    for _, masses, coef, (_, _, one, _) in terms(
+            lambda tree: 1.0, n_max, path, kernel, mu0, t, tol):
+        key = round(sum(masses), 10)
+        sums[key] = sums.get(key, 0.0) + coef * one
     spectrum = path.spectrum_at(t)
     rows = []
     worst = 0.0

@@ -26,7 +26,7 @@ from .simulate import (
     rng_for,
     simulate_direct,
 )
-from .smoluchowski import MassSpectrum, SolutionPath, solve
+from .smoluchowski import MassSpectrum, solve
 
 
 @dataclass(frozen=True)
@@ -225,9 +225,12 @@ class JumpDensityReport:
     passed: bool
 
 
+# equal-width bins of the first-merge-time histogram in jump_density_test
+JUMP_TIME_BINS = 20
+
+
 def jump_density_test(n: int, masses, kernel: Kernel, t: float,
-                      replicas: int = 100000, seed: int = 0,
-                      bins: int = 20) -> JumpDensityReport:
+                      replicas: int = 100000, seed: int = 0) -> JumpDensityReport:
     """Check simulated event times against the analytic jump-chain density.
 
     For an isolated n-particle system the first merge time has density
@@ -255,7 +258,7 @@ def jump_density_test(n: int, masses, kernel: Kernel, t: float,
             first_pairs.append((min(e.left, e.right), max(e.left, e.right)))
 
     merged = len(first_times)
-    edges = np.linspace(0.0, t, bins + 1)
+    edges = np.linspace(0.0, t, JUMP_TIME_BINS + 1)
     counts, _ = np.histogram(first_times, bins=edges)
     cdf = 1.0 - np.exp(-total_rate * edges)
     probs = np.diff(cdf) / cdf[-1]  # conditioned on a merge before t

@@ -20,11 +20,11 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .kernels import Kernel, check_gelation
 from .trees import (
-    LEAF,
     HistoricalTree,
     TreeShape,
     hist_leaf,
     hist_node,
+    preorder,
     shape_of,
 )
 
@@ -90,7 +90,6 @@ class Event:
 class EventLog:
     config: SimConfig
     events: tuple
-    tie_breaks: int = 0
 
     def __post_init__(self):
         times = [e.time for e in self.events]
@@ -163,16 +162,6 @@ def simulate_direct(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog
     return EventLog(cfg, tuple(events))
 
 
-def _label_key(tree: HistoricalTree) -> str:
-    if tree.is_leaf:
-        return str(tree.label)
-    a = _label_key(tree.left)
-    b = _label_key(tree.right)
-    if b < a:
-        a, b = b, a
-    return "{%s,%s}" % (a, b)
-
-
 def simulate_coupled(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog:
     """Coupled exponential-clock construction.
 
@@ -192,7 +181,6 @@ def simulate_coupled(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLo
     live = [(str(i), i, 0.0, hist_leaf(cfg.masses[i], label=i)) for i in range(n0)]
     clocks: dict[str, float] = {}
     events = []
-    ties = 0
     next_id = n0
     while len(live) > 1:
         candidates = []
@@ -210,8 +198,6 @@ def simulate_coupled(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLo
                 clocks[key] = max(sa, sb) + (cfg.n_eff / float(rate)) * rng.standard_exponential()
         best = min(candidates, key=lambda c: (clocks[c[0]], c[0]))
         s = clocks[best[0]]
-        if sum(1 for c in candidates if clocks[c[0]] == s) > 1:
-            ties += 1
         if s > cfg.horizon:
             break
         _, x, y = best
@@ -222,7 +208,7 @@ def simulate_coupled(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLo
         live = [live[k] for k in range(len(live)) if k not in (x, y)]
         live.append(merged)
         next_id += 1
-    return EventLog(cfg, tuple(events), tie_breaks=ties)
+    return EventLog(cfg, tuple(events))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +257,6 @@ class ShapeIndicator:
         return 1.0 if shape_of(tree) == self.shape else 0.0
 
 
-LEAF_INDICATOR = ShapeIndicator(LEAF)
-
-
 @dataclass(frozen=True)
 class ShapeTimeBoxIndicator:
     """Indicator of a shape with every merge time inside its box.
@@ -285,6 +268,15 @@ class ShapeTimeBoxIndicator:
     shape: TreeShape
     boxes: tuple  # ((lo, hi), ...) per internal node
 
+    def __post_init__(self):
+        if len(self.boxes) != self.shape.n_leaves - 1:
+            raise ValueError(
+                f"need one (lo, hi) box per internal node: {self.shape!r} has "
+                f"{self.shape.n_leaves - 1}, got {len(self.boxes)}")
+        for lo, hi in self.boxes:
+            if not lo <= hi:
+                raise ValueError(f"time box ({lo}, {hi}) needs lo <= hi")
+
     @property
     def time_breakpoints(self) -> tuple:
         # discontinuity locations, used by the limit quadrature
@@ -293,17 +285,11 @@ class ShapeTimeBoxIndicator:
     def __call__(self, tree: HistoricalTree) -> float:
         if shape_of(tree) != self.shape:
             return 0.0
-        times = _preorder_times(tree)
+        times = [v.time for v, _ in preorder(tree) if not v.is_leaf]
         for (lo, hi), s in zip(self.boxes, times):
             if not lo <= s <= hi:
                 return 0.0
         return 1.0
-
-
-def _preorder_times(tree: HistoricalTree) -> list[float]:
-    if tree.is_leaf:
-        return []
-    return [tree.time] + _preorder_times(tree.left) + _preorder_times(tree.right)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ Lambda(y; s, t) = int_s^t sum_j K(y, x_j) c_j(r) dr used by the limit measure.
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass
 
@@ -99,6 +100,7 @@ class SolutionPath:
                  kernel: Kernel, mu0: MassSpectrum, tol: float):
         self.masses = np.asarray(masses, dtype=float)
         self.times = np.asarray(times, dtype=float)
+        self._grid = self.times.tolist()  # bisect on floats: cheap scalar lookups
         self.weights = np.asarray(weights, dtype=float)  # shape (n_times, n_masses)
         self.kernel = kernel
         self.mu0 = mu0
@@ -109,14 +111,17 @@ class SolutionPath:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def weights_at(self, t: float) -> np.ndarray:
-        t = float(t)
-        if not 0.0 <= t <= self.t_end + 1e-12:
+    def _locate(self, t: float) -> tuple:
+        """Grid interval (k, a) holding ``t``: t = (1 - a) * times[k] + a * times[k + 1]."""
+        grid = self._grid
+        if not 0.0 <= t <= grid[-1] + 1e-12:
             raise ValueError(f"time {t} outside [0, {self.t_end}]")
-        k = np.searchsorted(self.times, t, side="right") - 1
-        k = min(max(k, 0), len(self.times) - 2)
-        t0, t1 = self.times[k], self.times[k + 1]
-        a = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+        k = min(max(bisect.bisect_right(grid, t) - 1, 0), len(grid) - 2)
+        t0, t1 = grid[k], grid[k + 1]
+        return k, 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+
+    def weights_at(self, t: float) -> np.ndarray:
+        k, a = self._locate(float(t))
         return (1 - a) * self.weights[k] + a * self.weights[k + 1]
 
     def spectrum_at(self, t: float) -> MassSpectrum:
@@ -138,20 +143,15 @@ class SolutionPath:
         return self._lambda_cache[y]
 
     def survival_exponent(self, y: float, s: float, t: float) -> float:
-        """Lambda(y; s, t) = int_s^t sum_j K(y, x_j) c_j(r) dr, s <= t."""
+        """Lambda(y; s, t) = int_s^t sum_j K(y, x_j) c_j(r) dr, 0 <= s <= t <= t_end."""
         if t < s:
             raise ValueError("need s <= t")
         cum, g = self._g_cumulative(y)
 
         def upto(u: float) -> float:
-            k = np.searchsorted(self.times, u, side="right") - 1
-            k = min(max(k, 0), len(self.times) - 2)
-            t0, t1 = self.times[k], self.times[k + 1]
-            if t1 == t0:
-                return float(cum[k])
-            a = (u - t0) / (t1 - t0)
+            k, a = self._locate(u)
             gu = (1 - a) * g[k] + a * g[k + 1]
-            return float(cum[k] + 0.5 * (g[k] + gu) * (u - t0))
+            return float(cum[k] + 0.5 * (g[k] + gu) * (u - self._grid[k]))
 
         return upto(float(t)) - upto(float(s))
 

@@ -154,11 +154,15 @@ class HistoricalTree:
         return f"HistoricalTree({self.serial})"
 
     def walk(self) -> Iterator["HistoricalTree"]:
-        """Post-order traversal (children before parent)."""
-        if not self.is_leaf:
-            yield from self.left.walk()
-            yield from self.right.walk()
-        yield self
+        """Post-order traversal (children before parent, left before right)."""
+        out = []
+        stack = [self]
+        while stack:
+            v = stack.pop()
+            out.append(v)
+            if not v.is_leaf:
+                stack += (v.left, v.right)
+        return reversed(out)
 
     def internal_nodes(self) -> list["HistoricalTree"]:
         return [v for v in self.walk() if not v.is_leaf]
@@ -314,27 +318,48 @@ def kernel_product(xi: HistoricalTree, kernel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# labeled trees
+# pre-order: node times and time boxes are listed parent before children
 
 
-def build_tree(shape: TreeShape, masses: list[float], times: list[float]) -> HistoricalTree:
-    """Historical tree from ``shape`` with leaf ``masses`` (left to right) and
-    internal-node ``times`` in post-order."""
+def preorder(node) -> Iterator[tuple]:
+    """Nodes of a shape or historical tree, parent before children and left
+    before right, as ``(node, parent)`` pairs.
+
+    ``parent`` is the position of the node's parent among the internal nodes
+    in this order (-1 for the root): the index of its time in a pre-order
+    time vector.
+    """
+    stack = [(node, -1)]
+    internal = 0
+    while stack:
+        v, parent = stack.pop()
+        yield v, parent
+        if not v.is_leaf:
+            stack += ((v.right, internal), (v.left, internal))
+            internal += 1
+
+
+def build_preorder(shape: TreeShape, masses, times) -> HistoricalTree:
+    """Historical tree from leaf masses (left to right) and internal times in
+    pre-order (each parent listed before its children)."""
     if len(masses) != shape.n_leaves:
         raise TreeError("need one mass per leaf")
     if len(times) != shape.n_leaves - 1:
         raise TreeError("need one time per internal node")
     mi = iter(masses)
     ti = iter(times)
-
-    def rec(s: TreeShape) -> HistoricalTree:
+    nodes = [(s, next(mi) if s.is_leaf else next(ti)) for s, _ in preorder(shape)]
+    built: list[HistoricalTree] = []
+    for s, value in reversed(nodes):
         if s.is_leaf:
-            return hist_leaf(next(mi))
-        a = rec(s.left)
-        b = rec(s.right)
-        return hist_node(next(ti), a, b)
+            built.append(hist_leaf(value))
+        else:
+            built.append(hist_node(value, built.pop(), built.pop()))
+    return built[0]
 
-    return rec(shape)
+
+# ---------------------------------------------------------------------------
+# labeled trees
 
 
 def distinct_labelings(shape: TreeShape, labels: list[int]) -> set:
@@ -393,19 +418,23 @@ def parse(text: str, strict: bool = False) -> HistoricalTree:
             pos = start
             error(f"bad number {text[start:pos + 20]!r}")
 
-    def node() -> HistoricalTree:
-        nonlocal pos
+    # One entry per open "(": False while its first child is being read,
+    # True while its second is.  Finished subtrees wait on ``done``.
+    open_nodes: list[bool] = []
+    done: list[HistoricalTree] = []
+    while True:
         skip_ws()
         if pos >= len(text):
             error("unexpected end of input")
         if text[pos] == "(":
             pos += 1
-            a = node()
-            skip_ws()
-            if pos >= len(text) or text[pos] != ",":
-                error("expected ','")
-            pos += 1
-            b = node()
+            open_nodes.append(False)
+            continue
+        val = number()
+        if not val > 0:
+            error("leaf mass must be positive")
+        done.append(hist_leaf(val))
+        while open_nodes and open_nodes[-1]:
             skip_ws()
             if pos >= len(text) or text[pos] != ")":
                 error("expected ')'")
@@ -415,16 +444,22 @@ def parse(text: str, strict: bool = False) -> HistoricalTree:
                 error("expected '@' with a merge time")
             pos += 1
             t = number()
+            b = done.pop()
+            a = done.pop()
             try:
-                return hist_node(t, a, b)
+                done.append(hist_node(t, a, b))
             except TreeError as e:
                 error(str(e))
-        val = number()
-        if not val > 0:
-            error("leaf mass must be positive")
-        return hist_leaf(val)
+            open_nodes.pop()
+        if not open_nodes:
+            break
+        skip_ws()
+        if pos >= len(text) or text[pos] != ",":
+            error("expected ','")
+        pos += 1
+        open_nodes[-1] = True
 
-    tree = node()
+    tree = done[0]
     skip_ws()
     if pos != len(text):
         error("trailing input")

@@ -116,6 +116,18 @@ def test_lln_plan(tmp_path):
     assert (out / "report.txt").exists()
 
 
+def test_lln_plan_with_empty_time_box_is_a_config_error(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "kernel": "constant", "t": 2.0, "seed": 9,
+        "functionals": [{"type": "cherry-box", "box": [1.5, 0.5]}],
+        "n_ladder": [30, 100], "replicas": [30, 30],
+        "tau_max_leaves": 2,
+    }))
+    assert main(["lln", str(plan), "--out", str(tmp_path / "rep"),
+                 "--jobs", "1"]) == 2
+
+
 def test_exit_codes(tmp_path):
     # config error
     assert main(["simulate", "--kernel", "bogus", "--n", "4", "--t", "1",

@@ -214,3 +214,18 @@ def test_build_preorder_respects_order():
     assert inner.time == 0.4
     with pytest.raises(Exception):
         build_preorder(THREE, (1.0, 1.0, 1.0), (0.4, 1.2))
+
+
+def test_time_integral_reports_an_unconverged_order_ladder(path):
+    # a jump at s = 0.7 that f does not declare as a breakpoint: Gauss-Legendre
+    # converges slowly, so the last two orders still differ and say so
+    def early_merge(tree):
+        return 1.0 if tree.time < 0.7 else 0.0
+
+    val, err, one, one_err = time_integral(CHERRY, (1.0, 1.0), path, 2.0,
+                                           early_merge, CONSTANT, tol=1e-8)
+    assert err > 1e-9
+    assert one_err <= 1e-9
+    # as in test_functional_time_box, without the symmetry factor 1/2
+    exact = 2 * (0.25 - 0.25 / (1 + 0.7 / 2))
+    assert abs(val - exact) <= err

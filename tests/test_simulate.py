@@ -186,6 +186,21 @@ def test_functionals():
     assert ConstantOne()(node) == 1.0
 
 
+def test_time_box_indicator_validates_its_boxes():
+    cherry = shape_node(LEAF, LEAF)
+    three = shape_node(LEAF, cherry)
+    ShapeTimeBoxIndicator(three, ((0.5, 1.0), (0.0, 0.5)))
+    ShapeTimeBoxIndicator(cherry, ((0.5, 0.5),))  # a single time is a box
+    for shape, boxes in (
+            (cherry, ()),  # no box
+            (three, ((0.5, 1.0),)),  # second internal node left out
+            (cherry, ((0.1, 0.2), (0.3, 0.4))),  # one box too many
+            (cherry, ((0.6, 0.2),)),  # lo > hi
+            (LEAF, ((0.0, 1.0),))):  # a leaf has no merge time
+        with pytest.raises(ValueError):
+            ShapeTimeBoxIndicator(shape, boxes)
+
+
 def test_mass_cutoff_inactive_above_total_mass():
     cfg = SimConfig.monodisperse(30, CONSTANT, 1.0, seed=13)
     log = simulate_direct(cfg)

@@ -154,6 +154,25 @@ def test_survival_exponent_vs_trapezoid_oracle():
     assert path.survival_exponent(1.0, 0.3, 1.7) == pytest.approx(oracle, abs=1e-8)
 
 
+def test_survival_exponent_refuses_times_past_the_solution():
+    from coagtree.limit import density_product
+    from coagtree.trees import hist_leaf
+
+    path = solve(MONO, CONSTANT, 1.0, tol=1e-10)
+    # in range, up to the same 1e-12 slack that weights_at allows
+    assert path.survival_exponent(1.0, 0.0, 1.0) == pytest.approx(
+        2 * math.log(1.5), abs=1e-7)
+    path.survival_exponent(1.0, 0.0, 1.0 + 1e-13)
+    # Lambda(1; 0, 3) = 2 ln 2.5 is not knowable from a path solved to t = 1
+    for s, t in ((0.0, 3.0), (-0.5, 0.5), (1.5, 2.0)):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\.0\]"):
+            path.survival_exponent(1.0, s, t)
+    with pytest.raises(ValueError, match="outside"):
+        path.weights_at(3.0)
+    with pytest.raises(ValueError, match="outside"):
+        density_product(hist_leaf(1.0), path, 3.0)
+
+
 def test_polydisperse_lattice_closure():
     mu0 = MassSpectrum((1.0, 1.5), (0.6, 0.4))
     path = solve(mu0, CONSTANT, 1.0, tol=1e-8, k_max=64)

@@ -261,6 +261,18 @@ def test_parse_strict_rejects_ties():
         parse(text, strict=True)
 
 
+def test_deep_caterpillar_round_trips():
+    # deeper than the interpreter's default recursion limit of 1000
+    tree = hist_leaf(1.0)
+    for k in range(1, 1500):
+        tree = hist_node(k / 1000.0, tree, hist_leaf(1.0 + k % 3))
+    text = serialize(tree)
+    # compare serials: dataclass == on trees this deep still recurses
+    assert serialize(parse(text)) == text
+    assert serialize(parse(text, strict=True)) == text
+    assert len(tree.internal_nodes()) == 1499
+
+
 def test_round_trip_random_trees():
     import numpy as np
 
