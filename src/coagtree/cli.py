@@ -225,7 +225,11 @@ def _build_functional(spec: dict):
     if kind == "cherry":
         return ("cherry", ShapeIndicator(shape_node(LEAF, LEAF)))
     if kind == "cherry-box":
-        lo, hi = spec.get("box", [0.0, 1.0])
+        box = spec.get("box", [0.0, 1.0])
+        if not (isinstance(box, list) and len(box) == 2
+                and all(isinstance(x, (int, float)) for x in box)):
+            raise ConfigError(f'cherry-box needs "box": [lo, hi], two numbers; got {box!r}')
+        lo, hi = box
         return (f"cherry-box[{lo},{hi}]",
                 ShapeTimeBoxIndicator(shape_node(LEAF, LEAF), ((lo, hi),)))
     raise ConfigError(f"unknown functional type {kind!r}")

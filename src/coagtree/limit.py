@@ -33,7 +33,6 @@ from .trees import (
     internal_interaction_rate,
     kernel_product,
     preorder,
-    shape_of,
     shapes_up_to,
     symmetry_exponent,
 )
@@ -74,7 +73,7 @@ def _labeled_density(tree: HistoricalTree, path: SolutionPath, t: float,
 def density_product(tree: HistoricalTree, path: SolutionPath, t: float,
                     kernel: Optional[Kernel] = None) -> float:
     """Product-form density at ``tree`` with horizon ``t``."""
-    q = symmetry_exponent(shape_of(tree))
+    q = symmetry_exponent(tree.shape)
     return 2.0 ** (-q) * _labeled_density(tree, path, t, kernel or path.kernel)
 
 
@@ -88,7 +87,7 @@ def density_recursive(tree: HistoricalTree, path: SolutionPath, t: float,
     s = tree.time
     if not s < t:
         raise ValueError(f"node time {s} not below horizon {t}")
-    eps = epsilon(shape_of(tree))
+    eps = epsilon(tree.shape)
     return (
         eps
         * kernel.evaluate(tree.left.mass, tree.right.mass)

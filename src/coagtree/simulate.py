@@ -25,7 +25,6 @@ from .trees import (
     hist_leaf,
     hist_node,
     preorder,
-    shape_of,
 )
 
 
@@ -254,7 +253,7 @@ class ShapeIndicator:
     shape: TreeShape
 
     def __call__(self, tree: HistoricalTree) -> float:
-        return 1.0 if shape_of(tree) == self.shape else 0.0
+        return 1.0 if tree.shape == self.shape else 0.0
 
 
 @dataclass(frozen=True)
@@ -283,7 +282,7 @@ class ShapeTimeBoxIndicator:
         return tuple(b for box in self.boxes for b in box)
 
     def __call__(self, tree: HistoricalTree) -> float:
-        if shape_of(tree) != self.shape:
+        if tree.shape != self.shape:
             return 0.0
         times = [v.time for v, _ in preorder(tree) if not v.is_leaf]
         for (lo, hi), s in zip(self.boxes, times):

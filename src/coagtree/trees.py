@@ -8,8 +8,7 @@ equality is insensitive to child order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 
@@ -27,35 +26,42 @@ class ParseError(TreeError):
 # shapes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeShape:
     """Unlabeled binary tree; ``LEAF`` or an internal node with two children.
 
     Construct internal nodes through :func:`shape_node`, which sorts the
-    children into canonical order.  Equality and hashing are structural.
+    children into canonical order.  ``n_leaves`` and the canonical text
+    ``serial`` are set at construction from the children's own.  Two shapes
+    are equal, and hash alike, when their serials are equal.
     """
 
     left: Optional["TreeShape"] = None
     right: Optional["TreeShape"] = None
+    n_leaves: int = field(init=False)
+    serial: str = field(init=False)
+
+    def __post_init__(self):
+        a, b = self.left, self.right
+        leaf = a is None
+        # frozen: the derived fields are written once, here
+        object.__setattr__(self, "n_leaves", 1 if leaf else a.n_leaves + b.n_leaves)
+        object.__setattr__(self, "serial", "1" if leaf else "{%s,%s}" % (a.serial, b.serial))
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
 
-    @cached_property
-    def n_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.n_leaves + self.right.n_leaves
-
-    @cached_property
-    def serial(self) -> str:
-        if self.is_leaf:
-            return "1"
-        return "{%s,%s}" % (self.left.serial, self.right.serial)
-
     def sort_key(self) -> tuple:
         return (self.n_leaves, self.serial)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TreeShape):
+            return NotImplemented
+        return self.serial == other.serial
+
+    def __hash__(self) -> int:
+        return hash(self.serial)
 
     def __repr__(self) -> str:
         return f"TreeShape({self.serial})"
@@ -96,7 +102,7 @@ def shapes_up_to(n_max: int) -> list[TreeShape]:
 # historical trees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistoricalTree:
     """Merger history of one cluster: leaf masses plus internal merge times.
 
@@ -104,6 +110,11 @@ class HistoricalTree:
     ``label``); an internal node holds the merge ``time`` and two children whose
     own times do not exceed it.  Instances are immutable; build nodes through
     :func:`hist_node` so children are stored canonically.
+
+    ``n_leaves``, the total ``mass``, the canonical text ``serial`` (no
+    labels) and the ``shape`` are set at construction from the children's
+    own.  Two trees are equal when their serials are equal and so are their
+    leaf labels in :meth:`walk` order; the hash reads the serial only.
     """
 
     mass_value: Optional[float] = None
@@ -111,44 +122,51 @@ class HistoricalTree:
     time: Optional[float] = None
     left: Optional["HistoricalTree"] = None
     right: Optional["HistoricalTree"] = None
+    n_leaves: int = field(init=False)
+    mass: float = field(init=False)
+    serial: str = field(init=False)
+    shape: TreeShape = field(init=False)
 
     def __post_init__(self):
-        if self.left is None:
+        a, b = self.left, self.right
+        if a is None:
             if self.mass_value is None or not self.mass_value > 0:
                 raise TreeError("leaf mass must be positive")
+            n_leaves, mass, shape = 1, self.mass_value, LEAF
+            serial = repr(float(self.mass_value))
         else:
             if self.time is None or not self.time > 0:
                 raise TreeError("merge time must be positive")
-            for child in (self.left, self.right):
+            for child in (a, b):
                 if not child.is_leaf and child.time > self.time:
                     raise TreeError(
                         f"non-monotone times: child at {child.time} above parent at {self.time}"
                     )
+            n_leaves, mass = a.n_leaves + b.n_leaves, a.mass + b.mass
+            shape = shape_node(a.shape, b.shape)
+            serial = f"({a.serial},{b.serial})@{float(self.time)!r}"
+        put = object.__setattr__  # frozen: the derived fields are written once, here
+        put(self, "n_leaves", n_leaves)
+        put(self, "mass", mass)
+        put(self, "serial", serial)
+        put(self, "shape", shape)
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
 
-    @cached_property
-    def n_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.n_leaves + self.right.n_leaves
-
-    @cached_property
-    def mass(self) -> float:
-        if self.is_leaf:
-            return self.mass_value
-        return self.left.mass + self.right.mass
-
-    @cached_property
-    def serial(self) -> str:
-        if self.is_leaf:
-            return repr(float(self.mass_value))
-        return f"({self.left.serial},{self.right.serial})@{float(self.time)!r}"
-
     def sort_key(self) -> tuple:
         return (self.n_leaves, self.serial)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HistoricalTree):
+            return NotImplemented
+        return self.serial == other.serial and (
+            [v.label for v in self.walk() if v.is_leaf]
+            == [v.label for v in other.walk() if v.is_leaf])
+
+    def __hash__(self) -> int:
+        return hash(self.serial)
 
     def __repr__(self) -> str:
         return f"HistoricalTree({self.serial})"
@@ -193,10 +211,7 @@ def mass(xi: HistoricalTree) -> float:
 
 def symmetry_exponent(tau: TreeShape) -> int:
     """Number of internal nodes whose two child subtrees are equal shapes."""
-    if tau.is_leaf:
-        return 0
-    extra = 1 if tau.left == tau.right else 0
-    return symmetry_exponent(tau.left) + symmetry_exponent(tau.right) + extra
+    return sum(1 for v, _ in preorder(tau) if not v.is_leaf and v.left == v.right)
 
 
 def epsilon(tau: TreeShape) -> float:
@@ -207,9 +222,7 @@ def epsilon(tau: TreeShape) -> float:
 
 
 def shape_of(xi: HistoricalTree) -> TreeShape:
-    if xi.is_leaf:
-        return LEAF
-    return shape_node(shape_of(xi.left), shape_of(xi.right))
+    return xi.shape
 
 
 def forget_times(xi: HistoricalTree):
@@ -219,33 +232,18 @@ def forget_times(xi: HistoricalTree):
     """
     if xi.is_leaf:
         return float(xi.mass_value)
-
-    def key(x):
-        if isinstance(x, float):
-            return (1, repr(x))
-        return (_mt_leaves(x), repr(x))
-
     a, b = forget_times(xi.left), forget_times(xi.right)
-    if key(b) < key(a):
+    if (xi.right.n_leaves, repr(b)) < (xi.left.n_leaves, repr(a)):
         a, b = b, a
     return (a, b)
 
 
-def _mt_leaves(x) -> int:
-    if isinstance(x, float):
-        return 1
-    return _mt_leaves(x[0]) + _mt_leaves(x[1])
-
-
 def forget_labels(xi: HistoricalTree) -> HistoricalTree:
-    """Drop leaf labels; preserves masses and times, re-canonicalizes."""
-    if xi.is_leaf:
-        return hist_leaf(xi.mass_value)
-    return hist_node(xi.time, forget_labels(xi.left), forget_labels(xi.right))
+    """Drop leaf labels; preserves masses and times, re-canonicalizes.
 
-
-def leaf_labels(xi: HistoricalTree) -> list[int]:
-    return [v.label for v in xi.walk() if v.is_leaf]
+    The text format carries no labels, so a round trip through it drops them.
+    """
+    return parse(serialize(xi))
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +264,19 @@ def edge_intervals(xi: HistoricalTree, horizon: float) -> list[EdgeInterval]:
     parent's merge time, the root at ``horizon``.  Post-order, one entry per
     node, 2*n_leaves - 1 entries in total.
     """
+    if not xi.is_leaf and xi.time >= horizon:
+        # child times never exceed their parent's, so the root is the latest
+        raise TreeError(f"node time {xi.time} not below horizon {horizon}")
     out: list[EdgeInterval] = []
-
-    def rec(node: HistoricalTree, death: float):
-        if node.is_leaf:
-            out.append(EdgeInterval(node.mass, 0.0, death))
-            return
-        if node.time >= horizon:
-            raise TreeError(f"node time {node.time} not below horizon {horizon}")
-        rec(node.left, node.time)
-        rec(node.right, node.time)
-        out.append(EdgeInterval(node.mass, node.time, death))
-
-    rec(xi, float(horizon))
+    stack = [(xi, float(horizon))]
+    while stack:
+        v, death = stack.pop()
+        if v.is_leaf:
+            out.append(EdgeInterval(v.mass, 0.0, death))
+        else:
+            out.append(EdgeInterval(v.mass, v.time, death))
+            stack += ((v.left, v.time), (v.right, v.time))
+    out.reverse()
     return out
 
 
@@ -465,11 +463,7 @@ def parse(text: str, strict: bool = False) -> HistoricalTree:
         error("trailing input")
     if strict:
         times = [v.time for v in tree.walk() if not v.is_leaf]
+        # this also catches a child tied with its parent
         if len(times) != len(set(times)):
             raise ParseError("duplicate merge times under strict validation", 0)
-        for v in tree.walk():
-            if not v.is_leaf:
-                for c in (v.left, v.right):
-                    if not c.is_leaf and c.time == v.time:
-                        raise ParseError("tied parent/child times under strict validation", 0)
     return tree

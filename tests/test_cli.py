@@ -117,15 +117,17 @@ def test_lln_plan(tmp_path):
 
 
 def test_lln_plan_with_empty_time_box_is_a_config_error(tmp_path):
-    plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps({
-        "kernel": "constant", "t": 2.0, "seed": 9,
-        "functionals": [{"type": "cherry-box", "box": [1.5, 0.5]}],
-        "n_ladder": [30, 100], "replicas": [30, 30],
-        "tau_max_leaves": 2,
-    }))
-    assert main(["lln", str(plan), "--out", str(tmp_path / "rep"),
-                 "--jobs", "1"]) == 2
+    # a reversed box, and boxes that are not two numbers
+    for k, box in enumerate([[1.5, 0.5], 5, ["a", "b"]]):
+        plan = tmp_path / f"plan{k}.json"
+        plan.write_text(json.dumps({
+            "kernel": "constant", "t": 2.0, "seed": 9,
+            "functionals": [{"type": "cherry-box", "box": box}],
+            "n_ladder": [30, 100], "replicas": [30, 30],
+            "tau_max_leaves": 2,
+        }))
+        assert main(["lln", str(plan), "--out", str(tmp_path / f"rep{k}"),
+                     "--jobs", "1"]) == 2, box
 
 
 def test_exit_codes(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -184,6 +185,11 @@ def test_functionals():
     assert prod(node) == 0.5
     assert prod(leaf) == 0.0
     assert ConstantOne()(node) == 1.0
+    # worker pools receive functionals pickled: equality must survive it
+    assert pickle.loads(pickle.dumps(ShapeIndicator(cherry)))(node) == 1.0
+    for x in (cherry, node):
+        back = pickle.loads(pickle.dumps(x))
+        assert back == x and hash(back) == hash(x)
 
 
 def test_time_box_indicator_validates_its_boxes():

@@ -263,14 +263,21 @@ def test_parse_strict_rejects_ties():
 
 def test_deep_caterpillar_round_trips():
     # deeper than the interpreter's default recursion limit of 1000
+    n = 1500
     tree = hist_leaf(1.0)
-    for k in range(1, 1500):
+    for k in range(1, n):
         tree = hist_node(k / 1000.0, tree, hist_leaf(1.0 + k % 3))
     text = serialize(tree)
-    # compare serials: dataclass == on trees this deep still recurses
     assert serialize(parse(text)) == text
     assert serialize(parse(text, strict=True)) == text
-    assert len(tree.internal_nodes()) == 1499
+    assert len(tree.internal_nodes()) == n - 1
+    assert tree.n_leaves == n
+    assert tree.mass == sum(1.0 + k % 3 for k in range(n))
+    assert shape_of(tree).n_leaves == n
+    assert parse(text) == tree
+    assert hash(parse(text)) == hash(tree)
+    assert len(edge_intervals(tree, 2.0)) == 2 * n - 1
+    assert forget_labels(tree) == tree
 
 
 def test_round_trip_random_trees():
