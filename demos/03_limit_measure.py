@@ -1,7 +1,8 @@
 """Evaluate the limit historical measure: densities and functionals.
 
 Checks that the recursive and product-form densities agree, evaluates shape
-functionals by simplex quadrature, and verifies the mass pushforward against
+functionals with the recursive evaluator (one cumulative integral per tree
+node on the solver's time grid), and verifies the mass pushforward against
 the mean-field spectrum.
 """
 

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from . import __version__, limit as limit_measure, lln as lln_harness
 from .kernels import BUILTIN_KERNELS, GelationError, KernelError, builtin, tabulated_kernel
 from .simulate import (
     ConfigError,
+    ConstantOne,
     ShapeIndicator,
     ShapeTimeBoxIndicator,
     SimConfig,
@@ -66,7 +68,8 @@ def _sha256(path: str) -> str:
 
 
 def _write_manifest(outdir: Path, subcommand: str, config: dict, seed: int,
-                    input_files: list, output_paths: list) -> Path:
+                    input_files: list, output_paths: list, **extra) -> Path:
+    """Write ``manifest.json``; ``extra`` adds fields known after the run."""
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "subcommand": subcommand,
@@ -75,6 +78,7 @@ def _write_manifest(outdir: Path, subcommand: str, config: dict, seed: int,
         "version": __version__,
         "input_hashes": {f: _sha256(f) for f in input_files},
         "outputs": [str(p) for p in output_paths],
+        **extra,
     }
     path = outdir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -171,19 +175,31 @@ def cmd_limit(args) -> int:
     config = {"kernel": args.kernel, "t": args.t, "tol": args.tol,
               "max_leaves": args.max_leaves, "mu0": args.mu0 or "monodisperse"}
     out_csv = outdir / "limit.csv"
-    _write_manifest(outdir, "limit", config, seed,
-                    [args.mu0] if args.mu0 else [], [out_csv])
+    manifest_args = (outdir, "limit", config, seed,
+                     [args.mu0] if args.mu0 else [], [out_csv])
+    _write_manifest(*manifest_args)
+    start = time.perf_counter()
     path = solve(mu0, kernel, args.t, tol=min(args.tol, 1e-8),
                  allow_gelation=args.allow_gelation)
+    solved = time.perf_counter()
+    n_terms, max_error, unconverged = 0, 0.0, 0
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["shape_serial", "mass_assignment", "value", "error"])
-        for shape, masses, coef, (val, err, _, _) in limit_measure.terms(
-                lambda tree: 1.0, args.max_leaves, path, kernel, mu0, args.t,
+        for shape, masses, coef, (val, err, _, one_err) in limit_measure.terms(
+                ConstantOne(), args.max_leaves, path, kernel, mu0, args.t,
                 tol=args.tol):
             writer.writerow([
                 shape.serial, ";".join(repr(m) for m in masses),
                 repr(coef * val), repr(coef * err)])
+            n_terms += 1
+            max_error = max(max_error, err, one_err)
+            unconverged += max(err, one_err) > 0.1 * args.tol
+    # the time integrals' own errors, before the coefficient in limit.csv
+    counters = {"terms": n_terms, "max_error": max_error,
+                "unconverged": unconverged}
+    timings = {"solve_s": solved - start, "terms_s": time.perf_counter() - solved}
+    _write_manifest(*manifest_args, counters=counters, timings=timings)
     return 0
 
 

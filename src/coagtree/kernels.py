@@ -91,20 +91,17 @@ class _GridEval:
     """Bilinear interpolation on a symmetric rectangular grid (picklable)."""
 
     def __init__(self, grid_masses: np.ndarray, values: np.ndarray):
-        self.grid = grid_masses
-        self.values = values
+        from scipy.interpolate import RegularGridInterpolator  # only tables need it
+
+        self.interp = RegularGridInterpolator(
+            (grid_masses, grid_masses), values, bounds_error=False, fill_value=None)
 
     def __call__(self, x, y):
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(
-            (self.grid, self.grid), self.values, bounds_error=False, fill_value=None
-        )
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         xb, yb = np.broadcast_arrays(x, y)
         pts = np.stack([xb.ravel(), yb.ravel()], axis=-1)
-        out = interp(pts).reshape(xb.shape)
+        out = self.interp(pts).reshape(xb.shape)
         if out.ndim == 0:
             return float(out)
         return out

@@ -8,8 +8,21 @@ intervals of the tree's sub-clusters:
 
 and an equivalent recursive form built from the symmetry factor epsilon.
 Functionals <f, mu~_t> are computed by enumerating shapes, summing over
-ordered leaf-mass assignments, and integrating over node times with nested
-Gauss-Legendre quadrature.
+ordered leaf-mass assignments, and integrating over node times.
+
+The time integral follows the recursive form.  With G_m(u) = Lambda(m; 0, u),
+a leaf of mass m carries A(u) = exp(-G_m(u)) and an internal node of mass m
+with children l, r carries
+
+    A(u) = exp(-G_m(u)) * int_0^u K(m_l, m_r) A_l(s) A_r(s) exp(G_m(s)) ds,
+
+so the integral over all node times is A_root(t): one cumulative 1-D
+trapezoid per node on the solver's time grid, refined cell by cell and
+Richardson-extrapolated.  It serves every functional that declares, through
+``time_boxes``, that it is a constant times per-node time-box indicators on
+each shape (the built-in functionals of :mod:`coagtree.simulate`).  Any other
+callable is integrated by nested Gauss-Legendre quadrature over the node-time
+simplex, which also serves as the test oracle for the recursive evaluator.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernels import Kernel
+from .simulate import ConstantOne
 from .smoluchowski import MassSpectrum, SolutionPath
 from .trees import (
     HistoricalTree,
@@ -39,6 +53,8 @@ from .trees import (
 
 # Gauss-Legendre orders tried in turn until two successive ones agree
 GL_ORDERS = (8, 12, 18, 27)
+# splits of every solver time cell tried in turn by the recursive evaluator
+REFINEMENTS = (1, 2, 4, 8, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -82,19 +98,30 @@ def density_recursive(tree: HistoricalTree, path: SolutionPath, t: float,
     """Recursive density: leaves carry survival exponentials, each merge
     contributes epsilon(shape) * K(mass_1, mass_2)."""
     kernel = kernel or path.kernel
-    if tree.is_leaf:
-        return math.exp(-path.survival_exponent(tree.mass, 0.0, t))
-    s = tree.time
-    if not s < t:
-        raise ValueError(f"node time {s} not below horizon {t}")
-    eps = epsilon(tree.shape)
-    return (
-        eps
-        * kernel.evaluate(tree.left.mass, tree.right.mass)
-        * density_recursive(tree.left, path, s, kernel)
-        * density_recursive(tree.right, path, s, kernel)
-        * math.exp(-path.survival_exponent(tree.mass, s, t))
-    )
+    # pre-order with each node's horizon (its parent's time), checked top down
+    order = []
+    stack = [(tree, t)]
+    while stack:
+        v, horizon = stack.pop()
+        order.append((v, horizon))
+        if not v.is_leaf:
+            if not v.time < horizon:
+                raise ValueError(f"node time {v.time} not below horizon {horizon}")
+            stack += ((v.right, v.time), (v.left, v.time))
+    done = []  # densities of finished subtrees, children before parents
+    for v, horizon in reversed(order):
+        if v.is_leaf:
+            done.append(math.exp(-path.survival_exponent(v.mass, 0.0, horizon)))
+            continue
+        left, right = done.pop(), done.pop()
+        done.append(
+            epsilon(v.shape)
+            * kernel.evaluate(v.left.mass, v.right.mass)
+            * left
+            * right
+            * math.exp(-path.survival_exponent(v.mass, v.time, horizon))
+        )
+    return done[0]
 
 
 def density(query: TreeDensityQuery, path: SolutionPath,
@@ -154,25 +181,15 @@ class LimitFunctionalResult:
     tail_bound: float
 
 
-def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
-                  f: Callable, kernel: Optional[Kernel] = None,
-                  tol: float = 1e-8):
-    """Integral over node times of K_xi * exp(-sum Lambda) * [f(tree), 1].
+def _gl_time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
+                      f: Callable, kernel: Kernel, tol: float):
+    """:func:`time_integral` by nested Gauss-Legendre over the node times.
 
-    This is the labeled-tree transition functional at fixed leaf masses; no
-    symmetry factor and no initial-measure weights are applied.  Returns
-    (value, error, one_value, one_error) where ``one_*`` is the same integral
-    with f replaced by 1.  The errors are the change between the last two
-    ``GL_ORDERS``: the first pair to agree within tol / 10, else the last.
-
-    Discontinuity locations declared by ``f`` through a ``time_breakpoints``
-    attribute split the quadrature panels.
+    The errors are the change between the last two ``GL_ORDERS``: the first
+    pair to agree within tol / 10, else the last.  Discontinuity locations
+    declared by ``f`` through a ``time_breakpoints`` attribute split the
+    quadrature panels.
     """
-    kernel = kernel or path.kernel
-    if t <= 0.0 and not shape.is_leaf:
-        # node times live in (0, t): empty domain
-        return 0.0, 0.0, 0.0, 0.0
-
     def evaluate(times):
         tree = build_preorder(shape, masses, times)
         core = _labeled_density(tree, path, t, kernel)
@@ -187,6 +204,101 @@ def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
             break
         prev = cur
     return float(cur[0]), float(diff[0]), float(cur[1]), float(diff[1])
+
+
+def _refine(grid: np.ndarray, r: int) -> np.ndarray:
+    """``grid`` with every cell split into ``r`` equal parts."""
+    fine = grid[:-1, None] + np.diff(grid)[:, None] * (np.arange(r) / r)
+    return np.append(fine.ravel(), grid[-1])
+
+
+def _recursive_integral(shape: TreeShape, masses, kernel: Kernel, x: np.ndarray,
+                        boxes, exponent: Callable) -> float:
+    """A_root(x[-1]) by cumulative trapezoids on the grid ``x``.
+
+    ``exponent(m)`` is G_m on ``x``.  An internal node's integrand counts
+    only on the cells inside its (lo, hi) box; ``boxes`` lists them in
+    pre-order, or is None for no boxes.
+    """
+    dx = np.diff(x)
+    leaf_masses = iter(masses)
+    node_boxes = iter(boxes) if boxes is not None else itertools.repeat(None)
+    nodes = [(s, next(leaf_masses) if s.is_leaf else next(node_boxes))
+             for s, _ in preorder(shape)]
+    done = []  # (mass, A on x) of finished subtrees; children before parents
+    for s, item in reversed(nodes):
+        if s.is_leaf:
+            done.append((item, np.exp(-exponent(item))))
+            continue
+        (ml, al), (mr, ar) = done.pop(), done.pop()
+        m = ml + mr
+        gm = exponent(m)
+        h = kernel.evaluate(ml, mr) * al * ar * np.exp(gm)
+        cells = 0.5 * dx * (h[:-1] + h[1:])
+        if item is not None:
+            lo, hi = item
+            cells = np.where((x[:-1] >= lo) & (x[1:] <= hi), cells, 0.0)
+        done.append((m, np.exp(-gm) * np.concatenate(([0.0], np.cumsum(cells)))))
+    return float(done[0][1][-1])
+
+
+def _recursive_time_integral(shape: TreeShape, masses, path: SolutionPath,
+                             t: float, kernel: Kernel, tol: float,
+                             c: float, boxes):
+    """:func:`time_integral` of f = c * (time-box indicators) by the recursion.
+
+    The grid is the solver's time grid cut at ``t``, plus the box endpoints.
+    Every cell is split into r = 1, 2, 4, ... parts until two levels T_r,
+    T_2r agree within tol / 10 (or ``REFINEMENTS`` runs out); the result is
+    T_2r + (T_2r - T_r) / 3 with error |T_2r - T_r| / 3.
+    """
+    cuts = [b for box in boxes or () for b in box if 0.0 < b < t]
+    grid = np.unique(np.concatenate([path.times[path.times < t], [t], cuts]))
+    # the f == 1 integral, then the boxed one when f has boxes and c != 0;
+    # f's value is c times the last of them
+    box_sets = [None] if boxes is None or c == 0.0 else [None, boxes]
+
+    def level(r: int) -> np.ndarray:
+        x = _refine(grid, r)
+        exponent = functools.cache(lambda m: path.cumulative_exponent(m, x))
+        return np.array([_recursive_integral(shape, masses, kernel, x, b, exponent)
+                         for b in box_sets])
+
+    prev = level(REFINEMENTS[0])
+    for r in REFINEMENTS[1:]:
+        cur = level(r)
+        step = cur - prev
+        if (np.abs(step) <= 0.1 * tol).all():
+            break
+        prev = cur
+    est, err = cur + step / 3.0, np.abs(step) / 3.0
+    return c * float(est[-1]), abs(c) * float(err[-1]), float(est[0]), float(err[0])
+
+
+def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
+                  f: Callable, kernel: Optional[Kernel] = None,
+                  tol: float = 1e-8):
+    """Integral over node times of K_xi * exp(-sum Lambda) * [f(tree), 1].
+
+    This is the labeled-tree transition functional at fixed leaf masses; no
+    symmetry factor and no initial-measure weights are applied.  Returns
+    (value, error, one_value, one_error) where ``one_*`` is the same integral
+    with f replaced by 1, and each error is an estimate of the value's
+    error, aimed at tol / 10.
+
+    When ``f.time_boxes(shape, masses)`` gives f on this shape as a constant
+    times time-box indicators, the recursive evaluator integrates it; any
+    other ``f`` goes through nested Gauss-Legendre quadrature.
+    """
+    kernel = kernel or path.kernel
+    if t <= 0.0 and not shape.is_leaf:
+        # node times live in (0, t): empty domain
+        return 0.0, 0.0, 0.0, 0.0
+    form = getattr(f, "time_boxes", None)
+    form = form(shape, masses) if form is not None else None
+    if form is None:
+        return _gl_time_integral(shape, masses, path, t, f, kernel, tol)
+    return _recursive_time_integral(shape, masses, path, t, kernel, tol, *form)
 
 
 def terms(f: Callable, tau_max_leaves: int, path: SolutionPath,
@@ -250,7 +362,7 @@ def pushforward_check(path: SolutionPath, mu0: MassSpectrum, kernel: Kernel,
     """
     sums: dict[float, float] = {}
     for _, masses, coef, (_, _, one, _) in terms(
-            lambda tree: 1.0, n_max, path, kernel, mu0, t, tol):
+            ConstantOne(), n_max, path, kernel, mu0, t, tol):
         key = round(sum(masses), 10)
         sums[key] = sums.get(key, 0.0) + coef * one
     spectrum = path.spectrum_at(t)

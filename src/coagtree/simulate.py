@@ -246,6 +246,13 @@ def evaluate_functional(m: EmpiricalHistoricalMeasure, f: Callable) -> float:
 
 # ---------------------------------------------------------------------------
 # built-in tree functionals (picklable, usable with worker pools)
+#
+# Each also has ``time_boxes(shape, masses)``: on the trees of ``shape`` with
+# these leaf masses (left to right), f = c * prod_v 1[lo_v <= s_v <= hi_v]
+# over the internal nodes v.  It returns ``(c, boxes)``, with one (lo, hi) per
+# internal node in the shape's pre-order, or ``boxes`` None when f ignores the
+# merge times; or None when f is not of that form there.  The limit measure
+# integrates such f recursively.
 
 
 @dataclass(frozen=True)
@@ -254,6 +261,9 @@ class ShapeIndicator:
 
     def __call__(self, tree: HistoricalTree) -> float:
         return 1.0 if tree.shape == self.shape else 0.0
+
+    def time_boxes(self, shape: TreeShape, masses) -> tuple:
+        return (1.0 if shape == self.shape else 0.0), None
 
 
 @dataclass(frozen=True)
@@ -290,6 +300,21 @@ class ShapeTimeBoxIndicator:
                 return 0.0
         return 1.0
 
+    def time_boxes(self, shape: TreeShape, masses):
+        if shape != self.shape:
+            return 0.0, None
+        # A history orders two children of equal leaf count by its text, so
+        # by masses and times, not by shape.  The boxes belong to the shape's
+        # nodes only when both such children carry the same boxes.
+        boxes = self.boxes
+        nodes = [v for v, _ in preorder(shape) if not v.is_leaf]
+        for i, v in enumerate(nodes):
+            k = v.left.n_leaves - 1
+            if v.left.n_leaves == v.right.n_leaves and \
+                    boxes[i + 1:i + 1 + k] != boxes[i + 1 + k:i + 1 + 2 * k]:
+                return None
+        return 1.0, boxes
+
 
 @dataclass(frozen=True)
 class MassCutoff:
@@ -298,17 +323,26 @@ class MassCutoff:
     M: float
 
     def __call__(self, tree: HistoricalTree) -> float:
-        x = tree.mass
+        return self._ramp(tree.mass)
+
+    def _ramp(self, x: float) -> float:
         if x <= self.M:
             return 1.0
         if x >= self.M + 1.0:
             return 0.0
         return self.M + 1.0 - x
 
+    def time_boxes(self, shape: TreeShape, masses) -> tuple:
+        return self._ramp(sum(masses)), None
+
 
 @dataclass(frozen=True)
 class FunctionalProduct:
     factors: tuple
+
+    @property
+    def time_breakpoints(self) -> tuple:
+        return tuple(b for f in self.factors for b in getattr(f, "time_breakpoints", ()))
 
     def __call__(self, tree: HistoricalTree) -> float:
         out = 1.0
@@ -318,8 +352,26 @@ class FunctionalProduct:
                 return 0.0
         return out
 
+    def time_boxes(self, shape: TreeShape, masses):
+        c, boxes = 1.0, None
+        for f in self.factors:
+            form = getattr(f, "time_boxes", None)
+            form = form(shape, masses) if form is not None else None
+            if form is None:
+                return None
+            c *= form[0]
+            if boxes is None:
+                boxes = form[1]
+            elif form[1] is not None:
+                boxes = tuple((max(lo1, lo2), min(hi1, hi2))
+                              for (lo1, hi1), (lo2, hi2) in zip(boxes, form[1]))
+        return c, boxes
+
 
 @dataclass(frozen=True)
 class ConstantOne:
     def __call__(self, tree: HistoricalTree) -> float:
         return 1.0
+
+    def time_boxes(self, shape: TreeShape, masses) -> tuple:
+        return 1.0, None

@@ -155,6 +155,23 @@ class SolutionPath:
 
         return upto(float(t)) - upto(float(s))
 
+    def cumulative_exponent(self, y: float, u: np.ndarray) -> np.ndarray:
+        """G_y(u) = Lambda(y; 0, u) at every time of the array ``u``.
+
+        The same exact integral of the interpolated g as
+        :meth:`survival_exponent`: G_y is quadratic between grid times.
+        """
+        u = np.asarray(u, dtype=float)
+        if u.size and not (u.min() >= 0.0 and u.max() <= self._grid[-1] + 1e-12):
+            raise ValueError(f"times outside [0, {self.t_end}]")
+        cum, g = self._g_cumulative(y)
+        times = self.times
+        k = np.clip(np.searchsorted(times, u, side="right") - 1, 0, len(times) - 2)
+        t0 = times[k]
+        a = (u - t0) / (times[k + 1] - t0)
+        gu = (1 - a) * g[k] + a * g[k + 1]
+        return cum[k] + 0.5 * (g[k] + gu) * (u - t0)
+
 
 def _pair_index(masses: np.ndarray):
     """Index arrays (i, j, k) with x_i + x_j = x_k on the lattice, i <= j."""

@@ -228,14 +228,21 @@ def shape_of(xi: HistoricalTree) -> TreeShape:
 def forget_times(xi: HistoricalTree):
     """Nested unordered pairs of masses (times and labels erased).
 
-    Leaves map to a float; internal nodes map to a 2-tuple in canonical order.
+    Leaves map to a float; internal nodes map to a 2-tuple in canonical order:
+    by leaf count, then by ``repr``.
     """
-    if xi.is_leaf:
-        return float(xi.mass_value)
-    a, b = forget_times(xi.left), forget_times(xi.right)
-    if (xi.right.n_leaves, repr(b)) < (xi.left.n_leaves, repr(a)):
-        a, b = b, a
-    return (a, b)
+    done = []  # (value, its repr) of finished subtrees, children before parents
+    for v in xi.walk():
+        if v.is_leaf:
+            value = float(v.mass_value)
+            done.append((value, repr(value)))
+            continue
+        (b, rb), (a, ra) = done.pop(), done.pop()  # walk() yields left, right, parent
+        if (v.right.n_leaves, rb) < (v.left.n_leaves, ra):
+            a, ra, b, rb = b, rb, a, ra
+        # repr of a nested tuple recurses, so the text is built here
+        done.append(((a, b), f"({ra}, {rb})"))
+    return done[0][0]
 
 
 def forget_labels(xi: HistoricalTree) -> HistoricalTree:
@@ -281,10 +288,16 @@ def edge_intervals(xi: HistoricalTree, horizon: float) -> list[EdgeInterval]:
 
 
 def clusters_alive_at(xi: HistoricalTree, s: float) -> list[HistoricalTree]:
-    """Maximal sub-clusters of ``xi`` already formed at time ``s``."""
-    if xi.is_leaf or xi.time <= s:
-        return [xi]
-    return clusters_alive_at(xi.left, s) + clusters_alive_at(xi.right, s)
+    """Maximal sub-clusters of ``xi`` already formed at time ``s``, left to right."""
+    out = []
+    stack = [xi]
+    while stack:
+        v = stack.pop()
+        if v.is_leaf or v.time <= s:
+            out.append(v)
+        else:
+            stack += (v.right, v.left)
+    return out
 
 
 def internal_interaction_rate(xi: HistoricalTree, s: float, kernel) -> float:

@@ -90,6 +90,21 @@ def test_limit_csv_values(tmp_path):
     assert by_shape["{1,1}"] == pytest.approx(0.125, abs=1e-6)
 
 
+def test_limit_manifest_records_counters_and_timings(tmp_path):
+    out = tmp_path / "lim"
+    assert main(["limit", "--kernel", "constant", "--t", "2",
+                 "--max-leaves", "3", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    rows = (out / "limit.csv").read_text().splitlines()[1:]
+    counters = manifest["counters"]
+    assert counters["terms"] == len(rows) == 3
+    assert 0.0 <= counters["max_error"] <= 1e-9
+    assert counters["unconverged"] == 0
+    assert set(manifest["timings"]) == {"solve_s", "terms_s"}
+    assert all(v >= 0.0 for v in manifest["timings"].values())
+    assert manifest["subcommand"] == "limit"
+
+
 def test_gallery(tmp_path):
     out = tmp_path / "gal"
     assert main(["gallery", "--seed", "5", "--out", str(out)]) == 0

@@ -86,3 +86,19 @@ def test_tabulated_kernel_rejects_nonpositive(tmp_path):
     path.write_text("x,y,value\n1,1,0.0\n1,2,1.0\n2,2,1.0\n")
     with pytest.raises(KernelError):
         tabulated_kernel(str(path))
+
+
+def test_tabulated_kernel_pickles(tmp_path):
+    import pickle
+
+    path = tmp_path / "grid.csv"
+    path.write_text("x,y,value\n1,1,2.0\n1,2,3.0\n2,1,5.0\n2,2,8.0\n1,4,6.0\n"
+                    "2,4,7.0\n4,4,9.0\n")
+    K = tabulated_kernel(str(path))
+    xs = np.array([0.5, 1.0, 1.7, 3.0, 5.0])
+    before = (K.evaluate(1.5, 3.0), K.evaluate(2.5, xs), K.matrix(xs))
+    back = pickle.loads(pickle.dumps(K))
+    after = (back.evaluate(1.5, 3.0), back.evaluate(2.5, xs), back.matrix(xs))
+    assert isinstance(after[0], float) and after[0] == before[0]
+    assert np.array_equal(after[1], before[1])
+    assert np.array_equal(after[2], before[2])

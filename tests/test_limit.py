@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,13 +17,21 @@ from coagtree.limit import (
     pushforward_check,
     time_integral,
 )
-from coagtree.simulate import ConstantOne, ShapeIndicator, ShapeTimeBoxIndicator
+from coagtree.simulate import (
+    ConstantOne,
+    FunctionalProduct,
+    MassCutoff,
+    ShapeIndicator,
+    ShapeTimeBoxIndicator,
+)
 from coagtree.smoluchowski import MassSpectrum, solve
 from coagtree.trees import (
     LEAF,
     hist_leaf,
     hist_node,
+    preorder,
     shape_node,
+    shapes_up_to,
     shapes_with_leaves,
 )
 
@@ -229,3 +238,89 @@ def test_time_integral_reports_an_unconverged_order_ladder(path):
     # as in test_functional_time_box, without the symmetry factor 1/2
     exact = 2 * (0.25 - 0.25 / (1 + 0.7 / 2))
     assert abs(val - exact) <= err
+
+
+# -- the recursive evaluator against the nested Gauss-Legendre oracle
+
+BIDISPERSE = MassSpectrum((1.0, 2.0), (0.5, 0.5))
+
+
+def gl_only(f, shape, masses):
+    """``f`` as a plain callable: no ``time_boxes``, so time_integral uses GL.
+
+    Its breakpoints are kept where f can be nonzero; elsewhere they would only
+    multiply the quadrature panels.
+    """
+    g = lambda tree: f(tree)  # noqa: E731
+    if f.time_boxes(shape, masses)[0]:
+        g.time_breakpoints = getattr(f, "time_breakpoints", ())
+    return g
+
+
+@pytest.fixture(scope="module")
+def oracle_paths(path, path_inv):
+    return {
+        "constant": path,
+        "bidisperse": solve(BIDISPERSE, CONSTANT, 2.0, tol=1e-10),
+        "inverse-sum": path_inv,
+        "additive": solve(MONO, builtin("additive"), 1.0, tol=1e-10),
+    }
+
+
+ORACLE_CASES = {
+    # name: (path, t, f, leaf masses left to right, cut to the shape)
+    "constant-mono": ("constant", 2.0, ShapeIndicator, (1.0,) * 4),
+    "constant-bidisperse": ("bidisperse", 2.0, ShapeIndicator, (1.0, 2.0, 2.0, 1.0)),
+    "inverse-sum": ("inverse-sum", 2.0, ShapeIndicator, (2.0, 1.0, 1.0, 2.0)),
+    "additive-cherry-box": ("additive", 1.0,
+                            ShapeTimeBoxIndicator(CHERRY, ((0.2, 0.6),)), (1.0,) * 4),
+    "mass-cutoff": ("constant", 2.0, MassCutoff(2.0), (1.0,) * 4),
+    # two box sets on the 3-leaf chain intersect; the ramp there is 1/2
+    "product": ("additive", 1.0, FunctionalProduct((
+        ShapeTimeBoxIndicator(THREE, ((0.2, 0.9), (0.1, 0.6))),
+        ShapeTimeBoxIndicator(THREE, ((0.3, 1.0), (0.0, 0.5))),
+        MassCutoff(2.5))), (1.0,) * 4),
+}
+
+
+@pytest.mark.parametrize("shape", shapes_up_to(4), ids=lambda s: s.serial)
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_recursive_evaluator_matches_gauss_legendre(oracle_paths, case, shape):
+    name, t, f, masses = ORACLE_CASES[case]
+    p = oracle_paths[name]
+    if f is ShapeIndicator:
+        f = ShapeIndicator(shape)
+    masses = masses[:shape.n_leaves]
+    tol = 1e-8
+    fast = time_integral(shape, masses, p, t, f, tol=tol)
+    oracle = time_integral(shape, masses, p, t, gl_only(f, shape, masses), tol=1e-12)
+    assert fast[0] == pytest.approx(oracle[0], abs=1e-10)
+    assert fast[2] == pytest.approx(oracle[2], abs=1e-10)
+    assert fast[1] <= tol and fast[3] <= tol
+
+
+def test_bidisperse_cherry_to_four_leaves_is_fast():
+    # the bidisperse case the nested quadrature took ~18 s for
+    start = time.perf_counter()
+    p = solve(BIDISPERSE, CONSTANT, 2.0)
+    res = functional(ShapeIndicator(CHERRY), 4, p, CONSTANT, BIDISPERSE, 2.0)
+    assert res.value == pytest.approx(0.125, abs=1e-6)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_time_boxes_are_declared_only_where_the_children_agree():
+    # a history orders two equal-sized children by its text, not by shape,
+    # so different boxes on the two cherries leave the nested quadrature
+    balanced = shape_node(CHERRY, CHERRY)
+    masses = (1.0,) * 4
+    same = ShapeTimeBoxIndicator(balanced, ((0.5, 2.0), (0.1, 0.5), (0.1, 0.5)))
+    assert same.time_boxes(balanced, masses) == (1.0, same.boxes)
+    assert same.time_boxes(THREE, masses[:3]) == (0.0, None)
+    differ = ShapeTimeBoxIndicator(balanced, ((0.5, 2.0), (0.1, 0.5), (0.0, 0.3)))
+    assert differ.time_boxes(balanced, masses) is None
+    assert FunctionalProduct((differ, MassCutoff(5.0))).time_boxes(balanced, masses) is None
+    assert FunctionalProduct((same, lambda tree: 1.0)).time_boxes(balanced, masses) is None
+    both = FunctionalProduct((same, ShapeTimeBoxIndicator(
+        balanced, ((0.0, 1.5), (0.2, 0.6), (0.2, 0.6))), MassCutoff(3.5)))
+    assert both.time_boxes(balanced, masses) == \
+        (0.5, ((0.5, 1.5), (0.2, 0.5), (0.2, 0.5)))

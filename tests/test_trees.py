@@ -278,6 +278,32 @@ def test_deep_caterpillar_round_trips():
     assert hash(parse(text)) == hash(tree)
     assert len(edge_intervals(tree, 2.0)) == 2 * n - 1
     assert forget_labels(tree) == tree
+    # forget_times: the leaf sorts first at every level (nested tuples compare
+    # recursively, so walk down instead of using ==)
+    pairs = forget_times(tree)
+    for k in range(n - 1, 1, -1):
+        assert pairs[0] == 1.0 + k % 3
+        pairs = pairs[1]
+    assert pairs == (1.0, 2.0)  # the first merge: equal leaf counts, by repr
+    # between the last two merges: the leaf and the subtree below the root
+    s = (n - 1.5) / 1000.0
+    live = clusters_alive_at(tree, s)
+    assert [v.n_leaves for v in live] == [1, n - 1]
+    K = builtin("constant")
+    assert internal_interaction_rate(tree, s, K) == 1.0
+    assert cross_interaction_rate(tree, hist_leaf(1.0), s, K) == 2.0
+    # the recursive density agrees with the product form; early merges keep
+    # the leaves' survival factors from underflowing
+    from coagtree.limit import density_product, density_recursive
+    from coagtree.smoluchowski import MassSpectrum, solve
+
+    early = hist_leaf(1.0)
+    for k in range(1, n):
+        early = hist_node(k * 1e-6, early, hist_leaf(1.0 + k % 3))
+    path = solve(MassSpectrum.monodisperse(), K, 0.01)
+    d = density_recursive(early, path, 0.01)
+    assert d > 0.1
+    assert d == pytest.approx(density_product(early, path, 0.01), rel=1e-9)
 
 
 def test_round_trip_random_trees():
