@@ -126,16 +126,27 @@ def cmd_simulate(args) -> int:
         "construction": args.construction, "replicas": args.replicas,
     }
     outputs = [outdir / "events.csv", outdir / "trees.txt"]
-    _write_manifest(outdir, "simulate", config, seed, [], outputs)
-    if args.replicas == 1:
-        log = simulate(cfg)
-        _write_events(log, outdir)
-    else:
-        for r in range(args.replicas):
-            log = simulate(cfg, rng_for(seed, r))
+    manifest_args = (outdir, "simulate", config, seed, [], outputs)
+    _write_manifest(*manifest_args)
+    events, proposals, simulate_s, write_s = 0, 0, 0.0, 0.0
+    for r in range(args.replicas):
+        start = time.perf_counter()
+        log = simulate(cfg, rng_for(seed, r))
+        simulated = time.perf_counter()
+        sub = outdir
+        if args.replicas > 1:
             sub = outdir / f"replica-{r:04d}"
             sub.mkdir(exist_ok=True)
-            _write_events(log, sub)
+        _write_events(log, sub)
+        simulate_s += simulated - start
+        write_s += time.perf_counter() - simulated
+        events += len(log.events)
+        proposals = None if log.proposals is None else proposals + log.proposals
+    # the coupled construction does not thin, so it has no proposals
+    counters = {"events": events, "proposals": proposals,
+                "acceptance": events / proposals if proposals else None}
+    timings = {"simulate_s": simulate_s, "write_s": write_s}
+    _write_manifest(*manifest_args, counters=counters, timings=timings)
     return 0
 
 

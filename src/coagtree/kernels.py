@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import csv
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -13,33 +14,56 @@ class KernelError(ValueError):
     pass
 
 
+# Each built-in takes a fast path for two Python floats (or numpy float
+# scalars) and returns the IEEE value its numpy path would; anything else
+# goes through numpy and broadcasts.
+
+
+def _scalars(x, y) -> bool:
+    return isinstance(x, float) and isinstance(y, float)
+
+
 def _eval_constant(x, y):
+    if _scalars(x, y):
+        return 1.0
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.ones(np.broadcast_shapes(x.shape, y.shape))
 
 
 def _eval_product(x, y):
+    if _scalars(x, y):
+        return x * y
     return np.asarray(x, dtype=float) * np.asarray(y, dtype=float)
 
 
 def _eval_additive(x, y):
+    if _scalars(x, y):
+        return x + y
     return np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
 
 
 def _eval_inverse_sum(x, y):
+    if _scalars(x, y):
+        return 1.0 / (x + y + 1.0)
     return 1.0 / (np.asarray(x, dtype=float) + np.asarray(y, dtype=float) + 1.0)
 
 
 def _phi_one(x):
+    if isinstance(x, float):
+        return 1.0
     return np.ones_like(np.asarray(x, dtype=float))
 
 
 def _phi_identity(x):
+    if isinstance(x, float):
+        return x
     return np.asarray(x, dtype=float)
 
 
 def _phi_one_plus(x):
+    if isinstance(x, float):
+        return 1.0 + x
     return 1.0 + np.asarray(x, dtype=float)
 
 
@@ -88,23 +112,45 @@ def builtin(name: str) -> Kernel:
 
 
 class _GridEval:
-    """Bilinear interpolation on a symmetric rectangular grid (picklable)."""
+    """Bilinear interpolation on a symmetric rectangular grid (picklable).
+
+    Past the grid's ends the nearest cell's bilinear form is extended
+    linearly, as ``RegularGridInterpolator`` does with ``fill_value=None``.
+    """
 
     def __init__(self, grid_masses: np.ndarray, values: np.ndarray):
-        from scipy.interpolate import RegularGridInterpolator  # only tables need it
+        self.grid = np.asarray(grid_masses, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+        # cell k is [grid[k], grid[k + 1]]; searching the interior grid
+        # points gives the cell, with the end cells reaching past the grid
+        self._inner = self.grid[1:-1]
+        self._grid = self.grid.tolist()  # the scalar path's copies
+        self._rows = self.values.tolist()
 
-        self.interp = RegularGridInterpolator(
-            (grid_masses, grid_masses), values, bounds_error=False, fill_value=None)
+    def _cell(self, x):
+        i = np.searchsorted(self._inner, x)
+        lo = self.grid[i]
+        return i, (x - lo) / (self.grid[i + 1] - lo)
 
     def __call__(self, x, y):
+        if _scalars(x, y):
+            return self._scalar(x, y)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        xb, yb = np.broadcast_arrays(x, y)
-        pts = np.stack([xb.ravel(), yb.ravel()], axis=-1)
-        out = self.interp(pts).reshape(xb.shape)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        (i, u), (j, v) = self._cell(x), self._cell(y)
+        vals = self.values
+        return ((vals[i, j] * (1.0 - u) + vals[i + 1, j] * u) * (1.0 - v)
+                + (vals[i, j + 1] * (1.0 - u) + vals[i + 1, j + 1] * u) * v)
+
+    def _scalar(self, x: float, y: float) -> float:
+        grid = self._grid
+        i = bisect.bisect_left(grid, x, 1, len(grid) - 1) - 1
+        j = bisect.bisect_left(grid, y, 1, len(grid) - 1) - 1
+        u = (x - grid[i]) / (grid[i + 1] - grid[i])
+        v = (y - grid[j]) / (grid[j + 1] - grid[j])
+        row, up = self._rows[i], self._rows[i + 1]
+        return ((row[j] * (1.0 - u) + up[j] * u) * (1.0 - v)
+                + (row[j + 1] * (1.0 - u) + up[j + 1] * u) * v)
 
 
 def tabulated_kernel(path: str, name: Optional[str] = None) -> Kernel:
@@ -128,6 +174,8 @@ def tabulated_kernel(path: str, name: Optional[str] = None) -> Kernel:
         vs.append(float(r[2]))
     grid = np.unique(np.array(xs + ys))
     n = len(grid)
+    if n < 2:
+        raise KernelError(f"kernel table in {path} needs at least two masses")
     idx = {m: i for i, m in enumerate(grid)}
     table = np.full((n, n), np.nan)
     for x, y, v in zip(xs, ys, vs):

@@ -386,6 +386,8 @@ def finite_n_jump_density(tree: HistoricalTree, t: float, N: int,
     (K_xi / N^(n-1)) * exp(-int_0^t K_s(xi)/N ds), where K_s is the pairwise
     interaction rate among the sub-clusters of ``tree`` alive at s.  The
     integral is exact: the rate is piecewise constant between merge times.
+    The product is taken in log space, so a large tree underflows to 0.0
+    instead of overflowing N^(n-1) or K_xi.
     """
     n = tree.n_leaves
     cuts = sorted({0.0, float(t)} | {v.time for v in tree.internal_nodes()})
@@ -393,7 +395,10 @@ def finite_n_jump_density(tree: HistoricalTree, t: float, N: int,
     for a, b in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (a + b)
         integral += internal_interaction_rate(tree, mid, kernel) * (b - a)
-    return (
-        kernel_product(tree, kernel) / float(N) ** (n - 1)
-        * math.exp(-integral / N)
-    )
+    log_density = -(n - 1) * math.log(N) - integral / N
+    for v in tree.internal_nodes():
+        k = float(kernel.evaluate(v.left.mass, v.right.mass))
+        if k == 0.0:
+            return 0.0
+        log_density += math.log(k)
+    return math.exp(log_density)

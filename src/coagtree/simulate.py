@@ -2,8 +2,9 @@
 
 Two constructions of the same process (pairwise merge rate K(x, y)/N):
 
-* ``simulate_direct`` - jump-chain sampling with incrementally maintained
-  per-cluster rate sums, O(#clusters) work per event, usable to N ~ 10^5.
+* ``simulate_direct`` - majorant thinning: pairs proposed in proportion to
+  phi(x) phi(y) from a Fenwick tree and accepted with probability
+  K / majorant, O(log N) work per proposal.
 * ``simulate_coupled`` - the exponential-clock family S_{i,j} =
   max(S_i, S_j) + (N / K(y_i, y_j)) U with i.i.d. unit exponentials U
   attached to labeled trees, materialized lazily; tiny N only.
@@ -12,6 +13,7 @@ Two constructions of the same process (pairwise merge rate K(x, y)/N):
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -89,6 +91,7 @@ class Event:
 class EventLog:
     config: SimConfig
     events: tuple
+    proposals: Optional[int] = None  # thinning proposals; None when not thinned
 
     def __post_init__(self):
         times = [e.time for e in self.events]
@@ -107,58 +110,167 @@ def simulate(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog:
     return simulate_direct(cfg, rng)
 
 
-def simulate_direct(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog:
-    """Jump-chain sampler.
+# acceptance ratios at most this far above 1 are rounding in c * phi * phi,
+# not a kernel above its majorant
+RATIO_ROUNDING = 1e-12
 
-    Maintains per-cluster rate sums R_i = sum_{j != i} K(m_i, m_j); total
-    event rate is sum_i R_i / (2N).  The first cluster of a merging pair is
-    drawn proportionally to R_i, the partner proportionally to K(m_i, m_j).
+
+def simulate_direct(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog:
+    """Thinning sampler, O(log N) work per proposal.
+
+    Pairs are proposed from a majorant of the merge rates and each proposal
+    is accepted with probability (true rate) / (majorant rate), so accepted
+    pairs and times have exactly the law of the process.  With phi =
+    ``kernel.phi``, S1 = sum of phi over the live clusters and phi_floor the
+    least phi of any mass seen so far, proposals arrive at rate
+    c * S1 * (S1 - phi_floor) / (2N).  A proposal draws its first cluster i
+    with probability phi_i / S1 and its partner j with phi_j / (S1 - phi_i),
+    both by descending a Fenwick tree over phi with one slot per node id, and
+    is accepted with probability
+
+        2 K (S1 - phi_i) (S1 - phi_j)
+        / [c phi_i phi_j (S1 - phi_floor) (2 S1 - phi_i - phi_j)].
+
+    c is the running maximum of K(x, y) / (phi(x) phi(y)) over the pairs of
+    masses seen so far, updated when a mass first appears, so the ratio is
+    at most 1; a ratio above 1 (a kernel that disagrees with its own earlier
+    values) raises ``ValueError``.  The acceptance uniform is drawn only when
+    the ratio is below 1.  With the constant kernel every proposal is
+    accepted, and each event draws one exponential and two uniforms.
     """
     if rng is None:
         rng = rng_for(cfg.seed, cfg.replica)
-    kernel = cfg.kernel
+    evaluate = cfg.kernel.evaluate
     n0 = cfg.n
-    m = np.array(cfg.masses, dtype=float)
-    ids = np.arange(n0)
-
-    # initial row sums grouped by distinct mass: O(n * #distinct)
-    um, counts = np.unique(m, return_counts=True)
-    rows = np.asarray(kernel.evaluate(m[:, None], um[None, :]), dtype=float)
-    r = rows @ counts - np.asarray(kernel.evaluate(m, m), dtype=float)
+    size = 2 * n0 - 1  # one slot per node id; merged clusters get new ids
+    majorant = _Majorant(cfg.kernel)
+    mass = [float(x) for x in cfg.masses] + [0.0] * (n0 - 1)
+    phi = [majorant.phi(x) for x in mass[:n0]] + [0.0] * (n0 - 1)
+    tree = _fenwick(phi)
+    top = 1 << (size.bit_length() - 1)
+    s1 = math.fsum(phi)
+    rate_scale = 2.0 * cfg.n_eff
 
     events = []
+    proposals = 0
     t = 0.0
     next_id = n0
-    while len(m) > 1:
-        total = float(r.sum())
-        if total <= 0:
+    while next_id < size:  # two or more clusters alive
+        scale = majorant.c * (s1 - majorant.phi_floor)
+        total = scale * s1
+        if not total > 0.0:
             break
-        t += rng.standard_exponential() * (2.0 * cfg.n_eff) / total
+        t += rng.standard_exponential() * rate_scale / total
         if t > cfg.horizon:
             break
-        cum = np.cumsum(r)
-        i = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        ki = np.asarray(kernel.evaluate(m[i], m), dtype=float)
-        ki[i] = 0.0
-        cum2 = np.cumsum(ki)
-        j = int(np.searchsorted(cum2, rng.random() * cum2[-1], side="right"))
-        a, b = min(i, j), max(i, j)
-        new_mass = m[a] + m[b]
-        events.append(Event(t, int(ids[a]), int(ids[b]), next_id))
+        proposals += 1
+        # a draw that rounding carries onto a dead slot is a rejection
+        i = _fenwick_find(tree, top, rng.random() * total, scale)
+        if i == size or phi[i] == 0.0:
+            continue
+        pi = phi[i]
+        rest_i = s1 - pi
+        j = _fenwick_find(tree, top, rng.random() * rest_i, 1.0, i, pi)
+        if j == size or j == i or phi[j] == 0.0:
+            continue
+        pj = phi[j]
+        rest_j = s1 - pj
+        num = 2.0 * evaluate(mass[i], mass[j]) * rest_i * rest_j
+        den = scale * pi * pj * (rest_i + rest_j)
+        if num < den:
+            if rng.random() * den >= num:
+                continue
+        elif not num <= den * (1.0 + RATIO_ROUNDING):
+            raise ValueError(
+                f"kernel {cfg.kernel.name!r} at masses ({mass[i]!r}, {mass[j]!r}) "
+                f"is above the thinning majorant: acceptance ratio {num / den!r}")
 
-        # rate update: every other cluster swaps its (a, b) terms for the merger
-        ka = np.asarray(kernel.evaluate(m, m[a]), dtype=float)
-        kb = np.asarray(kernel.evaluate(m, m[b]), dtype=float)
-        knew = np.asarray(kernel.evaluate(m, new_mass), dtype=float)
-        r += knew - ka - kb
-        keep = np.ones(len(m), dtype=bool)
-        keep[a] = keep[b] = False
-        m = np.append(m[keep], new_mass)
-        ids = np.append(ids[keep], next_id)
-        r = np.append(r[keep], 0.0)
-        r[-1] = float(np.asarray(kernel.evaluate(new_mass, m[:-1]), dtype=float).sum())
+        x = mass[i] + mass[j]
+        events.append(Event(t, min(i, j), max(i, j), next_id))
+        px = majorant.phi(x)
+        _fenwick_add(tree, i, -pi)
+        _fenwick_add(tree, j, -pj)
+        _fenwick_add(tree, next_id, px)
+        phi[i] = phi[j] = 0.0
+        mass[next_id], phi[next_id] = x, px
+        s1 += px - pi - pj
         next_id += 1
-    return EventLog(cfg, tuple(events))
+    return EventLog(cfg, tuple(events), proposals)
+
+
+class _Majorant:
+    """c = max K(x, y) / (phi(x) phi(y)) and phi_floor = min phi(x) over the
+    masses x, y seen so far."""
+
+    def __init__(self, kernel: Kernel):
+        self.kernel = kernel
+        self.c = 0.0
+        self.phi_floor = math.inf
+        self._phi = {}  # mass -> phi(mass)
+
+    def phi(self, x: float) -> float:
+        """phi(x); a mass not seen before first folds its pairs into c."""
+        p = self._phi.get(x)
+        if p is not None:
+            return p
+        p = float(self.kernel.phi(x))
+        if not p > 0.0:
+            raise ValueError(f"kernel {self.kernel.name!r} has phi({x!r}) = {p!r}; "
+                             "the sampler needs phi > 0")
+        self._phi[x] = p
+        d = len(self._phi)
+        masses = np.fromiter(self._phi, float, d)
+        phis = np.fromiter(self._phi.values(), float, d)
+        ratios = np.asarray(self.kernel.evaluate(x, masses), dtype=float) / (p * phis)
+        largest = float(ratios.max())
+        if not math.isfinite(largest):
+            raise ValueError(f"kernel {self.kernel.name!r} gives K / (phi phi) = "
+                             f"{largest!r} at mass {x!r}")
+        self.c = max(self.c, largest)
+        self.phi_floor = min(self.phi_floor, p)
+        return p
+
+
+def _fenwick(weights: list) -> list:
+    """1-based Fenwick tree over ``weights`` (slot k at index k + 1), O(len)."""
+    tree = [0.0] + weights
+    size = len(weights)
+    for k in range(1, size + 1):
+        up = k + (k & -k)
+        if up <= size:
+            tree[up] += tree[k]
+    return tree
+
+
+def _fenwick_add(tree: list, slot: int, delta: float) -> None:
+    k, end = slot + 1, len(tree)
+    while k < end:
+        tree[k] += delta
+        k += k & -k
+
+
+def _fenwick_find(tree: list, top: int, target: float, scale: float,
+                  skip: int = -1, skip_weight: float = 0.0) -> int:
+    """First slot whose prefix sum times ``scale`` exceeds ``target``.
+
+    ``top`` is the largest power of two not above the slot count.  Slot
+    ``skip`` counts as empty: ``skip_weight``, its weight, is taken off every
+    node that covers it.  Returns the slot count when no prefix exceeds.
+    """
+    size = len(tree) - 1
+    skip += 1
+    pos, acc = 0, 0.0
+    step = top
+    while step:
+        nxt = pos + step
+        if nxt <= size:
+            s = acc + tree[nxt]
+            if pos < skip <= nxt:
+                s -= skip_weight
+            if s * scale <= target:
+                pos, acc = nxt, s
+        step >>= 1
+    return pos
 
 
 def simulate_coupled(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog:

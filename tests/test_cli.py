@@ -105,6 +105,29 @@ def test_limit_manifest_records_counters_and_timings(tmp_path):
     assert manifest["subcommand"] == "limit"
 
 
+def test_simulate_manifest_records_counters_and_timings(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--kernel", "additive", "--n", "200", "--t", "1",
+                 "--seed", "5", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    events = len((out / "events.csv").read_text().splitlines()) - 1
+    counters = manifest["counters"]
+    assert counters["events"] == events > 0
+    assert counters["proposals"] >= events
+    assert counters["acceptance"] == events / counters["proposals"]
+    assert set(manifest["timings"]) == {"simulate_s", "write_s"}
+    assert all(v >= 0.0 for v in manifest["timings"].values())
+
+    out = tmp_path / "coupled"
+    assert main(["simulate", "--n", "6", "--t", "1", "--construction", "coupled",
+                 "--replicas", "2", "--out", str(out)]) == 0
+    counters = json.loads((out / "manifest.json").read_text())["counters"]
+    assert counters["proposals"] is None and counters["acceptance"] is None
+    assert counters["events"] == sum(
+        len((out / f"replica-{r:04d}" / "events.csv").read_text().splitlines()) - 1
+        for r in range(2))
+
+
 def test_gallery(tmp_path):
     out = tmp_path / "gal"
     assert main(["gallery", "--seed", "5", "--out", str(out)]) == 0
@@ -164,7 +187,8 @@ def test_manifest_written_before_outputs(tmp_path):
     out = tmp_path / "m"
     assert main(["simulate", "--n", "8", "--t", "1", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
+    # rewritten after the run with what only the run knows
     assert set(manifest) == {"subcommand", "config", "seed", "version",
-                             "input_hashes", "outputs"}
+                             "input_hashes", "outputs", "counters", "timings"}
     for declared in manifest["outputs"]:
         assert os.path.exists(declared)

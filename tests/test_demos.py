@@ -1,8 +1,8 @@
 """The quick demos run to completion as scripts.
 
-Demos 01-03 take a couple of seconds each.  Demo 04 (the LLN ladder, about
-70 s) and demo 05 (the finite-N checks, about 25 s) are left out to keep the
-suite short.
+Demos 01-03 take a couple of seconds each and demo 05 (the finite-N checks,
+through the thinning sampler) about 11 s.  Demo 04 (the LLN ladder, about
+15 s) is left out to keep the suite short.
 """
 
 import os
@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("demo", ["01_simulate_merger_histories.py",
                                   "02_solve_mean_field.py",
-                                  "03_limit_measure.py"])
+                                  "03_limit_measure.py",
+                                  "05_finite_n_checks.py"])
 def test_quick_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],

@@ -41,6 +41,42 @@ def test_symmetry_exact(name):
         assert K.evaluate(x, y) == K.evaluate(y, x)
 
 
+@pytest.mark.parametrize("name", ["constant", "product", "additive", "inverse-sum"])
+def test_scalar_fast_path_matches_numpy(name):
+    K = builtin(name)
+    rng = np.random.default_rng(3)
+    xs, ys = rng.uniform(0.01, 50, 200), rng.uniform(0.01, 50, 200)
+    row, phis = np.asarray(K.evaluate(xs, ys)), np.asarray(K.phi(xs))
+    for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        value, p = K.evaluate(x, y), K.phi(x)
+        assert type(value) is float and type(p) is float
+        assert value == row[k] and p == phis[k]
+
+
+def test_tabulated_lookup_matches_scipy(tmp_path):
+    from scipy.interpolate import RegularGridInterpolator
+
+    grid = np.array([0.5, 1.0, 1.5, 3.0, 7.0, 10.0])
+    table = 1.0 + np.add.outer(grid, grid) + np.sqrt(np.multiply.outer(grid, grid))
+    path = tmp_path / "smooth.csv"
+    path.write_text("".join(f"{x!r},{y!r},{v!r}\n" for x, values in
+                            zip(grid.tolist(), table.tolist())
+                            for y, v in zip(grid.tolist(), values)))
+    K = tabulated_kernel(str(path))
+    oracle = RegularGridInterpolator((grid, grid), table, bounds_error=False,
+                                     fill_value=None)
+    rng = np.random.default_rng(4)
+    xs = np.concatenate([rng.uniform(0.2, 12.0, 300), grid, [0.3, 11.5]])
+    ys = np.concatenate([rng.uniform(0.2, 12.0, 300), grid[::-1], [11.9, 0.25]])
+    want = oracle(np.stack([xs, ys], axis=-1))
+    got = np.asarray(K.evaluate(xs, ys))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    scalars = [K.evaluate(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(scalars, got)
+    assert np.array_equal(K.matrix(grid), table)
+
+
 def test_check_assumptions():
     mono = MassSpectrum.monodisperse()
     rep = check_assumptions(builtin("constant"), mono)
@@ -84,6 +120,9 @@ def test_tabulated_kernel(tmp_path):
 def test_tabulated_kernel_rejects_nonpositive(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y,value\n1,1,0.0\n1,2,1.0\n2,2,1.0\n")
+    with pytest.raises(KernelError):
+        tabulated_kernel(str(path))
+    path.write_text("x,y,value\n1,1,2.0\n")  # one mass is no grid
     with pytest.raises(KernelError):
         tabulated_kernel(str(path))
 

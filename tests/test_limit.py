@@ -216,6 +216,40 @@ def test_finite_n_jump_density_three_particles():
         pytest.approx(expected, rel=1e-12)
 
 
+def test_finite_n_jump_density_agrees_with_the_direct_product():
+    from coagtree.trees import internal_interaction_rate, kernel_product
+    from tests_support import random_history
+
+    additive = builtin("additive")
+    rng = np.random.default_rng(1011)
+    for _ in range(50):
+        tree = random_history(rng, int(rng.integers(1, 7)))
+        N, n = int(rng.integers(tree.n_leaves, 40)), tree.n_leaves
+        cuts = sorted({0.0, 1.0} | {v.time for v in tree.internal_nodes()})
+        integral = sum(internal_interaction_rate(tree, 0.5 * (a + b), additive) * (b - a)
+                       for a, b in zip(cuts[:-1], cuts[1:]))
+        direct = kernel_product(tree, additive) / float(N) ** (n - 1) \
+            * math.exp(-integral / N)
+        assert finite_n_jump_density(tree, 1.0, N, additive) == \
+            pytest.approx(direct, rel=1e-12)
+
+
+def test_finite_n_jump_density_of_a_large_tree_is_finite():
+    def caterpillar(n):
+        tree = hist_leaf(1.0)
+        for k in range(1, n):
+            tree = hist_node(k / n, tree, hist_leaf(1.0))
+        return tree
+
+    # N^(n-1) alone overflows a float: 199 * log10(2000) = 657 > 308
+    assert finite_n_jump_density(caterpillar(200), 1.0, 2000, CONSTANT) == 0.0
+    # here 39 * log10(1e9) = 351 > 308 too, but the additive K_xi = 40! keeps
+    # the density above 1e-305; exp(-I/N) is 1 - O(1e-5)
+    expected = math.exp(math.lgamma(41) - 39 * math.log(1e9))
+    got = finite_n_jump_density(caterpillar(40), 1.0, 10**9, builtin("additive"))
+    assert got == pytest.approx(expected, rel=1e-4) and expected > 1e-305
+
+
 def test_build_preorder_respects_order():
     tree = build_preorder(THREE, (1.0, 1.0, 1.0), (1.2, 0.4))
     assert tree.time == 1.2

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coagtree.kernels import builtin
+from coagtree.kernels import builtin, tabulated_kernel
 from coagtree.lln import (
     ExperimentPlan,
     construction_agreement_test,
@@ -21,6 +21,7 @@ from coagtree.simulate import (
 )
 from coagtree.smoluchowski import MassSpectrum
 from coagtree.trees import LEAF, shape_node
+from tests_support import write_additive_table
 
 CONSTANT = builtin("constant")
 MONO = MassSpectrum.monodisperse()
@@ -88,6 +89,20 @@ def test_jump_density_n2():
 def test_jump_density_n3_product_kernel():
     rep = jump_density_test(3, (1.0, 2.0, 3.0), builtin("product"), 0.15,
                             replicas=20000, seed=32)
+    assert rep.passed
+    assert rep.pair_pvalue > 0.001
+
+
+@pytest.mark.parametrize("kernel_name,seed", [
+    ("additive", 41), ("inverse-sum", 42), ("tabulated", 43)])
+def test_jump_density_n3_thinned_kernels(tmp_path, kernel_name, seed):
+    # kernels whose proposals the sampler thins; the tabulated one is x + y
+    if kernel_name == "tabulated":
+        kernel = tabulated_kernel(write_additive_table(tmp_path / "xy.csv"))
+    else:
+        kernel = builtin(kernel_name)
+    rep = jump_density_test(3, (1.0, 2.0, 3.0), kernel, 0.3, replicas=20000,
+                            seed=seed)
     assert rep.passed
     assert rep.pair_pvalue > 0.001
 

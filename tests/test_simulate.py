@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from coagtree.kernels import builtin
+from coagtree.kernels import Kernel, builtin, tabulated_kernel
 from coagtree.simulate import (
     ConfigError,
     ConstantOne,
@@ -22,6 +22,7 @@ from coagtree.simulate import (
     simulate_direct,
 )
 from coagtree.trees import LEAF, shape_node
+from tests_support import reference_simulate_direct, write_additive_table
 
 CONSTANT = builtin("constant")
 PRODUCT = builtin("product")
@@ -75,6 +76,61 @@ def test_three_particle_mean_events_vs_matrix_exponential():
     mean = np.mean(counts)
     se = np.std(counts, ddof=1) / math.sqrt(replicas)
     assert abs(mean - expected_events) <= 4 * se
+
+
+def event_keys(log):
+    return [(e.time.hex(), e.left, e.right, e.node) for e in log.events]
+
+
+@pytest.mark.parametrize("n,replicas,rate_n", [
+    (2, 400, None), (3, 400, None), (6, 200, None), (6, 200, 7),
+    (100, 20, None), (100, 20, 150), (1000, 3, None)])
+def test_constant_kernel_matches_the_reference_sampler(n, replicas, rate_n):
+    # thinning with K = 1 accepts every proposal and draws what the O(#clusters)
+    # jump chain drew, so the two logs agree bit for bit
+    cfg = SimConfig.monodisperse(n, CONSTANT, 3.0, seed=14, rate_n=rate_n)
+    for r in range(replicas):
+        log = simulate_direct(cfg, rng_for(14, r))
+        assert event_keys(log) == event_keys(reference_simulate_direct(cfg, rng_for(14, r)))
+        assert log.proposals == len(log.events)
+
+
+def test_tabulated_kernel_thins_little(tmp_path):
+    # the table's ktilde_bound is 2048, but the running majorant follows the
+    # largest K / (phi phi) actually met, 0.5
+    kernel = tabulated_kernel(write_additive_table(tmp_path / "xy.csv"))
+    log = simulate_direct(SimConfig.monodisperse(1000, kernel, 1.0, seed=15))
+    assert len(log.events) > 300
+    assert log.proposals <= 4 * len(log.events)
+
+
+def test_bidisperse_additive_run_merges_only_live_clusters():
+    n = 10_000
+    masses = (0.1, 0.7) * (n // 2)
+    log = simulate_direct(SimConfig(n, masses, builtin("additive"), 1.0, seed=16))
+    live = set(range(n))
+    for k, e in enumerate(log.events):
+        assert e.node == n + k and e.left < e.right
+        assert e.left in live and e.right in live
+        live -= {e.left, e.right}
+        live.add(e.node)
+    m = empirical_measure(log, 1.0)
+    assert len(m.atoms) == len(live) == n - len(log.events)
+    assert m.total_mass() * n == pytest.approx(sum(masses), rel=1e-12)
+    assert len(log.events) < log.proposals
+
+
+def test_kernel_above_its_majorant_raises():
+    # scalar values twice the vectorised ones: the majorant, built from the
+    # latter, is exceeded at the first proposal
+    def evaluate(x, y):
+        if np.ndim(x) or np.ndim(y):
+            return np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        return 2.0
+
+    liar = Kernel("liar", evaluate, CONSTANT.phi)
+    with pytest.raises(ValueError, match="majorant"):
+        simulate_direct(SimConfig.monodisperse(10, liar, 1.0, seed=17))
 
 
 def test_determinism_bit_identical():

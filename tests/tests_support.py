@@ -1,8 +1,10 @@
-"""Shared helpers for tests: random tree and density-query generators."""
+"""Shared helpers for tests: random tree and density-query generators, a
+tabulated kernel file, and the reference jump-chain sampler."""
 
 import numpy as np
 
 from coagtree.limit import build_preorder
+from coagtree.simulate import Event, EventLog, rng_for
 from coagtree.trees import hist_leaf, hist_node, shapes_with_leaves
 
 
@@ -37,3 +39,65 @@ def random_density_query(rng, mu0, t, max_leaves=4):
 
     rec(shape, t)
     return build_preorder(shape, masses, times)
+
+
+def write_additive_table(path):
+    """CSV of K = x + y on the grid 1, 2, 4, ... 1024 (bilinear is exact on it)."""
+    grid = [float(2 ** k) for k in range(11)]
+    rows = ["x,y,value"] + [f"{x!r},{y!r},{x + y!r}" for x in grid for y in grid]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def reference_simulate_direct(cfg, rng=None):
+    """The O(#clusters) jump-chain sampler that ``simulate_direct`` replaced.
+
+    Maintains per-cluster rate sums R_i = sum_{j != i} K(m_i, m_j); total
+    event rate is sum_i R_i / (2N).  The first cluster of a merging pair is
+    drawn proportionally to R_i, the partner proportionally to K(m_i, m_j).
+    """
+    if rng is None:
+        rng = rng_for(cfg.seed, cfg.replica)
+    kernel = cfg.kernel
+    n0 = cfg.n
+    m = np.array(cfg.masses, dtype=float)
+    ids = np.arange(n0)
+
+    # initial row sums grouped by distinct mass: O(n * #distinct)
+    um, counts = np.unique(m, return_counts=True)
+    rows = np.asarray(kernel.evaluate(m[:, None], um[None, :]), dtype=float)
+    r = rows @ counts - np.asarray(kernel.evaluate(m, m), dtype=float)
+
+    events = []
+    t = 0.0
+    next_id = n0
+    while len(m) > 1:
+        total = float(r.sum())
+        if total <= 0:
+            break
+        t += rng.standard_exponential() * (2.0 * cfg.n_eff) / total
+        if t > cfg.horizon:
+            break
+        cum = np.cumsum(r)
+        i = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        ki = np.asarray(kernel.evaluate(m[i], m), dtype=float)
+        ki[i] = 0.0
+        cum2 = np.cumsum(ki)
+        j = int(np.searchsorted(cum2, rng.random() * cum2[-1], side="right"))
+        a, b = min(i, j), max(i, j)
+        new_mass = m[a] + m[b]
+        events.append(Event(t, int(ids[a]), int(ids[b]), next_id))
+
+        # rate update: every other cluster swaps its (a, b) terms for the merger
+        ka = np.asarray(kernel.evaluate(m, m[a]), dtype=float)
+        kb = np.asarray(kernel.evaluate(m, m[b]), dtype=float)
+        knew = np.asarray(kernel.evaluate(m, new_mass), dtype=float)
+        r += knew - ka - kb
+        keep = np.ones(len(m), dtype=bool)
+        keep[a] = keep[b] = False
+        m = np.append(m[keep], new_mass)
+        ids = np.append(ids[keep], next_id)
+        r = np.append(r[keep], 0.0)
+        r[-1] = float(np.asarray(kernel.evaluate(new_mass, m[:-1]), dtype=float).sum())
+        next_id += 1
+    return EventLog(cfg, tuple(events))
