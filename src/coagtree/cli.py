@@ -236,12 +236,13 @@ def cmd_lln(args) -> int:
     )
     out_json = outdir / "report.json"
     out_text = outdir / "report.txt"
-    _write_manifest(outdir, "lln", raw, plan.seed, [args.plan],
-                    [out_json, out_text])
+    manifest_args = (outdir, "lln", raw, plan.seed, [args.plan], [out_json, out_text])
+    _write_manifest(*manifest_args)
     report = lln_harness.run_lln(plan)
     out_json.write_text(report.to_json() + "\n")
     out_text.write_text(report.to_text() + "\n")
     print(report.to_text())
+    _write_manifest(*manifest_args, counters=report.counters, timings=report.timings)
     return 0 if report.passed else EXIT_FAIL
 
 

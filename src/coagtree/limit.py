@@ -44,7 +44,6 @@ from .trees import (
     build_preorder,
     edge_intervals,
     epsilon,
-    internal_interaction_rate,
     kernel_product,
     preorder,
     shapes_up_to,
@@ -385,18 +384,38 @@ def finite_n_jump_density(tree: HistoricalTree, t: float, N: int,
 
     (K_xi / N^(n-1)) * exp(-int_0^t K_s(xi)/N ds), where K_s is the pairwise
     interaction rate among the sub-clusters of ``tree`` alive at s.  The
-    integral is exact: the rate is piecewise constant between merge times.
+    integral is exact: the rate is piecewise constant between merge times,
+    and is updated at each merge, in time order, from the kernel rows of the
+    two merged clusters and the new one, so O(n^2) kernel values in all.
     The product is taken in log space, so a large tree underflows to 0.0
     instead of overflowing N^(n-1) or K_xi.
     """
     n = tree.n_leaves
-    cuts = sorted({0.0, float(t)} | {v.time for v in tree.internal_nodes()})
+    merges = sorted(tree.internal_nodes(), key=lambda v: v.time)
+    cuts = sorted({0.0, float(t)} | {v.time for v in merges})
+    live = [v.mass for v in tree.walk() if v.is_leaf]  # live sub-clusters' masses
+    pairs = kernel.matrix(live)
+    rate = 0.5 * float(pairs.sum() - np.trace(pairs))
     integral = 0.0
+    done = 0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        integral += internal_interaction_rate(tree, mid, kernel) * (b - a)
+        # the merges at or before a have happened inside the cell (a, b)
+        while done < len(merges) and merges[done].time <= a:
+            v = merges[done]
+            done += 1
+            x, y = v.left.mass, v.right.mass
+            live.remove(x)
+            live.remove(y)
+            rest = np.array(live)
+            rate += float(np.sum(kernel.evaluate(v.mass, rest))
+                          - np.sum(kernel.evaluate(x, rest))
+                          - np.sum(kernel.evaluate(y, rest))) - float(kernel.evaluate(x, y))
+            live.append(v.mass)
+            if len(live) == 1:
+                rate = 0.0  # no pair left; drop the rounding of the updates
+        integral += rate * (b - a)
     log_density = -(n - 1) * math.log(N) - integral / N
-    for v in tree.internal_nodes():
+    for v in merges:
         k = float(kernel.evaluate(v.left.mass, v.right.mass))
         if k == 0.0:
             return 0.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -91,6 +92,11 @@ class ConvergenceReport:
     slopes: dict  # functional name -> log-log variance slope
     verdicts: dict  # functional name -> "PASS" | "FAIL" | "INCONCLUSIVE"
     tail_bounds: dict  # functional name -> limit-side truncation tail
+    # run telemetry, not part of to_json: per ladder size N (keyed str(N)),
+    # replicas, events, proposals and acceptance; solve_s, limit_s and the
+    # ladder's seconds per size
+    counters: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -127,19 +133,24 @@ class ConvergenceReport:
 
 def _replica_values(kernel: Kernel, masses: tuple, t: float, seed: int,
                     stream: int, start: int, count: int,
-                    functionals: tuple) -> np.ndarray:
+                    functionals: tuple) -> tuple:
+    """Functional values of replicas start..start+count-1, one row each, and
+    the runs' total events and thinning proposals."""
     out = np.empty((count, len(functionals)))
+    events = proposals = 0
     cfg = SimConfig(len(masses), masses, kernel, t, seed=seed)
     for k in range(count):
         replica = start + k
         log = simulate_direct(cfg, rng_for(seed, replica, stream))
+        events += len(log.events)
+        proposals += log.proposals
         m = empirical_measure(log, t)
         for c, (_, f) in enumerate(functionals):
             out[k, c] = evaluate_functional(m, f)
-    return out
+    return out, events, proposals
 
 
-def _worker(args) -> np.ndarray:
+def _worker(args) -> tuple:
     return _replica_values(*args)
 
 
@@ -150,7 +161,9 @@ def run_lln(plan: ExperimentPlan) -> ConvergenceReport:
     within 3*(SE + quadrature error), the discrepancy ladder is non-increasing
     within combined-noise slack, and the replica variance decreases.
     """
+    start = time.perf_counter()
     path = solve(plan.mu0, plan.kernel, plan.t, tol=plan.solver_tol)
+    solved = time.perf_counter()
     limits = {}
     tails = {}
     for name, f in plan.functionals:
@@ -159,10 +172,13 @@ def run_lln(plan: ExperimentPlan) -> ConvergenceReport:
             tol=plan.quad_tol)
         limits[name] = res
         tails[name] = res.tail_bound
+    timings = {"solve_s": solved - start, "limit_s": time.perf_counter() - solved,
+               "ladder_s": {}}
+    counters = {}
 
     rows = []
-    per_size = []
     for stream, (n, reps) in enumerate(zip(plan.n_ladder, plan.replicas)):
+        size_start = time.perf_counter()
         masses = plan.masses_for(n)
         chunk = max(1, reps // max(plan.jobs * 4, 1))
         tasks = [
@@ -175,8 +191,12 @@ def run_lln(plan: ExperimentPlan) -> ConvergenceReport:
                 parts = list(pool.map(_worker, tasks))
         else:
             parts = [_worker(task) for task in tasks]
-        vals = np.concatenate(parts, axis=0)
-        per_size.append((n, vals))
+        vals = np.concatenate([p[0] for p in parts], axis=0)
+        events = sum(p[1] for p in parts)
+        proposals = sum(p[2] for p in parts)
+        counters[str(n)] = {"replicas": reps, "events": events, "proposals": proposals,
+                            "acceptance": events / proposals if proposals else None}
+        timings["ladder_s"][str(n)] = time.perf_counter() - size_start
         for c, (name, _) in enumerate(plan.functionals):
             col = vals[:, c]
             mean = float(col.mean())
@@ -208,7 +228,7 @@ def run_lln(plan: ExperimentPlan) -> ConvergenceReport:
             verdicts[name] = "INCONCLUSIVE"
         else:
             verdicts[name] = "FAIL"
-    return ConvergenceReport(tuple(rows), slopes, verdicts, tails)
+    return ConvergenceReport(tuple(rows), slopes, verdicts, tails, counters, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -387,4 +407,5 @@ def construction_agreement_test(n: int, masses, kernel: Kernel, t: float,
 
 def tightness_diagnostic(m: EmpiricalHistoricalMeasure, n0: int) -> float:
     """Empirical-measure weight carried by trees with at least n0 leaves."""
-    return m.weight * sum(1 for tree in m.atoms if tree.n_leaves >= n0)
+    n_leaves, shape = m.n_leaves, m.shape
+    return m.weight * sum(1 for i in m.live if n_leaves[shape[i]] >= n0)

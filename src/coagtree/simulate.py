@@ -4,16 +4,28 @@ Two constructions of the same process (pairwise merge rate K(x, y)/N):
 
 * ``simulate_direct`` - majorant thinning: pairs proposed in proportion to
   phi(x) phi(y) from a Fenwick tree and accepted with probability
-  K / majorant, O(log N) work per proposal.
+  K / majorant, O(log N) work per proposal.  Its initial state is built
+  once per ``SimConfig`` and copied by each run.
 * ``simulate_coupled`` - the exponential-clock family S_{i,j} =
   max(S_i, S_j) + (N / K(y_i, y_j)) U with i.i.d. unit exponentials U
   attached to labeled trees, materialized lazily; tiny N only.
+
+Each run draws from ``rng_for(seed, replica, stream)``, a Philox stream that
+depends on those three numbers only, so replicas give the same results in
+any order and in any worker process.
+
+``empirical_measure`` reads an event log into flat per-node arrays (interned
+shape id, mass, merge time, children); the built-in functionals evaluate on
+those arrays through ``atom_values``, and ``HistoricalTree``s are built only
+when ``atoms`` is read.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,10 +42,27 @@ from .trees import (
 )
 
 
+@functools.cache
+def _stream_key(seed: int, stream: int) -> int:
+    """128-bit Philox key of one (seed, stream)."""
+    key = SeedSequence((seed, stream)).generate_state(2)
+    return int(key[0]) << 64 | int(key[1])
+
+
 def rng_for(seed: int, replica: int = 0, stream: int = 0) -> Generator:
-    """Deterministic per-(seed, replica, stream) generator, scheduler independent."""
-    key = SeedSequence((int(seed), int(stream))).generate_state(2)
-    return Generator(Philox(key=int(key[0]) << 64 | int(key[1])).jumped(replica))
+    """Deterministic per-(seed, replica, stream) generator, scheduler independent.
+
+    (seed, stream) fixes a Philox key; ``replica``, in [0, 2^128), starts
+    the counter at replica * 2^128, which is ``Philox(key).jumped(replica)``.
+    Replica streams start 2^128 Philox blocks apart, so they never overlap,
+    and each depends only on these three numbers.
+    """
+    replica = int(replica)
+    if not 0 <= replica < 1 << 128:
+        raise ValueError(f"replica index {replica} is outside [0, 2**128)")
+    # uint64 words, low first: a plain list would go through a signed cast
+    counter = np.array([0, 0, replica & (1 << 64) - 1, replica >> 64], dtype=np.uint64)
+    return Generator(Philox(key=_stream_key(int(seed), int(stream)), counter=counter))
 
 
 class ConfigError(ValueError):
@@ -55,6 +84,20 @@ class SimConfig:
     @property
     def n_eff(self) -> int:
         return self.rate_n if self.rate_n is not None else self.n
+
+    @functools.cached_property
+    def _sampler_start(self) -> tuple:
+        """``simulate_direct``'s initial state: majorant, per-slot mass and
+        phi, their Fenwick tree and phi's sum.  Built once; runs copy it."""
+        majorant = _Majorant(self.kernel)
+        n0 = self.n
+        mass = [float(x) for x in self.masses] + [0.0] * (n0 - 1)
+        phi = [majorant.phi(x) for x in mass[:n0]] + [0.0] * (n0 - 1)
+        return majorant, mass, phi, _fenwick(phi), math.fsum(phi)
+
+    def __getstate__(self) -> dict:
+        # the sampler start is O(N) and rebuilt on demand: pickles leave it out
+        return {k: v for k, v in self.__dict__.items() if k != "_sampler_start"}
 
     @classmethod
     def monodisperse(cls, n: int, kernel: Kernel, horizon: float, mass: float = 1.0,
@@ -137,18 +180,20 @@ def simulate_direct(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog
     values) raises ``ValueError``.  The acceptance uniform is drawn only when
     the ratio is below 1.  With the constant kernel every proposal is
     accepted, and each event draws one exponential and two uniforms.
+
+    The state at time 0 (the majorant over the initial masses, phi, the
+    Fenwick tree and S1) is built once per ``cfg`` and each run works on its
+    own copy, so a run never sees masses that another run created.
     """
     if rng is None:
         rng = rng_for(cfg.seed, cfg.replica)
     evaluate = cfg.kernel.evaluate
     n0 = cfg.n
     size = 2 * n0 - 1  # one slot per node id; merged clusters get new ids
-    majorant = _Majorant(cfg.kernel)
-    mass = [float(x) for x in cfg.masses] + [0.0] * (n0 - 1)
-    phi = [majorant.phi(x) for x in mass[:n0]] + [0.0] * (n0 - 1)
-    tree = _fenwick(phi)
+    majorant, mass, phi, tree, s1 = cfg._sampler_start
+    majorant = majorant.copy()
+    mass, phi, tree = mass.copy(), phi.copy(), tree.copy()
     top = 1 << (size.bit_length() - 1)
-    s1 = math.fsum(phi)
     rate_scale = 2.0 * cfg.n_eff
 
     events = []
@@ -207,6 +252,11 @@ class _Majorant:
         self.c = 0.0
         self.phi_floor = math.inf
         self._phi = {}  # mass -> phi(mass)
+
+    def copy(self) -> "_Majorant":
+        out = _Majorant(self.kernel)
+        out.c, out.phi_floor, out._phi = self.c, self.phi_floor, dict(self._phi)
+        return out
 
     def phi(self, x: float) -> float:
         """phi(x); a mass not seen before first folds its pairs into c."""
@@ -326,34 +376,169 @@ def simulate_coupled(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLo
 # empirical historical measure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class EmpiricalHistoricalMeasure:
-    atoms: tuple  # HistoricalTree per live cluster
+    """mu~_t^N: one atom per live cluster at time t, weight 1/N each.
+
+    Stored flat, one entry per node id (leaves 0..N-1, then one node per
+    event up to t): ``shape`` is an interned shape id (0 for a leaf; an
+    internal node's id stands for the unordered pair of its children's ids,
+    so equal ids are equal shapes), ``mass`` the total mass, ``time`` the
+    merge time (0.0 for a leaf), ``left`` and ``right`` the children (-1 for
+    a leaf).  ``live`` lists the live clusters' ids in ascending order,
+    which is the order of ``atoms``: a read-only sequence of their
+    ``HistoricalTree``s (leaf i labelled i), built on first element access.
+    """
+
     weight: float  # 1/N
+    live: tuple
+    shape: list
+    n_leaves: list  # per shape id
+    shape_ids: dict  # (child shape id, child shape id), smaller first -> shape id
+    mass: list
+    time: list
+    left: list
+    right: list
+
+    def __post_init__(self):
+        object.__setattr__(self, "atoms", _Atoms(self))  # frozen: written once, here
 
     @property
     def total_weight(self) -> float:
-        return self.weight * len(self.atoms)
+        return self.weight * len(self.live)
 
     def total_mass(self) -> float:
-        return self.weight * sum(tree.mass for tree in self.atoms)
+        mass = self.mass
+        return self.weight * sum(mass[i] for i in self.live)
+
+    def shape_id(self, target: TreeShape) -> int:
+        """Interned id of ``target``, or -1 when no node here has that shape."""
+        done = []
+        for v, _ in reversed(list(preorder(target))):  # children before parents
+            if v.is_leaf:
+                done.append(0)
+            else:
+                a, b = done.pop(), done.pop()
+                done.append(self.shape_ids.get((a, b) if a <= b else (b, a), -1))
+        return done[0]
+
+    def tree(self, node: int) -> HistoricalTree:
+        """The ``HistoricalTree`` of node ``node``; leaf i carries label i."""
+        left, right = self.left, self.right
+        order = []
+        stack = [node]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            if left[v] >= 0:
+                stack += (left[v], right[v])
+        built = []  # finished subtrees: children before parents, left before right
+        for v in reversed(order):
+            if left[v] < 0:
+                built.append(hist_leaf(self.mass[v], label=v))
+            else:
+                b = built.pop()
+                built.append(hist_node(self.time[v], built.pop(), b))
+        return built[0]
+
+    def preorder_times(self, node: int) -> Optional[list]:
+        """Merge times under ``node`` in canonical pre-order, as
+        ``preorder(self.tree(node))`` lists them; None when a node's two
+        children are internal with equal leaf counts, whose order the
+        history's text decides."""
+        left, right, leaves, shape = self.left, self.right, self.n_leaves, self.shape
+        times = []
+        stack = [node]
+        while stack:
+            v = stack.pop()
+            a, b = left[v], right[v]
+            if a < 0:
+                continue
+            times.append(self.time[v])
+            la, lb = leaves[shape[a]], leaves[shape[b]]
+            if la > lb:
+                a, b = b, a
+            elif la == lb > 1:
+                return None
+            stack += (b, a)
+        return times
+
+
+class _Atoms(Sequence):
+    """The measure's live histories, built on first element access."""
+
+    def __init__(self, m: EmpiricalHistoricalMeasure):
+        self._m = m
+        self._trees = None
+
+    def __len__(self) -> int:
+        return len(self._m.live)
+
+    def __getitem__(self, k):
+        if self._trees is None:
+            self._trees = tuple(self._m.tree(i) for i in self._m.live)
+        return self._trees[k]
 
 
 def empirical_measure(log: EventLog, t: float) -> EmpiricalHistoricalMeasure:
-    """mu~_t^N: the live clusters' histories at time ``t``, weight 1/N each."""
-    if t > log.config.horizon:
-        raise ValueError(f"time {t} beyond simulated horizon {log.config.horizon}")
-    trees = {i: hist_leaf(m, label=i) for i, m in enumerate(log.config.masses)}
+    """mu~_t^N: the live clusters' histories at time ``t``, weight 1/N each.
+
+    One pass over the events up to ``t``; no ``HistoricalTree`` is built.
+    """
+    cfg = log.config
+    if t > cfg.horizon:
+        raise ValueError(f"time {t} beyond simulated horizon {cfg.horizon}")
+    n0 = cfg.n
+    shape = [0] * n0
+    n_leaves = [1]
+    shape_ids = {}
+    mass = [float(x) for x in cfg.masses]
+    time = [0.0] * n0
+    left = [-1] * n0
+    right = [-1] * n0
+    alive = [True] * n0
     for e in log.events:
         if e.time > t:
             break
-        trees[e.node] = hist_node(e.time, trees.pop(e.left), trees.pop(e.right))
-    return EmpiricalHistoricalMeasure(tuple(trees.values()), 1.0 / log.config.n)
+        i, j = e.left, e.right
+        if e.node != len(mass):
+            raise ValueError(f"event creates node {e.node}; expected {len(mass)}")
+        a, b = shape[i], shape[j]
+        key = (a, b) if a <= b else (b, a)
+        s = shape_ids.get(key)
+        if s is None:
+            s = shape_ids[key] = len(n_leaves)
+            n_leaves.append(n_leaves[a] + n_leaves[b])
+        shape.append(s)
+        mass.append(mass[i] + mass[j])
+        time.append(e.time)
+        left.append(i)
+        right.append(j)
+        alive[i] = alive[j] = False
+        alive.append(True)
+    live = tuple(i for i, x in enumerate(alive) if x)
+    return EmpiricalHistoricalMeasure(1.0 / n0, live, shape, n_leaves, shape_ids,
+                                      mass, time, left, right)
 
 
 def evaluate_functional(m: EmpiricalHistoricalMeasure, f: Callable) -> float:
-    """<f, mu~_t^N> = (1/N) sum over atoms of f."""
-    return m.weight * sum(f(tree) for tree in m.atoms)
+    """<f, mu~_t^N> = (1/N) sum over atoms of f.
+
+    A built-in f gives its value on every atom from the flat arrays
+    (``f.atom_values(m)``); any other callable is called on each atom's
+    ``HistoricalTree``.  Either way the values are summed with ``sum`` in
+    live-id order, so both paths return the same float.
+    """
+    values = _atom_values(f, m)
+    if values is None:
+        values = [f(tree) for tree in m.atoms]
+    return m.weight * sum(values)
+
+
+def _atom_values(f: Callable, m: EmpiricalHistoricalMeasure) -> Optional[list]:
+    """``f.atom_values(m)``, or None when f has no such method."""
+    form = getattr(f, "atom_values", None)
+    return form(m) if form is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +550,10 @@ def evaluate_functional(m: EmpiricalHistoricalMeasure, f: Callable) -> float:
 # internal node in the shape's pre-order, or ``boxes`` None when f ignores the
 # merge times; or None when f is not of that form there.  The limit measure
 # integrates such f recursively.
+#
+# Its simulation-side twin, ``atom_values(m)``, returns f on every atom of
+# the empirical measure m in live-id order, read from m's flat arrays; each
+# value is the float that f returns on the atom's ``HistoricalTree``.
 
 
 @dataclass(frozen=True)
@@ -373,6 +562,10 @@ class ShapeIndicator:
 
     def __call__(self, tree: HistoricalTree) -> float:
         return 1.0 if tree.shape == self.shape else 0.0
+
+    def atom_values(self, m: EmpiricalHistoricalMeasure) -> list:
+        s, shape = m.shape_id(self.shape), m.shape
+        return [1.0 if shape[i] == s else 0.0 for i in m.live]
 
     def time_boxes(self, shape: TreeShape, masses) -> tuple:
         return (1.0 if shape == self.shape else 0.0), None
@@ -407,10 +600,25 @@ class ShapeTimeBoxIndicator:
         if tree.shape != self.shape:
             return 0.0
         times = [v.time for v, _ in preorder(tree) if not v.is_leaf]
+        return self._in_boxes(times)
+
+    def _in_boxes(self, times) -> float:
         for (lo, hi), s in zip(self.boxes, times):
             if not lo <= s <= hi:
                 return 0.0
         return 1.0
+
+    def atom_values(self, m: EmpiricalHistoricalMeasure) -> list:
+        s, shape = m.shape_id(self.shape), m.shape
+        out = []
+        for i in m.live:
+            if shape[i] != s:
+                out.append(0.0)
+                continue
+            times = m.preorder_times(i)
+            # None: equal-size subtrees ordered by the history's text
+            out.append(self(m.tree(i)) if times is None else self._in_boxes(times))
+        return out
 
     def time_boxes(self, shape: TreeShape, masses):
         if shape != self.shape:
@@ -436,6 +644,10 @@ class MassCutoff:
 
     def __call__(self, tree: HistoricalTree) -> float:
         return self._ramp(tree.mass)
+
+    def atom_values(self, m: EmpiricalHistoricalMeasure) -> list:
+        mass = m.mass
+        return [self._ramp(mass[i]) for i in m.live]
 
     def _ramp(self, x: float) -> float:
         if x <= self.M:
@@ -464,6 +676,21 @@ class FunctionalProduct:
                 return 0.0
         return out
 
+    def atom_values(self, m: EmpiricalHistoricalMeasure) -> Optional[list]:
+        columns = [_atom_values(f, m) for f in self.factors]
+        if any(values is None for values in columns):
+            return None
+        out = []
+        for k in range(len(m.live)):
+            v = 1.0
+            for values in columns:
+                v *= values[k]
+                if v == 0.0:  # as __call__: stop, and return 0.0, never -0.0
+                    v = 0.0
+                    break
+            out.append(v)
+        return out
+
     def time_boxes(self, shape: TreeShape, masses):
         c, boxes = 1.0, None
         for f in self.factors:
@@ -484,6 +711,9 @@ class FunctionalProduct:
 class ConstantOne:
     def __call__(self, tree: HistoricalTree) -> float:
         return 1.0
+
+    def atom_values(self, m: EmpiricalHistoricalMeasure) -> list:
+        return [1.0] * len(m.live)
 
     def time_boxes(self, shape: TreeShape, masses) -> tuple:
         return 1.0, None

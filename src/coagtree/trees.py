@@ -66,8 +66,20 @@ class TreeShape:
     def __repr__(self) -> str:
         return f"TreeShape({self.serial})"
 
+    def __reduce__(self):
+        # flat, so pickling a deep shape does not recurse once per level
+        return _shape_from_preorder, ([v.is_leaf for v, _ in preorder(self)],)
+
 
 LEAF = TreeShape()
+
+
+def _shape_from_preorder(is_leaf: list) -> TreeShape:
+    """Inverse of ``TreeShape.__reduce__``: leaf flags in pre-order."""
+    done = []
+    for leaf in reversed(is_leaf):  # children before parents, right before left
+        done.append(LEAF if leaf else TreeShape(done.pop(), done.pop()))
+    return done[0]
 
 
 def shape_node(a: TreeShape, b: TreeShape) -> TreeShape:
@@ -171,6 +183,11 @@ class HistoricalTree:
     def __repr__(self) -> str:
         return f"HistoricalTree({self.serial})"
 
+    def __reduce__(self):
+        # flat, so pickling a deep history does not recurse once per level
+        tokens = [(v.mass_value, v.label) if v.is_leaf else v.time for v in self.walk()]
+        return _history_from_postorder, (tokens,)
+
     def walk(self) -> Iterator["HistoricalTree"]:
         """Post-order traversal (children before parent, left before right)."""
         out = []
@@ -184,6 +201,19 @@ class HistoricalTree:
 
     def internal_nodes(self) -> list["HistoricalTree"]:
         return [v for v in self.walk() if not v.is_leaf]
+
+
+def _history_from_postorder(tokens: list) -> HistoricalTree:
+    """Inverse of ``HistoricalTree.__reduce__``: a (mass, label) pair per leaf
+    and a merge time per internal node, in :meth:`HistoricalTree.walk` order."""
+    done = []
+    for token in tokens:
+        if isinstance(token, tuple):
+            done.append(HistoricalTree(mass_value=token[0], label=token[1]))
+        else:
+            b = done.pop()
+            done.append(HistoricalTree(time=token, left=done.pop(), right=b))
+    return done[0]
 
 
 def hist_leaf(mass: float, label: Optional[int] = None) -> HistoricalTree:

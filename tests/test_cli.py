@@ -154,6 +154,33 @@ def test_lln_plan(tmp_path):
     assert (out / "report.txt").exists()
 
 
+def test_lln_manifest_records_counters_and_timings(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "kernel": "constant", "t": 2.0, "seed": 9,
+        "functionals": [{"type": "leaf"}, {"type": "cherry"}],
+        "n_ladder": [30, 100], "replicas": [60, 30], "tau_max_leaves": 2,
+    }))
+    out = tmp_path / "rep"
+    assert main(["lln", str(plan), "--out", str(out), "--jobs", "1"]) in (0, 1)
+    manifest = json.loads((out / "manifest.json").read_text())
+    counters = manifest["counters"]
+    assert set(counters) == {"30", "100"}
+    for n, replicas in (("30", 60), ("100", 30)):
+        c = counters[n]
+        assert c["replicas"] == replicas
+        assert 0 < c["events"] <= c["proposals"]  # constant K accepts every proposal
+        assert c["acceptance"] == c["events"] / c["proposals"] == 1.0
+    timings = manifest["timings"]
+    assert set(timings) == {"solve_s", "limit_s", "ladder_s"}
+    assert set(timings["ladder_s"]) == {"30", "100"}
+    assert min(timings["solve_s"], timings["limit_s"], *timings["ladder_s"].values()) >= 0.0
+    assert manifest["subcommand"] == "lln"
+    # the report itself carries no telemetry
+    assert set(json.loads((out / "report.json").read_text())) == {
+        "rows", "variance_slopes", "verdicts", "tail_bounds"}
+
+
 def test_lln_plan_with_empty_time_box_is_a_config_error(tmp_path):
     # a reversed box, and boxes that are not two numbers
     for k, box in enumerate([[1.5, 0.5], 5, ["a", "b"]]):

@@ -14,7 +14,11 @@ from coagtree.lln import (
     tightness_diagnostic,
 )
 from coagtree.simulate import (
+    ConstantOne,
+    FunctionalProduct,
+    MassCutoff,
     ShapeIndicator,
+    ShapeTimeBoxIndicator,
     SimConfig,
     empirical_measure,
     simulate_direct,
@@ -25,6 +29,7 @@ from tests_support import write_additive_table
 
 CONSTANT = builtin("constant")
 MONO = MassSpectrum.monodisperse()
+CHERRY = shape_node(LEAF, LEAF)
 
 
 def test_plan_validation():
@@ -142,3 +147,83 @@ def test_tightness_diagnostic():
     assert vals[0] == pytest.approx(m.total_weight)
     assert all(b <= a for a, b in zip(vals, vals[1:]))
     assert tightness_diagnostic(m, 101) == 0.0
+
+
+# Replica-side numbers of small plans, as float.hex, computed with the
+# SeedSequence-and-jumped streams, a fresh sampler state per run and one
+# HistoricalTree per atom.  Any change to a stream, to the sampler's draws
+# or to how the measure sums its atoms shows here.
+GOLDEN_FUNCTIONALS = (
+    ("leaf", ShapeIndicator(LEAF)),
+    ("cherry", ShapeIndicator(CHERRY)),
+    ("cherry-box", ShapeTimeBoxIndicator(CHERRY, ((0.1, 0.4),))),
+    ("mass<=2.5", MassCutoff(2.5)),
+    ("one", ConstantOne()),
+    ("cherry*mass<=3", FunctionalProduct((ShapeIndicator(CHERRY), MassCutoff(3.0)))),
+)
+GOLDEN_ROWS = {
+    "constant": [
+        ('leaf', 40, '0x1.4e81b4e81b4eap-1', '0x1.21d2283e1c70cp-7'),
+        ('cherry', 40, '0x1.0369d0369d037p-3', '0x1.01e2d1a2f2f5dp-9'),
+        ('cherry-box', 40, '0x1.162fc962fc963p-4', '0x1.69833303ce863p-10'),
+        ('mass<=2.5', 40, '0x1.9555555555555p-1', '0x1.06a7320afdf9ap-8'),
+        ('one', 40, '0x1.9e4b17e4b17e5p-1', '0x1.7f205cef6b573p-9'),
+        ('cherry*mass<=3', 40, '0x1.0369d0369d037p-3', '0x1.01e2d1a2f2f5dp-9'),
+        ('leaf', 120, '0x1.560b60b60b60bp-1', '0x1.0672894ab6cdap-9'),
+        ('cherry', 120, '0x1.f0123456789acp-4', '0x1.9398396574ad9p-11'),
+        ('cherry-box', 120, '0x1.2468acf13579cp-4', '0x1.36904a8899f15p-11'),
+        ('mass<=2.5', 120, '0x1.9a4fa4fa4fa4ep-1', '0x1.82e591ce39ba0p-11'),
+        ('one', 120, '0x1.a28f5c28f5c2ap-1', '0x1.292bff270da15p-11'),
+        ('cherry*mass<=3', 120, '0x1.f0123456789acp-4', '0x1.9398396574ad9p-11'),
+    ],
+    "additive": [
+        ('leaf', 40, '0x1.3555555555555p-2', '0x1.9b64b8e60621ep-8'),
+        ('cherry', 40, '0x1.6b851eb851eb9p-4', '0x1.5ab3bcefca20ap-10'),
+        ('cherry-box', 40, '0x1.b4e81b4e81b4fp-5', '0x1.12bb9b2684c30p-10'),
+        ('mass<=2.5', 40, '0x1.651eb851eb853p-2', '0x1.ef3bf28823d2bp-8'),
+        ('one', 40, '0x1.feb851eb851edp-2', '0x1.b8bc8e0a7ba4fp-8'),
+        ('cherry*mass<=3', 40, '0x1.1111111111111p-4', '0x1.40465970df14fp-10'),
+        ('leaf', 120, '0x1.30123456789acp-2', '0x1.6a2f4b8104ce1p-10'),
+        ('cherry', 120, '0x1.59e26af37c04cp-4', '0x1.6665bafc3b1f7p-11'),
+        ('cherry-box', 120, '0x1.a2b3c4d5e6f82p-5', '0x1.633782aea9cc4p-12'),
+        ('mass<=2.5', 120, '0x1.5d70a3d70a3d9p-2', '0x1.9af72015d867dp-10'),
+        ('one', 120, '0x1.f69d0369d0369p-2', '0x1.572f66f505bc2p-10'),
+        ('cherry*mass<=3', 120, '0x1.048d159e26af3p-4', '0x1.b7557c2b63236p-12'),
+    ],
+}
+# survival: direct, its SE, exponential, its SE; jump: merged fraction, chi2 p, pair p
+GOLDEN_FINITE_N = {
+    "constant": (
+        ['0x1.051eb851eb852p-1',
+         '0x1.d8dee8af5a090p-6',
+         '0x1.08bde926dfcf9p-1',
+         '0x1.94ea7e73fdde4p-9'],
+        ['0x1.3d70a3d70a3d7p-1',
+         '0x1.f5042285cf1e0p-2',
+         '0x1.a5e7415a692eep-1']),
+    "additive": (
+        ['0x1.0000000000000p-2',
+         '0x1.999999999999ap-6',
+         '0x1.0d49c05432a6dp-2',
+         '0x1.02c56dc14a7f3p-9'],
+        ['0x1.cb17e4b17e4b1p-1',
+         '0x1.59f716ad3434ap-5',
+         '0x1.d9d7f58aba0bap-1']),
+}
+
+
+@pytest.mark.parametrize("kname", ["constant", "additive"])
+def test_replica_numbers_are_pinned(kname):
+    mu0 = MONO if kname == "constant" else MassSpectrum.from_pairs([(1.0, 0.5), (2.0, 0.5)])
+    plan = ExperimentPlan(builtin(kname), mu0, 0.5, GOLDEN_FUNCTIONALS,
+                          n_ladder=(40, 120), replicas=(60, 30), seed=2026,
+                          tau_max_leaves=2)
+    rows = [(r.functional, r.n, r.mean.hex(), r.variance.hex()) for r in run_lln(plan).rows]
+    assert rows == GOLDEN_ROWS[kname]
+    kernel = builtin(kname)
+    s = survival_test(4, 1.0, kernel, replicas=300, seed=2027)
+    j = jump_density_test(3, (1.0, 1.0, 2.0), kernel, 1.0, replicas=300, seed=2028)
+    survival = [x.hex() for x in (s.direct_estimate, s.direct_se,
+                                  s.exponential_estimate, s.exponential_se)]
+    jump = [x.hex() for x in (j.merged_fraction, j.chi2_pvalue, j.pair_pvalue)]
+    assert (survival, jump) == GOLDEN_FINITE_N[kname]

@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from coagtree.kernels import Kernel, builtin, tabulated_kernel
@@ -22,7 +23,12 @@ from coagtree.simulate import (
     simulate_direct,
 )
 from coagtree.trees import LEAF, shape_node
-from tests_support import reference_simulate_direct, write_additive_table
+from tests_support import (
+    reference_atoms,
+    reference_rng_for,
+    reference_simulate_direct,
+    write_additive_table,
+)
 
 CONSTANT = builtin("constant")
 PRODUCT = builtin("product")
@@ -287,3 +293,133 @@ def test_gelation_guard_in_config():
     with pytest.raises(GelationError):
         SimConfig.monodisperse(16, PRODUCT, 5.0)
     SimConfig.monodisperse(16, PRODUCT, 5.0, allow_gelation=True)
+
+
+# replica indices that cross the 64-bit words of Philox's counter
+REPLICAS = (0, 7, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 3 * 2 ** 64 + 9)
+
+
+def test_rng_for_matches_the_jumped_reference():
+    for seed in (0, 1, 1004, 2 ** 40):
+        for stream in (0, 7, 11, 13):
+            for replica in REPLICAS:
+                got = rng_for(seed, replica, stream)
+                want = reference_rng_for(seed, replica, stream)
+                assert np.array_equal(got.bit_generator.random_raw(8),
+                                      want.bit_generator.random_raw(8)), \
+                    (seed, stream, replica)
+                assert got.random() == want.random()
+
+
+def test_rng_for_refuses_replicas_outside_its_range():
+    # Philox.jumped wraps mod 2^128: 2^128 would alias replica 0, -1 the last
+    last = 2 ** 128 - 1
+    assert rng_for(3, last).random() == reference_rng_for(3, last).random()
+    for replica in (-1, 2 ** 128):
+        with pytest.raises(ValueError, match="replica"):
+            rng_for(3, replica)
+
+
+def test_replica_draws_do_not_depend_on_earlier_replicas():
+    # bidisperse additive: merged masses raise the majorant constant c, so a
+    # run that saw another run's masses would draw differently
+    cfg = SimConfig(200, (0.1, 0.7) * 100, builtin("additive"), 1.0, seed=23)
+    first = simulate_direct(cfg, rng_for(23, 37))
+    for r in range(37):
+        simulate_direct(cfg, rng_for(23, r))
+    again = simulate_direct(cfg, rng_for(23, 37))
+    assert first.events == again.events and first.proposals == again.proposals
+    fresh = SimConfig(200, (0.1, 0.7) * 100, builtin("additive"), 1.0, seed=23)
+    assert simulate_direct(fresh, rng_for(23, 37)).events == first.events
+
+
+def test_config_pickles_without_its_sampler_start():
+    cfg = SimConfig.monodisperse(1000, CONSTANT, 0.5, seed=24)
+    size = len(pickle.dumps(cfg))
+    log = simulate_direct(cfg)
+    assert len(pickle.dumps(cfg)) == size
+    back = pickle.loads(pickle.dumps(log))
+    assert back.config == cfg and back.events == log.events
+    assert simulate_direct(back.config).events == log.events
+
+
+CHERRY = shape_node(LEAF, LEAF)
+BALANCED4 = shape_node(CHERRY, CHERRY)
+CATERPILLAR4 = shape_node(LEAF, shape_node(LEAF, CHERRY))
+BUILTINS = (
+    ShapeIndicator(LEAF),
+    ShapeIndicator(CHERRY),
+    ShapeIndicator(BALANCED4),
+    ShapeTimeBoxIndicator(CHERRY, ((0.3, 1.2),)),
+    # equal-size internal children: the boxes follow the history's text
+    ShapeTimeBoxIndicator(BALANCED4, ((0.5, 3.0), (0.0, 0.9), (0.4, 2.0))),
+    ShapeTimeBoxIndicator(CATERPILLAR4, ((0.6, 3.0), (0.2, 2.5), (0.0, 1.5))),
+    MassCutoff(1.5),
+    MassCutoff(2.5),
+    ConstantOne(),
+    FunctionalProduct((ShapeIndicator(CHERRY), MassCutoff(1.2))),
+    FunctionalProduct((MassCutoff(3.0), ShapeTimeBoxIndicator(BALANCED4, (
+        (0.0, 3.0), (0.3, 1.0), (0.0, 2.5))))),
+    FunctionalProduct(()),
+    lambda tree: tree.mass * tree.n_leaves,
+)
+
+
+@given(st.sampled_from(("additive-bidisperse", "constant-mono")),
+       st.integers(min_value=2, max_value=60),
+       st.integers(min_value=0, max_value=2 ** 20),
+       st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=60, deadline=None)
+def test_flat_functionals_match_the_trees(case, n, replica, fraction):
+    if case == "additive-bidisperse":
+        cfg = SimConfig(n, (0.1, 0.7) * (n // 2) + (0.1,) * (n % 2),
+                        builtin("additive"), 2.0, seed=29)
+    else:
+        cfg = SimConfig.monodisperse(n, CONSTANT, 3.0, seed=29)
+    log = simulate_direct(cfg, rng_for(29, replica))
+    t = fraction * cfg.horizon
+    m = empirical_measure(log, t)
+    assert len(m.atoms) == n - log.n_events(t)
+    assert tuple(m.atoms) == reference_atoms(log, t)
+    for f in BUILTINS:
+        want = m.weight * sum(f(tree) for tree in m.atoms)
+        assert evaluate_functional(m, f).hex() == want.hex(), f
+
+
+def test_time_boxes_on_equal_size_subtrees_follow_the_history():
+    # node 4 = (2.0, 2.0) at 0.1, node 5 = (1.0, 1.0) at 0.2: the history's
+    # text puts node 5 first, against the id order
+    from coagtree.simulate import Event, EventLog
+
+    cfg = SimConfig(4, (2.0, 2.0, 1.0, 1.0), CONSTANT, 1.0)
+    log = EventLog(cfg, (Event(0.1, 0, 1, 4), Event(0.2, 2, 3, 5), Event(0.5, 4, 5, 6)))
+    m = empirical_measure(log, 1.0)
+    assert m.preorder_times(6) is None
+    follows = ShapeTimeBoxIndicator(BALANCED4, ((0.0, 1.0), (0.15, 0.3), (0.0, 0.15)))
+    by_id = ShapeTimeBoxIndicator(BALANCED4, ((0.0, 1.0), (0.0, 0.15), (0.15, 0.3)))
+    assert evaluate_functional(m, follows) == 0.25 == follows(m.atoms[0]) / 4
+    assert evaluate_functional(m, by_id) == 0.0 == by_id(m.atoms[0])
+
+
+def test_builtins_read_no_trees(monkeypatch):
+    import importlib
+
+    from coagtree.lln import _replica_values, tightness_diagnostic
+
+    def no_trees(*args, **kwargs):
+        raise AssertionError("a HistoricalTree was built")
+
+    simulate_module = importlib.import_module("coagtree.simulate")
+    monkeypatch.setattr(simulate_module, "hist_leaf", no_trees)
+    monkeypatch.setattr(simulate_module, "hist_node", no_trees)
+    # every built-in but the time boxes on equal-size subtrees
+    functionals = tuple((str(k), f) for k, f in enumerate(BUILTINS)
+                        if k not in (4, 10) and hasattr(f, "atom_values"))
+    values, events, proposals = _replica_values(
+        CONSTANT, (1.0,) * 50, 3.0, 31, 0, 0, 5, functionals)
+    assert values.shape == (5, len(functionals)) and 0 < events <= proposals
+    m = empirical_measure(simulate_direct(SimConfig.monodisperse(50, CONSTANT, 3.0)), 3.0)
+    assert 0.0 < tightness_diagnostic(m, 2) < 1.0
+    assert len(m.atoms) == len(m.live)
+    with pytest.raises(AssertionError, match="HistoricalTree"):
+        m.atoms[0]

@@ -306,6 +306,28 @@ def test_deep_caterpillar_round_trips():
     assert d == pytest.approx(density_product(early, path, 0.01), rel=1e-9)
 
 
+def test_deep_labelled_caterpillar_pickles():
+    # 3000 levels, three times the interpreter's default recursion limit
+    import pickle
+    import sys
+
+    assert sys.getrecursionlimit() <= 1000
+    n = 3000
+    tree = hist_leaf(1.0, label=0)
+    for k in range(1, n):
+        tree = hist_node(k / n, tree, hist_leaf(1.0 + k % 3, label=k))
+    back = pickle.loads(pickle.dumps(tree))
+    assert back == tree and hash(back) == hash(tree)
+    assert [v.label for v in back.walk() if v.is_leaf] == \
+        [v.label for v in tree.walk() if v.is_leaf]
+    assert back.shape == tree.shape and back.mass == tree.mass
+    shape = pickle.loads(pickle.dumps(tree.shape))
+    assert shape == tree.shape and shape.n_leaves == n
+    for s in shapes_up_to(6):  # child order survives too
+        b = pickle.loads(pickle.dumps(s))
+        assert (b.left, b.right) == (s.left, s.right)
+
+
 def test_round_trip_random_trees():
     import numpy as np
 

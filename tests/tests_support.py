@@ -1,11 +1,30 @@
 """Shared helpers for tests: random tree and density-query generators, a
-tabulated kernel file, and the reference jump-chain sampler."""
+tabulated kernel file, and the reference jump-chain sampler, replica
+streams and history building."""
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from coagtree.limit import build_preorder
 from coagtree.simulate import Event, EventLog, rng_for
 from coagtree.trees import hist_leaf, hist_node, shapes_with_leaves
+
+
+def reference_rng_for(seed, replica=0, stream=0):
+    """The replica stream that ``rng_for`` replaced: a fresh key, then jumped."""
+    key = SeedSequence((int(seed), int(stream))).generate_state(2)
+    return Generator(Philox(key=int(key[0]) << 64 | int(key[1])).jumped(replica))
+
+
+def reference_atoms(log, t):
+    """The live histories at ``t``, built as ``empirical_measure`` once did:
+    one tree per event, live clusters kept in a dict."""
+    trees = {i: hist_leaf(m, label=i) for i, m in enumerate(log.config.masses)}
+    for e in log.events:
+        if e.time > t:
+            break
+        trees[e.node] = hist_node(e.time, trees.pop(e.left), trees.pop(e.right))
+    return tuple(trees.values())
 
 
 def random_history(rng, n_leaves, horizon=1.0):
