@@ -163,9 +163,12 @@ def cmd_solve(args) -> int:
     config = {"kernel": args.kernel, "t": args.t, "tol": args.tol,
               "k_max": args.k_max, "mu0": args.mu0 or "monodisperse"}
     out_csv = outdir / "solution.csv"
-    _write_manifest(outdir, "solve", config, seed, inputs, [out_csv])
+    manifest_args = (outdir, "solve", config, seed, inputs, [out_csv])
+    _write_manifest(*manifest_args)
+    start = time.perf_counter()
     path = solve(mu0, kernel, args.t, tol=args.tol, k_max=args.k_max,
                  allow_gelation=args.allow_gelation)
+    solved = time.perf_counter()
     sample_times = np.linspace(0.0, args.t, args.samples)
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -175,6 +178,9 @@ def cmd_solve(args) -> int:
             for m, c in zip(path.masses, w):
                 if c > 0:
                     writer.writerow([repr(float(t)), repr(float(m)), repr(float(c))])
+    counters = {"lattice_points": len(path.masses), "mass_leak": path.leak}
+    timings = {"solve_s": solved - start, "write_s": time.perf_counter() - solved}
+    _write_manifest(*manifest_args, counters=counters, timings=timings)
     return 0
 
 
@@ -197,18 +203,19 @@ def cmd_limit(args) -> int:
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["shape_serial", "mass_assignment", "value", "error"])
-        for shape, masses, coef, (val, err, _, one_err) in limit_measure.terms(
+        for shape, masses, coef, integral in limit_measure.terms(
                 ConstantOne(), args.max_leaves, path, kernel, mu0, args.t,
                 tol=args.tol):
+            val, err, _, one_err = integral
             writer.writerow([
                 shape.serial, ";".join(repr(m) for m in masses),
                 repr(coef * val), repr(coef * err)])
             n_terms += 1
             max_error = max(max_error, err, one_err)
-            unconverged += max(err, one_err) > 0.1 * args.tol
+            unconverged += not integral.converged
     # the time integrals' own errors, before the coefficient in limit.csv
     counters = {"terms": n_terms, "max_error": max_error,
-                "unconverged": unconverged}
+                "unconverged": unconverged, "mass_leak": path.leak}
     timings = {"solve_s": solved - start, "terms_s": time.perf_counter() - solved}
     _write_manifest(*manifest_args, counters=counters, timings=timings)
     return 0

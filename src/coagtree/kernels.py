@@ -14,6 +14,10 @@ class KernelError(ValueError):
     pass
 
 
+class ConfigError(ValueError):
+    """An input the package refuses: bad sizes, masses, seeds or plans."""
+
+
 # Each built-in takes a fast path for two Python floats (or numpy float
 # scalars) and returns the IEEE value its numpy path would; anything else
 # goes through numpy and broadcasts.

@@ -18,7 +18,12 @@ with children l, r carries
 
 so the integral over all node times is A_root(t): one cumulative 1-D
 trapezoid per node on the solver's time grid, refined cell by cell and
-Richardson-extrapolated.  It serves every functional that declares, through
+Richardson-extrapolated.  :func:`terms` integrates all terms of a functional
+together, one refinement level at a time: a level computes G_m once per mass
+and A_v once per subtree (its leaf masses and time boxes), and every term
+containing that subtree reads it; a term drops out once two successive levels
+agree.  Shapes of a given size are built from the same subtrees, so most of
+the work is shared.  It serves every functional that declares, through
 ``time_boxes``, that it is a constant times per-node time-box indicators on
 each shape (the built-in functionals of :mod:`coagtree.simulate`).  Any other
 callable is integrated by nested Gauss-Legendre quadrature over the node-time
@@ -178,10 +183,27 @@ class LimitFunctionalResult:
     value: float
     error: float
     tail_bound: float
+    unconverged: int  # terms whose time integrals did not converge
+
+
+class TimeIntegral(tuple):
+    """``(value, error, one, one_error)`` of :func:`time_integral`.
+
+    ``converged`` is False when the refinement levels (or Gauss-Legendre
+    orders) ran out before two successive ones agreed within tol / 10.
+    """
+
+    def __new__(cls, value, error, one, one_error, converged=True):
+        self = super().__new__(cls, (value, error, one, one_error))
+        self.converged = converged
+        return self
+
+    def __getnewargs__(self):
+        return (*self, self.converged)
 
 
 def _gl_time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
-                      f: Callable, kernel: Kernel, tol: float):
+                      f: Callable, kernel: Kernel, tol: float) -> TimeIntegral:
     """:func:`time_integral` by nested Gauss-Legendre over the node times.
 
     The errors are the change between the last two ``GL_ORDERS``: the first
@@ -196,13 +218,16 @@ def _gl_time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
 
     breakpoints = tuple(getattr(f, "time_breakpoints", ()))
     prev = _simplex_integral(shape, t, evaluate, GL_ORDERS[0], breakpoints)
+    converged = False
     for order in GL_ORDERS[1:]:
         cur = _simplex_integral(shape, t, evaluate, order, breakpoints)
         diff = np.abs(cur - prev)
         if (diff <= 0.1 * tol).all():
+            converged = True
             break
         prev = cur
-    return float(cur[0]), float(diff[0]), float(cur[1]), float(diff[1])
+    return TimeIntegral(float(cur[0]), float(diff[0]), float(cur[1]), float(diff[1]),
+                        converged)
 
 
 def _refine(grid: np.ndarray, r: int) -> np.ndarray:
@@ -211,93 +236,146 @@ def _refine(grid: np.ndarray, r: int) -> np.ndarray:
     return np.append(fine.ravel(), grid[-1])
 
 
-def _recursive_integral(shape: TreeShape, masses, kernel: Kernel, x: np.ndarray,
-                        boxes, exponent: Callable) -> float:
-    """A_root(x[-1]) by cumulative trapezoids on the grid ``x``.
+class _Level:
+    """One refinement level: the grid ``x`` and what terms share on it.
 
-    ``exponent(m)`` is G_m on ``x``.  An internal node's integrand counts
-    only on the cells inside its (lo, hi) box; ``boxes`` lists them in
-    pre-order, or is None for no boxes.
+    Holds exp(-G_m) and exp(G_m) on ``x`` per mass m, and the array A_v of
+    every subtree v with fewer than ``keep_below`` leaves, keyed by its
+    leaf masses and boxes: (left key, right key, box), a leaf's key its mass.
     """
-    dx = np.diff(x)
-    leaf_masses = iter(masses)
-    node_boxes = iter(boxes) if boxes is not None else itertools.repeat(None)
-    nodes = [(s, next(leaf_masses) if s.is_leaf else next(node_boxes))
-             for s, _ in preorder(shape)]
-    done = []  # (mass, A on x) of finished subtrees; children before parents
-    for s, item in reversed(nodes):
-        if s.is_leaf:
-            done.append((item, np.exp(-exponent(item))))
-            continue
-        (ml, al), (mr, ar) = done.pop(), done.pop()
-        m = ml + mr
-        gm = exponent(m)
-        h = kernel.evaluate(ml, mr) * al * ar * np.exp(gm)
-        cells = 0.5 * dx * (h[:-1] + h[1:])
-        if item is not None:
-            lo, hi = item
-            cells = np.where((x[:-1] >= lo) & (x[1:] <= hi), cells, 0.0)
-        done.append((m, np.exp(-gm) * np.concatenate(([0.0], np.cumsum(cells)))))
-    return float(done[0][1][-1])
+
+    def __init__(self, path: SolutionPath, kernel: Kernel, x: np.ndarray,
+                 keep_below: int):
+        self.kernel, self.x = kernel, x
+        self.dx = np.diff(x)
+        self._exponent = path.cumulative_exponents(x)
+        self.keep_below = keep_below
+        self._exps = {}
+        self._subtrees = {}
+
+    def _exp(self, m: float) -> tuple:
+        e = self._exps.get(m)
+        if e is None:
+            g = self._exponent(m)
+            e = self._exps[m] = (np.exp(-g), np.exp(g))
+        return e
+
+    def integral(self, shape: TreeShape, masses, boxes) -> float:
+        """A_root(x[-1]) by cumulative trapezoids on ``x``.
+
+        An internal node's integrand counts only on the cells inside its
+        (lo, hi) box; ``boxes`` lists them in pre-order, or is None for none.
+        """
+        x, dx = self.x, self.dx
+        leaf_masses = iter(masses)
+        node_boxes = iter(boxes) if boxes is not None else itertools.repeat(None)
+        nodes = [(s, next(leaf_masses) if s.is_leaf else next(node_boxes))
+                 for s, _ in preorder(shape)]
+        done = []  # (key, mass, A on x) of finished subtrees; children first
+        for s, item in reversed(nodes):
+            if s.is_leaf:
+                done.append((item, item, self._exp(item)[0]))
+                continue
+            (kl, ml, al), (kr, mr, ar) = done.pop(), done.pop()
+            key = (kl, kr, item)
+            m = ml + mr
+            a = self._subtrees.get(key)
+            if a is None:
+                exp_neg, exp_pos = self._exp(m)
+                h = self.kernel.evaluate(ml, mr) * al * ar * exp_pos
+                cells = 0.5 * dx * (h[:-1] + h[1:])
+                if item is not None:
+                    lo, hi = item
+                    cells = np.where((x[:-1] >= lo) & (x[1:] <= hi), cells, 0.0)
+                a = exp_neg * np.concatenate(([0.0], np.cumsum(cells)))
+                if s.n_leaves < self.keep_below:
+                    self._subtrees[key] = a
+            done.append((key, m, a))
+        return float(done[0][2][-1])
 
 
-def _recursive_time_integral(shape: TreeShape, masses, path: SolutionPath,
-                             t: float, kernel: Kernel, tol: float,
-                             c: float, boxes):
-    """:func:`time_integral` of f = c * (time-box indicators) by the recursion.
+def _recursive_time_integrals(batch: list, cuts: tuple, path: SolutionPath,
+                              t: float, kernel: Kernel, tol: float,
+                              results: list) -> None:
+    """:func:`time_integral` of every f = c * (time-box indicators) term in
+    ``batch``, ``(index, shape, masses, c, boxes)``, into ``results[index]``.
 
-    The grid is the solver's time grid cut at ``t``, plus the box endpoints.
-    Every cell is split into r = 1, 2, 4, ... parts until two levels T_r,
-    T_2r agree within tol / 10 (or ``REFINEMENTS`` runs out); the result is
-    T_2r + (T_2r - T_r) / 3 with error |T_2r - T_r| / 3.
+    The grid is the solver's time grid cut at ``t``, plus ``cuts``, the box
+    endpoints shared by the batch.  Every cell is split into r = 1, 2, 4, ...
+    parts, one level at a time for all terms, so terms share G_m and subtree
+    arrays on it.  A term drops out once its levels T_r, T_2r agree within
+    tol / 10 (or ``REFINEMENTS`` runs out), with T_2r + (T_2r - T_r) / 3 and
+    error |T_2r - T_r| / 3.
     """
-    cuts = [b for box in boxes or () for b in box if 0.0 < b < t]
     grid = np.unique(np.concatenate([path.times[path.times < t], [t], cuts]))
+    keep_below = max(shape.n_leaves for _, shape, _, _, _ in batch)
     # the f == 1 integral, then the boxed one when f has boxes and c != 0;
     # f's value is c times the last of them
-    box_sets = [None] if boxes is None or c == 0.0 else [None, boxes]
-
-    def level(r: int) -> np.ndarray:
-        x = _refine(grid, r)
-        exponent = functools.cache(lambda m: path.cumulative_exponent(m, x))
-        return np.array([_recursive_integral(shape, masses, kernel, x, b, exponent)
-                         for b in box_sets])
-
-    prev = level(REFINEMENTS[0])
-    for r in REFINEMENTS[1:]:
-        cur = level(r)
-        step = cur - prev
-        if (np.abs(step) <= 0.1 * tol).all():
+    pending = {k: (shape, masses, c, [None] if boxes is None or c == 0.0 else [None, boxes])
+               for k, shape, masses, c, boxes in batch}
+    prev = {}
+    for r in REFINEMENTS:
+        if not pending:
             break
-        prev = cur
-    est, err = cur + step / 3.0, np.abs(step) / 3.0
-    return c * float(est[-1]), abs(c) * float(err[-1]), float(est[0]), float(err[0])
+        level = _Level(path, kernel, _refine(grid, r), keep_below)
+        for k, (shape, masses, c, box_sets) in list(pending.items()):
+            cur = np.array([level.integral(shape, masses, b) for b in box_sets])
+            if k not in prev:
+                prev[k] = cur
+                continue
+            step = cur - prev[k]
+            converged = bool((np.abs(step) <= 0.1 * tol).all())
+            if converged or r == REFINEMENTS[-1]:
+                est, err = cur + step / 3.0, np.abs(step) / 3.0
+                results[k] = TimeIntegral(c * float(est[-1]), abs(c) * float(err[-1]),
+                                          float(est[0]), float(err[0]), converged)
+                del pending[k]
+            else:
+                prev[k] = cur
+
+
+def _time_integrals(f: Callable, items: list, path: SolutionPath, t: float,
+                    kernel: Kernel, tol: float) -> list:
+    """:func:`time_integral` of f for every ``(shape, masses)`` in ``items``."""
+    results = [None] * len(items)
+    batches = {}  # grid cuts -> time-box terms on that grid
+    form = getattr(f, "time_boxes", None)
+    for k, (shape, masses) in enumerate(items):
+        if t <= 0.0 and not shape.is_leaf:
+            # node times live in (0, t): empty domain
+            results[k] = TimeIntegral(0.0, 0.0, 0.0, 0.0)
+            continue
+        boxed = form(shape, masses) if form is not None else None
+        if boxed is None:
+            results[k] = _gl_time_integral(shape, masses, path, t, f, kernel, tol)
+            continue
+        c, boxes = boxed
+        if boxes is not None:
+            boxes = tuple((lo, hi) for lo, hi in boxes)
+        cuts = tuple(sorted({b for box in boxes or () for b in box if 0.0 < b < t}))
+        batches.setdefault(cuts, []).append((k, shape, masses, c, boxes))
+    for cuts, batch in batches.items():
+        _recursive_time_integrals(batch, cuts, path, t, kernel, tol, results)
+    return results
 
 
 def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
                   f: Callable, kernel: Optional[Kernel] = None,
-                  tol: float = 1e-8):
+                  tol: float = 1e-8) -> TimeIntegral:
     """Integral over node times of K_xi * exp(-sum Lambda) * [f(tree), 1].
 
     This is the labeled-tree transition functional at fixed leaf masses; no
-    symmetry factor and no initial-measure weights are applied.  Returns
-    (value, error, one_value, one_error) where ``one_*`` is the same integral
-    with f replaced by 1, and each error is an estimate of the value's
-    error, aimed at tol / 10.
+    symmetry factor and no initial-measure weights are applied.  Returns the
+    :class:`TimeIntegral` (value, error, one_value, one_error), where
+    ``one_*`` is the same integral with f replaced by 1 and each error is an
+    estimate of the value's error, aimed at tol / 10.
 
     When ``f.time_boxes(shape, masses)`` gives f on this shape as a constant
     times time-box indicators, the recursive evaluator integrates it; any
-    other ``f`` goes through nested Gauss-Legendre quadrature.
+    other ``f`` goes through nested Gauss-Legendre quadrature.  This is a
+    one-term call of the evaluator behind :func:`terms`.
     """
-    kernel = kernel or path.kernel
-    if t <= 0.0 and not shape.is_leaf:
-        # node times live in (0, t): empty domain
-        return 0.0, 0.0, 0.0, 0.0
-    form = getattr(f, "time_boxes", None)
-    form = form(shape, masses) if form is not None else None
-    if form is None:
-        return _gl_time_integral(shape, masses, path, t, f, kernel, tol)
-    return _recursive_time_integral(shape, masses, path, t, kernel, tol, *form)
+    return _time_integrals(f, [(shape, masses)], path, t, kernel or path.kernel, tol)[0]
 
 
 def terms(f: Callable, tau_max_leaves: int, path: SolutionPath,
@@ -308,10 +386,12 @@ def terms(f: Callable, tau_max_leaves: int, path: SolutionPath,
     Yields ``(shape, masses, coefficient, time_integral(...))`` for every
     canonical shape and ordered assignment of mu0's atoms to its leaves,
     where coefficient = 2^(-q(shape)) * (product of the atoms' weights).
-    Assignments of zero weight are skipped.
+    Assignments of zero weight are skipped.  All terms are integrated
+    together, one refinement level at a time, so they share subtrees.
     """
     kernel = kernel or path.kernel
     atoms = list(zip(mu0.masses, mu0.weights))
+    listed = []
     for shape in shapes_up_to(tau_max_leaves):
         sym = 2.0 ** (-symmetry_exponent(shape))
         for combo in itertools.product(atoms, repeat=shape.n_leaves):
@@ -320,8 +400,11 @@ def terms(f: Callable, tau_max_leaves: int, path: SolutionPath,
             for _, w in combo:
                 weight *= w
             if weight > 0:
-                yield shape, masses, sym * weight, time_integral(
-                    shape, masses, path, t, f, kernel, tol=tol)
+                listed.append((shape, masses, sym * weight))
+    integrals = _time_integrals(f, [(shape, masses) for shape, masses, _ in listed],
+                                path, t, kernel, tol)
+    for (shape, masses, coef), integral in zip(listed, integrals):
+        yield shape, masses, coef, integral
 
 
 def functional(f: Callable, tau_max_leaves: int, path: SolutionPath,
@@ -331,18 +414,21 @@ def functional(f: Callable, tau_max_leaves: int, path: SolutionPath,
 
     Sums the :func:`terms`.  The tail bound is the mu~_t-mass of trees
     outside the enumerated shapes, computed from the f == 1 integrals
-    against the solved total cluster density.
+    against the solved total cluster density.  ``unconverged`` counts the
+    terms whose time integrals did not converge.
     """
     value = 0.0
     error = 0.0
     captured = 0.0
-    for _, _, coef, (val, err, one, _) in terms(
-            f, tau_max_leaves, path, kernel, mu0, t, tol):
+    unconverged = 0
+    for _, _, coef, integral in terms(f, tau_max_leaves, path, kernel, mu0, t, tol):
+        val, err, one, _ = integral
         value += coef * val
         error += coef * err
         captured += coef * one
+        unconverged += not integral.converged
     tail = max(path.moment(0.0, t) - captured, 0.0)
-    return LimitFunctionalResult(value, error, tail)
+    return LimitFunctionalResult(value, error, tail, unconverged)
 
 
 @dataclass(frozen=True)
@@ -356,21 +442,25 @@ def pushforward_check(path: SolutionPath, mu0: MassSpectrum, kernel: Kernel,
     """Compare the mass pushforward of mu~_t against mu_t for small masses.
 
     For each total mass reachable with at most ``n_max`` atoms, sums the
-    limit-measure weight of the :func:`terms` of that mass and compares with
-    the solved spectrum's weight there.
+    limit-measure weight of the :func:`terms` of that mass, keyed by its
+    integer units of the solver's mass quantum, and compares with the solved
+    weight at that lattice point (0 off the lattice).
     """
-    sums: dict[float, float] = {}
+    unit = {m: path.unit_of(m) for m in mu0.masses}
+    sums: dict[int, float] = {}
     for _, masses, coef, (_, _, one, _) in terms(
             ConstantOne(), n_max, path, kernel, mu0, t, tol):
-        key = round(sum(masses), 10)
+        key = sum(unit[m] for m in masses)
         sums[key] = sums.get(key, 0.0) + coef * one
-    spectrum = path.spectrum_at(t)
+    weights = path.weights_at(t)
     rows = []
     worst = 0.0
-    for m in sorted(sums):
-        solver_w = spectrum.weight_of(m)
-        rows.append((m, sums[m], solver_w))
-        worst = max(worst, abs(sums[m] - solver_w))
+    for u in sorted(sums):
+        k = int(np.searchsorted(path.units, u))
+        on_lattice = k < len(path.units) and path.units[k] == u
+        solver_w = float(weights[k]) if on_lattice else 0.0
+        rows.append((float(u * path.quantum), sums[u], solver_w))
+        worst = max(worst, abs(sums[u] - solver_w))
     return PushforwardReport(tuple(rows), worst)
 
 

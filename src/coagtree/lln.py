@@ -92,9 +92,10 @@ class ConvergenceReport:
     slopes: dict  # functional name -> log-log variance slope
     verdicts: dict  # functional name -> "PASS" | "FAIL" | "INCONCLUSIVE"
     tail_bounds: dict  # functional name -> limit-side truncation tail
-    # run telemetry, not part of to_json: per ladder size N (keyed str(N)),
-    # replicas, events, proposals and acceptance; solve_s, limit_s and the
-    # ladder's seconds per size
+    # run telemetry, not part of to_json: the solve's relative mass leak, the
+    # unconverged limit terms per functional, and per ladder size N (keyed
+    # str(N)) replicas, events, proposals and acceptance; solve_s, limit_s
+    # and the ladder's seconds per size
     counters: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
@@ -174,7 +175,8 @@ def run_lln(plan: ExperimentPlan) -> ConvergenceReport:
         tails[name] = res.tail_bound
     timings = {"solve_s": solved - start, "limit_s": time.perf_counter() - solved,
                "ladder_s": {}}
-    counters = {}
+    counters = {"mass_leak": path.leak,
+                "unconverged_terms": {name: res.unconverged for name, res in limits.items()}}
 
     rows = []
     for stream, (n, reps) in enumerate(zip(plan.n_ladder, plan.replicas)):

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .kernels import Kernel, check_gelation
+from .kernels import ConfigError, Kernel, check_gelation
 from .trees import (
     HistoricalTree,
     TreeShape,
@@ -63,10 +63,6 @@ def rng_for(seed: int, replica: int = 0, stream: int = 0) -> Generator:
     # uint64 words, low first: a plain list would go through a signed cast
     counter = np.array([0, 0, replica & (1 << 64) - 1, replica >> 64], dtype=np.uint64)
     return Generator(Philox(key=_stream_key(int(seed), int(stream)), counter=counter))
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

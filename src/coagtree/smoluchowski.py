@@ -3,18 +3,36 @@
 Solves dc_k/dt = 1/2 sum_{i+j->k} K(x_i, x_j) c_i c_j - c_k sum_j K(x_k, x_j) c_j
 for a finitely supported initial measure, and exposes the survival exponent
 Lambda(y; s, t) = int_s^t sum_j K(y, x_j) c_j(r) dr used by the limit measure.
+
+The lattice is exact.  Every initial mass is read as the closest fraction
+p/d with d <= ``MAX_DENOMINATOR`` (times 10^k for a mass in [10^-k, 10^(1-k))
+below 1, so small units read alike), which must give the mass back to within
+``MASS_RTOL`` relative; the largest q with every mass an integer multiple of
+q is the mass quantum.  Masses with no such fraction (say 1 and sqrt 2) are
+refused with :class:`ConfigError`.  The lattice holds the ``k_max`` smallest
+sums of initial masses as integer units of q, and its float masses are the
+correctly rounded units * q, so 0.1 + 0.7 and 0.7 + 0.1 are one point.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
+import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .kernels import Kernel, check_gelation
+from .kernels import ConfigError, Kernel, check_gelation
+
+# largest denominator of a mass read as a fraction, and how closely that
+# fraction must give the float mass back
+MAX_DENOMINATOR = 10**6
+MASS_RTOL = 1e-14
 
 
 class SolverError(RuntimeError):
@@ -33,8 +51,8 @@ class MassSpectrum:
         w = np.asarray(self.weights, dtype=float)
         if m.size == 0 or m.size != w.size:
             raise ValueError("need matching nonempty masses and weights")
-        if (m <= 0).any():
-            raise ValueError("masses must be positive")
+        if not (np.isfinite(m) & (m > 0)).all():
+            raise ValueError("masses must be positive and finite")
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")
         if (np.diff(m) <= 0).any():
@@ -64,29 +82,45 @@ class MassSpectrum:
         return float(self.weights[hit[0]])
 
 
-def _lattice(mu0: MassSpectrum, k_max: int) -> np.ndarray:
-    """Closure of the initial masses under pairwise sums, capped at ``k_max`` points."""
-    base = [float(m) for m in mu0.masses]
-    if len(base) == 1:
-        return base[0] * np.arange(1, k_max + 1, dtype=float)
-    seen = set(base)
-    frontier = list(base)
-    while len(seen) < k_max and frontier:
-        cur = sorted(seen)
-        new = set()
-        for a in cur:
-            for b in base:
-                s = a + b
-                if s not in seen:
-                    new.add(s)
-        if not new:
-            break
-        for s in sorted(new):
-            if len(seen) >= k_max:
-                break
-            seen.add(s)
-        frontier = sorted(new)
-    return np.array(sorted(seen)[:k_max])
+def _fraction(mass: float) -> Fraction:
+    """``mass`` read as a fraction (see the module), or ConfigError."""
+    scale = 10 ** max(0, -math.floor(math.log10(mass)))
+    f = (Fraction(float(mass)) * scale).limit_denominator(MAX_DENOMINATOR) / scale
+    if not f > 0 or abs(float(f) - mass) > MASS_RTOL * mass:
+        raise ConfigError(
+            f"mass {mass!r} is no fraction p/d with d <= {MAX_DENOMINATOR * scale} "
+            f"(within {MASS_RTOL:g} relative), so the masses have no common quantum")
+    return f
+
+
+def mass_quantum(masses) -> Fraction:
+    """The largest q with every mass an integer multiple of q (see the module)."""
+    fracs = [_fraction(m) for m in masses]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return Fraction(math.gcd(*(f.numerator * (den // f.denominator) for f in fracs)), den)
+
+
+def _lattice(atoms: list, k_max: int) -> np.ndarray:
+    """The ``k_max`` smallest sums of one or more ``atoms`` (integers), ascending."""
+    heap = sorted(set(atoms))
+    seen = set(heap)
+    out = []
+    while heap and len(out) < k_max:
+        s = heapq.heappop(heap)
+        out.append(s)
+        for a in atoms:
+            if s + a not in seen:
+                seen.add(s + a)
+                heapq.heappush(heap, s + a)
+    if out[-1] >= 1 << 62:
+        raise ConfigError("mass lattice units overflow 64-bit integers")
+    return np.array(out, dtype=np.int64)
+
+
+def _unit_masses(units: np.ndarray, quantum: Fraction) -> np.ndarray:
+    """The correctly rounded floats units * quantum."""
+    num, den = quantum.numerator, quantum.denominator
+    return np.array([u * num / den for u in units.tolist()])
 
 
 class SolutionPath:
@@ -96,15 +130,19 @@ class SolutionPath:
     integrated exactly against that interpolation and cached per mass.
     """
 
-    def __init__(self, masses: np.ndarray, times: np.ndarray, weights: np.ndarray,
-                 kernel: Kernel, mu0: MassSpectrum, tol: float):
-        self.masses = np.asarray(masses, dtype=float)
+    def __init__(self, units: np.ndarray, quantum: Fraction, times: np.ndarray,
+                 weights: np.ndarray, kernel: Kernel, mu0: MassSpectrum, tol: float,
+                 leak: float):
+        self.units = np.asarray(units, dtype=np.int64)  # lattice masses / quantum
+        self.quantum = quantum
+        self.masses = _unit_masses(self.units, quantum)
         self.times = np.asarray(times, dtype=float)
         self._grid = self.times.tolist()  # bisect on floats: cheap scalar lookups
         self.weights = np.asarray(weights, dtype=float)  # shape (n_times, n_masses)
         self.kernel = kernel
         self.mu0 = mu0
         self.tol = tol
+        self.leak = leak  # mass off the lattice at t_end, relative to the start
         self._lambda_cache: dict[float, np.ndarray] = {}
 
     @property
@@ -119,6 +157,13 @@ class SolutionPath:
         k = min(max(bisect.bisect_right(grid, t) - 1, 0), len(grid) - 2)
         t0, t1 = grid[k], grid[k + 1]
         return k, 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+
+    def unit_of(self, mass: float) -> int:
+        """``mass`` in integer units of the quantum; ValueError when not a multiple."""
+        u = _fraction(mass) / self.quantum
+        if u.denominator != 1:
+            raise ValueError(f"mass {mass!r} is not a multiple of the quantum {self.quantum}")
+        return u.numerator
 
     def weights_at(self, t: float) -> np.ndarray:
         k, a = self._locate(float(t))
@@ -155,37 +200,44 @@ class SolutionPath:
 
         return upto(float(t)) - upto(float(s))
 
-    def cumulative_exponent(self, y: float, u: np.ndarray) -> np.ndarray:
-        """G_y(u) = Lambda(y; 0, u) at every time of the array ``u``.
+    def cumulative_exponents(self, u: np.ndarray) -> Callable:
+        """The function y -> G_y(u) = Lambda(y; 0, u) at every time of ``u``.
 
         The same exact integral of the interpolated g as
         :meth:`survival_exponent`: G_y is quadratic between grid times.
+        Every mass shares the grid lookup of ``u``.
         """
         u = np.asarray(u, dtype=float)
         if u.size and not (u.min() >= 0.0 and u.max() <= self._grid[-1] + 1e-12):
             raise ValueError(f"times outside [0, {self.t_end}]")
-        cum, g = self._g_cumulative(y)
         times = self.times
         k = np.clip(np.searchsorted(times, u, side="right") - 1, 0, len(times) - 2)
         t0 = times[k]
         a = (u - t0) / (times[k + 1] - t0)
-        gu = (1 - a) * g[k] + a * g[k + 1]
-        return cum[k] + 0.5 * (g[k] + gu) * (u - t0)
+        offset = u - t0
+
+        def exponent(y: float) -> np.ndarray:
+            cum, g = self._g_cumulative(y)
+            gk = g[k]
+            gu = (1 - a) * gk + a * g[k + 1]
+            return cum[k] + 0.5 * (gk + gu) * offset
+
+        return exponent
 
 
-def _pair_index(masses: np.ndarray):
-    """Index arrays (i, j, k) with x_i + x_j = x_k on the lattice, i <= j."""
-    pos = {m: k for k, m in enumerate(masses)}
-    ii, jj, kk = [], [], []
-    n = len(masses)
-    for i in range(n):
-        for j in range(i, n):
-            k = pos.get(masses[i] + masses[j])
-            if k is not None:
-                ii.append(i)
-                jj.append(j)
-                kk.append(k)
-    return np.array(ii), np.array(jj), np.array(kk)
+def _pair_index(units: np.ndarray):
+    """Index arrays (i, j, k) with u_i + u_j = u_k on the lattice, i <= j, in
+    row-major (i, j) order."""
+    n = len(units)
+    # row i holds the j in [i, stop_i) whose sums stay within the lattice's range
+    counts = np.maximum(np.searchsorted(units, units[-1] - units, side="right")
+                        - np.arange(n), 0)
+    ii = np.repeat(np.arange(n), counts)
+    jj = ii + np.arange(len(ii)) - np.repeat(np.cumsum(counts) - counts, counts)
+    sums = units[ii] + units[jj]
+    kk = np.searchsorted(units, sums)
+    hit = units[kk] == sums
+    return ii[hit], jj[hit], kk[hit]
 
 
 def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
@@ -193,27 +245,35 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
           n_grid: int = 2001) -> SolutionPath:
     """Integrate the coagulation equation up to ``t_end``.
 
-    Truncates to a ``k_max``-point sum-closed lattice; mass leaking past the
-    lattice boundary is monitored and reported as a warning when it exceeds
-    10 * tol. Refuses horizons inside the gelation window unless overridden.
+    Truncates to the lattice of the ``k_max`` smallest sums of initial masses
+    (see the module), and raises :class:`ConfigError` for masses with no common
+    quantum or an initial mass beyond that lattice.  The mass that leaks past
+    the lattice by ``t_end`` is kept on the path as ``leak``, relative to the
+    initial mass, and warned about when it exceeds 10 * tol. Refuses horizons
+    inside the gelation window unless overridden.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     check_gelation(kernel, mu0.masses, mu0.weights, t_end, allow_gelation)
 
-    masses = _lattice(mu0, k_max)
-    n = len(masses)
+    quantum = mass_quantum(mu0.masses)
+    atoms = [int(_fraction(m) / quantum) for m in mu0.masses]
+    units = _lattice(atoms, k_max)
+    n = len(units)
+    if atoms[-1] > units[-1]:
+        raise ConfigError(f"initial mass {mu0.masses[-1]!r} lies beyond the "
+                          f"{k_max}-point lattice; raise k_max")
+    masses = _unit_masses(units, quantum)
     c0 = np.zeros(n)
-    for m, w in zip(mu0.masses, mu0.weights):
-        c0[np.searchsorted(masses, m)] = w
+    c0[np.searchsorted(units, atoms)] = mu0.weights
 
     kmat = kernel.matrix(masses)
-    ii, jj, kk = _pair_index(masses)
-    kij = kmat[ii, jj]
-    half = np.where(ii == jj, 0.5, 1.0)  # unordered pairs; i == j counted once with 1/2
+    ii, jj, kk = _pair_index(units)
+    # unordered pairs; i == j counted once with 1/2
+    half_k = np.where(ii == jj, 0.5, 1.0) * kmat[ii, jj]
 
     def rhs(_t, c):
-        pair = half * kij * c[ii] * c[jj]
+        pair = half_k * c[ii] * c[jj]
         gain = np.bincount(kk, weights=pair, minlength=n)
         loss = c * (kmat @ c)
         return gain - loss
@@ -237,7 +297,8 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
         warnings.warn(
             f"mass {leak:.3e} left the {n}-point lattice by t={t_end}; "
             "increase k_max for tighter tails", stacklevel=2)
-    return SolutionPath(masses, times, weights, kernel, mu0, tol)
+    return SolutionPath(units, quantum, times, weights, kernel, mu0, tol,
+                        leak / total0 if total0 > 0 else 0.0)
 
 
 def constant_kernel_weights(t: float, k: np.ndarray) -> np.ndarray:

@@ -100,9 +100,33 @@ def test_limit_manifest_records_counters_and_timings(tmp_path):
     assert counters["terms"] == len(rows) == 3
     assert 0.0 <= counters["max_error"] <= 1e-9
     assert counters["unconverged"] == 0
+    assert 0.0 <= counters["mass_leak"] <= 1e-7
     assert set(manifest["timings"]) == {"solve_s", "terms_s"}
     assert all(v >= 0.0 for v in manifest["timings"].values())
     assert manifest["subcommand"] == "limit"
+
+
+def test_solve_manifest_records_counters_and_timings(tmp_path):
+    out = tmp_path / "sol"
+    with pytest.warns(UserWarning, match="left the 16-point lattice"):
+        assert main(["solve", "--kernel", "constant", "--t", "2", "--k-max", "16",
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    counters = manifest["counters"]
+    assert counters["lattice_points"] == 16
+    # constant K, t = 2: the untruncated solution holds sum_{k>16} k c_k(2)
+    # = 18 / 2^17 of the mass beyond 16 units; the truncated one loses about that
+    assert counters["mass_leak"] == pytest.approx(18 / 2**17, rel=0.05)
+    assert set(manifest["timings"]) == {"solve_s", "write_s"}
+    assert all(v >= 0.0 for v in manifest["timings"].values())
+    assert manifest["subcommand"] == "solve"
+
+
+def test_solve_refuses_incommensurate_masses(tmp_path):
+    mu0 = tmp_path / "mu0.csv"
+    mu0.write_text("mass,weight\n1.0,0.5\n1.4142135623730951,0.5\n")
+    assert main(["solve", "--t", "1", "--mu0", str(mu0),
+                 "--out", str(tmp_path / "sol")]) == 2
 
 
 def test_simulate_manifest_records_counters_and_timings(tmp_path):
@@ -165,7 +189,9 @@ def test_lln_manifest_records_counters_and_timings(tmp_path):
     assert main(["lln", str(plan), "--out", str(out), "--jobs", "1"]) in (0, 1)
     manifest = json.loads((out / "manifest.json").read_text())
     counters = manifest["counters"]
-    assert set(counters) == {"30", "100"}
+    assert set(counters) == {"30", "100", "mass_leak", "unconverged_terms"}
+    assert 0.0 <= counters["mass_leak"] <= 1e-7
+    assert counters["unconverged_terms"] == {"leaf": 0, "cherry": 0}
     for n, replicas in (("30", 60), ("100", 30)):
         c = counters[n]
         assert c["replicas"] == replicas

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from coagtree.limit import (
     finite_n_jump_density,
     functional,
     pushforward_check,
+    terms,
     time_integral,
 )
 from coagtree.simulate import (
@@ -358,3 +360,98 @@ def test_time_boxes_are_declared_only_where_the_children_agree():
         balanced, ((0.0, 1.5), (0.2, 0.6), (0.2, 0.6))), MassCutoff(3.5)))
     assert both.time_boxes(balanced, masses) == \
         (0.5, ((0.5, 1.5), (0.2, 0.5), (0.2, 0.5)))
+
+
+# -- one batch evaluator: terms against one-term calls, and fixed floats
+
+THREE_ATOMS = MassSpectrum((1.0, 2.0, 3.0), (0.5, 0.3, 0.2))
+TERM_CASES = {
+    # name: (kernel, mu0, t, f, tau)
+    "mono": ("constant", MONO, 2.0, ShapeIndicator(CHERRY), 4),
+    "bidisperse": ("constant", BIDISPERSE, 2.0, MassCutoff(3.5), 4),
+    "three-atoms": ("additive", THREE_ATOMS, 0.5, ConstantOne(), 3),
+    "two-box-product": ("additive", BIDISPERSE, 1.0, FunctionalProduct((
+        ShapeTimeBoxIndicator(THREE, ((0.2, 0.9), (0.1, 0.6))),
+        ShapeTimeBoxIndicator(THREE, ((0.3, 1.0), (0.0, 0.5))),
+        MassCutoff(4.5))), 3),
+    "time-box": ("inverse-sum", BIDISPERSE, 2.0,
+                 ShapeTimeBoxIndicator(CHERRY, ((0.5, 1.5),)), 3),
+    "plain-lambda": ("constant", BIDISPERSE, 2.0,
+                     lambda tree: float(tree.n_leaves == 2), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TERM_CASES))
+def test_terms_equal_one_term_time_integrals(case):
+    name, mu0, t, f, tau = TERM_CASES[case]
+    kernel = builtin(name)
+    p = solve(mu0, kernel, t, k_max=64)
+    listed = list(terms(f, tau, p, kernel, mu0, t))
+    assert len(listed) == sum(len(mu0.masses) ** s.n_leaves for s in shapes_up_to(tau))
+    for shape, masses, _, integral in listed:
+        alone = time_integral(shape, masses, p, t, f, kernel)
+        assert [x.hex() for x in integral] == [x.hex() for x in alone]
+        assert integral.converged is alone.converged is True
+    back = pickle.loads(pickle.dumps(listed[-1][3]))
+    assert back == listed[-1][3] and back.converged is True
+
+
+# float.hex of (value, error, tail_bound), computed before the batch
+# evaluator and the integer lattice replaced the per-term recursion
+LIMIT_WORKLOAD_GOLDEN = {
+    "mono_tau4": ('0x1.fffffe61df077p-4', '0x1.392cd20000000p-33', '0x1.00000b38af7c8p-5'),
+    "bi_tau3": ('0x1.fffffe6276d99p-4', '0x1.392c96aaaaaabp-33', '0x1.000004f1bf778p-4'),
+    "additive_box_tau3": ('0x1.cb8596c153bc0p-6', '0x1.413aa8aaaaaabp-35', '0x1.2d652b01ab678p-4'),
+}
+
+
+def test_limit_workload_functionals_keep_their_floats():
+    additive = builtin("additive")
+    mono = solve(MONO, CONSTANT, 2.0, tol=1e-8)
+    bi = solve(BIDISPERSE, CONSTANT, 2.0, tol=1e-8)
+    box = solve(MONO, additive, 1.0, tol=1e-8)
+    got = {
+        "mono_tau4": functional(ShapeIndicator(CHERRY), 4, mono, CONSTANT, MONO, 2.0),
+        "bi_tau3": functional(ShapeIndicator(CHERRY), 3, bi, CONSTANT, BIDISPERSE, 2.0),
+        "additive_box_tau3": functional(ShapeTimeBoxIndicator(CHERRY, ((0.2, 0.6),)),
+                                        3, box, additive, MONO, 1.0),
+    }
+    for case, res in got.items():
+        hexed = (res.value.hex(), res.error.hex(), res.tail_bound.hex())
+        assert hexed == LIMIT_WORKLOAD_GOLDEN[case], case
+        assert res.unconverged == 0
+
+
+def test_pushforward_rows_keep_their_floats():
+    # (mass, limit weight, solver weight) rows and the worst gap, as float.hex
+    mono = pushforward_check(solve(MONO, CONSTANT, 2.0, tol=1e-8), MONO, CONSTANT, 2.0, 4)
+    assert [tuple(x.hex() for x in row) for row in mono.rows] == list((
+        ('0x1.0000000000000p+0', '0x1.fffffef6292c3p-3', '0x1.00000022fa64dp-2'),
+        ('0x1.0000000000000p+1', '0x1.fffffe61df077p-4', '0x1.ffffff291b990p-4'),
+        ('0x1.8000000000000p+1', '0x1.fffffdcd94e6ap-5', '0x1.0000006cc00f2p-4'),
+        ('0x1.0000000000000p+2', '0x1.fffffd394ac3cp-6', '0x1.0000002c96814p-5'),
+    ))
+    assert mono.max_discrepancy.hex() == '0x1.4fcb9d7000000p-27'
+    bi = pushforward_check(solve(BIDISPERSE, CONSTANT, 2.0, tol=1e-8), BIDISPERSE,
+                           CONSTANT, 2.0, 3)
+    assert [tuple(x.hex() for x in row) for row in bi.rows] == list((
+        ('0x1.0000000000000p+0', '0x1.fffffef6795d5p-4', '0x1.0000002d4776dp-3'),
+        ('0x1.0000000000000p+1', '0x1.3fffff478b89ep-3', '0x1.400000098b5d0p-3'),
+        ('0x1.8000000000000p+1', '0x1.1fffff0e22b1cp-4', '0x1.1fffff84c7274p-4'),
+        ('0x1.0000000000000p+2', '0x1.bffffe5ea70acp-5', '0x1.cfffffe972a55p-5'),
+        ('0x1.4000000000000p+2', '0x1.7ffffe5ad73c0p-6', '0x1.0400007da43dcp-5'),
+        ('0x1.8000000000000p+2', '0x1.fffffdce74500p-8', '0x1.6a00005d0103ap-6'),
+    ))
+    assert bi.max_discrepancy.hex() == '0x1.d40001d2c7df4p-7'
+
+
+def test_unconverged_terms_are_counted(path):
+    # no two refinement levels of the cherry agree within 1e-20; the leaf's
+    # A(t) = exp(-G_1(t)) is the same float on every level, so it converges
+    res = functional(ShapeIndicator(CHERRY), 2, path, CONSTANT, MONO, 2.0, tol=1e-20)
+    assert res.unconverged == 1
+    assert functional(ShapeIndicator(CHERRY), 2, path, CONSTANT, MONO, 2.0).unconverged == 0
+    # so do Gauss-Legendre terms whose orders run out
+    early = functional(lambda tree: float(tree.n_leaves == 2 and tree.time < 0.7), 2,
+                       path, CONSTANT, MONO, 2.0)
+    assert early.unconverged == 1

@@ -1,13 +1,18 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from coagtree.kernels import builtin
+from coagtree.kernels import ConfigError
 from coagtree.smoluchowski import (
     MassSpectrum,
     SolverError,
+    _lattice,
+    _pair_index,
     constant_kernel_weights,
+    mass_quantum,
     solve,
 )
 
@@ -181,6 +186,65 @@ def test_polydisperse_lattice_closure():
     assert path.moment(1.0, 1.0) == pytest.approx(mu0.moment(1.0), abs=1e-5)
 
 
+def test_scaled_lattice_matches_the_unscaled_one():
+    # {0.1, 0.7} is {1, 7} in units of 0.1: the same lattice and, with
+    # constant K, the same equation; float keys once split 0.1 + 0.7 from
+    # 0.7 + 0.1 and kept only 34 distinct masses
+    scaled = solve(MassSpectrum((0.1, 0.7), (0.5, 0.5)), CONSTANT, 1.0, k_max=64)
+    unscaled = solve(MassSpectrum((1.0, 7.0), (0.5, 0.5)), CONSTANT, 1.0, k_max=64)
+    assert len(set(scaled.masses)) == len(set(unscaled.masses)) == 64
+    assert scaled.units.tolist() == unscaled.units.tolist()
+    assert scaled.masses.tolist() == [float(Fraction(int(u), 10)) for u in scaled.units]
+    assert scaled.moment(0.0, 1.0) == pytest.approx(unscaled.moment(0.0, 1.0), abs=1e-9)
+    assert scaled.moment(0.0, 1.0) == pytest.approx(2 / 3, abs=1e-5)
+
+
+def test_mass_quantum():
+    assert mass_quantum((1.0, 2.0)) == 1
+    assert mass_quantum((0.1, 0.7)) == Fraction(1, 10)
+    assert mass_quantum((1.0, 1.5)) == Fraction(1, 2)
+    assert mass_quantum((1 / 3, 0.5)) == Fraction(1, 6)
+    # 0.1 + 0.2 is 0.3 to within an ulp: it is read as 3/10
+    assert mass_quantum((0.1 + 0.2,)) == Fraction(3, 10)
+    # small units read as large ones do
+    assert mass_quantum((1e-9, 2.5e-9)) == Fraction(1, 2 * 10**9)
+    assert mass_quantum((1 / 3 * 1e-7,)) == Fraction(1, 3 * 10**7)
+
+
+@pytest.mark.parametrize("mass", [math.sqrt(2.0), math.pi, math.sqrt(2.0) * 1e-9])
+def test_incommensurate_masses_are_refused(mass):
+    mu0 = MassSpectrum.from_pairs([(1.0, 0.5), (mass, 0.5)])
+    with pytest.raises(ConfigError, match="no common quantum"):
+        solve(mu0, CONSTANT, 1.0)
+    assert issubclass(ConfigError, ValueError)
+
+
+def test_an_initial_mass_beyond_the_lattice_is_refused():
+    # the 8 smallest sums of {1, 20} are 1..8: the atom 20 is not among them
+    with pytest.raises(ConfigError, match="beyond the 8-point lattice"):
+        solve(MassSpectrum((1.0, 20.0), (0.5, 0.5)), CONSTANT, 1.0, k_max=8)
+
+
+@pytest.mark.parametrize("masses", [(1.0,), (1.0, 2.0), (1.0, 1.5)])
+def test_integer_lattice_and_pair_index_match_the_float_ones(masses):
+    from tests_support import reference_lattice, reference_pair_index
+
+    path = solve(MassSpectrum(masses, (1.0,) * len(masses)), CONSTANT, 0.5, k_max=64)
+    assert path.masses.tolist() == reference_lattice(masses, 64).tolist()
+    q = mass_quantum(masses)
+    assert _lattice([int(m / q) for m in masses], 64).tolist() == path.units.tolist()
+    for got, want in zip(_pair_index(path.units), reference_pair_index(path.masses)):
+        assert got.tolist() == want.tolist()
+
+
+def test_mass_leak_is_recorded_on_the_path():
+    with pytest.warns(UserWarning, match="left the 16-point lattice"):
+        path = solve(MONO, CONSTANT, 2.0, tol=1e-8, k_max=16)
+    assert path.leak == pytest.approx(1.0 - path.moment(1.0, 2.0), rel=1e-12)
+    assert path.leak > 1e-4
+    assert 0.0 <= solve(MONO, CONSTANT, 2.0, tol=1e-8).leak <= 1e-7
+
+
 def test_solve_rejects_gelation_horizon():
     from coagtree.kernels import GelationError
 
@@ -195,3 +259,6 @@ def test_mass_spectrum_validation():
         MassSpectrum((1.0,), (-0.5,))
     with pytest.raises(ValueError):
         MassSpectrum((0.0,), (1.0,))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            MassSpectrum((1.0, bad), (0.5, 0.5))

@@ -1,6 +1,6 @@
 """Shared helpers for tests: random tree and density-query generators, a
 tabulated kernel file, and the reference jump-chain sampler, replica
-streams and history building."""
+streams, history building, mass lattice and pair index."""
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -120,3 +120,39 @@ def reference_simulate_direct(cfg, rng=None):
         r[-1] = float(np.asarray(kernel.evaluate(new_mass, m[:-1]), dtype=float).sum())
         next_id += 1
     return EventLog(cfg, tuple(events))
+
+
+def reference_lattice(masses, k_max):
+    """The float-keyed lattice that the integer one replaced: closure of the
+    masses under pairwise float sums, by rounds, capped at ``k_max`` points."""
+    base = [float(m) for m in masses]
+    if len(base) == 1:
+        return base[0] * np.arange(1, k_max + 1, dtype=float)
+    seen = set(base)
+    frontier = list(base)
+    while len(seen) < k_max and frontier:
+        new = {a + b for a in sorted(seen) for b in base} - seen
+        if not new:
+            break
+        for s in sorted(new):
+            if len(seen) >= k_max:
+                break
+            seen.add(s)
+        frontier = sorted(new)
+    return np.array(sorted(seen)[:k_max])
+
+
+def reference_pair_index(masses):
+    """Index arrays (i, j, k) with x_i + x_j = x_k by float equality, i <= j:
+    the double loop that the vectorised integer pair index replaced."""
+    pos = {m: k for k, m in enumerate(masses)}
+    ii, jj, kk = [], [], []
+    n = len(masses)
+    for i in range(n):
+        for j in range(i, n):
+            k = pos.get(masses[i] + masses[j])
+            if k is not None:
+                ii.append(i)
+                jj.append(j)
+                kk.append(k)
+    return np.array(ii), np.array(jj), np.array(kk)
