@@ -25,14 +25,12 @@ containing that subtree reads it; a term drops out once two successive levels
 agree.  Shapes of a given size are built from the same subtrees, so most of
 the work is shared.  It serves every functional that declares, through
 ``time_boxes``, that it is a constant times per-node time-box indicators on
-each shape (the built-in functionals of :mod:`coagtree.simulate`).  Any other
-callable is integrated by nested Gauss-Legendre quadrature over the node-time
-simplex, which also serves as the test oracle for the recursive evaluator.
+each shape: the built-in functionals of :mod:`coagtree.simulate`.  Any
+other f is refused with ``TypeError``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -55,8 +53,6 @@ from .trees import (
     symmetry_exponent,
 )
 
-# Gauss-Legendre orders tried in turn until two successive ones agree
-GL_ORDERS = (8, 12, 18, 27)
 # splits of every solver time cell tried in turn by the recursive evaluator
 REFINEMENTS = (1, 2, 4, 8, 16, 32)
 
@@ -133,51 +129,6 @@ def density(query: TreeDensityQuery, path: SolutionPath,
     return density_product(query.tree(), path, query.t, kernel)
 
 
-# ---------------------------------------------------------------------------
-# quadrature over the node-time simplex
-
-
-@functools.cache
-def _gl(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _simplex_integral(shape: TreeShape, t: float, evaluate: Callable,
-                      order: int, breakpoints: tuple = ()) -> np.ndarray:
-    """Integrate ``evaluate(times)`` over node times respecting the tree order.
-
-    Each internal node's time ranges over (0, parent time); the root over
-    (0, t).  ``evaluate`` takes the pre-order time vector and returns a
-    vector of integrand values, all accumulated together.  ``breakpoints``
-    are known discontinuity locations of the integrand in any single time
-    coordinate; panels are split there so Gauss-Legendre stays accurate.
-    """
-    parents = [parent for s, parent in preorder(shape) if not s.is_leaf]
-    d = len(parents)
-    if d == 0:
-        return np.asarray(evaluate(()), dtype=float)
-    x, w = _gl(order)
-    times = [0.0] * d
-
-    def nested(level: int) -> np.ndarray:
-        upper = t if parents[level] < 0 else times[parents[level]]
-        cuts = [0.0] + sorted(b for b in breakpoints if 0.0 < b < upper) + [upper]
-        total = None
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            pts = lo + 0.5 * (hi - lo) * (x + 1.0)
-            wts = 0.5 * (hi - lo) * w
-            for pt, wt in zip(pts, wts):
-                times[level] = pt
-                if level + 1 == d:
-                    val = np.asarray(evaluate(tuple(times)), dtype=float)
-                else:
-                    val = nested(level + 1)
-                total = wt * val if total is None else total + wt * val
-        return total
-
-    return nested(0)
-
-
 @dataclass(frozen=True)
 class LimitFunctionalResult:
     value: float
@@ -189,8 +140,8 @@ class LimitFunctionalResult:
 class TimeIntegral(tuple):
     """``(value, error, one, one_error)`` of :func:`time_integral`.
 
-    ``converged`` is False when the refinement levels (or Gauss-Legendre
-    orders) ran out before two successive ones agreed within tol / 10.
+    ``converged`` is False when the refinement levels ran out before two
+    successive ones agreed within tol / 10.
     """
 
     def __new__(cls, value, error, one, one_error, converged=True):
@@ -200,34 +151,6 @@ class TimeIntegral(tuple):
 
     def __getnewargs__(self):
         return (*self, self.converged)
-
-
-def _gl_time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
-                      f: Callable, kernel: Kernel, tol: float) -> TimeIntegral:
-    """:func:`time_integral` by nested Gauss-Legendre over the node times.
-
-    The errors are the change between the last two ``GL_ORDERS``: the first
-    pair to agree within tol / 10, else the last.  Discontinuity locations
-    declared by ``f`` through a ``time_breakpoints`` attribute split the
-    quadrature panels.
-    """
-    def evaluate(times):
-        tree = build_preorder(shape, masses, times)
-        core = _labeled_density(tree, path, t, kernel)
-        return np.array([core * f(tree), core])
-
-    breakpoints = tuple(getattr(f, "time_breakpoints", ()))
-    prev = _simplex_integral(shape, t, evaluate, GL_ORDERS[0], breakpoints)
-    converged = False
-    for order in GL_ORDERS[1:]:
-        cur = _simplex_integral(shape, t, evaluate, order, breakpoints)
-        diff = np.abs(cur - prev)
-        if (diff <= 0.1 * tol).all():
-            converged = True
-            break
-        prev = cur
-    return TimeIntegral(float(cur[0]), float(diff[0]), float(cur[1]), float(diff[1]),
-                        converged)
 
 
 def _refine(grid: np.ndarray, r: int) -> np.ndarray:
@@ -336,20 +259,24 @@ def _recursive_time_integrals(batch: list, cuts: tuple, path: SolutionPath,
 
 def _time_integrals(f: Callable, items: list, path: SolutionPath, t: float,
                     kernel: Kernel, tol: float) -> list:
-    """:func:`time_integral` of f for every ``(shape, masses)`` in ``items``."""
+    """:func:`time_integral` of f for every ``(shape, masses)`` in ``items``.
+
+    Raises ``TypeError`` before integrating anything when f, or a factor of
+    it, has no ``time_boxes``.
+    """
+    form = getattr(f, "time_boxes", None)
+    if form is None:
+        raise TypeError(f"{f!r} has no time_boxes(shape, masses): the limit evaluator "
+                        "integrates only functionals of that protocol, such as the "
+                        "built-ins of coagtree.simulate")
     results = [None] * len(items)
     batches = {}  # grid cuts -> time-box terms on that grid
-    form = getattr(f, "time_boxes", None)
     for k, (shape, masses) in enumerate(items):
+        c, boxes = form(shape, masses)
         if t <= 0.0 and not shape.is_leaf:
             # node times live in (0, t): empty domain
             results[k] = TimeIntegral(0.0, 0.0, 0.0, 0.0)
             continue
-        boxed = form(shape, masses) if form is not None else None
-        if boxed is None:
-            results[k] = _gl_time_integral(shape, masses, path, t, f, kernel, tol)
-            continue
-        c, boxes = boxed
         if boxes is not None:
             boxes = tuple((lo, hi) for lo, hi in boxes)
         cuts = tuple(sorted({b for box in boxes or () for b in box if 0.0 < b < t}))
@@ -370,10 +297,10 @@ def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
     ``one_*`` is the same integral with f replaced by 1 and each error is an
     estimate of the value's error, aimed at tol / 10.
 
-    When ``f.time_boxes(shape, masses)`` gives f on this shape as a constant
-    times time-box indicators, the recursive evaluator integrates it; any
-    other ``f`` goes through nested Gauss-Legendre quadrature.  This is a
-    one-term call of the evaluator behind :func:`terms`.
+    ``f.time_boxes(shape, masses)`` gives f on this shape as a constant
+    times time-box indicators, and the recursive evaluator integrates it; an
+    f without ``time_boxes`` raises ``TypeError``.  This is a one-term call
+    of the evaluator behind :func:`terms`.
     """
     return _time_integrals(f, [(shape, masses)], path, t, kernel or path.kernel, tol)[0]
 

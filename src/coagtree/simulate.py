@@ -437,11 +437,14 @@ class EmpiricalHistoricalMeasure:
                 built.append(hist_node(self.time[v], built.pop(), b))
         return built[0]
 
-    def preorder_times(self, node: int) -> Optional[list]:
-        """Merge times under ``node`` in canonical pre-order, as
-        ``preorder(self.tree(node))`` lists them; None when a node's two
-        children are internal with equal leaf counts, whose order the
-        history's text decides."""
+    def preorder_times(self, node: int) -> list:
+        """Merge times under ``node`` in pre-order, the smaller child first.
+
+        This is the order of ``preorder(self.tree(node))`` except between two
+        children of equal leaf count, which the history orders by its text
+        and this by node id.  A ``ShapeTimeBoxIndicator`` gives such
+        siblings equal boxes, so either order gives it the same value.
+        """
         left, right, leaves, shape = self.left, self.right, self.n_leaves, self.shape
         times = []
         stack = [node]
@@ -454,8 +457,6 @@ class EmpiricalHistoricalMeasure:
             la, lb = leaves[shape[a]], leaves[shape[b]]
             if la > lb:
                 a, b = b, a
-            elif la == lb > 1:
-                return None
             stack += (b, a)
         return times
 
@@ -544,8 +545,8 @@ def _atom_values(f: Callable, m: EmpiricalHistoricalMeasure) -> Optional[list]:
 # these leaf masses (left to right), f = c * prod_v 1[lo_v <= s_v <= hi_v]
 # over the internal nodes v.  It returns ``(c, boxes)``, with one (lo, hi) per
 # internal node in the shape's pre-order, or ``boxes`` None when f ignores the
-# merge times; or None when f is not of that form there.  The limit measure
-# integrates such f recursively.
+# merge times.  Every built-in is of that form on every shape, and the limit
+# measure integrates only such f, recursively.
 #
 # Its simulation-side twin, ``atom_values(m)``, returns f on every atom of
 # the empirical measure m in live-id order, read from m's flat arrays; each
@@ -572,7 +573,9 @@ class ShapeTimeBoxIndicator:
     """Indicator of a shape with every merge time inside its box.
 
     Boxes are matched to internal nodes in pre-order over the canonical tree
-    (parent before children, canonical child order).
+    (parent before children, canonical child order).  A history orders two
+    children of equal leaf count by its text, so by masses and times, not by
+    shape; such sibling subtrees must carry the same boxes, or ``ValueError``.
     """
 
     shape: TreeShape
@@ -586,11 +589,14 @@ class ShapeTimeBoxIndicator:
         for lo, hi in self.boxes:
             if not lo <= hi:
                 raise ValueError(f"time box ({lo}, {hi}) needs lo <= hi")
-
-    @property
-    def time_breakpoints(self) -> tuple:
-        # discontinuity locations, used by the limit quadrature
-        return tuple(b for box in self.boxes for b in box)
+        boxes = self.boxes
+        nodes = [v for v, _ in preorder(self.shape) if not v.is_leaf]
+        for i, v in enumerate(nodes):
+            k = v.left.n_leaves - 1
+            left, right = boxes[i + 1:i + 1 + k], boxes[i + 1 + k:i + 1 + 2 * k]
+            if v.left.n_leaves == v.right.n_leaves and left != right:
+                raise ValueError(f"internal node {i} has two {k + 1}-leaf subtrees, "
+                                 f"which need the same boxes: got {left} and {right}")
 
     def __call__(self, tree: HistoricalTree) -> float:
         if tree.shape != self.shape:
@@ -606,30 +612,11 @@ class ShapeTimeBoxIndicator:
 
     def atom_values(self, m: EmpiricalHistoricalMeasure) -> list:
         s, shape = m.shape_id(self.shape), m.shape
-        out = []
-        for i in m.live:
-            if shape[i] != s:
-                out.append(0.0)
-                continue
-            times = m.preorder_times(i)
-            # None: equal-size subtrees ordered by the history's text
-            out.append(self(m.tree(i)) if times is None else self._in_boxes(times))
-        return out
+        return [self._in_boxes(m.preorder_times(i)) if shape[i] == s else 0.0
+                for i in m.live]
 
-    def time_boxes(self, shape: TreeShape, masses):
-        if shape != self.shape:
-            return 0.0, None
-        # A history orders two children of equal leaf count by its text, so
-        # by masses and times, not by shape.  The boxes belong to the shape's
-        # nodes only when both such children carry the same boxes.
-        boxes = self.boxes
-        nodes = [v for v, _ in preorder(shape) if not v.is_leaf]
-        for i, v in enumerate(nodes):
-            k = v.left.n_leaves - 1
-            if v.left.n_leaves == v.right.n_leaves and \
-                    boxes[i + 1:i + 1 + k] != boxes[i + 1 + k:i + 1 + 2 * k]:
-                return None
-        return 1.0, boxes
+    def time_boxes(self, shape: TreeShape, masses) -> tuple:
+        return (1.0, self.boxes) if shape == self.shape else (0.0, None)
 
 
 @dataclass(frozen=True)
@@ -660,10 +647,6 @@ class MassCutoff:
 class FunctionalProduct:
     factors: tuple
 
-    @property
-    def time_breakpoints(self) -> tuple:
-        return tuple(b for f in self.factors for b in getattr(f, "time_breakpoints", ()))
-
     def __call__(self, tree: HistoricalTree) -> float:
         out = 1.0
         for f in self.factors:
@@ -687,19 +670,20 @@ class FunctionalProduct:
             out.append(v)
         return out
 
-    def time_boxes(self, shape: TreeShape, masses):
+    def time_boxes(self, shape: TreeShape, masses) -> tuple:
         c, boxes = 1.0, None
         for f in self.factors:
             form = getattr(f, "time_boxes", None)
-            form = form(shape, masses) if form is not None else None
             if form is None:
-                return None
-            c *= form[0]
+                raise TypeError(f"factor {f!r} has no time_boxes(shape, masses), "
+                                "so neither has the product")
+            fc, fboxes = form(shape, masses)
+            c *= fc
             if boxes is None:
-                boxes = form[1]
-            elif form[1] is not None:
+                boxes = fboxes
+            elif fboxes is not None:
                 boxes = tuple((max(lo1, lo2), min(hi1, hi2))
-                              for (lo1, hi1), (lo2, hi2) in zip(boxes, form[1]))
+                              for (lo1, hi1), (lo2, hi2) in zip(boxes, fboxes))
         return c, boxes
 
 

@@ -74,12 +74,16 @@ class MassSpectrum:
         w = np.asarray(self.weights)
         return float(np.sum(w * m ** p))
 
-    def weight_of(self, mass: float, atol: float = 1e-9) -> float:
-        m = np.asarray(self.masses)
-        hit = np.nonzero(np.isclose(m, mass, atol=atol, rtol=0.0))[0]
-        if hit.size == 0:
+    def weight_of(self, mass: float) -> float:
+        """Weight of the atom nearest ``mass``, if within ``MASS_RTOL`` of it
+        relative; else 0.0."""
+        m = self.masses
+        k = bisect.bisect_left(m, mass)
+        near = min((j for j in (k - 1, k) if 0 <= j < len(m)),
+                   key=lambda j: abs(m[j] - mass))
+        if abs(m[near] - mass) > MASS_RTOL * m[near]:
             return 0.0
-        return float(self.weights[hit[0]])
+        return float(self.weights[near])
 
 
 def _fraction(mass: float) -> Fraction:

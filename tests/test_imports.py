@@ -4,6 +4,10 @@ A module may not import an underscore-prefixed name from a sibling module
 (private helpers stay private to their module), and may not import a
 sibling's name that it never uses.  ``__init__.py`` re-exports names and is
 exempt.
+
+The package also keeps one limit evaluator: no module calls ``leggauss`` or
+defines ``time_breakpoints``, the panel breaks of the nested Gauss-Legendre
+quadrature that is now a test oracle only (``tests/tests_support.py``).
 """
 
 import ast
@@ -51,3 +55,29 @@ def findings() -> list:
 def test_no_private_or_unused_sibling_imports():
     assert {"cli", "limit", "trees"} <= {p.stem for p in PACKAGE.glob("*.py")}
     assert findings() == []
+
+
+def gauss_legendre_findings() -> list:
+    """Calls of ``leggauss`` and definitions of ``time_breakpoints`` (a
+    function, or a name or attribute stored to) in the package."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == "leggauss" or \
+                        getattr(func, "attr", None) == "leggauss":
+                    out.append(f"{path.name}:{node.lineno} calls leggauss")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined = node.name
+            elif isinstance(getattr(node, "ctx", None), ast.Store):
+                defined = getattr(node, "id", None) or getattr(node, "attr", None)
+            else:
+                continue
+            if defined == "time_breakpoints":
+                out.append(f"{path.name}:{node.lineno} defines time_breakpoints")
+    return out
+
+
+def test_one_limit_evaluator_in_the_package():
+    assert gauss_legendre_findings() == []

@@ -31,11 +31,11 @@ from coagtree.trees import (
     LEAF,
     hist_leaf,
     hist_node,
-    preorder,
     shape_node,
     shapes_up_to,
     shapes_with_leaves,
 )
+from tests_support import gl_time_integral
 
 CONSTANT = builtin("constant")
 MONO = MassSpectrum.monodisperse()
@@ -151,7 +151,9 @@ def test_functional_three_chain(path):
 
 
 def test_functional_zero(path):
-    res = functional(lambda tree: 0.0, 3, path, CONSTANT, MONO, 2.0)
+    # a 4-leaf shape is zero on every term up to 3 leaves
+    res = functional(ShapeIndicator(shape_node(CHERRY, CHERRY)), 3, path, CONSTANT,
+                     MONO, 2.0)
     assert res.value == 0.0
     assert res.error == 0.0
 
@@ -262,14 +264,15 @@ def test_build_preorder_respects_order():
 
 
 def test_time_integral_reports_an_unconverged_order_ladder(path):
-    # a jump at s = 0.7 that f does not declare as a breakpoint: Gauss-Legendre
-    # converges slowly, so the last two orders still differ and say so
+    # a jump at s = 0.7 that f does not declare as a breakpoint: the
+    # Gauss-Legendre oracle converges slowly, so the last two orders still
+    # differ and say so
     def early_merge(tree):
         return 1.0 if tree.time < 0.7 else 0.0
 
-    val, err, one, one_err = time_integral(CHERRY, (1.0, 1.0), path, 2.0,
-                                           early_merge, CONSTANT, tol=1e-8)
-    assert err > 1e-9
+    res = gl_time_integral(CHERRY, (1.0, 1.0), path, 2.0, early_merge, CONSTANT, tol=1e-8)
+    val, err, one, one_err = res
+    assert err > 1e-9 and not res.converged
     assert one_err <= 1e-9
     # as in test_functional_time_box, without the symmetry factor 1/2
     exact = 2 * (0.25 - 0.25 / (1 + 0.7 / 2))
@@ -282,14 +285,15 @@ BIDISPERSE = MassSpectrum((1.0, 2.0), (0.5, 0.5))
 
 
 def gl_only(f, shape, masses):
-    """``f`` as a plain callable: no ``time_boxes``, so time_integral uses GL.
+    """``f`` as a plain callable for the Gauss-Legendre oracle.
 
-    Its breakpoints are kept where f can be nonzero; elsewhere they would only
-    multiply the quadrature panels.
+    Its breakpoints are the ends of its time boxes on ``shape``, where f can
+    be nonzero; elsewhere they would only multiply the quadrature panels.
     """
     g = lambda tree: f(tree)  # noqa: E731
-    if f.time_boxes(shape, masses)[0]:
-        g.time_breakpoints = getattr(f, "time_breakpoints", ())
+    c, boxes = f.time_boxes(shape, masses)
+    if c and boxes is not None:
+        g.time_breakpoints = tuple(b for box in boxes for b in box)
     return g
 
 
@@ -329,7 +333,8 @@ def test_recursive_evaluator_matches_gauss_legendre(oracle_paths, case, shape):
     masses = masses[:shape.n_leaves]
     tol = 1e-8
     fast = time_integral(shape, masses, p, t, f, tol=tol)
-    oracle = time_integral(shape, masses, p, t, gl_only(f, shape, masses), tol=1e-12)
+    oracle = gl_time_integral(shape, masses, p, t, gl_only(f, shape, masses), p.kernel,
+                              tol=1e-12)
     assert fast[0] == pytest.approx(oracle[0], abs=1e-10)
     assert fast[2] == pytest.approx(oracle[2], abs=1e-10)
     assert fast[1] <= tol and fast[3] <= tol
@@ -346,16 +351,27 @@ def test_bidisperse_cherry_to_four_leaves_is_fast():
 
 def test_time_boxes_are_declared_only_where_the_children_agree():
     # a history orders two equal-sized children by its text, not by shape,
-    # so different boxes on the two cherries leave the nested quadrature
+    # so the two must carry the same boxes, at every depth
     balanced = shape_node(CHERRY, CHERRY)
     masses = (1.0,) * 4
     same = ShapeTimeBoxIndicator(balanced, ((0.5, 2.0), (0.1, 0.5), (0.1, 0.5)))
     assert same.time_boxes(balanced, masses) == (1.0, same.boxes)
     assert same.time_boxes(THREE, masses[:3]) == (0.0, None)
-    differ = ShapeTimeBoxIndicator(balanced, ((0.5, 2.0), (0.1, 0.5), (0.0, 0.3)))
-    assert differ.time_boxes(balanced, masses) is None
-    assert FunctionalProduct((differ, MassCutoff(5.0))).time_boxes(balanced, masses) is None
-    assert FunctionalProduct((same, lambda tree: 1.0)).time_boxes(balanced, masses) is None
+    caterpillar = shape_node(LEAF, THREE)
+    ShapeTimeBoxIndicator(caterpillar, ((0.5, 2.0), (0.1, 0.5), (0.0, 0.3)))
+    for shape, boxes in (
+            (balanced, ((0.5, 2.0), (0.1, 0.5), (0.0, 0.3))),
+            # equal outer halves, unequal cherries inside them
+            (shape_node(balanced, balanced), ((0.0, 2.0),) + ((0.5, 2.0), (0.1, 0.5),
+                                                               (0.0, 0.3)) * 2),
+            # equal leaf counts, different shapes, each half valid alone
+            (shape_node(caterpillar, balanced), ((0.0, 2.0), (0.5, 2.0), (0.1, 0.5),
+                                                 (0.0, 0.3), (0.5, 2.0), (0.0, 0.3),
+                                                 (0.0, 0.3)))):
+        with pytest.raises(ValueError, match="same boxes"):
+            ShapeTimeBoxIndicator(shape, boxes)
+    with pytest.raises(TypeError, match="time_boxes"):
+        FunctionalProduct((same, lambda tree: 1.0)).time_boxes(balanced, masses)
     both = FunctionalProduct((same, ShapeTimeBoxIndicator(
         balanced, ((0.0, 1.5), (0.2, 0.6), (0.2, 0.6))), MassCutoff(3.5)))
     assert both.time_boxes(balanced, masses) == \
@@ -386,6 +402,10 @@ def test_terms_equal_one_term_time_integrals(case):
     name, mu0, t, f, tau = TERM_CASES[case]
     kernel = builtin(name)
     p = solve(mu0, kernel, t, k_max=64)
+    if not hasattr(f, "time_boxes"):
+        with pytest.raises(TypeError, match="time_boxes"):
+            list(terms(f, tau, p, kernel, mu0, t))
+        return
     listed = list(terms(f, tau, p, kernel, mu0, t))
     assert len(listed) == sum(len(mu0.masses) ** s.n_leaves for s in shapes_up_to(tau))
     for shape, masses, _, integral in listed:
@@ -451,7 +471,16 @@ def test_unconverged_terms_are_counted(path):
     res = functional(ShapeIndicator(CHERRY), 2, path, CONSTANT, MONO, 2.0, tol=1e-20)
     assert res.unconverged == 1
     assert functional(ShapeIndicator(CHERRY), 2, path, CONSTANT, MONO, 2.0).unconverged == 0
-    # so do Gauss-Legendre terms whose orders run out
-    early = functional(lambda tree: float(tree.n_leaves == 2 and tree.time < 0.7), 2,
-                       path, CONSTANT, MONO, 2.0)
-    assert early.unconverged == 1
+
+
+@pytest.mark.parametrize("t", (2.0, 0.0))
+def test_functionals_without_time_boxes_are_refused(path, t):
+    # at t = 0 too, where every non-leaf term is 0 without integrating
+    plain = lambda tree: 1.0  # noqa: E731
+    for f in (plain, FunctionalProduct((ShapeIndicator(CHERRY), MassCutoff(2.0), plain))):
+        with pytest.raises(TypeError, match="time_boxes"):
+            functional(f, 2, path, CONSTANT, MONO, t)
+        with pytest.raises(TypeError, match="time_boxes"):
+            list(terms(f, 2, path, CONSTANT, MONO, t))
+        with pytest.raises(TypeError, match="time_boxes"):
+            time_integral(CHERRY, (1.0, 1.0), path, t, f)

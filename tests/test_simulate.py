@@ -22,7 +22,7 @@ from coagtree.simulate import (
     simulate_coupled,
     simulate_direct,
 )
-from coagtree.trees import LEAF, shape_node
+from coagtree.trees import LEAF, preorder, shape_node
 from tests_support import (
     reference_atoms,
     reference_rng_for,
@@ -239,7 +239,6 @@ def test_functionals():
     box = ShapeTimeBoxIndicator(cherry, ((0.2, 0.7),))
     assert box(node) == 1.0
     assert ShapeTimeBoxIndicator(cherry, ((0.6, 0.7),))(node) == 0.0
-    assert box.time_breakpoints == (0.2, 0.7)
     assert MassCutoff(3.0)(node) == 1.0
     assert MassCutoff(1.5)(node) == 0.5
     assert MassCutoff(0.5)(node) == 0.0
@@ -351,15 +350,15 @@ BUILTINS = (
     ShapeIndicator(CHERRY),
     ShapeIndicator(BALANCED4),
     ShapeTimeBoxIndicator(CHERRY, ((0.3, 1.2),)),
-    # equal-size internal children: the boxes follow the history's text
-    ShapeTimeBoxIndicator(BALANCED4, ((0.5, 3.0), (0.0, 0.9), (0.4, 2.0))),
+    # equal-size internal children, which must share their boxes
+    ShapeTimeBoxIndicator(BALANCED4, ((0.5, 3.0), (0.2, 0.9), (0.2, 0.9))),
     ShapeTimeBoxIndicator(CATERPILLAR4, ((0.6, 3.0), (0.2, 2.5), (0.0, 1.5))),
     MassCutoff(1.5),
     MassCutoff(2.5),
     ConstantOne(),
     FunctionalProduct((ShapeIndicator(CHERRY), MassCutoff(1.2))),
     FunctionalProduct((MassCutoff(3.0), ShapeTimeBoxIndicator(BALANCED4, (
-        (0.0, 3.0), (0.3, 1.0), (0.0, 2.5))))),
+        (0.0, 3.0), (0.3, 1.0), (0.3, 1.0))))),
     FunctionalProduct(()),
     lambda tree: tree.mass * tree.n_leaves,
 )
@@ -388,17 +387,21 @@ def test_flat_functionals_match_the_trees(case, n, replica, fraction):
 
 def test_time_boxes_on_equal_size_subtrees_follow_the_history():
     # node 4 = (2.0, 2.0) at 0.1, node 5 = (1.0, 1.0) at 0.2: the history's
-    # text puts node 5 first, against the id order
+    # text puts node 5 first, against the id order that the flat arrays read;
+    # with equal boxes on the two cherries both orders give the same value
     from coagtree.simulate import Event, EventLog
 
     cfg = SimConfig(4, (2.0, 2.0, 1.0, 1.0), CONSTANT, 1.0)
     log = EventLog(cfg, (Event(0.1, 0, 1, 4), Event(0.2, 2, 3, 5), Event(0.5, 4, 5, 6)))
     m = empirical_measure(log, 1.0)
-    assert m.preorder_times(6) is None
-    follows = ShapeTimeBoxIndicator(BALANCED4, ((0.0, 1.0), (0.15, 0.3), (0.0, 0.15)))
-    by_id = ShapeTimeBoxIndicator(BALANCED4, ((0.0, 1.0), (0.0, 0.15), (0.15, 0.3)))
-    assert evaluate_functional(m, follows) == 0.25 == follows(m.atoms[0]) / 4
-    assert evaluate_functional(m, by_id) == 0.0 == by_id(m.atoms[0])
+    tree_times = [v.time for v, _ in preorder(m.atoms[0]) if not v.is_leaf]
+    assert tree_times == [0.5, 0.2, 0.1] and m.preorder_times(6) == [0.5, 0.1, 0.2]
+    both = ShapeTimeBoxIndicator(BALANCED4, ((0.0, 1.0), (0.0, 0.3), (0.0, 0.3)))
+    late = ShapeTimeBoxIndicator(BALANCED4, ((0.0, 1.0), (0.15, 0.3), (0.15, 0.3)))
+    assert evaluate_functional(m, both) == 0.25 == both(m.atoms[0]) / 4
+    assert evaluate_functional(m, late) == 0.0 == late(m.atoms[0])
+    with pytest.raises(ValueError, match="same boxes"):
+        ShapeTimeBoxIndicator(BALANCED4, ((0.0, 1.0), (0.15, 0.3), (0.0, 0.15)))
 
 
 def test_builtins_read_no_trees(monkeypatch):
@@ -412,9 +415,8 @@ def test_builtins_read_no_trees(monkeypatch):
     simulate_module = importlib.import_module("coagtree.simulate")
     monkeypatch.setattr(simulate_module, "hist_leaf", no_trees)
     monkeypatch.setattr(simulate_module, "hist_node", no_trees)
-    # every built-in but the time boxes on equal-size subtrees
     functionals = tuple((str(k), f) for k, f in enumerate(BUILTINS)
-                        if k not in (4, 10) and hasattr(f, "atom_values"))
+                        if hasattr(f, "atom_values"))
     values, events, proposals = _replica_values(
         CONSTANT, (1.0,) * 50, 3.0, 31, 0, 0, 5, functionals)
     assert values.shape == (5, len(functionals)) and 0 < events <= proposals

@@ -98,6 +98,20 @@ def test_t0_returns_mu0():
     assert path.moment(2.0, 0.0) == 1.0
 
 
+def test_weight_of_reads_the_nearest_atom():
+    # an absolute tolerance of 1e-9 once matched 2e-9 to its neighbour 1e-9
+    spec = MassSpectrum((1e-9, 2e-9), (0.3, 0.7))
+    assert spec.weight_of(2e-9) == 0.7
+    assert spec.weight_of(1e-9) == 0.3
+    assert spec.weight_of(1.5e-9) == spec.weight_of(3e-9) == spec.weight_of(5e-10) == 0.0
+    assert solve(spec, CONSTANT, 1.0).spectrum_at(0.0).weight_of(2e-9) == 0.7
+    # a solved lattice point's weight, as a float
+    path = solve(MONO, CONSTANT, 2.0)
+    weights = path.weights_at(2.0)
+    for k in range(1, 9):
+        assert path.spectrum_at(2.0).weight_of(float(k)) == float(weights[k - 1])
+
+
 def test_mass_conservation():
     for kernel in (CONSTANT, INVERSE_SUM):
         path = solve(MONO, kernel, 2.0, tol=1e-8)

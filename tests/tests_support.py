@@ -1,13 +1,16 @@
 """Shared helpers for tests: random tree and density-query generators, a
-tabulated kernel file, and the reference jump-chain sampler, replica
-streams, history building, mass lattice and pair index."""
+tabulated kernel file, nested Gauss-Legendre quadrature over node times, and
+the reference jump-chain sampler, replica streams, history building, mass
+lattice and pair index."""
+
+import functools
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from coagtree.limit import build_preorder
+from coagtree.limit import TimeIntegral, _labeled_density, build_preorder
 from coagtree.simulate import Event, EventLog, rng_for
-from coagtree.trees import hist_leaf, hist_node, shapes_with_leaves
+from coagtree.trees import hist_leaf, hist_node, preorder, shapes_with_leaves
 
 
 def reference_rng_for(seed, replica=0, stream=0):
@@ -58,6 +61,78 @@ def random_density_query(rng, mu0, t, max_leaves=4):
 
     rec(shape, t)
     return build_preorder(shape, masses, times)
+
+
+# Gauss-Legendre orders tried in turn until two successive ones agree
+GL_ORDERS = (8, 12, 18, 27)
+
+
+@functools.cache
+def _gl(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _simplex_integral(shape, t, evaluate, order, breakpoints=()):
+    """Integrate ``evaluate(times)`` over node times respecting the tree order.
+
+    Each internal node's time ranges over (0, parent time); the root over
+    (0, t).  ``evaluate`` takes the pre-order time vector and returns a
+    vector of integrand values, all accumulated together.  ``breakpoints``
+    are known discontinuity locations of the integrand in any single time
+    coordinate; panels are split there so Gauss-Legendre stays accurate.
+    """
+    parents = [parent for s, parent in preorder(shape) if not s.is_leaf]
+    d = len(parents)
+    if d == 0:
+        return np.asarray(evaluate(()), dtype=float)
+    x, w = _gl(order)
+    times = [0.0] * d
+
+    def nested(level):
+        upper = t if parents[level] < 0 else times[parents[level]]
+        cuts = [0.0] + sorted(b for b in breakpoints if 0.0 < b < upper) + [upper]
+        total = None
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            pts = lo + 0.5 * (hi - lo) * (x + 1.0)
+            wts = 0.5 * (hi - lo) * w
+            for pt, wt in zip(pts, wts):
+                times[level] = pt
+                if level + 1 == d:
+                    val = np.asarray(evaluate(tuple(times)), dtype=float)
+                else:
+                    val = nested(level + 1)
+                total = wt * val if total is None else total + wt * val
+        return total
+
+    return nested(0)
+
+
+def gl_time_integral(shape, masses, path, t, f, kernel, tol):
+    """``limit.time_integral`` by nested Gauss-Legendre over the node times,
+    for any callable f: the oracle of the recursive evaluator.
+
+    The errors are the change between the last two ``GL_ORDERS``: the first
+    pair to agree within tol / 10, else the last.  Discontinuity locations
+    declared by ``f`` through a ``time_breakpoints`` attribute split the
+    quadrature panels.
+    """
+    def evaluate(times):
+        tree = build_preorder(shape, masses, times)
+        core = _labeled_density(tree, path, t, kernel)
+        return np.array([core * f(tree), core])
+
+    breakpoints = tuple(getattr(f, "time_breakpoints", ()))
+    prev = _simplex_integral(shape, t, evaluate, GL_ORDERS[0], breakpoints)
+    converged = False
+    for order in GL_ORDERS[1:]:
+        cur = _simplex_integral(shape, t, evaluate, order, breakpoints)
+        diff = np.abs(cur - prev)
+        if (diff <= 0.1 * tol).all():
+            converged = True
+            break
+        prev = cur
+    return TimeIntegral(float(cur[0]), float(diff[0]), float(cur[1]), float(diff[1]),
+                        converged)
 
 
 def write_additive_table(path):
