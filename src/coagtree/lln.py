@@ -24,7 +24,7 @@ from .simulate import (
     SimConfig,
     empirical_measure,
     evaluate_functional,
-    rng_for,
+    replica_stream,
     simulate_direct,
 )
 from .smoluchowski import MassSpectrum, solve
@@ -140,9 +140,9 @@ def _replica_values(kernel: Kernel, masses: tuple, t: float, seed: int,
     out = np.empty((count, len(functionals)))
     events = proposals = 0
     cfg = SimConfig(len(masses), masses, kernel, t, seed=seed)
+    rng_at = replica_stream(seed, stream)
     for k in range(count):
-        replica = start + k
-        log = simulate_direct(cfg, rng_for(seed, replica, stream))
+        log = simulate_direct(cfg, rng_at(start + k))
         events += len(log.events)
         proposals += log.proposals
         m = empirical_measure(log, t)
@@ -272,8 +272,9 @@ def jump_density_test(n: int, masses, kernel: Kernel, t: float,
     first_times = []
     first_pairs = []
     cfg = SimConfig(n, masses, kernel, t, seed=seed)
+    rng_at = replica_stream(seed, stream=7)
     for replica in range(replicas):
-        log = simulate_direct(cfg, rng_for(seed, replica, stream=7))
+        log = simulate_direct(cfg, rng_at(replica))
         if log.events:
             e = log.events[0]
             first_times.append(e.time)
@@ -329,8 +330,9 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
 
     alive = 0
     cfg = SimConfig(n, masses, kernel, t, seed=seed)
+    rng_at = replica_stream(seed, stream=11)
     for replica in range(replicas):
-        log = simulate_direct(cfg, rng_for(seed, replica, stream=11))
+        log = simulate_direct(cfg, rng_at(replica))
         if all(e.left != 0 and e.right != 0 for e in log.events):
             alive += 1
     p_direct = alive / replicas
@@ -340,8 +342,9 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
     y1 = float(mass)
     vals = np.empty(replicas)
     cfg = SimConfig(n - 1, bg_masses, kernel, t, seed=seed, rate_n=n)
+    rng_at = replica_stream(seed, stream=13)
     for replica in range(replicas):
-        log = simulate_direct(cfg, rng_for(seed, replica, stream=13))
+        log = simulate_direct(cfg, rng_at(replica))
         live = {i: m for i, m in enumerate(bg_masses)}
         g = sum(float(kernel.evaluate(y1, m)) for m in live.values())
         integral = 0.0
@@ -390,8 +393,9 @@ def construction_agreement_test(n: int, masses, kernel: Kernel, t: float,
         stream = 17 if construction == "direct" else 19
         cfg = SimConfig(n, masses, kernel, t, seed=seed,
                         construction=construction)
+        rng_at = replica_stream(seed, stream)
         for replica in range(replicas):
-            log = sim(cfg, rng_for(seed, replica, stream))
+            log = sim(cfg, rng_at(replica))
             if log.events:
                 e = log.events[0]
                 times.append(e.time)

@@ -5,14 +5,16 @@ Two constructions of the same process (pairwise merge rate K(x, y)/N):
 * ``simulate_direct`` - majorant thinning: pairs proposed in proportion to
   phi(x) phi(y) from a Fenwick tree and accepted with probability
   K / majorant, O(log N) work per proposal.  Its initial state is built
-  once per ``SimConfig`` and copied by each run.
+  once per ``SimConfig``, and so is every majorant state a run reaches: each
+  ``SimConfig`` keeps them in a trie keyed by the masses in the order met.
 * ``simulate_coupled`` - the exponential-clock family S_{i,j} =
   max(S_i, S_j) + (N / K(y_i, y_j)) U with i.i.d. unit exponentials U
   attached to labeled trees, materialized lazily; tiny N only.
 
 Each run draws from ``rng_for(seed, replica, stream)``, a Philox stream that
 depends on those three numbers only, so replicas give the same results in
-any order and in any worker process.
+any order and in any worker process.  ``replica_stream(seed, stream)`` gives
+the same streams, replica after replica, from one reseated Philox.
 
 ``empirical_measure`` reads an event log into flat per-node arrays (interned
 shape id, mass, merge time, children); the built-in functionals evaluate on
@@ -25,9 +27,10 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -49,6 +52,14 @@ def _stream_key(seed: int, stream: int) -> int:
     return int(key[0]) << 64 | int(key[1])
 
 
+def _replica_counter(replica: int) -> list:
+    """Philox counter of replica * 2^128 as four uint64 words, low first."""
+    replica = int(replica)
+    if not 0 <= replica < 1 << 128:
+        raise ValueError(f"replica index {replica} is outside [0, 2**128)")
+    return [0, 0, replica & (1 << 64) - 1, replica >> 64]
+
+
 def rng_for(seed: int, replica: int = 0, stream: int = 0) -> Generator:
     """Deterministic per-(seed, replica, stream) generator, scheduler independent.
 
@@ -57,12 +68,30 @@ def rng_for(seed: int, replica: int = 0, stream: int = 0) -> Generator:
     Replica streams start 2^128 Philox blocks apart, so they never overlap,
     and each depends only on these three numbers.
     """
-    replica = int(replica)
-    if not 0 <= replica < 1 << 128:
-        raise ValueError(f"replica index {replica} is outside [0, 2**128)")
-    # uint64 words, low first: a plain list would go through a signed cast
-    counter = np.array([0, 0, replica & (1 << 64) - 1, replica >> 64], dtype=np.uint64)
+    # uint64 words: a plain list would go through a signed cast
+    counter = np.array(_replica_counter(replica), dtype=np.uint64)
     return Generator(Philox(key=_stream_key(int(seed), int(stream)), counter=counter))
+
+
+def replica_stream(seed: int, stream: int) -> Callable[[int], Generator]:
+    """``replica -> rng_for(seed, replica, stream)``, draw for draw, from one Philox.
+
+    Each call reseats the one generator: counter replica * 2^128 and an empty
+    buffer, as a fresh ``Philox`` starts.  That is a few times cheaper than
+    building one, but a returned generator is valid only until the next call.
+    """
+    bitgen = Philox(key=_stream_key(int(seed), int(stream)))
+    generator = Generator(bitgen)
+    key = bitgen.state["state"]["key"].tolist()
+
+    def at(replica: int) -> Generator:
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"counter": _replica_counter(replica), "key": key},
+                        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0}
+        return generator
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -83,13 +112,20 @@ class SimConfig:
 
     @functools.cached_property
     def _sampler_start(self) -> tuple:
-        """``simulate_direct``'s initial state: majorant, per-slot mass and
-        phi, their Fenwick tree and phi's sum.  Built once; runs copy it."""
-        majorant = _Majorant(self.kernel)
+        """``simulate_direct``'s initial state: the majorant state over the
+        initial masses (a node of this config's majorant trie), phi by mass,
+        per-slot mass and phi, their Fenwick tree and phi's sum.  Built once;
+        runs copy the dict and the lists, and share the trie."""
+        state = _MajorantState()
+        seen = {}
         n0 = self.n
         mass = [float(x) for x in self.masses] + [0.0] * (n0 - 1)
-        phi = [majorant.phi(x) for x in mass[:n0]] + [0.0] * (n0 - 1)
-        return majorant, mass, phi, _fenwick(phi), math.fsum(phi)
+        for x in mass[:n0]:
+            if x not in seen:
+                state = state.step(self.kernel, x)
+                seen[x] = state.phi
+        phi = [seen[x] for x in mass[:n0]] + [0.0] * (n0 - 1)
+        return state, seen, mass, phi, _fenwick(phi), math.fsum(phi)
 
     def __getstate__(self) -> dict:
         # the sampler start is O(N) and rebuilt on demand: pickles leave it out
@@ -118,12 +154,15 @@ class SimConfig:
                        self.horizon, self.allow_gelation)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time: float
     left: int   # node id consumed
     right: int  # node id consumed
     node: int   # node id created
+
+
+# Event from a (time, left, right, node) tuple, without the field-by-field __new__
+_event = functools.partial(tuple.__new__, Event)
 
 
 @dataclass(frozen=True)
@@ -134,7 +173,7 @@ class EventLog:
 
     def __post_init__(self):
         times = [e.time for e in self.events]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if any(map(operator.le, times[1:], times)):
             raise ValueError("event times must be strictly increasing")
 
     def n_events(self, t: Optional[float] = None) -> int:
@@ -178,40 +217,66 @@ def simulate_direct(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog
     accepted, and each event draws one exponential and two uniforms.
 
     The state at time 0 (the majorant over the initial masses, phi, the
-    Fenwick tree and S1) is built once per ``cfg`` and each run works on its
-    own copy, so a run never sees masses that another run created.
+    Fenwick tree and S1) is built once per ``cfg``, and each run works on its
+    own copy of phi, the masses and the tree.  The majorant state (c and
+    phi_floor) after each sequence of masses met is memoised per ``cfg``: a
+    trie keyed by the masses in the order met, whose nodes are built from the
+    same kernel row as when each run built its own.  So a run never sees
+    masses that another run created, and draws what it would have drawn alone.
     """
     if rng is None:
         rng = rng_for(cfg.seed, cfg.replica)
-    evaluate = cfg.kernel.evaluate
+    kernel = cfg.kernel
+    evaluate = kernel.evaluate
+    exponential, uniform = rng.standard_exponential, rng.random
     n0 = cfg.n
     size = 2 * n0 - 1  # one slot per node id; merged clusters get new ids
-    majorant, mass, phi, tree, s1 = cfg._sampler_start
-    majorant = majorant.copy()
-    mass, phi, tree = mass.copy(), phi.copy(), tree.copy()
-    top = 1 << (size.bit_length() - 1)
+    state, seen, mass, phi, tree, s1 = cfg._sampler_start
+    seen, mass, phi, tree = seen.copy(), mass.copy(), phi.copy(), tree.copy()
+    c, phi_floor = state.c, state.phi_floor
+    # a descent's steps: top, the largest power of two not above size, to 1
+    steps = [1 << b for b in range(size.bit_length() - 1, -1, -1)]
     rate_scale = 2.0 * cfg.n_eff
+    horizon = cfg.horizon
 
-    events = []
+    times, lefts, rights = [], [], []
     proposals = 0
     t = 0.0
     next_id = n0
     while next_id < size:  # two or more clusters alive
-        scale = majorant.c * (s1 - majorant.phi_floor)
+        scale = c * (s1 - phi_floor)
         total = scale * s1
         if not total > 0.0:
             break
-        t += rng.standard_exponential() * rate_scale / total
-        if t > cfg.horizon:
+        t += exponential() * rate_scale / total
+        if t > horizon:
             break
         proposals += 1
-        # a draw that rounding carries onto a dead slot is a rejection
-        i = _fenwick_find(tree, top, rng.random() * total, scale)
+        # i: the first slot whose prefix sum of phi, times scale, exceeds the
+        # target, by descending the 1-based Fenwick tree (slot k at k + 1); a
+        # draw that rounding carries onto a dead slot is a rejection
+        target = uniform() * total
+        i, acc = 0, 0.0
+        for step in steps:
+            k = i + step
+            s = acc + tree[k]
+            if s * scale <= target:
+                i, acc = k, s
         if i == size or phi[i] == 0.0:
             continue
         pi = phi[i]
         rest_i = s1 - pi
-        j = _fenwick_find(tree, top, rng.random() * rest_i, 1.0, i, pi)
+        # j: the same descent with slot i counted as empty, its phi taken off
+        # every node that covers it
+        target = uniform() * rest_i
+        j, acc = 0, 0.0
+        for step in steps:
+            k = j + step
+            s = acc + tree[k]
+            if j <= i < k:
+                s -= pi
+            if s <= target:
+                j, acc = k, s
         if j == size or j == i or phi[j] == 0.0:
             continue
         pj = phi[j]
@@ -219,7 +284,7 @@ def simulate_direct(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog
         num = 2.0 * evaluate(mass[i], mass[j]) * rest_i * rest_j
         den = scale * pi * pj * (rest_i + rest_j)
         if num < den:
-            if rng.random() * den >= num:
+            if uniform() * den >= num:
                 continue
         elif not num <= den * (1.0 + RATIO_ROUNDING):
             raise ValueError(
@@ -227,96 +292,103 @@ def simulate_direct(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog
                 f"is above the thinning majorant: acceptance ratio {num / den!r}")
 
         x = mass[i] + mass[j]
-        events.append(Event(t, min(i, j), max(i, j), next_id))
-        px = majorant.phi(x)
-        _fenwick_add(tree, i, -pi)
-        _fenwick_add(tree, j, -pj)
-        _fenwick_add(tree, next_id, px)
+        times.append(t)
+        if i < j:
+            lefts.append(i)
+            rights.append(j)
+        else:
+            lefts.append(j)
+            rights.append(i)
+        px = seen.get(x)
+        if px is None:  # a mass new to this run moves the majorant
+            state = state.step(kernel, x)
+            px = seen[x] = state.phi
+            c, phi_floor = state.c, state.phi_floor
+        # Fenwick updates: slots i and j empty, slot next_id gets px
+        k = i + 1
+        while k <= size:
+            tree[k] -= pi
+            k += k & -k
+        k = j + 1
+        while k <= size:
+            tree[k] -= pj
+            k += k & -k
+        k = next_id + 1
+        while k <= size:
+            tree[k] += px
+            k += k & -k
         phi[i] = phi[j] = 0.0
         mass[next_id], phi[next_id] = x, px
         s1 += px - pi - pj
         next_id += 1
-    return EventLog(cfg, tuple(events), proposals)
+    events = tuple(map(_event, zip(times, lefts, rights, range(n0, next_id))))
+    return EventLog(cfg, events, proposals)
 
 
-class _Majorant:
-    """c = max K(x, y) / (phi(x) phi(y)) and phi_floor = min phi(x) over the
-    masses x, y seen so far."""
+class _MajorantState:
+    """The thinning majorant after a run has met some masses, in some order.
 
-    def __init__(self, kernel: Kernel):
-        self.kernel = kernel
-        self.c = 0.0
-        self.phi_floor = math.inf
-        self._phi = {}  # mass -> phi(mass)
+    c = max K(x, y) / (phi(x) phi(y)) and phi_floor = min phi(x) over the
+    masses x, y met so far.  ``mass`` is the last of them and ``phi`` its
+    phi; the earlier ones are read back through ``parent``, so a state holds
+    O(1) memory.  ``step(kernel, x)`` gives the state after a mass x not yet
+    met, built on first use and kept in ``children``: the states of one
+    config form a trie, shared by its runs.  Each state built costs one
+    kernel row, so a trie never holds more states than the kernel rows its
+    runs would have computed each on their own.
+    """
 
-    def copy(self) -> "_Majorant":
-        out = _Majorant(self.kernel)
-        out.c, out.phi_floor, out._phi = self.c, self.phi_floor, dict(self._phi)
-        return out
+    __slots__ = ("c", "phi_floor", "mass", "phi", "parent", "children")
 
-    def phi(self, x: float) -> float:
-        """phi(x); a mass not seen before first folds its pairs into c."""
-        p = self._phi.get(x)
-        if p is not None:
-            return p
-        p = float(self.kernel.phi(x))
+    def __init__(self, c: float = 0.0, phi_floor: float = math.inf, mass=None,
+                 phi=None, parent: Optional["_MajorantState"] = None):
+        self.c, self.phi_floor = c, phi_floor
+        self.mass, self.phi, self.parent = mass, phi, parent
+        self.children = {}  # next new mass -> state
+
+    def step(self, kernel: Kernel, x: float) -> "_MajorantState":
+        child = self.children.get(x)
+        if child is not None:
+            return child
+        p = float(kernel.phi(x))
         if not p > 0.0:
-            raise ValueError(f"kernel {self.kernel.name!r} has phi({x!r}) = {p!r}; "
+            raise ValueError(f"kernel {kernel.name!r} has phi({x!r}) = {p!r}; "
                              "the sampler needs phi > 0")
-        self._phi[x] = p
-        d = len(self._phi)
-        masses = np.fromiter(self._phi, float, d)
-        phis = np.fromiter(self._phi.values(), float, d)
-        ratios = np.asarray(self.kernel.evaluate(x, masses), dtype=float) / (p * phis)
+        masses, phis = [], []
+        node = self
+        while node.parent is not None:
+            masses.append(node.mass)
+            phis.append(node.phi)
+            node = node.parent
+        # the masses met, in that order, then x
+        masses = np.array(masses[::-1] + [x], dtype=float)
+        phis = np.array(phis[::-1] + [p], dtype=float)
+        ratios = np.asarray(kernel.evaluate(x, masses), dtype=float) / (p * phis)
         largest = float(ratios.max())
         if not math.isfinite(largest):
-            raise ValueError(f"kernel {self.kernel.name!r} gives K / (phi phi) = "
+            raise ValueError(f"kernel {kernel.name!r} gives K / (phi phi) = "
                              f"{largest!r} at mass {x!r}")
-        self.c = max(self.c, largest)
-        self.phi_floor = min(self.phi_floor, p)
-        return p
+        child = _MajorantState(max(self.c, largest), min(self.phi_floor, p), x, p, self)
+        self.children[x] = child
+        return child
 
 
 def _fenwick(weights: list) -> list:
-    """1-based Fenwick tree over ``weights`` (slot k at index k + 1), O(len)."""
+    """1-based Fenwick tree over ``weights`` (slot k at index k + 1), O(len).
+
+    Past the last slot it is padded with +inf up to index 2 top - 1, top the
+    largest power of two not above the slot count: a descent reads nodes up
+    to there, and a prefix sum of +inf exceeds every finite target, so it
+    never steps past the last slot.
+    """
     tree = [0.0] + weights
     size = len(weights)
     for k in range(1, size + 1):
         up = k + (k & -k)
         if up <= size:
             tree[up] += tree[k]
-    return tree
-
-
-def _fenwick_add(tree: list, slot: int, delta: float) -> None:
-    k, end = slot + 1, len(tree)
-    while k < end:
-        tree[k] += delta
-        k += k & -k
-
-
-def _fenwick_find(tree: list, top: int, target: float, scale: float,
-                  skip: int = -1, skip_weight: float = 0.0) -> int:
-    """First slot whose prefix sum times ``scale`` exceeds ``target``.
-
-    ``top`` is the largest power of two not above the slot count.  Slot
-    ``skip`` counts as empty: ``skip_weight``, its weight, is taken off every
-    node that covers it.  Returns the slot count when no prefix exceeds.
-    """
-    size = len(tree) - 1
-    skip += 1
-    pos, acc = 0, 0.0
-    step = top
-    while step:
-        nxt = pos + step
-        if nxt <= size:
-            s = acc + tree[nxt]
-            if pos < skip <= nxt:
-                s -= skip_weight
-            if s * scale <= target:
-                pos, acc = nxt, s
-        step >>= 1
-    return pos
+    top = 1 << (size.bit_length() - 1)
+    return tree + [math.inf] * (2 * top - 1 - size)
 
 
 def simulate_coupled(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog:

@@ -127,6 +127,10 @@ def _unit_masses(units: np.ndarray, quantum: Fraction) -> np.ndarray:
     return np.array([u * num / den for u in units.tolist()])
 
 
+# the solver's absolute tolerance, per unit of its relative tolerance ``tol``
+ATOL_PER_TOL = 1e-2
+
+
 class SolutionPath:
     """Dense-in-time solution of the mean-field equation on a fixed mass lattice.
 
@@ -174,7 +178,13 @@ class SolutionPath:
         return (1 - a) * self.weights[k] + a * self.weights[k + 1]
 
     def spectrum_at(self, t: float) -> MassSpectrum:
-        return MassSpectrum(tuple(self.masses), tuple(self.weights_at(t)))
+        """The weights at ``t`` as a spectrum.  The solver keeps each weight
+        only to within its absolute tolerance, so far out on the lattice it
+        can leave tiny negatives: those no larger than that tolerance read as
+        0.0, and anything more negative still raises ``ValueError``."""
+        w = self.weights_at(t)
+        w[(w < 0.0) & (w >= -ATOL_PER_TOL * self.tol)] = 0.0
+        return MassSpectrum(tuple(self.masses), tuple(w))
 
     def moment(self, p: float, t: float) -> float:
         return float(np.sum(self.weights_at(t) * self.masses ** p))
@@ -287,7 +297,7 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
         warnings.simplefilter("error", category=RuntimeWarning)
         try:
             sol = solve_ivp(rhs, (0.0, t_end), c0, method="RK45", t_eval=times,
-                            rtol=tol, atol=tol * 1e-2, dense_output=False)
+                            rtol=tol, atol=ATOL_PER_TOL * tol, dense_output=False)
         except (RuntimeWarning, FloatingPointError) as e:
             raise SolverError(f"integration blew up before t={t_end}: {e}") from e
     if not sol.success:

@@ -11,6 +11,7 @@ from coagtree.simulate import (
     ConfigError,
     ConstantOne,
     EmpiricalHistoricalMeasure,
+    Event,
     FunctionalProduct,
     MassCutoff,
     ShapeIndicator,
@@ -18,6 +19,7 @@ from coagtree.simulate import (
     SimConfig,
     empirical_measure,
     evaluate_functional,
+    replica_stream,
     rng_for,
     simulate_coupled,
     simulate_direct,
@@ -27,6 +29,7 @@ from tests_support import (
     reference_atoms,
     reference_rng_for,
     reference_simulate_direct,
+    reference_thinning_sampler,
     write_additive_table,
 )
 
@@ -99,6 +102,57 @@ def test_constant_kernel_matches_the_reference_sampler(n, replicas, rate_n):
         log = simulate_direct(cfg, rng_for(14, r))
         assert event_keys(log) == event_keys(reference_simulate_direct(cfg, rng_for(14, r)))
         assert log.proposals == len(log.events)
+
+
+def counting(kernel):
+    """``kernel`` with a count of its array (kernel row) evaluations."""
+    rows = []
+
+    def evaluate(x, y):
+        if np.ndim(x) or np.ndim(y):
+            rows.append(np.size(y))
+        return kernel.evaluate(x, y)
+
+    return Kernel(kernel.name, evaluate, kernel.phi, kernel.ktilde_bound), rows
+
+
+# kernel, initial masses, horizon, rate_n
+THINNING_CASES = {
+    "constant": ("constant", (1.0,) * 60, 3.0, None),
+    "additive": ("additive", (1.0,) * 60, 1.0, None),
+    "product": ("product", (1.0,) * 60, 0.9, None),
+    "inverse-sum": ("inverse-sum", (1.0,) * 60, 3.0, None),
+    "tabulated": ("tabulated", (1.0,) * 60, 1.0, None),
+    "additive-bidisperse": ("additive", (0.1, 0.7) * 30, 1.0, None),
+    "additive-rate_n": ("additive", (1.0,) * 60, 1.0, 90),
+}
+
+
+@pytest.mark.parametrize("case", THINNING_CASES)
+def test_sampler_matches_the_reference_thinning_sampler(case, tmp_path):
+    # 60 runs of one config re-enter the memoised majorant states that
+    # earlier runs built; every run must still draw what the sampler drew
+    # when each run built its own majorant from scratch
+    name, masses, horizon, rate_n = THINNING_CASES[case]
+    if name == "tabulated":
+        kernel = tabulated_kernel(write_additive_table(tmp_path / "xy.csv"))
+    else:
+        kernel = builtin(name)
+    oracle, oracle_rows = counting(kernel)
+    kernel, rows = counting(kernel)
+    cfg = SimConfig(len(masses), masses, kernel, horizon, seed=18, rate_n=rate_n)
+    ref = SimConfig(len(masses), masses, oracle, horizon, seed=18, rate_n=rate_n)
+    merged = 0
+    for r in range(60):
+        log = simulate_direct(cfg, rng_for(18, r))
+        want = reference_thinning_sampler(ref, rng_for(18, r))
+        assert event_keys(log) == event_keys(want), r
+        assert log.proposals == want.proposals, r
+        assert all(type(e) is Event for e in log.events)
+        merged += len(log.events)
+    assert merged > 0
+    # each memoised state cost one kernel row, and the runs shared them
+    assert 0 < len(rows) < len(oracle_rows)
 
 
 def test_tabulated_kernel_thins_little(tmp_path):
@@ -308,6 +362,32 @@ def test_rng_for_matches_the_jumped_reference():
                                       want.bit_generator.random_raw(8)), \
                     (seed, stream, replica)
                 assert got.random() == want.random()
+
+
+def test_reseated_replica_stream_matches_rng_for():
+    # one Philox, reseated per replica, draws what a fresh rng_for draws:
+    # also when the replica before it left a partial block of four words
+    # (random_raw(3)) or half a word pending for a 32-bit draw
+    leftovers = (lambda g: None,
+                 lambda g: g.bit_generator.random_raw(3),
+                 lambda g: g.integers(2 ** 32, dtype=np.uint32))
+    for seed in (0, 1, 1004, 2 ** 40):
+        for stream in (0, 7, 11, 13):
+            at = replica_stream(seed, stream)
+            for replica in REPLICAS:
+                for leave in leftovers:
+                    leave(at(replica + 1))
+                    got, want = at(replica), rng_for(seed, replica, stream)
+                    assert np.array_equal(got.bit_generator.random_raw(8),
+                                          want.bit_generator.random_raw(8)), \
+                        (seed, stream, replica)
+                    assert np.array_equal(got.integers(2 ** 32, size=3, dtype=np.uint32),
+                                          want.integers(2 ** 32, size=3, dtype=np.uint32))
+                    assert got.random() == want.random()
+    at = replica_stream(3, 0)
+    for replica in (-1, 2 ** 128):
+        with pytest.raises(ValueError, match="replica"):
+            at(replica)
 
 
 def test_rng_for_refuses_replicas_outside_its_range():

@@ -112,6 +112,26 @@ def test_weight_of_reads_the_nearest_atom():
         assert path.spectrum_at(2.0).weight_of(float(k)) == float(weights[k - 1])
 
 
+
+@pytest.mark.parametrize("mu0,kernel", [
+    (MONO, CONSTANT),
+    (MassSpectrum.from_pairs([(1.0, 0.5), (2.0, 0.5)]), CONSTANT),
+    (MONO, INVERSE_SUM)], ids=["mono", "bidisperse", "inverse-sum"])
+def test_spectrum_at_reads_rounding_negatives_as_zero(mu0, kernel):
+    # at t = 1 the dense output leaves weights far out on the lattice a few
+    # 1e-60 below zero, well inside the solver's absolute tolerance
+    path = solve(mu0, kernel, 2.0)
+    weights = path.weights_at(1.0)
+    assert (weights < 0.0).any()
+    spec = path.spectrum_at(1.0)
+    assert spec.weights == tuple(np.where(weights < 0.0, 0.0, weights))
+    # where every weight is nonnegative the floats are the path's own
+    assert path.spectrum_at(2.0).weights == tuple(path.weights_at(2.0))
+    # beyond the tolerance a negative weight is a defect, and still raises
+    path.weights[:, -1] = -path.tol
+    with pytest.raises(ValueError, match="nonnegative"):
+        path.spectrum_at(1.0)
+
 def test_mass_conservation():
     for kernel in (CONSTANT, INVERSE_SUM):
         path = solve(MONO, kernel, 2.0, tol=1e-8)

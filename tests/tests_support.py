@@ -1,15 +1,17 @@
 """Shared helpers for tests: random tree and density-query generators, a
 tabulated kernel file, nested Gauss-Legendre quadrature over node times, and
-the reference jump-chain sampler, replica streams, history building, mass
-lattice and pair index."""
+the reference jump-chain and thinning samplers, replica streams, history
+building, mass lattice and pair index."""
 
 import functools
+import math
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
+from coagtree.kernels import Kernel
 from coagtree.limit import TimeIntegral, _labeled_density, build_preorder
-from coagtree.simulate import Event, EventLog, rng_for
+from coagtree.simulate import RATIO_ROUNDING, Event, EventLog, rng_for
 from coagtree.trees import hist_leaf, hist_node, preorder, shapes_with_leaves
 
 
@@ -195,6 +197,147 @@ def reference_simulate_direct(cfg, rng=None):
         r[-1] = float(np.asarray(kernel.evaluate(new_mass, m[:-1]), dtype=float).sum())
         next_id += 1
     return EventLog(cfg, tuple(events))
+
+
+def reference_thinning_sampler(cfg, rng=None):
+    """The thinning sampler as it was before its majorant states were
+    memoised per config and its Fenwick helpers inlined: each run builds its
+    own ``_Majorant`` from scratch, paying one kernel row per mass it meets,
+    and descends and updates the tree through ``_fenwick_find`` and
+    ``_fenwick_add``.  Same law, same draws, same floats.
+    """
+    if rng is None:
+        rng = rng_for(cfg.seed, cfg.replica)
+    evaluate = cfg.kernel.evaluate
+    n0 = cfg.n
+    size = 2 * n0 - 1  # one slot per node id; merged clusters get new ids
+    majorant = _Majorant(cfg.kernel)
+    mass = [float(x) for x in cfg.masses] + [0.0] * (n0 - 1)
+    phi = [majorant.phi(x) for x in mass[:n0]] + [0.0] * (n0 - 1)
+    tree, s1 = _fenwick(phi), math.fsum(phi)
+    top = 1 << (size.bit_length() - 1)
+    rate_scale = 2.0 * cfg.n_eff
+
+    events = []
+    proposals = 0
+    t = 0.0
+    next_id = n0
+    while next_id < size:  # two or more clusters alive
+        scale = majorant.c * (s1 - majorant.phi_floor)
+        total = scale * s1
+        if not total > 0.0:
+            break
+        t += rng.standard_exponential() * rate_scale / total
+        if t > cfg.horizon:
+            break
+        proposals += 1
+        # a draw that rounding carries onto a dead slot is a rejection
+        i = _fenwick_find(tree, top, rng.random() * total, scale)
+        if i == size or phi[i] == 0.0:
+            continue
+        pi = phi[i]
+        rest_i = s1 - pi
+        j = _fenwick_find(tree, top, rng.random() * rest_i, 1.0, i, pi)
+        if j == size or j == i or phi[j] == 0.0:
+            continue
+        pj = phi[j]
+        rest_j = s1 - pj
+        num = 2.0 * evaluate(mass[i], mass[j]) * rest_i * rest_j
+        den = scale * pi * pj * (rest_i + rest_j)
+        if num < den:
+            if rng.random() * den >= num:
+                continue
+        elif not num <= den * (1.0 + RATIO_ROUNDING):
+            raise ValueError(
+                f"kernel {cfg.kernel.name!r} at masses ({mass[i]!r}, {mass[j]!r}) "
+                f"is above the thinning majorant: acceptance ratio {num / den!r}")
+
+        x = mass[i] + mass[j]
+        events.append(Event(t, min(i, j), max(i, j), next_id))
+        px = majorant.phi(x)
+        _fenwick_add(tree, i, -pi)
+        _fenwick_add(tree, j, -pj)
+        _fenwick_add(tree, next_id, px)
+        phi[i] = phi[j] = 0.0
+        mass[next_id], phi[next_id] = x, px
+        s1 += px - pi - pj
+        next_id += 1
+    return EventLog(cfg, tuple(events), proposals)
+
+
+class _Majorant:
+    """c = max K(x, y) / (phi(x) phi(y)) and phi_floor = min phi(x) over the
+    masses x, y seen so far."""
+
+    def __init__(self, kernel: Kernel):
+        self.kernel = kernel
+        self.c = 0.0
+        self.phi_floor = math.inf
+        self._phi = {}  # mass -> phi(mass)
+
+    def phi(self, x: float) -> float:
+        """phi(x); a mass not seen before first folds its pairs into c."""
+        p = self._phi.get(x)
+        if p is not None:
+            return p
+        p = float(self.kernel.phi(x))
+        if not p > 0.0:
+            raise ValueError(f"kernel {self.kernel.name!r} has phi({x!r}) = {p!r}; "
+                             "the sampler needs phi > 0")
+        self._phi[x] = p
+        d = len(self._phi)
+        masses = np.fromiter(self._phi, float, d)
+        phis = np.fromiter(self._phi.values(), float, d)
+        ratios = np.asarray(self.kernel.evaluate(x, masses), dtype=float) / (p * phis)
+        largest = float(ratios.max())
+        if not math.isfinite(largest):
+            raise ValueError(f"kernel {self.kernel.name!r} gives K / (phi phi) = "
+                             f"{largest!r} at mass {x!r}")
+        self.c = max(self.c, largest)
+        self.phi_floor = min(self.phi_floor, p)
+        return p
+
+
+def _fenwick(weights: list) -> list:
+    """1-based Fenwick tree over ``weights`` (slot k at index k + 1), O(len)."""
+    tree = [0.0] + weights
+    size = len(weights)
+    for k in range(1, size + 1):
+        up = k + (k & -k)
+        if up <= size:
+            tree[up] += tree[k]
+    return tree
+
+
+def _fenwick_add(tree: list, slot: int, delta: float) -> None:
+    k, end = slot + 1, len(tree)
+    while k < end:
+        tree[k] += delta
+        k += k & -k
+
+
+def _fenwick_find(tree: list, top: int, target: float, scale: float,
+                  skip: int = -1, skip_weight: float = 0.0) -> int:
+    """First slot whose prefix sum times ``scale`` exceeds ``target``.
+
+    ``top`` is the largest power of two not above the slot count.  Slot
+    ``skip`` counts as empty: ``skip_weight``, its weight, is taken off every
+    node that covers it.  Returns the slot count when no prefix exceeds.
+    """
+    size = len(tree) - 1
+    skip += 1
+    pos, acc = 0, 0.0
+    step = top
+    while step:
+        nxt = pos + step
+        if nxt <= size:
+            s = acc + tree[nxt]
+            if pos < skip <= nxt:
+                s -= skip_weight
+            if s * scale <= target:
+                pos, acc = nxt, s
+        step >>= 1
+    return pos
 
 
 def reference_lattice(masses, k_max):
