@@ -178,7 +178,8 @@ def cmd_solve(args) -> int:
             for m, c in zip(path.masses, w):
                 if c > 0:
                     writer.writerow([repr(float(t)), repr(float(m)), repr(float(c))])
-    counters = {"lattice_points": len(path.masses), "mass_leak": path.leak}
+    counters = {"lattice_points": len(path.masses), "mass_leak": path.leak,
+                "solver_steps": path.steps, "solver_nfev": path.nfev}
     timings = {"solve_s": solved - start, "write_s": time.perf_counter() - solved}
     _write_manifest(*manifest_args, counters=counters, timings=timings)
     return 0
@@ -215,7 +216,8 @@ def cmd_limit(args) -> int:
             unconverged += not integral.converged
     # the time integrals' own errors, before the coefficient in limit.csv
     counters = {"terms": n_terms, "max_error": max_error,
-                "unconverged": unconverged, "mass_leak": path.leak}
+                "unconverged": unconverged, "mass_leak": path.leak,
+                "solver_steps": path.steps, "solver_nfev": path.nfev}
     timings = {"solve_s": solved - start, "terms_s": time.perf_counter() - solved}
     _write_manifest(*manifest_args, counters=counters, timings=timings)
     return 0

@@ -92,8 +92,9 @@ class ConvergenceReport:
     slopes: dict  # functional name -> log-log variance slope
     verdicts: dict  # functional name -> "PASS" | "FAIL" | "INCONCLUSIVE"
     tail_bounds: dict  # functional name -> limit-side truncation tail
-    # run telemetry, not part of to_json: the solve's relative mass leak, the
-    # unconverged limit terms per functional, and per ladder size N (keyed
+    # run telemetry, not part of to_json: the solve's relative mass leak,
+    # accepted steps and right-hand-side evaluations, the unconverged limit
+    # terms per functional, and per ladder size N (keyed
     # str(N)) replicas, events, proposals and acceptance; solve_s, limit_s
     # and the ladder's seconds per size
     counters: dict = field(default_factory=dict)
@@ -176,6 +177,7 @@ def run_lln(plan: ExperimentPlan) -> ConvergenceReport:
     timings = {"solve_s": solved - start, "limit_s": time.perf_counter() - solved,
                "ladder_s": {}}
     counters = {"mass_leak": path.leak,
+                "solver_steps": path.steps, "solver_nfev": path.nfev,
                 "unconverged_terms": {name: res.unconverged for name, res in limits.items()}}
 
     rows = []

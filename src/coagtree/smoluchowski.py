@@ -25,9 +25,9 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
 
-from .kernels import ConfigError, Kernel, check_gelation
+from .kernels import ConfigError, Kernel, KernelError, check_gelation
 
 # largest denominator of a mass read as a fraction, and how closely that
 # fraction must give the float mass back
@@ -53,6 +53,8 @@ class MassSpectrum:
             raise ValueError("need matching nonempty masses and weights")
         if not (np.isfinite(m) & (m > 0)).all():
             raise ValueError("masses must be positive and finite")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")
         if (np.diff(m) <= 0).any():
@@ -140,7 +142,7 @@ class SolutionPath:
 
     def __init__(self, units: np.ndarray, quantum: Fraction, times: np.ndarray,
                  weights: np.ndarray, kernel: Kernel, mu0: MassSpectrum, tol: float,
-                 leak: float):
+                 leak: float, steps: int, nfev: int):
         self.units = np.asarray(units, dtype=np.int64)  # lattice masses / quantum
         self.quantum = quantum
         self.masses = _unit_masses(self.units, quantum)
@@ -151,6 +153,8 @@ class SolutionPath:
         self.mu0 = mu0
         self.tol = tol
         self.leak = leak  # mass off the lattice at t_end, relative to the start
+        self.steps = steps  # accepted solver steps
+        self.nfev = nfev  # right-hand side evaluations
         self._lambda_cache: dict[float, np.ndarray] = {}
 
     @property
@@ -264,7 +268,14 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
     quantum or an initial mass beyond that lattice.  The mass that leaks past
     the lattice by ``t_end`` is kept on the path as ``leak``, relative to the
     initial mass, and warned about when it exceeds 10 * tol. Refuses horizons
-    inside the gelation window unless overridden.
+    inside the gelation window unless overridden, and a kernel with a
+    non-finite entry on the lattice with :class:`KernelError`.
+
+    RK45 (rtol ``tol``, atol ``ATOL_PER_TOL * tol``) steps to ``t_end``; after
+    each accepted step, the ``n_grid`` equally spaced times that the step
+    covers are read from its interpolant into their rows of the weights, as
+    ``solve_ivp`` with ``t_eval`` would.  The path keeps the accepted steps
+    and right-hand-side evaluations as ``steps`` and ``nfev``.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -282,28 +293,46 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
     c0[np.searchsorted(units, atoms)] = mu0.weights
 
     kmat = kernel.matrix(masses)
+    bad = np.argwhere(~np.isfinite(kmat))
+    if len(bad):
+        i, j = bad[0]
+        raise KernelError(f"kernel {kernel.name!r} gives {float(kmat[i, j])!r} at "
+                          f"masses ({float(masses[i])!r}, {float(masses[j])!r})")
     ii, jj, kk = _pair_index(units)
     # unordered pairs; i == j counted once with 1/2
     half_k = np.where(ii == jj, 0.5, 1.0) * kmat[ii, jj]
+    # the pairs are in row-major order, so c[ii] is c repeated per row
+    per_row = np.bincount(ii, minlength=n)
+    pair = np.empty(len(ii))
 
     def rhs(_t, c):
-        pair = half_k * c[ii] * c[jj]
+        np.multiply(half_k, np.repeat(c, per_row), out=pair)
+        np.multiply(pair, c.take(jj), out=pair)
         gain = np.bincount(kk, weights=pair, minlength=n)
         loss = c * (kmat @ c)
         return gain - loss
 
     times = np.linspace(0.0, t_end, n_grid)
+    weights = np.empty((n_grid, n))
+    filled = steps = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", category=RuntimeWarning)
         try:
-            sol = solve_ivp(rhs, (0.0, t_end), c0, method="RK45", t_eval=times,
-                            rtol=tol, atol=ATOL_PER_TOL * tol, dense_output=False)
+            solver = RK45(rhs, 0.0, c0, float(t_end), rtol=tol, atol=ATOL_PER_TOL * tol)
+            while solver.status == "running":
+                message = solver.step()
+                if solver.status == "failed":
+                    raise SolverError(f"integration failed: {message}")
+                steps += 1
+                # the grid times this step covers, read from its interpolant
+                upto = int(np.searchsorted(times, solver.t, side="right"))
+                if upto > filled:
+                    weights[filled:upto] = solver.dense_output()(times[filled:upto]).T
+                    filled = upto
         except (RuntimeWarning, FloatingPointError) as e:
             raise SolverError(f"integration blew up before t={t_end}: {e}") from e
-    if not sol.success:
-        raise SolverError(f"integration failed: {sol.message}")
+    assert filled == n_grid, "the solver stopped short of the last grid time"
 
-    weights = sol.y.T.copy()
     total0 = float(np.sum(c0 * masses))
     total_end = float(np.sum(weights[-1] * masses))
     leak = total0 - total_end
@@ -312,7 +341,7 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
             f"mass {leak:.3e} left the {n}-point lattice by t={t_end}; "
             "increase k_max for tighter tails", stacklevel=2)
     return SolutionPath(units, quantum, times, weights, kernel, mu0, tol,
-                        leak / total0 if total0 > 0 else 0.0)
+                        leak / total0 if total0 > 0 else 0.0, steps, solver.nfev)
 
 
 def constant_kernel_weights(t: float, k: np.ndarray) -> np.ndarray:

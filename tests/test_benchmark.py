@@ -1,0 +1,29 @@
+"""The benchmark's ``limit`` workload runs and passes its own checks.
+
+A tiny run, untraced and traced, as a subprocess (about 4 s each), so that a
+change to the solver, the limit evaluator or the objects the tracer wraps
+(such as ``SolutionPath.survival_exponent``) cannot break the benchmark
+unseen.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_tiny_limit_workload_is_correct(trace):
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "limit",
+         "--size", "tiny", "--seconds", "1", "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    last = json.loads(result.stdout.strip().splitlines()[-1])
+    assert last["correct"], result.stderr
+    assert last["failed"] == 0
+    assert last["attempted"] > 0

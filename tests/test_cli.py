@@ -101,6 +101,8 @@ def test_limit_manifest_records_counters_and_timings(tmp_path):
     assert 0.0 <= counters["max_error"] <= 1e-9
     assert counters["unconverged"] == 0
     assert 0.0 <= counters["mass_leak"] <= 1e-7
+    assert counters["solver_steps"] > 0
+    assert counters["solver_nfev"] >= 2 + 6 * counters["solver_steps"]
     assert set(manifest["timings"]) == {"solve_s", "terms_s"}
     assert all(v >= 0.0 for v in manifest["timings"].values())
     assert manifest["subcommand"] == "limit"
@@ -117,6 +119,8 @@ def test_solve_manifest_records_counters_and_timings(tmp_path):
     # constant K, t = 2: the untruncated solution holds sum_{k>16} k c_k(2)
     # = 18 / 2^17 of the mass beyond 16 units; the truncated one loses about that
     assert counters["mass_leak"] == pytest.approx(18 / 2**17, rel=0.05)
+    assert counters["solver_steps"] > 0
+    assert counters["solver_nfev"] >= 2 + 6 * counters["solver_steps"]
     assert set(manifest["timings"]) == {"solve_s", "write_s"}
     assert all(v >= 0.0 for v in manifest["timings"].values())
     assert manifest["subcommand"] == "solve"
@@ -189,8 +193,11 @@ def test_lln_manifest_records_counters_and_timings(tmp_path):
     assert main(["lln", str(plan), "--out", str(out), "--jobs", "1"]) in (0, 1)
     manifest = json.loads((out / "manifest.json").read_text())
     counters = manifest["counters"]
-    assert set(counters) == {"30", "100", "mass_leak", "unconverged_terms"}
+    assert set(counters) == {"30", "100", "mass_leak", "solver_steps", "solver_nfev",
+                             "unconverged_terms"}
     assert 0.0 <= counters["mass_leak"] <= 1e-7
+    assert counters["solver_steps"] > 0
+    assert counters["solver_nfev"] >= 2 + 6 * counters["solver_steps"]
     assert counters["unconverged_terms"] == {"leaf": 0, "cherry": 0}
     for n, replicas in (("30", 60), ("100", 30)):
         c = counters[n]

@@ -1,11 +1,12 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from coagtree.kernels import builtin
-from coagtree.kernels import ConfigError
+from coagtree.kernels import builtin, gelation_time, tabulated_kernel
+from coagtree.kernels import ConfigError, Kernel, KernelError
 from coagtree.smoluchowski import (
     MassSpectrum,
     SolverError,
@@ -15,6 +16,7 @@ from coagtree.smoluchowski import (
     mass_quantum,
     solve,
 )
+from tests_support import reference_solve, write_additive_table
 
 CONSTANT = builtin("constant")
 INVERSE_SUM = builtin("inverse-sum")
@@ -296,3 +298,93 @@ def test_mass_spectrum_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             MassSpectrum((1.0, bad), (0.5, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# the solve against its solve_ivp reference, float for float
+
+SPECTRA = {
+    "mono": MassSpectrum.monodisperse(),
+    "1-2": MassSpectrum((1.0, 2.0), (0.5, 0.25)),
+    "0.1-0.7": MassSpectrum((0.1, 0.7), (0.5, 0.5)),
+    "2-5": MassSpectrum((2.0, 5.0), (0.3, 0.1)),
+    "3-7-11": MassSpectrum((3.0, 7.0, 11.0), (0.2, 0.1, 0.05)),
+}
+HORIZONS = {"constant": 2.0, "additive": 0.5, "product": 0.5, "inverse-sum": 2.0,
+            "tabulated": 0.5}
+
+
+def _solve_both(mu0, kernel, t, **kw):
+    """Both solves, with the warnings each one gave."""
+    out = []
+    for fn in (solve, reference_solve):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            path = fn(mu0, kernel, t, **kw)
+        out.append((path, [str(w.message) for w in caught]))
+    return out
+
+
+@pytest.mark.parametrize("spectrum", sorted(SPECTRA))
+@pytest.mark.parametrize("name", sorted(HORIZONS))
+def test_solve_matches_the_solve_ivp_reference(name, spectrum, tmp_path):
+    mu0 = SPECTRA[spectrum]
+    kernel = (tabulated_kernel(write_additive_table(tmp_path / "k.csv"))
+              if name == "tabulated" else builtin(name))
+    t = min(HORIZONS[name], 0.5 * gelation_time(kernel, mu0.masses, mu0.weights))
+    (got, got_warned), (want, want_warned) = _solve_both(mu0, kernel, t)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.weights.flags.c_contiguous
+    assert got.leak == want.leak
+    assert got.nfev == want.nfev
+    assert got_warned == want_warned
+
+
+@pytest.mark.parametrize("kw", [{"k_max": 16}, {"n_grid": 37}, {"tol": 1e-6, "n_grid": 2}],
+                         ids=["leaking-k_max-16", "n_grid-37", "n_grid-2"])
+def test_solve_matches_the_solve_ivp_reference_off_the_defaults(kw):
+    (got, got_warned), (want, want_warned) = _solve_both(MONO, CONSTANT, 2.0, **kw)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.leak == want.leak
+    assert got.nfev == want.nfev
+    assert got_warned == want_warned
+    if "k_max" in kw:
+        assert got.leak > 1e-4 and "left the 16-point lattice" in got_warned[0]
+
+
+def test_path_counts_solver_steps():
+    path = solve(MONO, CONSTANT, 2.0)
+    assert path.steps > 0
+    # RK45: two evaluations to start, then six per attempted step
+    assert (path.nfev - 2) % 6 == 0
+    assert path.nfev >= 2 + 6 * path.steps
+
+
+def _nan_above_3(x, y):
+    s = np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
+    return np.where(s > 3.0, np.nan, 1.0)
+
+
+def test_non_finite_kernel_is_refused():
+    # a NaN rate made RK45's first step size NaN, and its rejection loop
+    # never ended
+    kernel = Kernel("nan-above-3", _nan_above_3, np.ones_like)
+    with pytest.raises(KernelError, match=r"'nan-above-3' gives nan at masses \(1\.0, 3\.0\)"):
+        solve(MONO, kernel, 1.0)
+    inf = Kernel("inf", lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)),
+                                             np.inf), np.ones_like)
+    with pytest.raises(KernelError, match=r"'inf' gives inf at masses \(1\.0, 1\.0\)"):
+        solve(MONO, inf, 1.0)
+
+
+def test_non_finite_weights_are_refused():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            MassSpectrum((1.0, 2.0), (0.5, bad))
+
+
+def test_overflowing_solve_raises_solver_error():
+    with pytest.raises(SolverError, match="blew up before t=1.0: overflow"):
+        solve(MassSpectrum.monodisperse(1.0, 1e200), CONSTANT, 1.0)

@@ -1,17 +1,29 @@
 """Shared helpers for tests: random tree and density-query generators, a
 tabulated kernel file, nested Gauss-Legendre quadrature over node times, and
 the reference jump-chain and thinning samplers, replica streams, history
-building, mass lattice and pair index."""
+building, mass lattice, pair index and mean-field solve."""
 
 import functools
 import math
+import warnings
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
+from scipy.integrate import solve_ivp
 
-from coagtree.kernels import Kernel
+from coagtree.kernels import ConfigError, Kernel, check_gelation
 from coagtree.limit import TimeIntegral, _labeled_density, build_preorder
 from coagtree.simulate import RATIO_ROUNDING, Event, EventLog, rng_for
+from coagtree.smoluchowski import (
+    ATOL_PER_TOL,
+    SolutionPath,
+    SolverError,
+    _fraction,
+    _lattice,
+    _pair_index,
+    _unit_masses,
+    mass_quantum,
+)
 from coagtree.trees import hist_leaf, hist_node, preorder, shapes_with_leaves
 
 
@@ -374,3 +386,57 @@ def reference_pair_index(masses):
                 jj.append(j)
                 kk.append(k)
     return np.array(ii), np.array(jj), np.array(kk)
+
+
+def reference_solve(mu0, kernel, t_end, tol=1e-8, k_max=256, allow_gelation=False,
+                    n_grid=2001):
+    """The ``solve`` that the direct RK45 loop replaced: ``solve_ivp`` with
+    ``t_eval`` on the grid, gathering ``c[ii]`` and ``c[jj]`` in the right-hand
+    side.  ``solve_ivp`` does not report its step count, so ``steps`` is None."""
+    if t_end <= 0:
+        raise ValueError("t_end must be positive")
+    check_gelation(kernel, mu0.masses, mu0.weights, t_end, allow_gelation)
+
+    quantum = mass_quantum(mu0.masses)
+    atoms = [int(_fraction(m) / quantum) for m in mu0.masses]
+    units = _lattice(atoms, k_max)
+    n = len(units)
+    if atoms[-1] > units[-1]:
+        raise ConfigError(f"initial mass {mu0.masses[-1]!r} lies beyond the "
+                          f"{k_max}-point lattice; raise k_max")
+    masses = _unit_masses(units, quantum)
+    c0 = np.zeros(n)
+    c0[np.searchsorted(units, atoms)] = mu0.weights
+
+    kmat = kernel.matrix(masses)
+    ii, jj, kk = _pair_index(units)
+    # unordered pairs; i == j counted once with 1/2
+    half_k = np.where(ii == jj, 0.5, 1.0) * kmat[ii, jj]
+
+    def rhs(_t, c):
+        pair = half_k * c[ii] * c[jj]
+        gain = np.bincount(kk, weights=pair, minlength=n)
+        loss = c * (kmat @ c)
+        return gain - loss
+
+    times = np.linspace(0.0, t_end, n_grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", category=RuntimeWarning)
+        try:
+            sol = solve_ivp(rhs, (0.0, t_end), c0, method="RK45", t_eval=times,
+                            rtol=tol, atol=ATOL_PER_TOL * tol, dense_output=False)
+        except (RuntimeWarning, FloatingPointError) as e:
+            raise SolverError(f"integration blew up before t={t_end}: {e}") from e
+    if not sol.success:
+        raise SolverError(f"integration failed: {sol.message}")
+
+    weights = sol.y.T.copy()
+    total0 = float(np.sum(c0 * masses))
+    total_end = float(np.sum(weights[-1] * masses))
+    leak = total0 - total_end
+    if leak > 10 * tol * max(total0, 1.0):
+        warnings.warn(
+            f"mass {leak:.3e} left the {n}-point lattice by t={t_end}; "
+            "increase k_max for tighter tails", stacklevel=2)
+    return SolutionPath(units, quantum, times, weights, kernel, mu0, tol,
+                        leak / total0 if total0 > 0 else 0.0, None, sol.nfev)
