@@ -27,12 +27,11 @@ from .simulate import (
     ShapeIndicator,
     ShapeTimeBoxIndicator,
     SimConfig,
-    empirical_measure,
     rng_for,
     simulate,
 )
 from .smoluchowski import MassSpectrum, solve
-from .trees import LEAF, serialize, shape_node
+from .trees import LEAF, shape_node
 
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
@@ -95,22 +94,36 @@ def _read_mu0(path: str) -> MassSpectrum:
     return MassSpectrum.from_pairs(pairs)
 
 
+def _history_text(log) -> tuple:
+    """The canonical text of the histories in ``log``, from the event log
+    alone: each event's two children (in the log's order), and each history
+    alive at the end, by ascending node id.
+
+    Each live node carries (leaf count, text), which is its
+    ``HistoricalTree``'s ``sort_key``: the smaller pair is the left child.
+    """
+    live = {i: (1, repr(float(m))) for i, m in enumerate(log.config.masses)}
+    children = []
+    for e in log.events:
+        a, b = live.pop(e.left), live.pop(e.right)
+        children.append((a[1], b[1]))
+        if b < a:
+            a, b = b, a
+        live[e.node] = (a[0] + b[0], "(%s,%s)@%r" % (a[1], b[1], float(e.time)))
+    return children, [text for _, text in live.values()]
+
+
 def _write_events(log, outdir: Path) -> list:
     events_path = outdir / "events.csv"
     trees_path = outdir / "trees.txt"
-    from .trees import hist_leaf, hist_node
-
-    built = {i: hist_leaf(m, label=i) for i, m in enumerate(log.config.masses)}
+    children, forest = _history_text(log)
     with open(events_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["event_index", "time", "left_serial", "right_serial"])
-        for k, e in enumerate(log.events):
-            writer.writerow([k, repr(e.time), built[e.left].serial,
-                             built[e.right].serial])
-            built[e.node] = hist_node(e.time, built.pop(e.left), built.pop(e.right))
+        writer.writerows([k, repr(e.time), a, b]
+                         for k, (e, (a, b)) in enumerate(zip(log.events, children)))
     with open(trees_path, "w") as fh:
-        for tree in built.values():
-            fh.write(serialize(tree) + "\n")
+        fh.writelines(text + "\n" for text in forest)
     return [events_path, trees_path]
 
 
@@ -290,11 +303,8 @@ def cmd_gallery(args) -> int:
     for (name, horizon), out in zip(GALLERY, outputs):
         kernel = builtin(name)
         cfg = SimConfig.monodisperse(128, kernel, horizon, seed=seed)
-        log = simulate(cfg)
-        m = empirical_measure(log, horizon)
         with open(out, "w") as fh:
-            for tree in m.atoms:
-                fh.write(serialize(tree) + "\n")
+            fh.writelines(text + "\n" for text in _history_text(simulate(cfg))[1])
     return 0
 
 

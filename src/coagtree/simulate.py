@@ -395,47 +395,43 @@ def simulate_coupled(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLo
     """Coupled exponential-clock construction.
 
     Each candidate merged labeled tree {i, j} carries a clock
-    S = max(S_i, S_j) + (N / K(y_i, y_j)) * U with U ~ Exp(1), memoized by the
-    tree's canonical label key.  Clocks are drawn lazily, in sorted key order,
-    so only trees reachable from the realized trajectory are materialized.
+    S = max(S_i, S_j) + (N / K(y_i, y_j)) * U with U ~ Exp(1), keyed by the
+    tree's canonical label key.  Clocks are drawn lazily: the initial pairs,
+    then at each merge the new cluster's pairs, each batch in sorted key
+    order, so only trees reachable from the realized trajectory get a clock.
     """
     if rng is None:
         rng = rng_for(cfg.seed, cfg.replica)
     if cfg.n > 12:
         raise ConfigError("coupled construction is limited to N <= 12")
-    kernel = cfg.kernel
-    n0 = cfg.n
+    evaluate = cfg.kernel.evaluate
+    rate_n = cfg.n_eff
 
-    # live entries: (label key, node id, S birth time, tree)
-    live = [(str(i), i, 0.0, hist_leaf(cfg.masses[i], label=i)) for i in range(n0)]
-    clocks: dict[str, float] = {}
+    # live clusters by ascending node id: (label key, S birth time, mass)
+    live = {i: (str(i), 0.0, float(m)) for i, m in enumerate(cfg.masses)}
+    ids = list(live)
+    new = [(a, b) for x, a in enumerate(ids) for b in ids[x + 1:]]
+    clocks = {}  # (node id, node id), smaller first -> (S, pair key), live pairs only
     events = []
-    next_id = n0
-    while len(live) > 1:
-        candidates = []
-        for x in range(len(live)):
-            for y in range(x + 1, len(live)):
-                ka, ia, sa, ta = live[x]
-                kb, ib, sb, tb = live[y]
-                key = "{%s,%s}" % ((ka, kb) if ka < kb else (kb, ka))
-                candidates.append((key, x, y))
-        for key, x, y in sorted(candidates):
-            if key not in clocks:
-                _, _, sa, ta = live[x]
-                _, _, sb, tb = live[y]
-                rate = kernel.evaluate(ta.mass, tb.mass)
-                clocks[key] = max(sa, sb) + (cfg.n_eff / float(rate)) * rng.standard_exponential()
-        best = min(candidates, key=lambda c: (clocks[c[0]], c[0]))
-        s = clocks[best[0]]
+    next_id = cfg.n
+    while new:
+        keyed = []
+        for a, b in new:
+            ka, kb = live[a][0], live[b][0]
+            keyed.append(("{%s,%s}" % ((ka, kb) if ka < kb else (kb, ka)), a, b))
+        for key, a, b in sorted(keyed):
+            (_, sa, ma), (_, sb, mb) = live[a], live[b]
+            rate = evaluate(ma, mb)
+            clocks[a, b] = (max(sa, sb) + (rate_n / float(rate)) * rng.standard_exponential(),
+                            key)
+        (a, b), (s, key) = min(clocks.items(), key=operator.itemgetter(1))
         if s > cfg.horizon:
             break
-        _, x, y = best
-        ka, ia, sa, ta = live[x]
-        kb, ib, sb, tb = live[y]
-        events.append(Event(s, ia, ib, next_id))
-        merged = (best[0], next_id, s, hist_node(s, ta, tb))
-        live = [live[k] for k in range(len(live)) if k not in (x, y)]
-        live.append(merged)
+        events.append(Event(s, a, b, next_id))
+        clocks = {pair: c for pair, c in clocks.items() if a not in pair and b not in pair}
+        mass = live.pop(a)[2] + live.pop(b)[2]
+        new = [(i, next_id) for i in live]
+        live[next_id] = (key, s, mass)
         next_id += 1
     return EventLog(cfg, tuple(events))
 

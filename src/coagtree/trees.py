@@ -8,6 +8,7 @@ equality is insensitive to child order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -26,7 +27,7 @@ class ParseError(TreeError):
 # shapes
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TreeShape:
     """Unlabeled binary tree; ``LEAF`` or an internal node with two children.
 
@@ -84,7 +85,7 @@ def _shape_from_preorder(is_leaf: list) -> TreeShape:
 
 def shape_node(a: TreeShape, b: TreeShape) -> TreeShape:
     """Internal node with children in canonical order."""
-    if b.sort_key() < a.sort_key():
+    if (b.n_leaves, b.serial) < (a.n_leaves, a.serial):  # sort_key, inlined
         a, b = b, a
     return TreeShape(a, b)
 
@@ -114,7 +115,7 @@ def shapes_up_to(n_max: int) -> list[TreeShape]:
 # historical trees
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class HistoricalTree:
     """Merger history of one cluster: leaf masses plus internal merge times.
 
@@ -142,21 +143,22 @@ class HistoricalTree:
     def __post_init__(self):
         a, b = self.left, self.right
         if a is None:
-            if self.mass_value is None or not self.mass_value > 0:
+            mass = self.mass_value
+            if mass is None or not mass > 0:
                 raise TreeError("leaf mass must be positive")
-            n_leaves, mass, shape = 1, self.mass_value, LEAF
-            serial = repr(float(self.mass_value))
+            n_leaves, shape, serial = 1, LEAF, repr(float(mass))
         else:
-            if self.time is None or not self.time > 0:
+            t = self.time
+            if t is None or not t > 0:
                 raise TreeError("merge time must be positive")
             for child in (a, b):
-                if not child.is_leaf and child.time > self.time:
+                if child.left is not None and child.time > t:
                     raise TreeError(
-                        f"non-monotone times: child at {child.time} above parent at {self.time}"
+                        f"non-monotone times: child at {child.time} above parent at {t}"
                     )
             n_leaves, mass = a.n_leaves + b.n_leaves, a.mass + b.mass
             shape = shape_node(a.shape, b.shape)
-            serial = f"({a.serial},{b.serial})@{float(self.time)!r}"
+            serial = "(%s,%s)@%r" % (a.serial, b.serial, float(t))
         put = object.__setattr__  # frozen: the derived fields are written once, here
         put(self, "n_leaves", n_leaves)
         put(self, "mass", mass)
@@ -423,11 +425,18 @@ def distinct_labelings(shape: TreeShape, labels: list[int]) -> set:
 
 
 # ---------------------------------------------------------------------------
-# text format: leaf = decimal mass, node = "(" child "," child ")" "@" time
+# text format: leaf = decimal mass, node = "(" child "," child ")" "@" time;
+# whitespace is allowed before and after every token
 
 
 def serialize(xi: HistoricalTree) -> str:
     return xi.serial
+
+
+# a token is a run of number characters or any other single character; the
+# group leaves out the whitespace before it
+_NUMBER = re.compile(r"[\d+\-.eE]+")
+_TOKEN = re.compile(r"\s*(%s|\S)" % _NUMBER.pattern)
 
 
 def parse(text: str, strict: bool = False) -> HistoricalTree:
@@ -436,77 +445,77 @@ def parse(text: str, strict: bool = False) -> HistoricalTree:
     With ``strict=True``, equal times anywhere in the tree are rejected
     (simulation output never produces ties).
     """
-    pos = 0
-
-    def error(msg: str):
-        raise ParseError(msg, pos)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def number() -> float:
-        nonlocal pos
-        start = pos
-        while pos < len(text) and (text[pos].isdigit() or text[pos] in "+-.eE"):
-            pos += 1
-        if pos == start:
-            error("expected a number")
-        try:
-            return float(text[start:pos])
-        except ValueError:
-            pos = start
-            error(f"bad number {text[start:pos + 20]!r}")
-
+    tokens = _TOKEN.findall(text)
+    n = len(tokens)
+    k = 0  # the next token
     # One entry per open "(": False while its first child is being read,
     # True while its second is.  Finished subtrees wait on ``done``.
     open_nodes: list[bool] = []
     done: list[HistoricalTree] = []
+    times: list[float] = []
     while True:
-        skip_ws()
-        if pos >= len(text):
-            error("unexpected end of input")
-        if text[pos] == "(":
-            pos += 1
+        if k == n:
+            raise ParseError("unexpected end of input", _position(text, k))
+        tok = tokens[k]
+        if tok == "(":
+            k += 1
             open_nodes.append(False)
             continue
-        val = number()
+        try:
+            val = float(tok)
+        except ValueError:
+            _not_a_number(text, tokens, k)
+        k += 1
         if not val > 0:
-            error("leaf mass must be positive")
-        done.append(hist_leaf(val))
+            raise ParseError("leaf mass must be positive", _position(text, k - 1, end=True))
+        done.append(HistoricalTree(mass_value=val))
         while open_nodes and open_nodes[-1]:
-            skip_ws()
-            if pos >= len(text) or text[pos] != ")":
-                error("expected ')'")
-            pos += 1
-            skip_ws()
-            if pos >= len(text) or text[pos] != "@":
-                error("expected '@' with a merge time")
-            pos += 1
-            t = number()
+            if k == n or tokens[k] != ")":
+                raise ParseError("expected ')'", _position(text, k))
+            if k + 1 == n or tokens[k + 1] != "@":
+                raise ParseError("expected '@' with a merge time", _position(text, k + 1))
+            k += 3
+            try:
+                t = float(tokens[k - 1])
+            except (IndexError, ValueError):
+                _not_a_number(text, tokens, k - 1)
             b = done.pop()
             a = done.pop()
+            if (b.n_leaves, b.serial) < (a.n_leaves, a.serial):
+                a, b = b, a
             try:
-                done.append(hist_node(t, a, b))
+                done.append(HistoricalTree(time=t, left=a, right=b))
             except TreeError as e:
-                error(str(e))
+                raise ParseError(str(e), _position(text, k - 1, end=True))
+            times.append(t)
             open_nodes.pop()
         if not open_nodes:
             break
-        skip_ws()
-        if pos >= len(text) or text[pos] != ",":
-            error("expected ','")
-        pos += 1
+        if k == n or tokens[k] != ",":
+            raise ParseError("expected ','", _position(text, k))
+        k += 1
         open_nodes[-1] = True
 
-    tree = done[0]
-    skip_ws()
-    if pos != len(text):
-        error("trailing input")
-    if strict:
-        times = [v.time for v in tree.walk() if not v.is_leaf]
-        # this also catches a child tied with its parent
-        if len(times) != len(set(times)):
-            raise ParseError("duplicate merge times under strict validation", 0)
-    return tree
+    if k != n:
+        raise ParseError("trailing input", _position(text, k))
+    # this also catches a child tied with its parent
+    if strict and len(times) != len(set(times)):
+        raise ParseError("duplicate merge times under strict validation", 0)
+    return done[0]
+
+
+def _not_a_number(text: str, tokens: list, k: int):
+    """``ParseError`` at the start of token ``k``, which ``float`` refused."""
+    if k < len(tokens) and _NUMBER.fullmatch(tokens[k]):
+        start = _position(text, k)
+        raise ParseError(f"bad number {text[start:start + 20]!r}", start)
+    raise ParseError("expected a number", _position(text, k))
+
+
+def _position(text: str, k: int, end: bool = False) -> int:
+    """Where token ``k`` starts (ends, with ``end``) in ``text``, or the end
+    of the text when there are only ``k`` tokens."""
+    for i, match in enumerate(_TOKEN.finditer(text)):
+        if i == k:
+            return match.end(1) if end else match.start(1)
+    return len(text)

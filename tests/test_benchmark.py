@@ -1,7 +1,8 @@
-"""The benchmark's ``limit`` workload runs and passes its own checks.
+"""The benchmark's ``sim`` and ``limit`` workloads run and pass their own checks.
 
-A tiny run, untraced and traced, as a subprocess (about 4 s each), so that a
-change to the solver, the limit evaluator or the objects the tracer wraps
+A tiny run of each, untraced and traced, as a subprocess (about 4 s each), so
+that a change to the sampler, the history text writer, ``parse``, the tree
+classes, the solver, the limit evaluator or the objects the tracer wraps
 (such as ``SolutionPath.survival_exponent``) cannot break the benchmark
 unseen.
 """
@@ -16,10 +17,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_tiny_limit_workload_is_correct(trace):
+def run_tiny(workload, trace):
     result = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "limit",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--size", "tiny", "--seconds", "1", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
@@ -27,3 +27,13 @@ def test_tiny_limit_workload_is_correct(trace):
     assert last["correct"], result.stderr
     assert last["failed"] == 0
     assert last["attempted"] > 0
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_tiny_sim_workload_is_correct(trace):
+    run_tiny("sim", trace)
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_tiny_limit_workload_is_correct(trace):
+    run_tiny("limit", trace)

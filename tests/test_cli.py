@@ -1,10 +1,15 @@
+import csv
+import hashlib
 import json
 import os
 
 import pytest
 
-from coagtree.cli import main
-from coagtree.trees import parse
+from coagtree.cli import _write_events, main
+from coagtree.kernels import builtin
+from coagtree.simulate import SimConfig, simulate
+from coagtree.trees import HistoricalTree, parse
+from tests_support import reference_parse, reference_write_events
 
 
 def read(path):
@@ -26,6 +31,83 @@ def test_simulate_writes_events_and_trees(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "simulate"
     assert manifest["seed"] == 7
+
+
+def sha256(path):
+    return hashlib.sha256(read(path)).hexdigest()
+
+
+def test_cli_outputs_are_pinned(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--kernel", "constant", "--n", "10000", "--t", "2",
+                 "--seed", "1", "--out", str(out)]) == 0
+    assert sha256(out / "trees.txt") == \
+        "33bfc9ff81e8b12a4b66b8ac51fabd76f895b39d99cb0cae544cc7b7e0cc24c3"
+    assert sha256(out / "events.csv") == \
+        "b710fa12001ce8c2d948288eef045d32f6c36cdbe8384b58f2f21c9ada410e6c"
+    out = tmp_path / "gal"
+    assert main(["gallery", "--seed", "1010", "--out", str(out)]) == 0
+    assert {name: sha256(out / f"gallery-{name}.txt")
+            for name in ("constant", "inverse-sum", "product")} == {
+        "constant": "03f7c74fb1e4a2ebf5c7f4cf92de63063f53caef6799aa23d0b4bf63d9b32888",
+        "inverse-sum": "fa21fa38302442fe36779c41beae60f71bca46a8b328855ca569552c9b89bd35",
+        "product": "5f85f0c9a0572c4f1d8342c47b7c69e91514fcf64d900301f608fd224b2c8ac5",
+    }
+
+
+# N=3000 runs with masses cycling over {1, 2, 3}: (kernel, horizon)
+WRITER_RUNS = (("constant", 2.0), ("additive", 0.8), ("product", 0.15),
+               ("inverse-sum", 5.0))
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """Per run: the directory the writer filled and the one the reference did."""
+    out = {}
+    for name, horizon in WRITER_RUNS:
+        cfg = SimConfig(3000, tuple(1.0 + k % 3 for k in range(3000)), builtin(name),
+                        horizon, seed=13)
+        log = simulate(cfg)
+        assert len(log.events) > 500
+        new, old = tmp_path_factory.mktemp(name), tmp_path_factory.mktemp(name)
+        _write_events(log, new)
+        reference_write_events(log, old)
+        out[name] = new, old
+    return out
+
+
+@pytest.mark.parametrize("name", [name for name, _ in WRITER_RUNS])
+def test_writer_matches_the_reference(written, name):
+    new, old = written[name]
+    for file in ("events.csv", "trees.txt"):
+        assert read(new / file) == read(old / file)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in WRITER_RUNS])
+def test_parse_matches_the_reference_on_written_histories(written, name):
+    new, _ = written[name]
+    lines = (new / "trees.txt").read_text().splitlines()
+    with open(new / "events.csv", newline="") as fh:
+        for row in list(csv.reader(fh))[1:]:
+            lines += row[2:]
+    for line in lines:
+        tree = parse(line, strict=True)
+        assert tree == reference_parse(line, strict=True)
+        assert tree.serial == reference_parse(line).serial == line
+
+
+def test_simulate_and_gallery_build_no_trees(tmp_path, monkeypatch):
+    def no_trees(self):
+        raise AssertionError("a HistoricalTree was built")
+
+    monkeypatch.setattr(HistoricalTree, "__post_init__", no_trees)
+    assert main(["simulate", "--kernel", "additive", "--n", "300", "--t", "1",
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert main(["simulate", "--n", "6", "--t", "2", "--construction", "coupled",
+                 "--out", str(tmp_path / "coupled")]) == 0
+    assert main(["gallery", "--out", str(tmp_path / "gal")]) == 0
+    with pytest.raises(AssertionError, match="HistoricalTree"):
+        parse("1.0")
 
 
 def test_simulate_single_particle(tmp_path):

@@ -28,6 +28,7 @@ from coagtree.trees import LEAF, preorder, shape_node
 from tests_support import (
     reference_atoms,
     reference_rng_for,
+    reference_simulate_coupled,
     reference_simulate_direct,
     reference_thinning_sampler,
     write_additive_table,
@@ -251,6 +252,23 @@ def test_coupled_two_particles_law():
     expected = math.exp(-0.5)
     se = math.sqrt(expected * (1 - expected) / replicas)
     assert abs(alive / replicas - expected) <= 4 * se
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("name, horizon", [("constant", 2.0), ("product", 0.5),
+                                           ("additive", 0.8)])
+def test_coupled_construction_matches_the_reference(name, horizon, n):
+    kernel = builtin(name)
+    configs = (SimConfig.monodisperse(n, kernel, horizon, construction="coupled"),
+               SimConfig(n, tuple(1.0 + k % 3 for k in range(n)), kernel, horizon / 3,
+                         construction="coupled"))
+    merged = 0
+    for cfg in configs:
+        for r in range(1000):
+            log = simulate_coupled(cfg, rng_for(21, r))
+            assert log.events == reference_simulate_coupled(cfg, rng_for(21, r)).events
+            merged += len(log.events)
+    assert merged > 1000
 
 
 def test_coupled_runs_to_completion():

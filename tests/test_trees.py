@@ -32,6 +32,7 @@ from coagtree.trees import (
     symmetry_exponent,
 )
 from coagtree.kernels import builtin
+from tests_support import reference_parse
 
 CONSTANT = builtin("constant")
 ADDITIVE = builtin("additive")
@@ -252,6 +253,80 @@ def test_parse_errors_carry_position():
     # non-monotone times rejected
     with pytest.raises(ParseError):
         parse("((1.0,1.0)@0.9,1.0)@0.4")
+
+
+# refused by both scanners: the five inputs above and five more
+MALFORMED = ("(1.0,2.0", "(1.0,2.0)", "1.0 junk", "(-1.0,2.0)@0.4",
+             "((1.0,1.0)@0.9,1.0)@0.4", "", "inf", "1e", "(1.0,2.0)@",
+             "(1.0;2.0)@1")
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_parse_errors_match_the_reference_scanner(text):
+    with pytest.raises(ParseError) as expected:
+        reference_parse(text)
+    with pytest.raises(ParseError) as got:
+        parse(text)
+    assert str(got.value) == str(expected.value)
+    assert got.value.position == expected.value.position
+
+
+def test_parse_accepts_whitespace_around_every_token():
+    tree = hist_node(0.5, hist_leaf(1.0), hist_leaf(2.0))
+    for text in (" ( 1.0 , 2.0 ) @0.5 ", "(1.0,2.0)@ 0.5", "(1.0,2.0)@\t0.5\n",
+                 " ( 1.0 , 2.0 ) @ 0.5 "):
+        assert parse(text) == tree
+    # the old scanner took no whitespace after "@" only
+    with pytest.raises(ParseError, match="expected a number"):
+        reference_parse("(1.0,2.0)@ 0.5")
+    with pytest.raises(ParseError) as error:
+        parse("(1.0,2.0)@ x")
+    assert str(error.value) == "expected a number (at position 11)"
+
+
+def test_parse_matches_the_reference_scanner_on_mutated_text():
+    # random edits of valid texts: the same tree, or the same error and position
+    import random
+    import re
+
+    rng = random.Random(11)
+    pieces = list("()@,.1e-+2 \t") + ["0.5", "1.0", "1e400", "nan", "x", "(1.0,2.0)@0.5"]
+    texts = ("((1.0,1.0)@0.38,1.0)@1.52", " ( 1.0 , 2.0 ) @0.5 ",
+             "((1.0,2.0)@0.3,(3.0,1.0)@0.2)@0.9")
+
+    def outcome(read, text, strict):
+        try:
+            return read(text, strict).serial
+        except ParseError as e:
+            return str(e), e.position
+
+    compared = 0
+    for _ in range(3000):
+        text = list(rng.choice(texts))
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(text) + 1)
+            edit = rng.random()
+            if edit < 0.4 and text:
+                del text[min(k, len(text) - 1)]
+            else:
+                text.insert(k, rng.choice(pieces))
+        text = "".join(text)
+        if re.search(r"@\s", text):  # the one deliberate difference
+            continue
+        strict = rng.random() < 0.5
+        assert outcome(parse, text, strict) == outcome(reference_parse, text, strict), text
+        compared += 1
+    assert compared > 2500
+
+
+def test_history_nodes_have_slots():
+    tree = hist_node(0.5, hist_leaf(1.0, label=3), hist_leaf(2.0))
+    for node in (tree, tree.left, tree.shape, LEAF):
+        assert not hasattr(node, "__dict__")
+    with pytest.raises(AttributeError):
+        tree.time = 0.25
+    with pytest.raises(AttributeError):
+        tree.shape.serial = "1"
 
 
 def test_parse_strict_rejects_ties():

@@ -1,8 +1,10 @@
 """Shared helpers for tests: random tree and density-query generators, a
 tabulated kernel file, nested Gauss-Legendre quadrature over node times, and
 the reference jump-chain and thinning samplers, replica streams, history
-building, mass lattice, pair index and mean-field solve."""
+building, coupled construction, history text writer and scanner, mass
+lattice, pair index and mean-field solve."""
 
+import csv
 import functools
 import math
 import warnings
@@ -24,7 +26,15 @@ from coagtree.smoluchowski import (
     _unit_masses,
     mass_quantum,
 )
-from coagtree.trees import hist_leaf, hist_node, preorder, shapes_with_leaves
+from coagtree.trees import (
+    ParseError,
+    TreeError,
+    hist_leaf,
+    hist_node,
+    preorder,
+    serialize,
+    shapes_with_leaves,
+)
 
 
 def reference_rng_for(seed, replica=0, stream=0):
@@ -42,6 +52,104 @@ def reference_atoms(log, t):
             break
         trees[e.node] = hist_node(e.time, trees.pop(e.left), trees.pop(e.right))
     return tuple(trees.values())
+
+
+def reference_write_events(log, outdir):
+    """``events.csv`` and ``trees.txt`` as ``coagtree simulate`` once wrote
+    them: one ``HistoricalTree`` built per node, only to read its serial."""
+    events_path = outdir / "events.csv"
+    trees_path = outdir / "trees.txt"
+    built = {i: hist_leaf(m, label=i) for i, m in enumerate(log.config.masses)}
+    with open(events_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["event_index", "time", "left_serial", "right_serial"])
+        for k, e in enumerate(log.events):
+            writer.writerow([k, repr(e.time), built[e.left].serial,
+                             built[e.right].serial])
+            built[e.node] = hist_node(e.time, built.pop(e.left), built.pop(e.right))
+    with open(trees_path, "w") as fh:
+        for tree in built.values():
+            fh.write(serialize(tree) + "\n")
+    return [events_path, trees_path]
+
+
+def reference_parse(text, strict=False):
+    """The character-by-character scanner that the regex ``parse`` replaced.
+    It accepts no whitespace between "@" and the merge time."""
+    pos = 0
+
+    def error(msg):
+        raise ParseError(msg, pos)
+
+    def skip_ws():
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+
+    def number():
+        nonlocal pos
+        start = pos
+        while pos < len(text) and (text[pos].isdigit() or text[pos] in "+-.eE"):
+            pos += 1
+        if pos == start:
+            error("expected a number")
+        try:
+            return float(text[start:pos])
+        except ValueError:
+            pos = start
+            error(f"bad number {text[start:pos + 20]!r}")
+
+    # One entry per open "(": False while its first child is being read,
+    # True while its second is.  Finished subtrees wait on ``done``.
+    open_nodes = []
+    done = []
+    while True:
+        skip_ws()
+        if pos >= len(text):
+            error("unexpected end of input")
+        if text[pos] == "(":
+            pos += 1
+            open_nodes.append(False)
+            continue
+        val = number()
+        if not val > 0:
+            error("leaf mass must be positive")
+        done.append(hist_leaf(val))
+        while open_nodes and open_nodes[-1]:
+            skip_ws()
+            if pos >= len(text) or text[pos] != ")":
+                error("expected ')'")
+            pos += 1
+            skip_ws()
+            if pos >= len(text) or text[pos] != "@":
+                error("expected '@' with a merge time")
+            pos += 1
+            t = number()
+            b = done.pop()
+            a = done.pop()
+            try:
+                done.append(hist_node(t, a, b))
+            except TreeError as e:
+                error(str(e))
+            open_nodes.pop()
+        if not open_nodes:
+            break
+        skip_ws()
+        if pos >= len(text) or text[pos] != ",":
+            error("expected ','")
+        pos += 1
+        open_nodes[-1] = True
+
+    tree = done[0]
+    skip_ws()
+    if pos != len(text):
+        error("trailing input")
+    if strict:
+        times = [v.time for v in tree.walk() if not v.is_leaf]
+        # this also catches a child tied with its parent
+        if len(times) != len(set(times)):
+            raise ParseError("duplicate merge times under strict validation", 0)
+    return tree
 
 
 def random_history(rng, n_leaves, horizon=1.0):
@@ -207,6 +315,51 @@ def reference_simulate_direct(cfg, rng=None):
         ids = np.append(ids[keep], next_id)
         r = np.append(r[keep], 0.0)
         r[-1] = float(np.asarray(kernel.evaluate(new_mass, m[:-1]), dtype=float).sum())
+        next_id += 1
+    return EventLog(cfg, tuple(events))
+
+
+def reference_simulate_coupled(cfg, rng=None):
+    """The coupled construction as it was before it carried masses: a
+    ``HistoricalTree`` per particle and merge, read only for its mass, and
+    every live pair's key rebuilt and sorted at every event."""
+    if rng is None:
+        rng = rng_for(cfg.seed, cfg.replica)
+    if cfg.n > 12:
+        raise ConfigError("coupled construction is limited to N <= 12")
+    kernel = cfg.kernel
+    n0 = cfg.n
+
+    # live entries: (label key, node id, S birth time, tree)
+    live = [(str(i), i, 0.0, hist_leaf(cfg.masses[i], label=i)) for i in range(n0)]
+    clocks = {}
+    events = []
+    next_id = n0
+    while len(live) > 1:
+        candidates = []
+        for x in range(len(live)):
+            for y in range(x + 1, len(live)):
+                ka, ia, sa, ta = live[x]
+                kb, ib, sb, tb = live[y]
+                key = "{%s,%s}" % ((ka, kb) if ka < kb else (kb, ka))
+                candidates.append((key, x, y))
+        for key, x, y in sorted(candidates):
+            if key not in clocks:
+                _, _, sa, ta = live[x]
+                _, _, sb, tb = live[y]
+                rate = kernel.evaluate(ta.mass, tb.mass)
+                clocks[key] = max(sa, sb) + (cfg.n_eff / float(rate)) * rng.standard_exponential()
+        best = min(candidates, key=lambda c: (clocks[c[0]], c[0]))
+        s = clocks[best[0]]
+        if s > cfg.horizon:
+            break
+        _, x, y = best
+        ka, ia, sa, ta = live[x]
+        kb, ib, sb, tb = live[y]
+        events.append(Event(s, ia, ib, next_id))
+        merged = (best[0], next_id, s, hist_node(s, ta, tb))
+        live = [live[k] for k in range(len(live)) if k not in (x, y)]
+        live.append(merged)
         next_id += 1
     return EventLog(cfg, tuple(events))
 
