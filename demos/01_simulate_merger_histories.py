@@ -11,8 +11,8 @@ import coagtree as ct
 
 def main():
     kernel = ct.builtin("constant")
-    cfg = ct.SimConfig.monodisperse(500, kernel, horizon=2.0, seed=42)
-    log = ct.simulate_direct(cfg)
+    cfg = ct.SimConfig.monodisperse(500, kernel, horizon=2.0)
+    log = ct.simulate(cfg, ct.rng_for(42))
     print(f"{len(log.events)} merge events by t = {cfg.horizon}")
 
     for t in (0.5, 1.0, 2.0):

@@ -1,26 +1,16 @@
 """Finite-N distributional checks on small isolated systems.
 
-Compares the direct and coupled-clock constructions, tests simulated event
-times against the analytic jump-chain density, and cross-checks the two
-survival-probability estimators.
+Tests simulated event times against the analytic jump-chain density, and
+cross-checks the two survival-probability estimators.
 """
 
 import coagtree as ct
-from coagtree.lln import (
-    construction_agreement_test,
-    jump_density_test,
-    survival_test,
-)
+from coagtree.lln import jump_density_test, survival_test
 
 
 def main():
     K1 = ct.builtin("constant")
     Kxy = ct.builtin("product")
-
-    rep = construction_agreement_test(4, (1.0,) * 4, K1, 1.0,
-                                      replicas=20000, seed=1)
-    print(f"direct vs coupled (N=4, K=1): KS p={rep.ks_pvalue:.3f}, "
-          f"pair chi2 p={rep.pair_pvalue:.3f}, passed={rep.passed}")
 
     rep = jump_density_test(2, (1.0, 1.0), K1, 2.0, replicas=20000, seed=2)
     print(f"jump density (n=2, K=1): chi2 p={rep.chi2_pvalue:.3f}, "

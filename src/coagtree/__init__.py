@@ -14,7 +14,6 @@ from .limit import (
 from .lln import (
     ConvergenceReport,
     ExperimentPlan,
-    construction_agreement_test,
     jump_density_test,
     run_lln,
     survival_test,
@@ -31,8 +30,6 @@ from .simulate import (
     evaluate_functional,
     rng_for,
     simulate,
-    simulate_coupled,
-    simulate_direct,
 )
 from .smoluchowski import MassSpectrum, SolutionPath, solve
 from .trees import (

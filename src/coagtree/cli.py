@@ -90,6 +90,8 @@ def _read_mu0(path: str) -> MassSpectrum:
         for row in csv.reader(fh):
             if not row or row[0].strip().lower() == "mass":
                 continue
+            if len(row) < 2:
+                raise ConfigError(f"{path}: row {row!r} needs two columns, mass,weight")
             pairs.append((float(row[0]), float(row[1])))
     return MassSpectrum.from_pairs(pairs)
 
@@ -132,12 +134,9 @@ def cmd_simulate(args) -> int:
     kernel = _resolve_kernel(args.kernel)
     outdir = Path(args.out)
     cfg = SimConfig.monodisperse(args.n, kernel, args.t, mass=args.mass,
-                                 seed=seed, construction=args.construction,
                                  allow_gelation=args.allow_gelation)
-    config = {
-        "n": args.n, "mass": args.mass, "kernel": args.kernel, "t": args.t,
-        "construction": args.construction, "replicas": args.replicas,
-    }
+    config = {"n": args.n, "mass": args.mass, "kernel": args.kernel, "t": args.t,
+              "replicas": args.replicas}
     outputs = [outdir / "events.csv", outdir / "trees.txt"]
     manifest_args = (outdir, "simulate", config, seed, [], outputs)
     _write_manifest(*manifest_args)
@@ -154,8 +153,7 @@ def cmd_simulate(args) -> int:
         simulate_s += simulated - start
         write_s += time.perf_counter() - simulated
         events += len(log.events)
-        proposals = None if log.proposals is None else proposals + log.proposals
-    # the coupled construction does not thin, so it has no proposals
+        proposals += log.proposals
     counters = {"events": events, "proposals": proposals,
                 "acceptance": events / proposals if proposals else None}
     timings = {"simulate_s": simulate_s, "write_s": write_s}
@@ -241,7 +239,14 @@ def cmd_lln(args) -> int:
     outdir = Path(args.out)
     with open(args.plan) as fh:
         raw = json.load(fh)
-    kernel = _resolve_kernel(raw.get("kernel", "constant"))
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{args.plan}: a plan must be a JSON object, "
+                          f"got a {type(raw).__name__}")
+    kernel_name = raw.get("kernel", "constant")
+    if not isinstance(kernel_name, str):
+        raise ConfigError(f'{args.plan}: "kernel" must be a name or a file name, '
+                          f"got {kernel_name!r}")
+    kernel = _resolve_kernel(kernel_name)
     mu0 = MassSpectrum.from_pairs(raw.get("mu0", [[1.0, 1.0]]))
     functionals = []
     for spec in raw.get("functionals", [{"type": "leaf"}]):
@@ -302,9 +307,9 @@ def cmd_gallery(args) -> int:
     _write_manifest(outdir, "gallery", config, seed, [], outputs)
     for (name, horizon), out in zip(GALLERY, outputs):
         kernel = builtin(name)
-        cfg = SimConfig.monodisperse(128, kernel, horizon, seed=seed)
+        log = simulate(SimConfig.monodisperse(128, kernel, horizon), rng_for(seed))
         with open(out, "w") as fh:
-            fh.writelines(text + "\n" for text in _history_text(simulate(cfg))[1])
+            fh.writelines(text + "\n" for text in _history_text(log)[1])
     return 0
 
 
@@ -329,8 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--construction", choices=["direct", "coupled"],
-                   default="direct")
     p.add_argument("--replicas", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 

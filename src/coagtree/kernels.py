@@ -167,12 +167,17 @@ def tabulated_kernel(path: str, name: Optional[str] = None) -> Kernel:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [r for r in reader if r]
+    if not rows:
+        raise KernelError(f"kernel table in {path} is empty")
     start = 0
     try:
         float(rows[0][0])
     except ValueError:
         start = 1  # header row
     for r in rows[start:]:
+        if len(r) < 3:
+            raise KernelError(f"kernel table in {path}: row {r!r} needs three "
+                              "columns, x,y,value")
         xs.append(float(r[0]))
         ys.append(float(r[1]))
         vs.append(float(r[2]))

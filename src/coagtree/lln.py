@@ -25,7 +25,7 @@ from .simulate import (
     empirical_measure,
     evaluate_functional,
     replica_stream,
-    simulate_direct,
+    simulate,
 )
 from .smoluchowski import MassSpectrum, solve
 
@@ -140,10 +140,10 @@ def _replica_values(kernel: Kernel, masses: tuple, t: float, seed: int,
     the runs' total events and thinning proposals."""
     out = np.empty((count, len(functionals)))
     events = proposals = 0
-    cfg = SimConfig(len(masses), masses, kernel, t, seed=seed)
+    cfg = SimConfig(len(masses), masses, kernel, t)
     rng_at = replica_stream(seed, stream)
     for k in range(count):
-        log = simulate_direct(cfg, rng_at(start + k))
+        log = simulate(cfg, rng_at(start + k))
         events += len(log.events)
         proposals += log.proposals
         m = empirical_measure(log, t)
@@ -273,10 +273,10 @@ def jump_density_test(n: int, masses, kernel: Kernel, t: float,
 
     first_times = []
     first_pairs = []
-    cfg = SimConfig(n, masses, kernel, t, seed=seed)
+    cfg = SimConfig(n, masses, kernel, t)
     rng_at = replica_stream(seed, stream=7)
     for replica in range(replicas):
-        log = simulate_direct(cfg, rng_at(replica))
+        log = simulate(cfg, rng_at(replica))
         if log.events:
             e = log.events[0]
             first_times.append(e.time)
@@ -331,10 +331,10 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
         return SurvivalReport(n, t, replicas, 1.0, 0.0, 1.0, 0.0, True)
 
     alive = 0
-    cfg = SimConfig(n, masses, kernel, t, seed=seed)
+    cfg = SimConfig(n, masses, kernel, t)
     rng_at = replica_stream(seed, stream=11)
     for replica in range(replicas):
-        log = simulate_direct(cfg, rng_at(replica))
+        log = simulate(cfg, rng_at(replica))
         if all(e.left != 0 and e.right != 0 for e in log.events):
             alive += 1
     p_direct = alive / replicas
@@ -343,10 +343,10 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
     bg_masses = (float(mass),) * (n - 1)
     y1 = float(mass)
     vals = np.empty(replicas)
-    cfg = SimConfig(n - 1, bg_masses, kernel, t, seed=seed, rate_n=n)
+    cfg = SimConfig(n - 1, bg_masses, kernel, t, rate_n=n)
     rng_at = replica_stream(seed, stream=13)
     for replica in range(replicas):
-        log = simulate_direct(cfg, rng_at(replica))
+        log = simulate(cfg, rng_at(replica))
         live = {i: m for i, m in enumerate(bg_masses)}
         g = sum(float(kernel.evaluate(y1, m)) for m in live.values())
         integral = 0.0
@@ -367,50 +367,6 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
     gap = abs(p_direct - p_exp)
     passed = gap <= 3.0 * math.hypot(se_direct, se_exp)
     return SurvivalReport(n, t, replicas, p_direct, se_direct, p_exp, se_exp, passed)
-
-
-@dataclass(frozen=True)
-class ConstructionReport:
-    n: int
-    replicas: int
-    ks_pvalue: float
-    pair_pvalue: float
-    passed: bool
-
-
-def construction_agreement_test(n: int, masses, kernel: Kernel, t: float,
-                                replicas: int = 100000,
-                                seed: int = 0) -> ConstructionReport:
-    """Direct vs coupled construction: same law of (first event time, pair).
-
-    Kolmogorov-Smirnov on first-event times, chi-squared contingency on the
-    identity of the first merged pair; PASS at p > 0.001 for both.
-    """
-    from .simulate import simulate_coupled
-
-    masses = tuple(float(m) for m in masses)
-    samples = {"direct": ([], []), "coupled": ([], [])}
-    for construction, (times, pairs) in samples.items():
-        sim = simulate_direct if construction == "direct" else simulate_coupled
-        stream = 17 if construction == "direct" else 19
-        cfg = SimConfig(n, masses, kernel, t, seed=seed,
-                        construction=construction)
-        rng_at = replica_stream(seed, stream)
-        for replica in range(replicas):
-            log = sim(cfg, rng_at(replica))
-            if log.events:
-                e = log.events[0]
-                times.append(e.time)
-                pairs.append((min(e.left, e.right), max(e.left, e.right)))
-
-    ks_p = float(stats.ks_2samp(samples["direct"][0], samples["coupled"][0]).pvalue)
-    pair_ids = sorted(set(samples["direct"][1]) | set(samples["coupled"][1]))
-    table = np.array([
-        [samples[c][1].count(p) for p in pair_ids] for c in ("direct", "coupled")
-    ])
-    pair_p = float(stats.chi2_contingency(table).pvalue)
-    passed = ks_p > 0.001 and pair_p > 0.001
-    return ConstructionReport(n, replicas, ks_p, pair_p, passed)
 
 
 def tightness_diagnostic(m: EmpiricalHistoricalMeasure, n0: int) -> float:

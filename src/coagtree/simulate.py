@@ -1,20 +1,17 @@
 """Stochastic coagulation with full merger-history recording.
 
-Two constructions of the same process (pairwise merge rate K(x, y)/N):
+``simulate(cfg, rng)`` samples the process (pairwise merge rate K(x, y)/N)
+by majorant thinning: pairs proposed in proportion to phi(x) phi(y) from a
+Fenwick tree and accepted with probability K / majorant, O(log N) work per
+proposal.  Its initial state is built once per ``SimConfig``, and so is
+every majorant state a run reaches: each ``SimConfig`` keeps them in a trie
+keyed by the masses in the order met.
 
-* ``simulate_direct`` - majorant thinning: pairs proposed in proportion to
-  phi(x) phi(y) from a Fenwick tree and accepted with probability
-  K / majorant, O(log N) work per proposal.  Its initial state is built
-  once per ``SimConfig``, and so is every majorant state a run reaches: each
-  ``SimConfig`` keeps them in a trie keyed by the masses in the order met.
-* ``simulate_coupled`` - the exponential-clock family S_{i,j} =
-  max(S_i, S_j) + (N / K(y_i, y_j)) U with i.i.d. unit exponentials U
-  attached to labeled trees, materialized lazily; tiny N only.
-
-Each run draws from ``rng_for(seed, replica, stream)``, a Philox stream that
-depends on those three numbers only, so replicas give the same results in
-any order and in any worker process.  ``replica_stream(seed, stream)`` gives
-the same streams, replica after replica, from one reseated Philox.
+Each run draws from the generator it is given, which is
+``rng_for(seed, replica, stream)``: a Philox stream that depends on those
+three numbers only, so replicas give the same results in any order and in
+any worker process.  ``replica_stream(seed, stream)`` gives the same
+streams, replica after replica, from one reseated Philox.
 
 ``empirical_measure`` reads an event log into flat per-node arrays (interned
 shape id, mass, merge time, children); the built-in functionals evaluate on
@@ -100,9 +97,6 @@ class SimConfig:
     masses: tuple
     kernel: Kernel
     horizon: float
-    seed: int = 0
-    construction: str = "direct"
-    replica: int = 0
     allow_gelation: bool = False
     rate_n: Optional[int] = None  # N in the K/N rate scaling if not len(masses)
 
@@ -112,7 +106,7 @@ class SimConfig:
 
     @functools.cached_property
     def _sampler_start(self) -> tuple:
-        """``simulate_direct``'s initial state: the majorant state over the
+        """``simulate``'s initial state: the majorant state over the
         initial masses (a node of this config's majorant trie), phi by mass,
         per-slot mass and phi, their Fenwick tree and phi's sum.  Built once;
         runs copy the dict and the lists, and share the trie."""
@@ -143,10 +137,6 @@ class SimConfig:
             raise ConfigError(f"expected {self.n} masses, got {len(self.masses)}")
         if any(m <= 0 for m in self.masses):
             raise ConfigError("masses must be positive")
-        if self.construction not in ("direct", "coupled"):
-            raise ConfigError(f"unknown construction {self.construction!r}")
-        if self.construction == "coupled" and self.n > 12:
-            raise ConfigError("coupled construction is limited to N <= 12")
         if not self.horizon >= 0:
             raise ConfigError("horizon must be nonnegative")
         weights = np.full(self.n, 1.0 / self.n)
@@ -169,7 +159,7 @@ _event = functools.partial(tuple.__new__, Event)
 class EventLog:
     config: SimConfig
     events: tuple
-    proposals: Optional[int] = None  # thinning proposals; None when not thinned
+    proposals: Optional[int] = None  # thinning proposals; None for a log built by hand
 
     def __post_init__(self):
         times = [e.time for e in self.events]
@@ -182,18 +172,12 @@ class EventLog:
         return bisect.bisect_right([e.time for e in self.events], t)
 
 
-def simulate(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog:
-    if cfg.construction == "coupled":
-        return simulate_coupled(cfg, rng)
-    return simulate_direct(cfg, rng)
-
-
 # acceptance ratios at most this far above 1 are rounding in c * phi * phi,
 # not a kernel above its majorant
 RATIO_ROUNDING = 1e-12
 
 
-def simulate_direct(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog:
+def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
     """Thinning sampler, O(log N) work per proposal.
 
     Pairs are proposed from a majorant of the merge rates and each proposal
@@ -224,8 +208,6 @@ def simulate_direct(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog
     same kernel row as when each run built its own.  So a run never sees
     masses that another run created, and draws what it would have drawn alone.
     """
-    if rng is None:
-        rng = rng_for(cfg.seed, cfg.replica)
     kernel = cfg.kernel
     evaluate = kernel.evaluate
     exponential, uniform = rng.standard_exponential, rng.random
@@ -389,51 +371,6 @@ def _fenwick(weights: list) -> list:
             tree[up] += tree[k]
     top = 1 << (size.bit_length() - 1)
     return tree + [math.inf] * (2 * top - 1 - size)
-
-
-def simulate_coupled(cfg: SimConfig, rng: Optional[Generator] = None) -> EventLog:
-    """Coupled exponential-clock construction.
-
-    Each candidate merged labeled tree {i, j} carries a clock
-    S = max(S_i, S_j) + (N / K(y_i, y_j)) * U with U ~ Exp(1), keyed by the
-    tree's canonical label key.  Clocks are drawn lazily: the initial pairs,
-    then at each merge the new cluster's pairs, each batch in sorted key
-    order, so only trees reachable from the realized trajectory get a clock.
-    """
-    if rng is None:
-        rng = rng_for(cfg.seed, cfg.replica)
-    if cfg.n > 12:
-        raise ConfigError("coupled construction is limited to N <= 12")
-    evaluate = cfg.kernel.evaluate
-    rate_n = cfg.n_eff
-
-    # live clusters by ascending node id: (label key, S birth time, mass)
-    live = {i: (str(i), 0.0, float(m)) for i, m in enumerate(cfg.masses)}
-    ids = list(live)
-    new = [(a, b) for x, a in enumerate(ids) for b in ids[x + 1:]]
-    clocks = {}  # (node id, node id), smaller first -> (S, pair key), live pairs only
-    events = []
-    next_id = cfg.n
-    while new:
-        keyed = []
-        for a, b in new:
-            ka, kb = live[a][0], live[b][0]
-            keyed.append(("{%s,%s}" % ((ka, kb) if ka < kb else (kb, ka)), a, b))
-        for key, a, b in sorted(keyed):
-            (_, sa, ma), (_, sb, mb) = live[a], live[b]
-            rate = evaluate(ma, mb)
-            clocks[a, b] = (max(sa, sb) + (rate_n / float(rate)) * rng.standard_exponential(),
-                            key)
-        (a, b), (s, key) = min(clocks.items(), key=operator.itemgetter(1))
-        if s > cfg.horizon:
-            break
-        events.append(Event(s, a, b, next_id))
-        clocks = {pair: c for pair, c in clocks.items() if a not in pair and b not in pair}
-        mass = live.pop(a)[2] + live.pop(b)[2]
-        new = [(i, next_id) for i in live]
-        live[next_id] = (key, s, mass)
-        next_id += 1
-    return EventLog(cfg, tuple(events))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ equality is insensitive to child order.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -144,13 +145,13 @@ class HistoricalTree:
         a, b = self.left, self.right
         if a is None:
             mass = self.mass_value
-            if mass is None or not mass > 0:
-                raise TreeError("leaf mass must be positive")
+            if mass is None or not 0 < mass < math.inf:
+                raise TreeError("leaf mass must be positive and finite")
             n_leaves, shape, serial = 1, LEAF, repr(float(mass))
         else:
             t = self.time
-            if t is None or not t > 0:
-                raise TreeError("merge time must be positive")
+            if t is None or not 0 < t < math.inf:
+                raise TreeError("merge time must be positive and finite")
             for child in (a, b):
                 if child.left is not None and child.time > t:
                     raise TreeError(
@@ -466,8 +467,9 @@ def parse(text: str, strict: bool = False) -> HistoricalTree:
         except ValueError:
             _not_a_number(text, tokens, k)
         k += 1
-        if not val > 0:
-            raise ParseError("leaf mass must be positive", _position(text, k - 1, end=True))
+        if not 0 < val < math.inf:
+            raise ParseError("leaf mass must be positive and finite",
+                             _position(text, k - 1, end=True))
         done.append(HistoricalTree(mass_value=val))
         while open_nodes and open_nodes[-1]:
             if k == n or tokens[k] != ")":

@@ -15,7 +15,6 @@ from coagtree.kernels import builtin
 from coagtree.limit import density_product, density_recursive, pushforward_check
 from coagtree.lln import (
     ExperimentPlan,
-    construction_agreement_test,
     jump_density_test,
     run_lln,
     survival_test,
@@ -23,6 +22,7 @@ from coagtree.lln import (
 from coagtree.simulate import ShapeIndicator, ShapeTimeBoxIndicator
 from coagtree.smoluchowski import MassSpectrum, solve
 from coagtree.trees import LEAF, shape_node
+from tests_support import construction_agreement_test
 
 CONSTANT = builtin("constant")
 PRODUCT = builtin("product")

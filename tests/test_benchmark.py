@@ -1,10 +1,11 @@
-"""The benchmark's ``sim`` and ``limit`` workloads run and pass their own checks.
+"""The benchmark's ``sim``, ``limit`` and ``lln`` workloads run and pass their
+own checks.
 
-A tiny run of each, untraced and traced, as a subprocess (about 4 s each), so
-that a change to the sampler, the history text writer, ``parse``, the tree
-classes, the solver, the limit evaluator or the objects the tracer wraps
-(such as ``SolutionPath.survival_exponent``) cannot break the benchmark
-unseen.
+A tiny run of each, untraced and traced, as a subprocess (about 3-4 s each),
+so that a change to the sampler, the history text writer, ``parse``, the
+tree classes, the solver, the limit evaluator, the LLN ladder and finite-N
+checks, or the objects the tracer wraps (such as
+``SolutionPath.survival_exponent``) cannot break the benchmark unseen.
 """
 
 import json
@@ -37,3 +38,8 @@ def test_tiny_sim_workload_is_correct(trace):
 @pytest.mark.parametrize("trace", ["0", "1"])
 def test_tiny_limit_workload_is_correct(trace):
     run_tiny("limit", trace)
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_tiny_lln_workload_is_correct(trace):
+    run_tiny("lln", trace)

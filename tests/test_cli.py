@@ -7,7 +7,7 @@ import pytest
 
 from coagtree.cli import _write_events, main
 from coagtree.kernels import builtin
-from coagtree.simulate import SimConfig, simulate
+from coagtree.simulate import SimConfig, rng_for, simulate
 from coagtree.trees import HistoricalTree, parse
 from tests_support import reference_parse, reference_write_events
 
@@ -66,8 +66,8 @@ def written(tmp_path_factory):
     out = {}
     for name, horizon in WRITER_RUNS:
         cfg = SimConfig(3000, tuple(1.0 + k % 3 for k in range(3000)), builtin(name),
-                        horizon, seed=13)
-        log = simulate(cfg)
+                        horizon)
+        log = simulate(cfg, rng_for(13))
         assert len(log.events) > 500
         new, old = tmp_path_factory.mktemp(name), tmp_path_factory.mktemp(name)
         _write_events(log, new)
@@ -103,8 +103,6 @@ def test_simulate_and_gallery_build_no_trees(tmp_path, monkeypatch):
     monkeypatch.setattr(HistoricalTree, "__post_init__", no_trees)
     assert main(["simulate", "--kernel", "additive", "--n", "300", "--t", "1",
                  "--out", str(tmp_path / "sim")]) == 0
-    assert main(["simulate", "--n", "6", "--t", "2", "--construction", "coupled",
-                 "--out", str(tmp_path / "coupled")]) == 0
     assert main(["gallery", "--out", str(tmp_path / "gal")]) == 0
     with pytest.raises(AssertionError, match="HistoricalTree"):
         parse("1.0")
@@ -228,11 +226,11 @@ def test_simulate_manifest_records_counters_and_timings(tmp_path):
     assert set(manifest["timings"]) == {"simulate_s", "write_s"}
     assert all(v >= 0.0 for v in manifest["timings"].values())
 
-    out = tmp_path / "coupled"
-    assert main(["simulate", "--n", "6", "--t", "1", "--construction", "coupled",
+    out = tmp_path / "replicas"
+    assert main(["simulate", "--kernel", "additive", "--n", "6", "--t", "1",
                  "--replicas", "2", "--out", str(out)]) == 0
     counters = json.loads((out / "manifest.json").read_text())["counters"]
-    assert counters["proposals"] is None and counters["acceptance"] is None
+    assert counters["proposals"] >= counters["events"]
     assert counters["events"] == sum(
         len((out / f"replica-{r:04d}" / "events.csv").read_text().splitlines()) - 1
         for r in range(2))
@@ -310,7 +308,7 @@ def test_lln_plan_with_empty_time_box_is_a_config_error(tmp_path):
                      "--jobs", "1"]) == 2, box
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     # config error
     assert main(["simulate", "--kernel", "bogus", "--n", "4", "--t", "1",
                  "--out", str(tmp_path / "x")]) == 2
@@ -323,6 +321,31 @@ def test_exit_codes(tmp_path):
     # bad plan file
     assert main(["lln", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "w")]) == 2
+    # one sampler: no --construction option
+    with pytest.raises(SystemExit) as exited:
+        main(["simulate", "--construction", "direct", "--out", str(tmp_path / "v")])
+    assert exited.value.code == 2
+    # malformed input files: each is named on stderr, with no traceback
+    capsys.readouterr()
+    mu0 = tmp_path / "mu0.csv"
+    mu0.write_text("mass,weight\n1.0,0.5\n2.0\n")
+    short_row = tmp_path / "short.csv"
+    short_row.write_text("x,y,value\n1.0,1.0,2.0\n1.0,2.0\n2.0,2.0,4.0\n")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("\n")
+    a_list = tmp_path / "list.json"
+    a_list.write_text("[1, 2]\n")
+    kernel_number = tmp_path / "kernel.json"
+    kernel_number.write_text(json.dumps({"kernel": 5}))
+    runs = [(["solve", "--t", "1", "--mu0", str(mu0)], mu0),
+            (["limit", "--t", "1", "--mu0", str(mu0)], mu0),
+            (["simulate", "--n", "4", "--kernel", str(short_row)], short_row),
+            (["simulate", "--n", "4", "--kernel", str(empty)], empty),
+            (["lln", str(a_list)], a_list),
+            (["lln", str(kernel_number)], kernel_number)]
+    for k, (argv, path) in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / f"out{k}")]) == 2, argv
+        assert str(path) in capsys.readouterr().err, argv
 
 
 def test_manifest_written_before_outputs(tmp_path):

@@ -1,7 +1,7 @@
 """The quick demos run to completion as scripts.
 
 Demos 01-03 take a couple of seconds each and demo 05 (the finite-N checks,
-through the thinning sampler) about 9 s.  Demo 04 (the LLN ladder, about
+through the thinning sampler) about 4 s.  Demo 04 (the LLN ladder, about
 11 s) is left out to keep the suite short.
 """
 

@@ -8,10 +8,17 @@ exempt.
 The package also keeps one limit evaluator: no module calls ``leggauss`` or
 defines ``time_breakpoints``, the panel breaks of the nested Gauss-Legendre
 quadrature that is now a test oracle only (``tests/tests_support.py``).
+And it keeps one sampler, seeded one way: no module defines the coupled
+construction or its agreement test, which are test oracles too, and
+``SimConfig`` carries no construction, seed or replica; a run's generator
+is passed to ``simulate``.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from coagtree.simulate import SimConfig
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coagtree"
 
@@ -81,3 +88,17 @@ def gauss_legendre_findings() -> list:
 
 def test_one_limit_evaluator_in_the_package():
     assert gauss_legendre_findings() == []
+
+
+ORACLE_SAMPLERS = {"simulate_coupled", "simulate_direct", "construction_agreement_test"}
+
+
+def test_one_sampler_in_the_package():
+    defined = [f"{path.name}:{node.lineno} defines {node.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name in ORACLE_SAMPLERS]
+    assert defined == []
+    fields = {f.name for f in dataclasses.fields(SimConfig)}
+    assert fields.isdisjoint({"construction", "seed", "replica"}), fields

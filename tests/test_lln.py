@@ -7,7 +7,6 @@ import pytest
 from coagtree.kernels import builtin, tabulated_kernel
 from coagtree.lln import (
     ExperimentPlan,
-    construction_agreement_test,
     jump_density_test,
     run_lln,
     survival_test,
@@ -21,11 +20,12 @@ from coagtree.simulate import (
     ShapeTimeBoxIndicator,
     SimConfig,
     empirical_measure,
-    simulate_direct,
+    rng_for,
+    simulate,
 )
 from coagtree.smoluchowski import MassSpectrum
 from coagtree.trees import LEAF, shape_node
-from tests_support import write_additive_table
+from tests_support import construction_agreement_test, write_additive_table
 
 CONSTANT = builtin("constant")
 MONO = MassSpectrum.monodisperse()
@@ -140,8 +140,8 @@ def test_construction_agreement_small():
 
 
 def test_tightness_diagnostic():
-    cfg = SimConfig.monodisperse(100, CONSTANT, 2.0, seed=35)
-    log = simulate_direct(cfg)
+    cfg = SimConfig.monodisperse(100, CONSTANT, 2.0)
+    log = simulate(cfg, rng_for(35))
     m = empirical_measure(log, 2.0)
     vals = [tightness_diagnostic(m, n0) for n0 in range(1, 8)]
     assert vals[0] == pytest.approx(m.total_weight)

@@ -21,8 +21,7 @@ from coagtree.simulate import (
     evaluate_functional,
     replica_stream,
     rng_for,
-    simulate_coupled,
-    simulate_direct,
+    simulate,
 )
 from coagtree.trees import LEAF, preorder, shape_node
 from tests_support import (
@@ -31,6 +30,7 @@ from tests_support import (
     reference_simulate_coupled,
     reference_simulate_direct,
     reference_thinning_sampler,
+    simulate_coupled,
     write_additive_table,
 )
 
@@ -46,13 +46,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(2, (1.0, -1.0), CONSTANT, 1.0)
     with pytest.raises(ConfigError):
-        SimConfig(2, (1.0, 1.0), CONSTANT, 1.0, construction="magic")
-    with pytest.raises(ConfigError):
-        SimConfig.monodisperse(13, CONSTANT, 1.0, construction="coupled")
+        simulate_coupled(SimConfig.monodisperse(13, CONSTANT, 1.0), rng_for(0))
 
 
 def test_single_particle_empty_log():
-    log = simulate_direct(SimConfig(1, (1.0,), CONSTANT, 5.0, seed=1))
+    log = simulate(SimConfig(1, (1.0,), CONSTANT, 5.0), rng_for(1))
     assert log.events == ()
     m = empirical_measure(log, 5.0)
     assert len(m.atoms) == 1
@@ -61,10 +59,10 @@ def test_single_particle_empty_log():
 
 def test_two_particle_exponential_law():
     # merge time ~ Exponential(K/N) = Exponential(1/2)
-    cfg = SimConfig(2, (1.0, 1.0), CONSTANT, 1.0, seed=3)
+    cfg = SimConfig(2, (1.0, 1.0), CONSTANT, 1.0)
     replicas = 40000
     alive = sum(
-        not simulate_direct(cfg, rng_for(3, r)).events for r in range(replicas))
+        not simulate(cfg, rng_for(3, r)).events for r in range(replicas))
     p = alive / replicas
     expected = math.exp(-0.5)
     se = math.sqrt(expected * (1 - expected) / replicas)
@@ -79,9 +77,9 @@ def test_three_particle_mean_events_vs_matrix_exponential():
                   [0.0, 0.0, 0.0]])
     probs = expm(q * t)[0]
     expected_events = probs[1] + 2 * probs[2]
-    cfg = SimConfig.monodisperse(3, CONSTANT, t, seed=4)
+    cfg = SimConfig.monodisperse(3, CONSTANT, t)
     replicas = 40000
-    counts = [len(simulate_direct(cfg, rng_for(4, r)).events)
+    counts = [len(simulate(cfg, rng_for(4, r)).events)
               for r in range(replicas)]
     mean = np.mean(counts)
     se = np.std(counts, ddof=1) / math.sqrt(replicas)
@@ -98,9 +96,9 @@ def event_keys(log):
 def test_constant_kernel_matches_the_reference_sampler(n, replicas, rate_n):
     # thinning with K = 1 accepts every proposal and draws what the O(#clusters)
     # jump chain drew, so the two logs agree bit for bit
-    cfg = SimConfig.monodisperse(n, CONSTANT, 3.0, seed=14, rate_n=rate_n)
+    cfg = SimConfig.monodisperse(n, CONSTANT, 3.0, rate_n=rate_n)
     for r in range(replicas):
-        log = simulate_direct(cfg, rng_for(14, r))
+        log = simulate(cfg, rng_for(14, r))
         assert event_keys(log) == event_keys(reference_simulate_direct(cfg, rng_for(14, r)))
         assert log.proposals == len(log.events)
 
@@ -141,11 +139,11 @@ def test_sampler_matches_the_reference_thinning_sampler(case, tmp_path):
         kernel = builtin(name)
     oracle, oracle_rows = counting(kernel)
     kernel, rows = counting(kernel)
-    cfg = SimConfig(len(masses), masses, kernel, horizon, seed=18, rate_n=rate_n)
-    ref = SimConfig(len(masses), masses, oracle, horizon, seed=18, rate_n=rate_n)
+    cfg = SimConfig(len(masses), masses, kernel, horizon, rate_n=rate_n)
+    ref = SimConfig(len(masses), masses, oracle, horizon, rate_n=rate_n)
     merged = 0
     for r in range(60):
-        log = simulate_direct(cfg, rng_for(18, r))
+        log = simulate(cfg, rng_for(18, r))
         want = reference_thinning_sampler(ref, rng_for(18, r))
         assert event_keys(log) == event_keys(want), r
         assert log.proposals == want.proposals, r
@@ -160,7 +158,7 @@ def test_tabulated_kernel_thins_little(tmp_path):
     # the table's ktilde_bound is 2048, but the running majorant follows the
     # largest K / (phi phi) actually met, 0.5
     kernel = tabulated_kernel(write_additive_table(tmp_path / "xy.csv"))
-    log = simulate_direct(SimConfig.monodisperse(1000, kernel, 1.0, seed=15))
+    log = simulate(SimConfig.monodisperse(1000, kernel, 1.0), rng_for(15))
     assert len(log.events) > 300
     assert log.proposals <= 4 * len(log.events)
 
@@ -168,7 +166,7 @@ def test_tabulated_kernel_thins_little(tmp_path):
 def test_bidisperse_additive_run_merges_only_live_clusters():
     n = 10_000
     masses = (0.1, 0.7) * (n // 2)
-    log = simulate_direct(SimConfig(n, masses, builtin("additive"), 1.0, seed=16))
+    log = simulate(SimConfig(n, masses, builtin("additive"), 1.0), rng_for(16))
     live = set(range(n))
     for k, e in enumerate(log.events):
         assert e.node == n + k and e.left < e.right
@@ -191,29 +189,29 @@ def test_kernel_above_its_majorant_raises():
 
     liar = Kernel("liar", evaluate, CONSTANT.phi)
     with pytest.raises(ValueError, match="majorant"):
-        simulate_direct(SimConfig.monodisperse(10, liar, 1.0, seed=17))
+        simulate(SimConfig.monodisperse(10, liar, 1.0), rng_for(17))
 
 
 def test_determinism_bit_identical():
-    cfg = SimConfig.monodisperse(50, CONSTANT, 2.0, seed=77, replica=3)
-    a = simulate_direct(cfg)
-    b = simulate_direct(cfg)
+    cfg = SimConfig.monodisperse(50, CONSTANT, 2.0)
+    a = simulate(cfg, rng_for(77, 3))
+    b = simulate(cfg, rng_for(77, 3))
     assert a.events == b.events
-    cfgc = SimConfig.monodisperse(6, CONSTANT, 2.0, seed=77, replica=3,
-                                  construction="coupled")
-    assert simulate_coupled(cfgc).events == simulate_coupled(cfgc).events
+    cfgc = SimConfig.monodisperse(6, CONSTANT, 2.0)
+    assert simulate_coupled(cfgc, rng_for(77, 3)).events == \
+        simulate_coupled(cfgc, rng_for(77, 3)).events
 
 
 def test_distinct_replicas_differ():
-    cfg = SimConfig.monodisperse(50, CONSTANT, 2.0, seed=77)
-    a = simulate_direct(cfg, rng_for(77, 0))
-    b = simulate_direct(cfg, rng_for(77, 1))
+    cfg = SimConfig.monodisperse(50, CONSTANT, 2.0)
+    a = simulate(cfg, rng_for(77, 0))
+    b = simulate(cfg, rng_for(77, 1))
     assert a.events != b.events
 
 
 def test_mass_conservation_and_event_count():
-    cfg = SimConfig.monodisperse(200, CONSTANT, 2.0, seed=5)
-    log = simulate_direct(cfg)
+    cfg = SimConfig.monodisperse(200, CONSTANT, 2.0)
+    log = simulate(cfg, rng_for(5))
     for t in (0.0, 0.5, 1.0, 2.0):
         m = empirical_measure(log, t)
         assert m.total_mass() == pytest.approx(1.0, rel=1e-12)
@@ -222,14 +220,14 @@ def test_mass_conservation_and_event_count():
 
 
 def test_event_times_strictly_increasing():
-    log = simulate_direct(SimConfig.monodisperse(100, PRODUCT, 0.5, seed=6))
+    log = simulate(SimConfig.monodisperse(100, PRODUCT, 0.5), rng_for(6))
     times = [e.time for e in log.events]
     assert all(b > a for a, b in zip(times, times[1:]))
 
 
 def test_empirical_measure_structure():
-    cfg = SimConfig.monodisperse(10, CONSTANT, 3.0, seed=8)
-    log = simulate_direct(cfg)
+    cfg = SimConfig.monodisperse(10, CONSTANT, 3.0)
+    log = simulate(cfg, rng_for(8))
     m0 = empirical_measure(log, 0.0)
     assert len(m0.atoms) == 10 and all(a.is_leaf for a in m0.atoms)
     if log.events:
@@ -246,7 +244,7 @@ def test_empirical_measure_structure():
 def test_coupled_two_particles_law():
     # N=2 coupled and direct share the same single-exponential law
     replicas = 20000
-    cfg = SimConfig(2, (1.0, 1.0), CONSTANT, 1.0, seed=9, construction="coupled")
+    cfg = SimConfig(2, (1.0, 1.0), CONSTANT, 1.0)
     alive = sum(
         not simulate_coupled(cfg, rng_for(9, r)).events for r in range(replicas))
     expected = math.exp(-0.5)
@@ -259,9 +257,8 @@ def test_coupled_two_particles_law():
                                            ("additive", 0.8)])
 def test_coupled_construction_matches_the_reference(name, horizon, n):
     kernel = builtin(name)
-    configs = (SimConfig.monodisperse(n, kernel, horizon, construction="coupled"),
-               SimConfig(n, tuple(1.0 + k % 3 for k in range(n)), kernel, horizon / 3,
-                         construction="coupled"))
+    configs = (SimConfig.monodisperse(n, kernel, horizon),
+               SimConfig(n, tuple(1.0 + k % 3 for k in range(n)), kernel, horizon / 3))
     merged = 0
     for cfg in configs:
         for r in range(1000):
@@ -272,9 +269,8 @@ def test_coupled_construction_matches_the_reference(name, horizon, n):
 
 
 def test_coupled_runs_to_completion():
-    cfg = SimConfig.monodisperse(8, CONSTANT, 1000.0, seed=10,
-                                 construction="coupled")
-    log = simulate_coupled(cfg)
+    cfg = SimConfig.monodisperse(8, CONSTANT, 1000.0)
+    log = simulate_coupled(cfg, rng_for(10))
     assert len(log.events) == 7
     m = empirical_measure(log, 1000.0)
     assert len(m.atoms) == 1
@@ -290,10 +286,10 @@ def test_exchangeability_mass_relabeling():
     f = MassCutoff(2.0)
     samples = []
     for ms, stream in ((masses, 31), (perm, 37)):
-        cfg = SimConfig(6, ms, builtin("additive"), 0.5, seed=12)
+        cfg = SimConfig(6, ms, builtin("additive"), 0.5)
         vals = []
         for r in range(4000):
-            log = simulate_direct(cfg, rng_for(12, r, stream))
+            log = simulate(cfg, rng_for(12, r, stream))
             vals.append(evaluate_functional(empirical_measure(log, 0.5), f))
         samples.append(vals)
     assert ks_2samp(samples[0], samples[1]).pvalue > 0.001
@@ -341,8 +337,8 @@ def test_time_box_indicator_validates_its_boxes():
 
 
 def test_mass_cutoff_inactive_above_total_mass():
-    cfg = SimConfig.monodisperse(30, CONSTANT, 1.0, seed=13)
-    log = simulate_direct(cfg)
+    cfg = SimConfig.monodisperse(30, CONSTANT, 1.0)
+    log = simulate(cfg, rng_for(13))
     m = empirical_measure(log, 1.0)
     assert evaluate_functional(m, MassCutoff(30.0)) == \
         evaluate_functional(m, ConstantOne())
@@ -420,24 +416,24 @@ def test_rng_for_refuses_replicas_outside_its_range():
 def test_replica_draws_do_not_depend_on_earlier_replicas():
     # bidisperse additive: merged masses raise the majorant constant c, so a
     # run that saw another run's masses would draw differently
-    cfg = SimConfig(200, (0.1, 0.7) * 100, builtin("additive"), 1.0, seed=23)
-    first = simulate_direct(cfg, rng_for(23, 37))
+    cfg = SimConfig(200, (0.1, 0.7) * 100, builtin("additive"), 1.0)
+    first = simulate(cfg, rng_for(23, 37))
     for r in range(37):
-        simulate_direct(cfg, rng_for(23, r))
-    again = simulate_direct(cfg, rng_for(23, 37))
+        simulate(cfg, rng_for(23, r))
+    again = simulate(cfg, rng_for(23, 37))
     assert first.events == again.events and first.proposals == again.proposals
-    fresh = SimConfig(200, (0.1, 0.7) * 100, builtin("additive"), 1.0, seed=23)
-    assert simulate_direct(fresh, rng_for(23, 37)).events == first.events
+    fresh = SimConfig(200, (0.1, 0.7) * 100, builtin("additive"), 1.0)
+    assert simulate(fresh, rng_for(23, 37)).events == first.events
 
 
 def test_config_pickles_without_its_sampler_start():
-    cfg = SimConfig.monodisperse(1000, CONSTANT, 0.5, seed=24)
+    cfg = SimConfig.monodisperse(1000, CONSTANT, 0.5)
     size = len(pickle.dumps(cfg))
-    log = simulate_direct(cfg)
+    log = simulate(cfg, rng_for(24))
     assert len(pickle.dumps(cfg)) == size
     back = pickle.loads(pickle.dumps(log))
     assert back.config == cfg and back.events == log.events
-    assert simulate_direct(back.config).events == log.events
+    assert simulate(back.config, rng_for(24)).events == log.events
 
 
 CHERRY = shape_node(LEAF, LEAF)
@@ -470,10 +466,10 @@ BUILTINS = (
 def test_flat_functionals_match_the_trees(case, n, replica, fraction):
     if case == "additive-bidisperse":
         cfg = SimConfig(n, (0.1, 0.7) * (n // 2) + (0.1,) * (n % 2),
-                        builtin("additive"), 2.0, seed=29)
+                        builtin("additive"), 2.0)
     else:
-        cfg = SimConfig.monodisperse(n, CONSTANT, 3.0, seed=29)
-    log = simulate_direct(cfg, rng_for(29, replica))
+        cfg = SimConfig.monodisperse(n, CONSTANT, 3.0)
+    log = simulate(cfg, rng_for(29, replica))
     t = fraction * cfg.horizon
     m = empirical_measure(log, t)
     assert len(m.atoms) == n - log.n_events(t)
@@ -518,7 +514,8 @@ def test_builtins_read_no_trees(monkeypatch):
     values, events, proposals = _replica_values(
         CONSTANT, (1.0,) * 50, 3.0, 31, 0, 0, 5, functionals)
     assert values.shape == (5, len(functionals)) and 0 < events <= proposals
-    m = empirical_measure(simulate_direct(SimConfig.monodisperse(50, CONSTANT, 3.0)), 3.0)
+    log = simulate(SimConfig.monodisperse(50, CONSTANT, 3.0), rng_for(0))
+    m = empirical_measure(log, 3.0)
     assert 0.0 < tightness_diagnostic(m, 2) < 1.0
     assert len(m.atoms) == len(m.live)
     with pytest.raises(AssertionError, match="HistoricalTree"):

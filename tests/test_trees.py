@@ -134,6 +134,23 @@ def test_time_monotonicity_enforced():
         hist_leaf(-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_masses_and_times_refused(bad):
+    with pytest.raises(TreeError, match="positive and finite"):
+        hist_leaf(bad)
+    with pytest.raises(TreeError, match="positive and finite"):
+        hist_node(bad, hist_leaf(1.0), hist_leaf(2.0))
+
+
+def test_parse_refuses_numbers_that_overflow():
+    # each error stands at the end of the number that overflowed
+    for text, position in (("1e400", 5), ("(1.0,1e400)@1e999", 10),
+                           ("(1.0,2.0)@1e999", 15)):
+        with pytest.raises(ParseError, match="positive and finite") as error:
+            parse(text)
+        assert error.value.position == position, text
+
+
 def test_shape_of():
     assert shape_of(hist_leaf(5.0)) == LEAF
     cherry = hist_node(0.3, hist_leaf(1.0), hist_leaf(1.0))
@@ -255,10 +272,10 @@ def test_parse_errors_carry_position():
         parse("((1.0,1.0)@0.9,1.0)@0.4")
 
 
-# refused by both scanners: the five inputs above and five more
+# refused by both scanners: the five inputs above and eight more
 MALFORMED = ("(1.0,2.0", "(1.0,2.0)", "1.0 junk", "(-1.0,2.0)@0.4",
              "((1.0,1.0)@0.9,1.0)@0.4", "", "inf", "1e", "(1.0,2.0)@",
-             "(1.0;2.0)@1")
+             "(1.0;2.0)@1", "1e400", "(1.0,1e400)@1e999", "(1.0,2.0)@1e999")
 
 
 @pytest.mark.parametrize("text", MALFORMED)

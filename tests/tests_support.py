@@ -1,21 +1,32 @@
 """Shared helpers for tests: random tree and density-query generators, a
-tabulated kernel file, nested Gauss-Legendre quadrature over node times, and
-the reference jump-chain and thinning samplers, replica streams, history
-building, coupled construction, history text writer and scanner, mass
-lattice, pair index and mean-field solve."""
+tabulated kernel file, nested Gauss-Legendre quadrature over node times, the
+coupled exponential-clock construction and its agreement test with the
+sampler, and the reference jump-chain and thinning samplers, replica
+streams, history building, coupled construction, history text writer and
+scanner, mass lattice, pair index and mean-field solve."""
 
 import csv
 import functools
 import math
+import operator
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
+from scipy import stats
 from scipy.integrate import solve_ivp
 
 from coagtree.kernels import ConfigError, Kernel, check_gelation
 from coagtree.limit import TimeIntegral, _labeled_density, build_preorder
-from coagtree.simulate import RATIO_ROUNDING, Event, EventLog, rng_for
+from coagtree.simulate import (
+    RATIO_ROUNDING,
+    Event,
+    EventLog,
+    SimConfig,
+    replica_stream,
+    simulate,
+)
 from coagtree.smoluchowski import (
     ATOL_PER_TOL,
     SolutionPath,
@@ -75,7 +86,10 @@ def reference_write_events(log, outdir):
 
 def reference_parse(text, strict=False):
     """The character-by-character scanner that the regex ``parse`` replaced.
-    It accepts no whitespace between "@" and the merge time."""
+    It accepts no whitespace between "@" and the merge time.  Like ``parse``,
+    and unlike the scanner it reproduces, it refuses a leaf mass that
+    overflows to infinity (``hist_leaf`` and ``hist_node`` refuse such
+    masses and times)."""
     pos = 0
 
     def error(msg):
@@ -112,8 +126,8 @@ def reference_parse(text, strict=False):
             open_nodes.append(False)
             continue
         val = number()
-        if not val > 0:
-            error("leaf mass must be positive")
+        if not 0 < val < math.inf:
+            error("leaf mass must be positive and finite")
         done.append(hist_leaf(val))
         while open_nodes and open_nodes[-1]:
             skip_ws()
@@ -265,15 +279,13 @@ def write_additive_table(path):
     return str(path)
 
 
-def reference_simulate_direct(cfg, rng=None):
-    """The O(#clusters) jump-chain sampler that ``simulate_direct`` replaced.
+def reference_simulate_direct(cfg, rng):
+    """The O(#clusters) jump-chain sampler that the thinning ``simulate`` replaced.
 
     Maintains per-cluster rate sums R_i = sum_{j != i} K(m_i, m_j); total
     event rate is sum_i R_i / (2N).  The first cluster of a merging pair is
     drawn proportionally to R_i, the partner proportionally to K(m_i, m_j).
     """
-    if rng is None:
-        rng = rng_for(cfg.seed, cfg.replica)
     kernel = cfg.kernel
     n0 = cfg.n
     m = np.array(cfg.masses, dtype=float)
@@ -319,12 +331,94 @@ def reference_simulate_direct(cfg, rng=None):
     return EventLog(cfg, tuple(events))
 
 
-def reference_simulate_coupled(cfg, rng=None):
-    """The coupled construction as it was before it carried masses: a
+def simulate_coupled(cfg, rng):
+    """Coupled exponential-clock construction, the oracle of the sampler's law.
+
+    Each candidate merged labeled tree {i, j} carries a clock
+    S = max(S_i, S_j) + (N / K(y_i, y_j)) * U with U ~ Exp(1), keyed by the
+    tree's canonical label key.  Clocks are drawn lazily: the initial pairs,
+    then at each merge the new cluster's pairs, each batch in sorted key
+    order, so only trees reachable from the realized trajectory get a clock.
+    """
+    if cfg.n > 12:
+        raise ConfigError("coupled construction is limited to N <= 12")
+    evaluate = cfg.kernel.evaluate
+    rate_n = cfg.n_eff
+
+    # live clusters by ascending node id: (label key, S birth time, mass)
+    live = {i: (str(i), 0.0, float(m)) for i, m in enumerate(cfg.masses)}
+    ids = list(live)
+    new = [(a, b) for x, a in enumerate(ids) for b in ids[x + 1:]]
+    clocks = {}  # (node id, node id), smaller first -> (S, pair key), live pairs only
+    events = []
+    next_id = cfg.n
+    while new:
+        keyed = []
+        for a, b in new:
+            ka, kb = live[a][0], live[b][0]
+            keyed.append(("{%s,%s}" % ((ka, kb) if ka < kb else (kb, ka)), a, b))
+        for key, a, b in sorted(keyed):
+            (_, sa, ma), (_, sb, mb) = live[a], live[b]
+            rate = evaluate(ma, mb)
+            clocks[a, b] = (max(sa, sb) + (rate_n / float(rate)) * rng.standard_exponential(),
+                            key)
+        (a, b), (s, key) = min(clocks.items(), key=operator.itemgetter(1))
+        if s > cfg.horizon:
+            break
+        events.append(Event(s, a, b, next_id))
+        clocks = {pair: c for pair, c in clocks.items() if a not in pair and b not in pair}
+        mass = live.pop(a)[2] + live.pop(b)[2]
+        new = [(i, next_id) for i in live]
+        live[next_id] = (key, s, mass)
+        next_id += 1
+    return EventLog(cfg, tuple(events))
+
+
+@dataclass(frozen=True)
+class ConstructionReport:
+    n: int
+    replicas: int
+    ks_pvalue: float
+    pair_pvalue: float
+    passed: bool
+
+
+def construction_agreement_test(n, masses, kernel, t, replicas=100000, seed=0):
+    """The sampler vs the coupled construction: same law of (first event
+    time, pair).
+
+    Kolmogorov-Smirnov on first-event times, chi-squared contingency on the
+    identity of the first merged pair; PASS at p > 0.001 for both.  The
+    sampler draws from stream 17, the coupled construction from stream 19.
+    """
+    masses = tuple(float(m) for m in masses)
+    cfg = SimConfig(n, masses, kernel, t)
+    samples = {"direct": ([], []), "coupled": ([], [])}
+    for construction, (times, pairs) in samples.items():
+        sim = simulate if construction == "direct" else simulate_coupled
+        stream = 17 if construction == "direct" else 19
+        rng_at = replica_stream(seed, stream)
+        for replica in range(replicas):
+            log = sim(cfg, rng_at(replica))
+            if log.events:
+                e = log.events[0]
+                times.append(e.time)
+                pairs.append((min(e.left, e.right), max(e.left, e.right)))
+
+    ks_p = float(stats.ks_2samp(samples["direct"][0], samples["coupled"][0]).pvalue)
+    pair_ids = sorted(set(samples["direct"][1]) | set(samples["coupled"][1]))
+    table = np.array([
+        [samples[c][1].count(p) for p in pair_ids] for c in ("direct", "coupled")
+    ])
+    pair_p = float(stats.chi2_contingency(table).pvalue)
+    passed = ks_p > 0.001 and pair_p > 0.001
+    return ConstructionReport(n, replicas, ks_p, pair_p, passed)
+
+
+def reference_simulate_coupled(cfg, rng):
+    """``simulate_coupled`` as it was before it carried masses: a
     ``HistoricalTree`` per particle and merge, read only for its mass, and
     every live pair's key rebuilt and sorted at every event."""
-    if rng is None:
-        rng = rng_for(cfg.seed, cfg.replica)
     if cfg.n > 12:
         raise ConfigError("coupled construction is limited to N <= 12")
     kernel = cfg.kernel
@@ -364,15 +458,13 @@ def reference_simulate_coupled(cfg, rng=None):
     return EventLog(cfg, tuple(events))
 
 
-def reference_thinning_sampler(cfg, rng=None):
+def reference_thinning_sampler(cfg, rng):
     """The thinning sampler as it was before its majorant states were
     memoised per config and its Fenwick helpers inlined: each run builds its
     own ``_Majorant`` from scratch, paying one kernel row per mass it meets,
     and descends and updates the tree through ``_fenwick_find`` and
     ``_fenwick_add``.  Same law, same draws, same floats.
     """
-    if rng is None:
-        rng = rng_for(cfg.seed, cfg.replica)
     evaluate = cfg.kernel.evaluate
     n0 = cfg.n
     size = 2 * n0 - 1  # one slot per node id; merged clusters get new ids
