@@ -247,18 +247,23 @@ def cmd_lln(args) -> int:
         raise ConfigError(f'{args.plan}: "kernel" must be a name or a file name, '
                           f"got {kernel_name!r}")
     kernel = _resolve_kernel(kernel_name)
-    mu0 = MassSpectrum.from_pairs(raw.get("mu0", [[1.0, 1.0]]))
-    functionals = []
-    for spec in raw.get("functionals", [{"type": "leaf"}]):
-        functionals.append(_build_functional(spec))
+
+    def value(key, default, read):
+        got = raw.get(key, default)
+        try:
+            return read(got)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f'{args.plan}: "{key}" cannot be {got!r}: {e}') from None
+
     plan = lln_harness.ExperimentPlan(
-        kernel=kernel, mu0=mu0, t=float(raw.get("t", 2.0)),
-        functionals=tuple(functionals),
-        n_ladder=tuple(raw.get("n_ladder", [100, 1000, 10000])),
-        replicas=tuple(raw.get("replicas", [20000, 2000, 200])),
-        seed=int(raw.get("seed", seed)),
-        tau_max_leaves=int(raw.get("tau_max_leaves", 4)),
-        quad_tol=float(raw.get("quad_tol", 1e-8)),
+        kernel=kernel, mu0=value("mu0", [[1.0, 1.0]], MassSpectrum.from_pairs),
+        t=value("t", 2.0, float),
+        functionals=value("functionals", [{"type": "leaf"}], _build_functionals),
+        n_ladder=value("n_ladder", [100, 1000, 10000], _integers),
+        replicas=value("replicas", [20000, 2000, 200], _integers),
+        seed=value("seed", seed, int),
+        tau_max_leaves=value("tau_max_leaves", 4, int),
+        quad_tol=value("quad_tol", 1e-8, float),
         jobs=args.jobs,
     )
     out_json = outdir / "report.json"
@@ -271,6 +276,18 @@ def cmd_lln(args) -> int:
     print(report.to_text())
     _write_manifest(*manifest_args, counters=report.counters, timings=report.timings)
     return 0 if report.passed else EXIT_FAIL
+
+
+def _integers(values) -> tuple:
+    if not isinstance(values, list) or not all(type(x) is int for x in values):
+        raise TypeError("need a list of integers")
+    return tuple(values)
+
+
+def _build_functionals(specs) -> tuple:
+    if not isinstance(specs, list) or not all(isinstance(x, dict) for x in specs):
+        raise TypeError("need a list of objects")
+    return tuple(_build_functional(spec) for spec in specs)
 
 
 def _build_functional(spec: dict):

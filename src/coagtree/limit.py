@@ -24,9 +24,9 @@ and A_v once per subtree (its leaf masses and time boxes), and every term
 containing that subtree reads it; a term drops out once two successive levels
 agree.  Shapes of a given size are built from the same subtrees, so most of
 the work is shared.  It serves every functional that declares, through
-``time_boxes``, that it is a constant times per-node time-box indicators on
-each shape: the built-in functionals of :mod:`coagtree.simulate`.  Any
-other f is refused with ``TypeError``.
+``time_boxes(shape, mass)`` with the total leaf mass, that it is a constant
+times per-node time-box indicators on each shape: the built-in functionals
+of :mod:`coagtree.simulate`.  Any other f is refused with ``TypeError``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernels import Kernel
-from .simulate import ConstantOne
+from .simulate import ConstantOne, time_boxes_of
 from .smoluchowski import MassSpectrum, SolutionPath
 from .trees import (
     HistoricalTree,
@@ -264,15 +264,11 @@ def _time_integrals(f: Callable, items: list, path: SolutionPath, t: float,
     Raises ``TypeError`` before integrating anything when f, or a factor of
     it, has no ``time_boxes``.
     """
-    form = getattr(f, "time_boxes", None)
-    if form is None:
-        raise TypeError(f"{f!r} has no time_boxes(shape, masses): the limit evaluator "
-                        "integrates only functionals of that protocol, such as the "
-                        "built-ins of coagtree.simulate")
+    form = time_boxes_of(f)
     results = [None] * len(items)
     batches = {}  # grid cuts -> time-box terms on that grid
     for k, (shape, masses) in enumerate(items):
-        c, boxes = form(shape, masses)
+        c, boxes = form(shape, sum(masses))
         if t <= 0.0 and not shape.is_leaf:
             # node times live in (0, t): empty domain
             results[k] = TimeIntegral(0.0, 0.0, 0.0, 0.0)
@@ -297,7 +293,7 @@ def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
     ``one_*`` is the same integral with f replaced by 1 and each error is an
     estimate of the value's error, aimed at tol / 10.
 
-    ``f.time_boxes(shape, masses)`` gives f on this shape as a constant
+    ``f.time_boxes(shape, sum(masses))`` gives f on this shape as a constant
     times time-box indicators, and the recursive evaluator integrates it; an
     f without ``time_boxes`` raises ``TypeError``.  This is a one-term call
     of the evaluator behind :func:`terms`.

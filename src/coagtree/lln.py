@@ -371,5 +371,5 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
 
 def tightness_diagnostic(m: EmpiricalHistoricalMeasure, n0: int) -> float:
     """Empirical-measure weight carried by trees with at least n0 leaves."""
-    n_leaves, shape = m.n_leaves, m.shape
-    return m.weight * sum(1 for i in m.live if n_leaves[shape[i]] >= n0)
+    shapes, shape = m.shapes, m.shape
+    return m.weight * sum(1 for i in m.live if shapes[shape[i]].n_leaves >= n0)

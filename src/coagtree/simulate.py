@@ -14,9 +14,11 @@ any worker process.  ``replica_stream(seed, stream)`` gives the same
 streams, replica after replica, from one reseated Philox.
 
 ``empirical_measure`` reads an event log into flat per-node arrays (interned
-shape id, mass, merge time, children); the built-in functionals evaluate on
-those arrays through ``atom_values``, and ``HistoricalTree``s are built only
-when ``atoms`` is read.
+shape id, mass, merge time, children), and ``HistoricalTree``s are built only
+when ``atoms`` is read.  A functional declares itself once, by
+``time_boxes(shape, mass)``; ``evaluate_functional`` reads that declaration
+on the flat arrays, a built-in's ``__call__`` on a tree, and
+``coagtree.limit`` in its time integrals.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .kernels import ConfigError, Kernel, check_gelation
 from .trees import (
+    LEAF,
     HistoricalTree,
     TreeShape,
     hist_leaf,
     hist_node,
     preorder,
+    shape_node,
 )
 
 
@@ -121,9 +125,19 @@ class SimConfig:
         phi = [seen[x] for x in mass[:n0]] + [0.0] * (n0 - 1)
         return state, seen, mass, phi, _fenwick(phi), math.fsum(phi)
 
+    @functools.cached_property
+    def _shape_table(self) -> tuple:
+        """``empirical_measure``'s interned shapes: the dict (child id,
+        child id), smaller first -> shape id, and the list of ``TreeShape``s
+        by id, the leaf's id 0.  Shared by this config's runs, so each shape
+        is built once."""
+        return {}, [LEAF]
+
     def __getstate__(self) -> dict:
-        # the sampler start is O(N) and rebuilt on demand: pickles leave it out
-        return {k: v for k, v in self.__dict__.items() if k != "_sampler_start"}
+        # the sampler start and the shape table are rebuilt on demand:
+        # pickles leave them out
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_sampler_start", "_shape_table")}
 
     @classmethod
     def monodisperse(cls, n: int, kernel: Kernel, horizon: float, mass: float = 1.0,
@@ -384,7 +398,8 @@ class EmpiricalHistoricalMeasure:
     Stored flat, one entry per node id (leaves 0..N-1, then one node per
     event up to t): ``shape`` is an interned shape id (0 for a leaf; an
     internal node's id stands for the unordered pair of its children's ids,
-    so equal ids are equal shapes), ``mass`` the total mass, ``time`` the
+    so equal ids are equal shapes, and ``shapes[id]`` is that
+    ``TreeShape``), ``mass`` the total mass, ``time`` the
     merge time (0.0 for a leaf), ``left`` and ``right`` the children (-1 for
     a leaf).  ``live`` lists the live clusters' ids in ascending order,
     which is the order of ``atoms``: a read-only sequence of their
@@ -394,8 +409,7 @@ class EmpiricalHistoricalMeasure:
     weight: float  # 1/N
     live: tuple
     shape: list
-    n_leaves: list  # per shape id
-    shape_ids: dict  # (child shape id, child shape id), smaller first -> shape id
+    shapes: list  # TreeShape per shape id, shared by the runs of one SimConfig
     mass: list
     time: list
     left: list
@@ -412,16 +426,14 @@ class EmpiricalHistoricalMeasure:
         mass = self.mass
         return self.weight * sum(mass[i] for i in self.live)
 
-    def shape_id(self, target: TreeShape) -> int:
-        """Interned id of ``target``, or -1 when no node here has that shape."""
-        done = []
-        for v, _ in reversed(list(preorder(target))):  # children before parents
-            if v.is_leaf:
-                done.append(0)
-            else:
-                a, b = done.pop(), done.pop()
-                done.append(self.shape_ids.get((a, b) if a <= b else (b, a), -1))
-        return done[0]
+    @functools.cached_property
+    def _cells(self) -> tuple:
+        """The distinct (shape id, mass) cells of the live atoms, in order of
+        first appearance, and each live atom's index among them."""
+        index = {}
+        shape, mass = self.shape, self.mass
+        cell_of = [index.setdefault((shape[i], mass[i]), len(index)) for i in self.live]
+        return tuple(index), cell_of
 
     def tree(self, node: int) -> HistoricalTree:
         """The ``HistoricalTree`` of node ``node``; leaf i carries label i."""
@@ -450,7 +462,7 @@ class EmpiricalHistoricalMeasure:
         and this by node id.  A ``ShapeTimeBoxIndicator`` gives such
         siblings equal boxes, so either order gives it the same value.
         """
-        left, right, leaves, shape = self.left, self.right, self.n_leaves, self.shape
+        left, right, shapes, shape = self.left, self.right, self.shapes, self.shape
         times = []
         stack = [node]
         while stack:
@@ -459,7 +471,7 @@ class EmpiricalHistoricalMeasure:
             if a < 0:
                 continue
             times.append(self.time[v])
-            la, lb = leaves[shape[a]], leaves[shape[b]]
+            la, lb = shapes[shape[a]].n_leaves, shapes[shape[b]].n_leaves
             if la > lb:
                 a, b = b, a
             stack += (b, a)
@@ -491,9 +503,8 @@ def empirical_measure(log: EventLog, t: float) -> EmpiricalHistoricalMeasure:
     if t > cfg.horizon:
         raise ValueError(f"time {t} beyond simulated horizon {cfg.horizon}")
     n0 = cfg.n
+    shape_ids, shapes = cfg._shape_table
     shape = [0] * n0
-    n_leaves = [1]
-    shape_ids = {}
     mass = [float(x) for x in cfg.masses]
     time = [0.0] * n0
     left = [-1] * n0
@@ -509,8 +520,8 @@ def empirical_measure(log: EventLog, t: float) -> EmpiricalHistoricalMeasure:
         key = (a, b) if a <= b else (b, a)
         s = shape_ids.get(key)
         if s is None:
-            s = shape_ids[key] = len(n_leaves)
-            n_leaves.append(n_leaves[a] + n_leaves[b])
+            s = shape_ids[key] = len(shapes)
+            shapes.append(shape_node(shapes[a], shapes[b]))
         shape.append(s)
         mass.append(mass[i] + mass[j])
         time.append(e.time)
@@ -519,62 +530,85 @@ def empirical_measure(log: EventLog, t: float) -> EmpiricalHistoricalMeasure:
         alive[i] = alive[j] = False
         alive.append(True)
     live = tuple(i for i, x in enumerate(alive) if x)
-    return EmpiricalHistoricalMeasure(1.0 / n0, live, shape, n_leaves, shape_ids,
-                                      mass, time, left, right)
+    return EmpiricalHistoricalMeasure(1.0 / n0, live, shape, shapes, mass, time, left,
+                                      right)
 
 
 def evaluate_functional(m: EmpiricalHistoricalMeasure, f: Callable) -> float:
     """<f, mu~_t^N> = (1/N) sum over atoms of f.
 
-    A built-in f gives its value on every atom from the flat arrays
-    (``f.atom_values(m)``); any other callable is called on each atom's
-    ``HistoricalTree``.  Either way the values are summed with ``sum`` in
-    live-id order, so both paths return the same float.
+    ``f.time_boxes(shape, mass)`` is called once per distinct (shape id,
+    mass) cell of the live atoms, and only the atoms whose cell has time
+    boxes and c != 0 read their merge times; no tree is built.  The values
+    are summed with ``sum`` in live-id order.  An f without ``time_boxes``
+    raises ``TypeError``.
     """
-    values = _atom_values(f, m)
-    if values is None:
-        values = [f(tree) for tree in m.atoms]
+    form = time_boxes_of(f)
+    cells, cell_of = m._cells
+    shapes, live = m.shapes, m.live
+    forms = [form(shapes[s], x) for s, x in cells]
+    values = list(map([c for c, _ in forms].__getitem__, cell_of))
+    boxed = {k: boxes for k, (c, boxes) in enumerate(forms)
+             if boxes is not None and c != 0.0}
+    if boxed:
+        for pos, k in enumerate(cell_of):
+            boxes = boxed.get(k)
+            if boxes is not None and not _in_boxes(boxes, m.preorder_times(live[pos])):
+                values[pos] = 0.0
     return m.weight * sum(values)
-
-
-def _atom_values(f: Callable, m: EmpiricalHistoricalMeasure) -> Optional[list]:
-    """``f.atom_values(m)``, or None when f has no such method."""
-    form = getattr(f, "atom_values", None)
-    return form(m) if form is not None else None
 
 
 # ---------------------------------------------------------------------------
 # built-in tree functionals (picklable, usable with worker pools)
 #
-# Each also has ``time_boxes(shape, masses)``: on the trees of ``shape`` with
-# these leaf masses (left to right), f = c * prod_v 1[lo_v <= s_v <= hi_v]
-# over the internal nodes v.  It returns ``(c, boxes)``, with one (lo, hi) per
-# internal node in the shape's pre-order, or ``boxes`` None when f ignores the
-# merge times.  Every built-in is of that form on every shape, and the limit
-# measure integrates only such f, recursively.
-#
-# Its simulation-side twin, ``atom_values(m)``, returns f on every atom of
-# the empirical measure m in live-id order, read from m's flat arrays; each
-# value is the float that f returns on the atom's ``HistoricalTree``.
+# A functional f declares itself by ``time_boxes(shape, mass)``: on the
+# trees of ``shape`` with total mass ``mass``, f = c * prod_v 1[lo_v <= s_v
+# <= hi_v] over the internal nodes v.  It returns ``(c, boxes)``, with one
+# (lo, hi) per internal node in the shape's pre-order, or ``boxes`` None
+# when f ignores the merge times.  Every built-in is of that form on every
+# shape, and that declaration is all it defines: its value on a tree, on
+# the empirical measure and under the limit measure are all read from it.
+
+
+def time_boxes_of(f: Callable) -> Callable:
+    """``f.time_boxes``, or ``TypeError`` when f does not declare it."""
+    form = getattr(f, "time_boxes", None)
+    if form is None:
+        raise TypeError(f"{f!r} has no time_boxes(shape, mass): coagtree evaluates only "
+                        "functionals of that protocol, such as the built-ins of "
+                        "coagtree.simulate")
+    return form
+
+
+def _in_boxes(boxes: tuple, times) -> bool:
+    for (lo, hi), s in zip(boxes, times):
+        if not lo <= s <= hi:
+            return False
+    return True
+
+
+class _TimeBoxFunctional:
+    """f(tree), read from ``self.time_boxes``: c, or 0.0 when a merge time
+    in pre-order falls outside its box."""
+
+    def __call__(self, tree: HistoricalTree) -> float:
+        c, boxes = self.time_boxes(tree.shape, tree.mass)
+        if boxes is not None and c != 0.0 and not _in_boxes(
+                boxes, [v.time for v, _ in preorder(tree) if not v.is_leaf]):
+            return 0.0
+        return c
 
 
 @dataclass(frozen=True)
-class ShapeIndicator:
+class ShapeIndicator(_TimeBoxFunctional):
     shape: TreeShape
 
-    def __call__(self, tree: HistoricalTree) -> float:
-        return 1.0 if tree.shape == self.shape else 0.0
-
-    def atom_values(self, m: EmpiricalHistoricalMeasure) -> list:
-        s, shape = m.shape_id(self.shape), m.shape
-        return [1.0 if shape[i] == s else 0.0 for i in m.live]
-
-    def time_boxes(self, shape: TreeShape, masses) -> tuple:
+    def time_boxes(self, shape: TreeShape, mass: float) -> tuple:
         return (1.0 if shape == self.shape else 0.0), None
 
 
 @dataclass(frozen=True)
-class ShapeTimeBoxIndicator:
+class ShapeTimeBoxIndicator(_TimeBoxFunctional):
     """Indicator of a shape with every merge time inside its box.
 
     Boxes are matched to internal nodes in pre-order over the canonical tree
@@ -603,86 +637,32 @@ class ShapeTimeBoxIndicator:
                 raise ValueError(f"internal node {i} has two {k + 1}-leaf subtrees, "
                                  f"which need the same boxes: got {left} and {right}")
 
-    def __call__(self, tree: HistoricalTree) -> float:
-        if tree.shape != self.shape:
-            return 0.0
-        times = [v.time for v, _ in preorder(tree) if not v.is_leaf]
-        return self._in_boxes(times)
-
-    def _in_boxes(self, times) -> float:
-        for (lo, hi), s in zip(self.boxes, times):
-            if not lo <= s <= hi:
-                return 0.0
-        return 1.0
-
-    def atom_values(self, m: EmpiricalHistoricalMeasure) -> list:
-        s, shape = m.shape_id(self.shape), m.shape
-        return [self._in_boxes(m.preorder_times(i)) if shape[i] == s else 0.0
-                for i in m.live]
-
-    def time_boxes(self, shape: TreeShape, masses) -> tuple:
+    def time_boxes(self, shape: TreeShape, mass: float) -> tuple:
         return (1.0, self.boxes) if shape == self.shape else (0.0, None)
 
 
 @dataclass(frozen=True)
-class MassCutoff:
+class MassCutoff(_TimeBoxFunctional):
     """Ramp cutoff of the total mass: 1 on m <= M, linear to 0 on [M, M+1]."""
 
     M: float
 
-    def __call__(self, tree: HistoricalTree) -> float:
-        return self._ramp(tree.mass)
-
-    def atom_values(self, m: EmpiricalHistoricalMeasure) -> list:
-        mass = m.mass
-        return [self._ramp(mass[i]) for i in m.live]
-
-    def _ramp(self, x: float) -> float:
-        if x <= self.M:
-            return 1.0
-        if x >= self.M + 1.0:
-            return 0.0
-        return self.M + 1.0 - x
-
-    def time_boxes(self, shape: TreeShape, masses) -> tuple:
-        return self._ramp(sum(masses)), None
+    def time_boxes(self, shape: TreeShape, mass: float) -> tuple:
+        if mass <= self.M:
+            return 1.0, None
+        if mass >= self.M + 1.0:
+            return 0.0, None
+        return self.M + 1.0 - mass, None
 
 
 @dataclass(frozen=True)
-class FunctionalProduct:
+class FunctionalProduct(_TimeBoxFunctional):
     factors: tuple
 
-    def __call__(self, tree: HistoricalTree) -> float:
-        out = 1.0
-        for f in self.factors:
-            out *= f(tree)
-            if out == 0.0:
-                return 0.0
-        return out
-
-    def atom_values(self, m: EmpiricalHistoricalMeasure) -> Optional[list]:
-        columns = [_atom_values(f, m) for f in self.factors]
-        if any(values is None for values in columns):
-            return None
-        out = []
-        for k in range(len(m.live)):
-            v = 1.0
-            for values in columns:
-                v *= values[k]
-                if v == 0.0:  # as __call__: stop, and return 0.0, never -0.0
-                    v = 0.0
-                    break
-            out.append(v)
-        return out
-
-    def time_boxes(self, shape: TreeShape, masses) -> tuple:
+    def time_boxes(self, shape: TreeShape, mass: float) -> tuple:
         c, boxes = 1.0, None
         for f in self.factors:
-            form = getattr(f, "time_boxes", None)
-            if form is None:
-                raise TypeError(f"factor {f!r} has no time_boxes(shape, masses), "
-                                "so neither has the product")
-            fc, fboxes = form(shape, masses)
+            fc, fboxes = time_boxes_of(f)(shape, mass)
             c *= fc
             if boxes is None:
                 boxes = fboxes
@@ -693,12 +673,6 @@ class FunctionalProduct:
 
 
 @dataclass(frozen=True)
-class ConstantOne:
-    def __call__(self, tree: HistoricalTree) -> float:
-        return 1.0
-
-    def atom_values(self, m: EmpiricalHistoricalMeasure) -> list:
-        return [1.0] * len(m.live)
-
-    def time_boxes(self, shape: TreeShape, masses) -> tuple:
+class ConstantOne(_TimeBoxFunctional):
+    def time_boxes(self, shape: TreeShape, mass: float) -> tuple:
         return 1.0, None

@@ -346,6 +346,15 @@ def test_exit_codes(tmp_path, capsys):
     for k, (argv, path) in enumerate(runs):
         assert main(argv + ["--out", str(tmp_path / f"out{k}")]) == 2, argv
         assert str(path) in capsys.readouterr().err, argv
+    # malformed lln plan values: the file and the key are named
+    for k, bad in enumerate(({"n_ladder": 5}, {"mu0": 3}, {"functionals": 5},
+                             {"functionals": [5]}, {"t": [1]}, {"tau_max_leaves": None},
+                             {"replicas": ["a", "b"]}, {"seed": "x"})):
+        plan = tmp_path / f"bad{k}.json"
+        plan.write_text(json.dumps(bad))
+        assert main(["lln", str(plan), "--out", str(tmp_path / f"bad{k}")]) == 2, bad
+        err = capsys.readouterr().err
+        assert str(plan) in err and f'"{next(iter(bad))}"' in err, (bad, err)
 
 
 def test_manifest_written_before_outputs(tmp_path):

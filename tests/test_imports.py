@@ -11,11 +11,16 @@ quadrature that is now a test oracle only (``tests/tests_support.py``).
 And it keeps one sampler, seeded one way: no module defines the coupled
 construction or its agreement test, which are test oracles too, and
 ``SimConfig`` carries no construction, seed or replica; a run's generator
-is passed to ``simulate``.
+is passed to ``simulate``.  And one functional protocol: each built-in
+functional declares only ``time_boxes(shape, mass)``, which its value on a
+tree, on the empirical measure and under the limit measure all read, so no
+module defines a per-atom ``atom_values`` and no built-in its own
+``__call__``.
 """
 
 import ast
 import dataclasses
+import importlib
 from pathlib import Path
 
 from coagtree.simulate import SimConfig
@@ -102,3 +107,19 @@ def test_one_sampler_in_the_package():
     assert defined == []
     fields = {f.name for f in dataclasses.fields(SimConfig)}
     assert fields.isdisjoint({"construction", "seed", "replica"}), fields
+
+
+BUILTIN_FUNCTIONALS = ("ShapeIndicator", "ShapeTimeBoxIndicator", "MassCutoff",
+                       "FunctionalProduct", "ConstantOne")
+
+
+def test_one_functional_protocol_in_the_package():
+    defined = [f"{path.name}:{node.lineno} defines atom_values"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "atom_values"]
+    assert defined == []
+    simulate = importlib.import_module("coagtree.simulate")
+    for name in BUILTIN_FUNCTIONALS:
+        own = vars(getattr(simulate, name))
+        assert "time_boxes" in own and "__call__" not in own, name

@@ -25,6 +25,11 @@ from coagtree.simulate import (
     MassCutoff,
     ShapeIndicator,
     ShapeTimeBoxIndicator,
+    SimConfig,
+    empirical_measure,
+    evaluate_functional,
+    rng_for,
+    simulate,
 )
 from coagtree.smoluchowski import MassSpectrum, solve
 from coagtree.trees import (
@@ -35,7 +40,7 @@ from coagtree.trees import (
     shapes_up_to,
     shapes_with_leaves,
 )
-from tests_support import gl_time_integral
+from tests_support import gl_time_integral, reference_value
 
 CONSTANT = builtin("constant")
 MONO = MassSpectrum.monodisperse()
@@ -290,8 +295,8 @@ def gl_only(f, shape, masses):
     Its breakpoints are the ends of its time boxes on ``shape``, where f can
     be nonzero; elsewhere they would only multiply the quadrature panels.
     """
-    g = lambda tree: f(tree)  # noqa: E731
-    c, boxes = f.time_boxes(shape, masses)
+    g = lambda tree: reference_value(f, tree)  # noqa: E731
+    c, boxes = f.time_boxes(shape, sum(masses))
     if c and boxes is not None:
         g.time_breakpoints = tuple(b for box in boxes for b in box)
     return g
@@ -353,10 +358,9 @@ def test_time_boxes_are_declared_only_where_the_children_agree():
     # a history orders two equal-sized children by its text, not by shape,
     # so the two must carry the same boxes, at every depth
     balanced = shape_node(CHERRY, CHERRY)
-    masses = (1.0,) * 4
     same = ShapeTimeBoxIndicator(balanced, ((0.5, 2.0), (0.1, 0.5), (0.1, 0.5)))
-    assert same.time_boxes(balanced, masses) == (1.0, same.boxes)
-    assert same.time_boxes(THREE, masses[:3]) == (0.0, None)
+    assert same.time_boxes(balanced, 4.0) == (1.0, same.boxes)
+    assert same.time_boxes(THREE, 3.0) == (0.0, None)
     caterpillar = shape_node(LEAF, THREE)
     ShapeTimeBoxIndicator(caterpillar, ((0.5, 2.0), (0.1, 0.5), (0.0, 0.3)))
     for shape, boxes in (
@@ -371,10 +375,10 @@ def test_time_boxes_are_declared_only_where_the_children_agree():
         with pytest.raises(ValueError, match="same boxes"):
             ShapeTimeBoxIndicator(shape, boxes)
     with pytest.raises(TypeError, match="time_boxes"):
-        FunctionalProduct((same, lambda tree: 1.0)).time_boxes(balanced, masses)
+        FunctionalProduct((same, lambda tree: 1.0)).time_boxes(balanced, 4.0)
     both = FunctionalProduct((same, ShapeTimeBoxIndicator(
         balanced, ((0.0, 1.5), (0.2, 0.6), (0.2, 0.6))), MassCutoff(3.5)))
-    assert both.time_boxes(balanced, masses) == \
+    assert both.time_boxes(balanced, 4.0) == \
         (0.5, ((0.5, 1.5), (0.2, 0.5), (0.2, 0.5)))
 
 
@@ -475,12 +479,19 @@ def test_unconverged_terms_are_counted(path):
 
 @pytest.mark.parametrize("t", (2.0, 0.0))
 def test_functionals_without_time_boxes_are_refused(path, t):
-    # at t = 0 too, where every non-leaf term is 0 without integrating
+    # at t = 0 too, where every non-leaf term is 0 without integrating; the
+    # empirical measure and a product's own __call__ refuse them as well
     plain = lambda tree: 1.0  # noqa: E731
-    for f in (plain, FunctionalProduct((ShapeIndicator(CHERRY), MassCutoff(2.0), plain))):
+    product = FunctionalProduct((ShapeIndicator(CHERRY), MassCutoff(2.0), plain))
+    for f in (plain, product):
         with pytest.raises(TypeError, match="time_boxes"):
             functional(f, 2, path, CONSTANT, MONO, t)
         with pytest.raises(TypeError, match="time_boxes"):
             list(terms(f, 2, path, CONSTANT, MONO, t))
         with pytest.raises(TypeError, match="time_boxes"):
             time_integral(CHERRY, (1.0, 1.0), path, t, f)
+    m = empirical_measure(simulate(SimConfig.monodisperse(8, CONSTANT, 2.0), rng_for(0)), t)
+    with pytest.raises(TypeError, match="time_boxes"):
+        evaluate_functional(m, lambda tree: tree.mass * tree.n_leaves)
+    with pytest.raises(TypeError, match="time_boxes"):
+        product(hist_node(1.0, hist_leaf(1.0), hist_leaf(1.0)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -227,3 +228,17 @@ def test_replica_numbers_are_pinned(kname):
                                   s.exponential_estimate, s.exponential_se)]
     jump = [x.hex() for x in (j.merged_fraction, j.chi2_pvalue, j.pair_pvalue)]
     assert (survival, jump) == GOLDEN_FINITE_N[kname]
+
+
+def test_lln_workload_report_is_pinned():
+    # the benchmark's lln workload plan (perfbench/workloads.py, size
+    # "full"): the sha256 of its report.json text
+    plan = ExperimentPlan(
+        CONSTANT, MONO, 2.0,
+        (("leaf", ShapeIndicator(LEAF)), ("cherry", ShapeIndicator(CHERRY)),
+         ("cherry-box", ShapeTimeBoxIndicator(CHERRY, ((0.5, 1.5),)))),
+        n_ladder=(100, 300, 1000), replicas=(200, 60, 30), seed=1004,
+        tau_max_leaves=2, jobs=1)
+    report = run_lln(plan).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == \
+        "0d1f7f212635fd26480afbd7c4a177afbc31c76f06097ca7af4bbdf02d6d0155"

@@ -30,6 +30,7 @@ from tests_support import (
     reference_simulate_coupled,
     reference_simulate_direct,
     reference_thinning_sampler,
+    reference_value,
     simulate_coupled,
     write_additive_table,
 )
@@ -430,6 +431,7 @@ def test_config_pickles_without_its_sampler_start():
     cfg = SimConfig.monodisperse(1000, CONSTANT, 0.5)
     size = len(pickle.dumps(cfg))
     log = simulate(cfg, rng_for(24))
+    empirical_measure(log, 0.5)
     assert len(pickle.dumps(cfg)) == size
     back = pickle.loads(pickle.dumps(log))
     assert back.config == cfg and back.events == log.events
@@ -454,7 +456,6 @@ BUILTINS = (
     FunctionalProduct((MassCutoff(3.0), ShapeTimeBoxIndicator(BALANCED4, (
         (0.0, 3.0), (0.3, 1.0), (0.3, 1.0))))),
     FunctionalProduct(()),
-    lambda tree: tree.mass * tree.n_leaves,
 )
 
 
@@ -475,8 +476,9 @@ def test_flat_functionals_match_the_trees(case, n, replica, fraction):
     assert len(m.atoms) == n - log.n_events(t)
     assert tuple(m.atoms) == reference_atoms(log, t)
     for f in BUILTINS:
-        want = m.weight * sum(f(tree) for tree in m.atoms)
-        assert evaluate_functional(m, f).hex() == want.hex(), f
+        values = [reference_value(f, tree) for tree in m.atoms]
+        assert [f(tree).hex() for tree in m.atoms] == [v.hex() for v in values], f
+        assert evaluate_functional(m, f).hex() == (m.weight * sum(values)).hex(), f
 
 
 def test_time_boxes_on_equal_size_subtrees_follow_the_history():
@@ -509,8 +511,7 @@ def test_builtins_read_no_trees(monkeypatch):
     simulate_module = importlib.import_module("coagtree.simulate")
     monkeypatch.setattr(simulate_module, "hist_leaf", no_trees)
     monkeypatch.setattr(simulate_module, "hist_node", no_trees)
-    functionals = tuple((str(k), f) for k, f in enumerate(BUILTINS)
-                        if hasattr(f, "atom_values"))
+    functionals = tuple((str(k), f) for k, f in enumerate(BUILTINS))
     values, events, proposals = _replica_values(
         CONSTANT, (1.0,) * 50, 3.0, 31, 0, 0, 5, functionals)
     assert values.shape == (5, len(functionals)) and 0 < events <= proposals

@@ -1,9 +1,10 @@
-"""Shared helpers for tests: random tree and density-query generators, a
-tabulated kernel file, nested Gauss-Legendre quadrature over node times, the
-coupled exponential-clock construction and its agreement test with the
-sampler, and the reference jump-chain and thinning samplers, replica
-streams, history building, coupled construction, history text writer and
-scanner, mass lattice, pair index and mean-field solve."""
+"""Shared helpers for tests: random tree and density-query generators, the
+built-in functionals' values read from a tree alone, a tabulated kernel
+file, nested Gauss-Legendre quadrature over node times, the coupled
+exponential-clock construction and its agreement test with the sampler, and
+the reference jump-chain and thinning samplers, replica streams, history
+building, coupled construction, history text writer and scanner, mass
+lattice, pair index and mean-field solve."""
 
 import csv
 import functools
@@ -21,8 +22,13 @@ from coagtree.kernels import ConfigError, Kernel, check_gelation
 from coagtree.limit import TimeIntegral, _labeled_density, build_preorder
 from coagtree.simulate import (
     RATIO_ROUNDING,
+    ConstantOne,
     Event,
     EventLog,
+    FunctionalProduct,
+    MassCutoff,
+    ShapeIndicator,
+    ShapeTimeBoxIndicator,
     SimConfig,
     replica_stream,
     simulate,
@@ -63,6 +69,39 @@ def reference_atoms(log, t):
             break
         trees[e.node] = hist_node(e.time, trees.pop(e.left), trees.pop(e.right))
     return tuple(trees.values())
+
+
+def reference_value(f, tree):
+    """The built-in f on ``tree``, computed from the tree alone as each
+    built-in's own ``__call__`` did before ``time_boxes`` became its one
+    declaration: the oracle for that declaration."""
+    if isinstance(f, ShapeIndicator):
+        return 1.0 if tree.shape == f.shape else 0.0
+    if isinstance(f, ShapeTimeBoxIndicator):
+        if tree.shape != f.shape:
+            return 0.0
+        times = [v.time for v, _ in preorder(tree) if not v.is_leaf]
+        for (lo, hi), s in zip(f.boxes, times):
+            if not lo <= s <= hi:
+                return 0.0
+        return 1.0
+    if isinstance(f, MassCutoff):
+        x = tree.mass
+        if x <= f.M:
+            return 1.0
+        if x >= f.M + 1.0:
+            return 0.0
+        return f.M + 1.0 - x
+    if isinstance(f, FunctionalProduct):
+        out = 1.0
+        for g in f.factors:
+            out *= reference_value(g, tree)
+            if out == 0.0:
+                return 0.0
+        return out
+    if isinstance(f, ConstantOne):
+        return 1.0
+    raise TypeError(f"{f!r} is not a built-in functional")
 
 
 def reference_write_events(log, outdir):
