@@ -464,17 +464,20 @@ class EmpiricalHistoricalMeasure:
         """
         left, right, shapes, shape = self.left, self.right, self.shapes, self.shape
         times = []
-        stack = [node]
-        while stack:
+        stack = [node] if left[node] >= 0 else []
+        while stack:  # internal nodes only: a leaf child has no merge time
             v = stack.pop()
-            a, b = left[v], right[v]
-            if a < 0:
-                continue
             times.append(self.time[v])
-            la, lb = shapes[shape[a]].n_leaves, shapes[shape[b]].n_leaves
-            if la > lb:
-                a, b = b, a
-            stack += (b, a)
+            a, b = left[v], right[v]
+            if left[a] < 0:
+                if left[b] >= 0:
+                    stack.append(b)
+            elif left[b] < 0:
+                stack.append(a)
+            elif shapes[shape[a]].n_leaves > shapes[shape[b]].n_leaves:
+                stack += (a, b)
+            else:
+                stack += (b, a)
         return times
 
 
