@@ -31,7 +31,7 @@ from .simulate import (
     simulate,
 )
 from .smoluchowski import MassSpectrum, solve
-from .trees import LEAF, shape_node
+from .trees import LEAF, history_text, shape_node
 
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
@@ -96,34 +96,15 @@ def _read_mu0(path: str) -> MassSpectrum:
     return MassSpectrum.from_pairs(pairs)
 
 
-def _history_text(log) -> tuple:
-    """The canonical text of the histories in ``log``, from the event log
-    alone: each event's two children (in the log's order), and each history
-    alive at the end, by ascending node id.
-
-    Each live node carries (leaf count, text), which is its
-    ``HistoricalTree``'s ``sort_key``: the smaller pair is the left child.
-    """
-    live = {i: (1, repr(float(m))) for i, m in enumerate(log.config.masses)}
-    children = []
-    for e in log.events:
-        a, b = live.pop(e.left), live.pop(e.right)
-        children.append((a[1], b[1]))
-        if b < a:
-            a, b = b, a
-        live[e.node] = (a[0] + b[0], "(%s,%s)@%r" % (a[1], b[1], float(e.time)))
-    return children, [text for _, text in live.values()]
-
-
 def _write_events(log, outdir: Path) -> list:
     events_path = outdir / "events.csv"
     trees_path = outdir / "trees.txt"
-    children, forest = _history_text(log)
+    children, forest = history_text(log.config.masses, log.events)
     with open(events_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["event_index", "time", "left_serial", "right_serial"])
-        writer.writerows([k, repr(e.time), a, b]
-                         for k, (e, (a, b)) in enumerate(zip(log.events, children)))
+        writer.writerows([k, repr(s), a, b]
+                         for k, ((s, _, _), (a, b)) in enumerate(zip(log.events, children)))
     with open(trees_path, "w") as fh:
         fh.writelines(text + "\n" for text in forest)
     return [events_path, trees_path]
@@ -137,18 +118,18 @@ def cmd_simulate(args) -> int:
                                  allow_gelation=args.allow_gelation)
     config = {"n": args.n, "mass": args.mass, "kernel": args.kernel, "t": args.t,
               "replicas": args.replicas}
-    outputs = [outdir / "events.csv", outdir / "trees.txt"]
+    subdirs = [outdir / f"replica-{r:04d}" for r in range(args.replicas)]
+    if args.replicas == 1:
+        subdirs = [outdir]
+    outputs = [sub / name for sub in subdirs for name in ("events.csv", "trees.txt")]
     manifest_args = (outdir, "simulate", config, seed, [], outputs)
     _write_manifest(*manifest_args)
     events, proposals, simulate_s, write_s = 0, 0, 0.0, 0.0
-    for r in range(args.replicas):
+    for r, sub in enumerate(subdirs):
         start = time.perf_counter()
         log = simulate(cfg, rng_for(seed, r))
         simulated = time.perf_counter()
-        sub = outdir
-        if args.replicas > 1:
-            sub = outdir / f"replica-{r:04d}"
-            sub.mkdir(exist_ok=True)
+        sub.mkdir(exist_ok=True)
         _write_events(log, sub)
         simulate_s += simulated - start
         write_s += time.perf_counter() - simulated
@@ -324,9 +305,10 @@ def cmd_gallery(args) -> int:
     _write_manifest(outdir, "gallery", config, seed, [], outputs)
     for (name, horizon), out in zip(GALLERY, outputs):
         kernel = builtin(name)
-        log = simulate(SimConfig.monodisperse(128, kernel, horizon), rng_for(seed))
+        cfg = SimConfig.monodisperse(128, kernel, horizon)
+        log = simulate(cfg, rng_for(seed))
         with open(out, "w") as fh:
-            fh.writelines(text + "\n" for text in _history_text(log)[1])
+            fh.writelines(text + "\n" for text in history_text(cfg.masses, log.events)[1])
     return 0
 
 
@@ -338,15 +320,16 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, gelation=False):
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (fallback: COAGTREE_SEED env, then 0)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--allow-gelation", action="store_true",
-                       help="override the gelation-horizon guard")
+        if gelation:  # only where the run reads it
+            p.add_argument("--allow-gelation", action="store_true",
+                           help="override the gelation-horizon guard")
 
     p = sub.add_parser("simulate", help="run the stochastic process")
-    common(p)
+    common(p, gelation=True)
     p.add_argument("--kernel", default="constant")
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--mass", type=float, default=1.0)
@@ -355,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("solve", help="solve the mean-field equation")
-    common(p)
+    common(p, gelation=True)
     p.add_argument("--kernel", default="constant")
     p.add_argument("--mu0", default=None, help="CSV of mass,weight rows")
     p.add_argument("--t", type=float, default=1.0)
@@ -365,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("limit", help="evaluate the limit measure by shape")
-    common(p)
+    common(p, gelation=True)
     p.add_argument("--kernel", default="constant")
     p.add_argument("--mu0", default=None)
     p.add_argument("--t", type=float, default=1.0)

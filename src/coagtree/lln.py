@@ -140,7 +140,7 @@ def _replica_values(kernel: Kernel, masses: tuple, t: float, seed: int,
     the runs' total events and thinning proposals."""
     out = np.empty((count, len(functionals)))
     events = proposals = 0
-    cfg = SimConfig(len(masses), masses, kernel, t)
+    cfg = SimConfig(masses, kernel, t)
     rng_at = replica_stream(seed, stream)
     for k in range(count):
         log = simulate(cfg, rng_at(start + k))
@@ -273,14 +273,14 @@ def jump_density_test(n: int, masses, kernel: Kernel, t: float,
 
     first_times = []
     first_pairs = []
-    cfg = SimConfig(n, masses, kernel, t)
+    cfg = SimConfig(masses, kernel, t)
     rng_at = replica_stream(seed, stream=7)
     for replica in range(replicas):
         log = simulate(cfg, rng_at(replica))
         if log.events:
-            e = log.events[0]
-            first_times.append(e.time)
-            first_pairs.append((min(e.left, e.right), max(e.left, e.right)))
+            s, i, j = log.events[0]
+            first_times.append(s)
+            first_pairs.append((i, j))  # rows have left < right
 
     merged = len(first_times)
     edges = np.linspace(0.0, t, JUMP_TIME_BINS + 1)
@@ -331,11 +331,11 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
         return SurvivalReport(n, t, replicas, 1.0, 0.0, 1.0, 0.0, True)
 
     alive = 0
-    cfg = SimConfig(n, masses, kernel, t)
+    cfg = SimConfig(masses, kernel, t)
     rng_at = replica_stream(seed, stream=11)
     for replica in range(replicas):
         log = simulate(cfg, rng_at(replica))
-        if all(e.left != 0 and e.right != 0 for e in log.events):
+        if all(i != 0 for _, i, _ in log.events):  # left < right: 0 is only ever left
             alive += 1
     p_direct = alive / replicas
     se_direct = math.sqrt(max(p_direct * (1 - p_direct), 1e-300) / replicas)
@@ -343,7 +343,7 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
     bg_masses = (float(mass),) * (n - 1)
     y1 = float(mass)
     vals = np.empty(replicas)
-    cfg = SimConfig(n - 1, bg_masses, kernel, t, rate_n=n)
+    cfg = SimConfig(bg_masses, kernel, t, rate_n=n)
     rng_at = replica_stream(seed, stream=13)
     for replica in range(replicas):
         log = simulate(cfg, rng_at(replica))
@@ -351,12 +351,12 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
         g = sum(float(kernel.evaluate(y1, m)) for m in live.values())
         integral = 0.0
         prev = 0.0
-        for e in log.events:
-            integral += g * (e.time - prev)
-            prev = e.time
-            ma = live.pop(e.left)
-            mb = live.pop(e.right)
-            live[e.node] = ma + mb
+        for node, (s, i, j) in enumerate(log.events, n - 1):
+            integral += g * (s - prev)
+            prev = s
+            ma = live.pop(i)
+            mb = live.pop(j)
+            live[node] = ma + mb
             g += float(kernel.evaluate(y1, ma + mb)) \
                 - float(kernel.evaluate(y1, ma)) - float(kernel.evaluate(y1, mb))
         integral += g * (t - prev)

@@ -13,12 +13,15 @@ three numbers only, so replicas give the same results in any order and in
 any worker process.  ``replica_stream(seed, stream)`` gives the same
 streams, replica after replica, from one reseated Philox.
 
-``empirical_measure`` reads an event log into flat per-node arrays (interned
-shape id, mass, merge time, children), and ``HistoricalTree``s are built only
-when ``atoms`` is read.  A functional declares itself once, by
-``time_boxes(shape, mass)``; ``evaluate_functional`` reads that declaration
-on the flat arrays, a built-in's ``__call__`` on a tree, and
-``coagtree.limit`` in its time integrals.
+A run's ``EventLog`` holds its merges as plain ``(time, left, right)`` rows,
+left < right, in time order.  Merge k creates node N + k, so node ids are
+implied by the row order: leaves are 0..N-1 and node v >= N is row v - N.
+``empirical_measure`` adds only per-node shape ids (interned) and masses and
+the live ids, and reads merge times and children from the rows; a
+``HistoricalTree`` is built only when ``atoms`` is read.  A functional
+declares itself once, by ``time_boxes(shape, mass)``; ``evaluate_functional``
+reads that declaration on the flat arrays, a built-in's ``__call__`` on a
+tree, and ``coagtree.limit`` in its time integrals.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -97,12 +100,15 @@ def replica_stream(seed: int, stream: int) -> Callable[[int], Generator]:
 
 @dataclass(frozen=True)
 class SimConfig:
-    n: int
-    masses: tuple
+    masses: tuple  # initial masses; the particle count is their number
     kernel: Kernel
     horizon: float
     allow_gelation: bool = False
     rate_n: Optional[int] = None  # N in the K/N rate scaling if not len(masses)
+
+    @property
+    def n(self) -> int:
+        return len(self.masses)
 
     @property
     def n_eff(self) -> int:
@@ -142,13 +148,11 @@ class SimConfig:
     @classmethod
     def monodisperse(cls, n: int, kernel: Kernel, horizon: float, mass: float = 1.0,
                      **kw) -> "SimConfig":
-        return cls(n, (float(mass),) * n, kernel, horizon, **kw)
+        return cls((float(mass),) * n, kernel, horizon, **kw)
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("need at least one particle")
-        if len(self.masses) != self.n:
-            raise ConfigError(f"expected {self.n} masses, got {len(self.masses)}")
         if any(m <= 0 for m in self.masses):
             raise ConfigError("masses must be positive")
         if not self.horizon >= 0:
@@ -158,32 +162,21 @@ class SimConfig:
                        self.horizon, self.allow_gelation)
 
 
-class Event(NamedTuple):
-    time: float
-    left: int   # node id consumed
-    right: int  # node id consumed
-    node: int   # node id created
-
-
-# Event from a (time, left, right, node) tuple, without the field-by-field __new__
-_event = functools.partial(tuple.__new__, Event)
-
-
 @dataclass(frozen=True)
 class EventLog:
     config: SimConfig
-    events: tuple
+    events: tuple  # (time, left, right) per merge; merge k creates node config.n + k
     proposals: Optional[int] = None  # thinning proposals; None for a log built by hand
 
     def __post_init__(self):
-        times = [e.time for e in self.events]
+        times = [time for time, _, _ in self.events]
         if any(map(operator.le, times[1:], times)):
             raise ValueError("event times must be strictly increasing")
 
     def n_events(self, t: Optional[float] = None) -> int:
         if t is None:
             return len(self.events)
-        return bisect.bisect_right([e.time for e in self.events], t)
+        return bisect.bisect_right(self.events, t, key=operator.itemgetter(0))
 
 
 # acceptance ratios at most this far above 1 are rounding in c * phi * phi,
@@ -317,8 +310,7 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
         mass[next_id], phi[next_id] = x, px
         s1 += px - pi - pj
         next_id += 1
-    events = tuple(map(_event, zip(times, lefts, rights, range(n0, next_id))))
-    return EventLog(cfg, events, proposals)
+    return EventLog(cfg, tuple(zip(times, lefts, rights)), proposals)
 
 
 class _MajorantState:
@@ -399,9 +391,9 @@ class EmpiricalHistoricalMeasure:
     event up to t): ``shape`` is an interned shape id (0 for a leaf; an
     internal node's id stands for the unordered pair of its children's ids,
     so equal ids are equal shapes, and ``shapes[id]`` is that
-    ``TreeShape``), ``mass`` the total mass, ``time`` the
-    merge time (0.0 for a leaf), ``left`` and ``right`` the children (-1 for
-    a leaf).  ``live`` lists the live clusters' ids in ascending order,
+    ``TreeShape``) and ``mass`` the total mass.  Node v >= N is the merge
+    in row v - N of the log's ``events``, which gives its time and
+    children.  ``live`` lists the live clusters' ids in ascending order,
     which is the order of ``atoms``: a read-only sequence of their
     ``HistoricalTree``s (leaf i labelled i), built on first element access.
     """
@@ -411,9 +403,8 @@ class EmpiricalHistoricalMeasure:
     shape: list
     shapes: list  # TreeShape per shape id, shared by the runs of one SimConfig
     mass: list
-    time: list
-    left: list
-    right: list
+    events: tuple  # the log's (time, left, right) rows
+    n0: int  # N: the first internal node's id
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", _Atoms(self))  # frozen: written once, here
@@ -437,21 +428,21 @@ class EmpiricalHistoricalMeasure:
 
     def tree(self, node: int) -> HistoricalTree:
         """The ``HistoricalTree`` of node ``node``; leaf i carries label i."""
-        left, right = self.left, self.right
+        events, n0 = self.events, self.n0
         order = []
         stack = [node]
         while stack:
             v = stack.pop()
             order.append(v)
-            if left[v] >= 0:
-                stack += (left[v], right[v])
+            if v >= n0:
+                stack += events[v - n0][1:]
         built = []  # finished subtrees: children before parents, left before right
         for v in reversed(order):
-            if left[v] < 0:
+            if v < n0:
                 built.append(hist_leaf(self.mass[v], label=v))
             else:
                 b = built.pop()
-                built.append(hist_node(self.time[v], built.pop(), b))
+                built.append(hist_node(events[v - n0][0], built.pop(), b))
         return built[0]
 
     def preorder_times(self, node: int) -> list:
@@ -462,17 +453,16 @@ class EmpiricalHistoricalMeasure:
         and this by node id.  A ``ShapeTimeBoxIndicator`` gives such
         siblings equal boxes, so either order gives it the same value.
         """
-        left, right, shapes, shape = self.left, self.right, self.shapes, self.shape
+        events, n0, shapes, shape = self.events, self.n0, self.shapes, self.shape
         times = []
-        stack = [node] if left[node] >= 0 else []
+        stack = [node] if node >= n0 else []
         while stack:  # internal nodes only: a leaf child has no merge time
-            v = stack.pop()
-            times.append(self.time[v])
-            a, b = left[v], right[v]
-            if left[a] < 0:
-                if left[b] >= 0:
+            time, a, b = events[stack.pop() - n0]
+            times.append(time)
+            if a < n0:
+                if b >= n0:
                     stack.append(b)
-            elif left[b] < 0:
+            elif b < n0:
                 stack.append(a)
             elif shapes[shape[a]].n_leaves > shapes[shape[b]].n_leaves:
                 stack += (a, b)
@@ -509,16 +499,10 @@ def empirical_measure(log: EventLog, t: float) -> EmpiricalHistoricalMeasure:
     shape_ids, shapes = cfg._shape_table
     shape = [0] * n0
     mass = [float(x) for x in cfg.masses]
-    time = [0.0] * n0
-    left = [-1] * n0
-    right = [-1] * n0
     alive = [True] * n0
-    for e in log.events:
-        if e.time > t:
+    for time, i, j in log.events:
+        if time > t:
             break
-        i, j = e.left, e.right
-        if e.node != len(mass):
-            raise ValueError(f"event creates node {e.node}; expected {len(mass)}")
         a, b = shape[i], shape[j]
         key = (a, b) if a <= b else (b, a)
         s = shape_ids.get(key)
@@ -527,14 +511,10 @@ def empirical_measure(log: EventLog, t: float) -> EmpiricalHistoricalMeasure:
             shapes.append(shape_node(shapes[a], shapes[b]))
         shape.append(s)
         mass.append(mass[i] + mass[j])
-        time.append(e.time)
-        left.append(i)
-        right.append(j)
         alive[i] = alive[j] = False
         alive.append(True)
     live = tuple(i for i, x in enumerate(alive) if x)
-    return EmpiricalHistoricalMeasure(1.0 / n0, live, shape, shapes, mass, time, left,
-                                      right)
+    return EmpiricalHistoricalMeasure(1.0 / n0, live, shape, shapes, mass, log.events, n0)
 
 
 def evaluate_functional(m: EmpiricalHistoricalMeasure, f: Callable) -> float:

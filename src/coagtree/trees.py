@@ -159,7 +159,7 @@ class HistoricalTree:
                     )
             n_leaves, mass = a.n_leaves + b.n_leaves, a.mass + b.mass
             shape = shape_node(a.shape, b.shape)
-            serial = "(%s,%s)@%r" % (a.serial, b.serial, float(t))
+            serial = _NODE_TEXT % (a.serial, b.serial, float(t))
         put = object.__setattr__  # frozen: the derived fields are written once, here
         put(self, "n_leaves", n_leaves)
         put(self, "mass", mass)
@@ -429,9 +429,33 @@ def distinct_labelings(shape: TreeShape, labels: list[int]) -> set:
 # text format: leaf = decimal mass, node = "(" child "," child ")" "@" time;
 # whitespace is allowed before and after every token
 
+_NODE_TEXT = "(%s,%s)@%r"  # left text, right text, merge time
+
 
 def serialize(xi: HistoricalTree) -> str:
     return xi.serial
+
+
+def history_text(masses, events) -> tuple:
+    """The text of a merger forest from its leaf masses and its merges, no
+    tree built.
+
+    ``events`` are ``(time, left, right)`` rows in time order, and row k
+    creates node ``len(masses) + k``.  Returns, per row, its two children's
+    text in the row's order, and the text of each history alive after the
+    last row, by ascending node id.  Each text is the ``serial`` of that
+    node's ``HistoricalTree``: a live node carries (leaf count, text), the
+    tree's ``sort_key``, and the smaller of two children is written first.
+    """
+    live = {i: (1, repr(float(m))) for i, m in enumerate(masses)}
+    children = []
+    for node, (t, i, j) in enumerate(events, len(masses)):
+        a, b = live.pop(i), live.pop(j)
+        children.append((a[1], b[1]))
+        if b < a:
+            a, b = b, a
+        live[node] = (a[0] + b[0], _NODE_TEXT % (a[1], b[1], float(t)))
+    return children, [text for _, text in live.values()]
 
 
 # a token is a run of number characters or any other single character; the

@@ -65,8 +65,7 @@ def written(tmp_path_factory):
     """Per run: the directory the writer filled and the one the reference did."""
     out = {}
     for name, horizon in WRITER_RUNS:
-        cfg = SimConfig(3000, tuple(1.0 + k % 3 for k in range(3000)), builtin(name),
-                        horizon)
+        cfg = SimConfig(tuple(1.0 + k % 3 for k in range(3000)), builtin(name), horizon)
         log = simulate(cfg, rng_for(13))
         assert len(log.events) > 500
         new, old = tmp_path_factory.mktemp(name), tmp_path_factory.mktemp(name)
@@ -325,6 +324,14 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exited:
         main(["simulate", "--construction", "direct", "--out", str(tmp_path / "v")])
     assert exited.value.code == 2
+    # --allow-gelation only where a run reads it: not on lln or gallery
+    gelling = tmp_path / "gelling.json"
+    gelling.write_text(json.dumps({"kernel": "product", "t": 0.99}))
+    assert main(["lln", str(gelling), "--out", str(tmp_path / "u")]) == 3
+    for argv in (["lln", str(gelling)], ["gallery"]):
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--allow-gelation", "--out", str(tmp_path / "u")])
+        assert exited.value.code == 2, argv
     # malformed input files: each is named on stderr, with no traceback
     capsys.readouterr()
     mu0 = tmp_path / "mu0.csv"
@@ -364,5 +371,12 @@ def test_manifest_written_before_outputs(tmp_path):
     # rewritten after the run with what only the run knows
     assert set(manifest) == {"subcommand", "config", "seed", "version",
                              "input_hashes", "outputs", "counters", "timings"}
+    assert len(manifest["outputs"]) == 2
     for declared in manifest["outputs"]:
         assert os.path.exists(declared)
+    # with several replicas, each replica's two files under replica-NNNN/
+    out = tmp_path / "r"
+    assert main(["simulate", "--n", "8", "--t", "1", "--replicas", "2",
+                 "--out", str(out)]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert len(outputs) == 4 and all(map(os.path.exists, outputs)), outputs

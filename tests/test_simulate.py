@@ -11,7 +11,6 @@ from coagtree.simulate import (
     ConfigError,
     ConstantOne,
     EmpiricalHistoricalMeasure,
-    Event,
     FunctionalProduct,
     MassCutoff,
     ShapeIndicator,
@@ -41,17 +40,15 @@ PRODUCT = builtin("product")
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        SimConfig(0, (), CONSTANT, 1.0)
+        SimConfig((), CONSTANT, 1.0)
     with pytest.raises(ConfigError):
-        SimConfig(2, (1.0,), CONSTANT, 1.0)
-    with pytest.raises(ConfigError):
-        SimConfig(2, (1.0, -1.0), CONSTANT, 1.0)
+        SimConfig((1.0, -1.0), CONSTANT, 1.0)
     with pytest.raises(ConfigError):
         simulate_coupled(SimConfig.monodisperse(13, CONSTANT, 1.0), rng_for(0))
 
 
 def test_single_particle_empty_log():
-    log = simulate(SimConfig(1, (1.0,), CONSTANT, 5.0), rng_for(1))
+    log = simulate(SimConfig((1.0,), CONSTANT, 5.0), rng_for(1))
     assert log.events == ()
     m = empirical_measure(log, 5.0)
     assert len(m.atoms) == 1
@@ -60,7 +57,7 @@ def test_single_particle_empty_log():
 
 def test_two_particle_exponential_law():
     # merge time ~ Exponential(K/N) = Exponential(1/2)
-    cfg = SimConfig(2, (1.0, 1.0), CONSTANT, 1.0)
+    cfg = SimConfig((1.0, 1.0), CONSTANT, 1.0)
     replicas = 40000
     alive = sum(
         not simulate(cfg, rng_for(3, r)).events for r in range(replicas))
@@ -88,7 +85,8 @@ def test_three_particle_mean_events_vs_matrix_exponential():
 
 
 def event_keys(log):
-    return [(e.time.hex(), e.left, e.right, e.node) for e in log.events]
+    n0 = log.config.n
+    return [(s.hex(), i, j, n0 + k) for k, (s, i, j) in enumerate(log.events)]
 
 
 @pytest.mark.parametrize("n,replicas,rate_n", [
@@ -140,15 +138,15 @@ def test_sampler_matches_the_reference_thinning_sampler(case, tmp_path):
         kernel = builtin(name)
     oracle, oracle_rows = counting(kernel)
     kernel, rows = counting(kernel)
-    cfg = SimConfig(len(masses), masses, kernel, horizon, rate_n=rate_n)
-    ref = SimConfig(len(masses), masses, oracle, horizon, rate_n=rate_n)
+    cfg = SimConfig(masses, kernel, horizon, rate_n=rate_n)
+    ref = SimConfig(masses, oracle, horizon, rate_n=rate_n)
     merged = 0
     for r in range(60):
         log = simulate(cfg, rng_for(18, r))
         want = reference_thinning_sampler(ref, rng_for(18, r))
         assert event_keys(log) == event_keys(want), r
         assert log.proposals == want.proposals, r
-        assert all(type(e) is Event for e in log.events)
+        assert all(type(row) is tuple and len(row) == 3 for row in log.events)
         merged += len(log.events)
     assert merged > 0
     # each memoised state cost one kernel row, and the runs shared them
@@ -167,13 +165,13 @@ def test_tabulated_kernel_thins_little(tmp_path):
 def test_bidisperse_additive_run_merges_only_live_clusters():
     n = 10_000
     masses = (0.1, 0.7) * (n // 2)
-    log = simulate(SimConfig(n, masses, builtin("additive"), 1.0), rng_for(16))
+    log = simulate(SimConfig(masses, builtin("additive"), 1.0), rng_for(16))
     live = set(range(n))
-    for k, e in enumerate(log.events):
-        assert e.node == n + k and e.left < e.right
-        assert e.left in live and e.right in live
-        live -= {e.left, e.right}
-        live.add(e.node)
+    for node, (_, i, j) in enumerate(log.events, n):
+        assert i < j
+        assert i in live and j in live
+        live -= {i, j}
+        live.add(node)
     m = empirical_measure(log, 1.0)
     assert len(m.atoms) == len(live) == n - len(log.events)
     assert m.total_mass() * n == pytest.approx(sum(masses), rel=1e-12)
@@ -222,7 +220,7 @@ def test_mass_conservation_and_event_count():
 
 def test_event_times_strictly_increasing():
     log = simulate(SimConfig.monodisperse(100, PRODUCT, 0.5), rng_for(6))
-    times = [e.time for e in log.events]
+    times = [s for s, _, _ in log.events]
     assert all(b > a for a, b in zip(times, times[1:]))
 
 
@@ -232,7 +230,7 @@ def test_empirical_measure_structure():
     m0 = empirical_measure(log, 0.0)
     assert len(m0.atoms) == 10 and all(a.is_leaf for a in m0.atoms)
     if log.events:
-        t1 = log.events[0].time
+        t1 = log.events[0][0]
         m1 = empirical_measure(log, t1)
         cherries = [a for a in m1.atoms if not a.is_leaf]
         assert len(m1.atoms) == 9
@@ -245,7 +243,7 @@ def test_empirical_measure_structure():
 def test_coupled_two_particles_law():
     # N=2 coupled and direct share the same single-exponential law
     replicas = 20000
-    cfg = SimConfig(2, (1.0, 1.0), CONSTANT, 1.0)
+    cfg = SimConfig((1.0, 1.0), CONSTANT, 1.0)
     alive = sum(
         not simulate_coupled(cfg, rng_for(9, r)).events for r in range(replicas))
     expected = math.exp(-0.5)
@@ -259,7 +257,7 @@ def test_coupled_two_particles_law():
 def test_coupled_construction_matches_the_reference(name, horizon, n):
     kernel = builtin(name)
     configs = (SimConfig.monodisperse(n, kernel, horizon),
-               SimConfig(n, tuple(1.0 + k % 3 for k in range(n)), kernel, horizon / 3))
+               SimConfig(tuple(1.0 + k % 3 for k in range(n)), kernel, horizon / 3))
     merged = 0
     for cfg in configs:
         for r in range(1000):
@@ -287,7 +285,7 @@ def test_exchangeability_mass_relabeling():
     f = MassCutoff(2.0)
     samples = []
     for ms, stream in ((masses, 31), (perm, 37)):
-        cfg = SimConfig(6, ms, builtin("additive"), 0.5)
+        cfg = SimConfig(ms, builtin("additive"), 0.5)
         vals = []
         for r in range(4000):
             log = simulate(cfg, rng_for(12, r, stream))
@@ -417,13 +415,13 @@ def test_rng_for_refuses_replicas_outside_its_range():
 def test_replica_draws_do_not_depend_on_earlier_replicas():
     # bidisperse additive: merged masses raise the majorant constant c, so a
     # run that saw another run's masses would draw differently
-    cfg = SimConfig(200, (0.1, 0.7) * 100, builtin("additive"), 1.0)
+    cfg = SimConfig((0.1, 0.7) * 100, builtin("additive"), 1.0)
     first = simulate(cfg, rng_for(23, 37))
     for r in range(37):
         simulate(cfg, rng_for(23, r))
     again = simulate(cfg, rng_for(23, 37))
     assert first.events == again.events and first.proposals == again.proposals
-    fresh = SimConfig(200, (0.1, 0.7) * 100, builtin("additive"), 1.0)
+    fresh = SimConfig((0.1, 0.7) * 100, builtin("additive"), 1.0)
     assert simulate(fresh, rng_for(23, 37)).events == first.events
 
 
@@ -466,7 +464,7 @@ BUILTINS = (
 @settings(max_examples=60, deadline=None)
 def test_flat_functionals_match_the_trees(case, n, replica, fraction):
     if case == "additive-bidisperse":
-        cfg = SimConfig(n, (0.1, 0.7) * (n // 2) + (0.1,) * (n % 2),
+        cfg = SimConfig((0.1, 0.7) * (n // 2) + (0.1,) * (n % 2),
                         builtin("additive"), 2.0)
     else:
         cfg = SimConfig.monodisperse(n, CONSTANT, 3.0)
@@ -485,10 +483,10 @@ def test_time_boxes_on_equal_size_subtrees_follow_the_history():
     # node 4 = (2.0, 2.0) at 0.1, node 5 = (1.0, 1.0) at 0.2: the history's
     # text puts node 5 first, against the id order that the flat arrays read;
     # with equal boxes on the two cherries both orders give the same value
-    from coagtree.simulate import Event, EventLog
+    from coagtree.simulate import EventLog
 
-    cfg = SimConfig(4, (2.0, 2.0, 1.0, 1.0), CONSTANT, 1.0)
-    log = EventLog(cfg, (Event(0.1, 0, 1, 4), Event(0.2, 2, 3, 5), Event(0.5, 4, 5, 6)))
+    cfg = SimConfig((2.0, 2.0, 1.0, 1.0), CONSTANT, 1.0)
+    log = EventLog(cfg, ((0.1, 0, 1), (0.2, 2, 3), (0.5, 4, 5)))
     m = empirical_measure(log, 1.0)
     tree_times = [v.time for v, _ in preorder(m.atoms[0]) if not v.is_leaf]
     assert tree_times == [0.5, 0.2, 0.1] and m.preorder_times(6) == [0.5, 0.1, 0.2]

@@ -23,7 +23,6 @@ from coagtree.limit import TimeIntegral, _labeled_density, build_preorder
 from coagtree.simulate import (
     RATIO_ROUNDING,
     ConstantOne,
-    Event,
     EventLog,
     FunctionalProduct,
     MassCutoff,
@@ -64,10 +63,10 @@ def reference_atoms(log, t):
     """The live histories at ``t``, built as ``empirical_measure`` once did:
     one tree per event, live clusters kept in a dict."""
     trees = {i: hist_leaf(m, label=i) for i, m in enumerate(log.config.masses)}
-    for e in log.events:
-        if e.time > t:
+    for node, (s, i, j) in enumerate(log.events, log.config.n):
+        if s > t:
             break
-        trees[e.node] = hist_node(e.time, trees.pop(e.left), trees.pop(e.right))
+        trees[node] = hist_node(s, trees.pop(i), trees.pop(j))
     return tuple(trees.values())
 
 
@@ -113,10 +112,9 @@ def reference_write_events(log, outdir):
     with open(events_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["event_index", "time", "left_serial", "right_serial"])
-        for k, e in enumerate(log.events):
-            writer.writerow([k, repr(e.time), built[e.left].serial,
-                             built[e.right].serial])
-            built[e.node] = hist_node(e.time, built.pop(e.left), built.pop(e.right))
+        for k, (s, i, j) in enumerate(log.events):
+            writer.writerow([k, repr(s), built[i].serial, built[j].serial])
+            built[log.config.n + k] = hist_node(s, built.pop(i), built.pop(j))
     with open(trees_path, "w") as fh:
         for tree in built.values():
             fh.write(serialize(tree) + "\n")
@@ -353,7 +351,7 @@ def reference_simulate_direct(cfg, rng):
         j = int(np.searchsorted(cum2, rng.random() * cum2[-1], side="right"))
         a, b = min(i, j), max(i, j)
         new_mass = m[a] + m[b]
-        events.append(Event(t, int(ids[a]), int(ids[b]), next_id))
+        events.append((t, int(ids[a]), int(ids[b])))
 
         # rate update: every other cluster swaps its (a, b) terms for the merger
         ka = np.asarray(kernel.evaluate(m, m[a]), dtype=float)
@@ -404,7 +402,7 @@ def simulate_coupled(cfg, rng):
         (a, b), (s, key) = min(clocks.items(), key=operator.itemgetter(1))
         if s > cfg.horizon:
             break
-        events.append(Event(s, a, b, next_id))
+        events.append((s, a, b))
         clocks = {pair: c for pair, c in clocks.items() if a not in pair and b not in pair}
         mass = live.pop(a)[2] + live.pop(b)[2]
         new = [(i, next_id) for i in live]
@@ -431,7 +429,7 @@ def construction_agreement_test(n, masses, kernel, t, replicas=100000, seed=0):
     sampler draws from stream 17, the coupled construction from stream 19.
     """
     masses = tuple(float(m) for m in masses)
-    cfg = SimConfig(n, masses, kernel, t)
+    cfg = SimConfig(masses, kernel, t)
     samples = {"direct": ([], []), "coupled": ([], [])}
     for construction, (times, pairs) in samples.items():
         sim = simulate if construction == "direct" else simulate_coupled
@@ -440,9 +438,9 @@ def construction_agreement_test(n, masses, kernel, t, replicas=100000, seed=0):
         for replica in range(replicas):
             log = sim(cfg, rng_at(replica))
             if log.events:
-                e = log.events[0]
-                times.append(e.time)
-                pairs.append((min(e.left, e.right), max(e.left, e.right)))
+                s, i, j = log.events[0]
+                times.append(s)
+                pairs.append((min(i, j), max(i, j)))
 
     ks_p = float(stats.ks_2samp(samples["direct"][0], samples["coupled"][0]).pvalue)
     pair_ids = sorted(set(samples["direct"][1]) | set(samples["coupled"][1]))
@@ -489,7 +487,7 @@ def reference_simulate_coupled(cfg, rng):
         _, x, y = best
         ka, ia, sa, ta = live[x]
         kb, ib, sb, tb = live[y]
-        events.append(Event(s, ia, ib, next_id))
+        events.append((s, ia, ib))
         merged = (best[0], next_id, s, hist_node(s, ta, tb))
         live = [live[k] for k in range(len(live)) if k not in (x, y)]
         live.append(merged)
@@ -549,7 +547,7 @@ def reference_thinning_sampler(cfg, rng):
                 f"is above the thinning majorant: acceptance ratio {num / den!r}")
 
         x = mass[i] + mass[j]
-        events.append(Event(t, min(i, j), max(i, j), next_id))
+        events.append((t, min(i, j), max(i, j)))
         px = majorant.phi(x)
         _fenwick_add(tree, i, -pi)
         _fenwick_add(tree, j, -pj)
