@@ -4,10 +4,8 @@ limit historical measure."""
 from .kernels import Kernel, builtin, check_assumptions, gelation_time
 from .limit import (
     LimitFunctionalResult,
-    density,
     density_product,
     density_recursive,
-    finite_n_jump_density,
     functional,
     pushforward_check,
 )
@@ -36,20 +34,15 @@ from .trees import (
     LEAF,
     HistoricalTree,
     TreeShape,
-    count_leaves,
     edge_intervals,
     epsilon,
     forget_labels,
-    forget_times,
     hist_leaf,
     hist_node,
-    internal_interaction_rate,
     kernel_product,
-    mass,
     parse,
     serialize,
     shape_node,
-    shape_of,
     shapes_up_to,
     symmetry_exponent,
 )

@@ -199,12 +199,11 @@ def cmd_limit(args) -> int:
         for shape, masses, coef, integral in limit_measure.terms(
                 ConstantOne(), args.max_leaves, path, kernel, mu0, args.t,
                 tol=args.tol):
-            val, err, _, one_err = integral
             writer.writerow([
                 shape.serial, ";".join(repr(m) for m in masses),
-                repr(coef * val), repr(coef * err)])
+                repr(coef * integral.value), repr(coef * integral.error)])
             n_terms += 1
-            max_error = max(max_error, err, one_err)
+            max_error = max(max_error, integral.error, integral.one_error)
             unconverged += not integral.converged
     # the time integrals' own errors, before the coefficient in limit.csv
     counters = {"terms": n_terms, "max_error": max_error,
@@ -312,6 +311,14 @@ def cmd_gallery(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="coagtree",
@@ -334,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--replicas", type=int, default=1)
+    p.add_argument("--replicas", type=_count, default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("solve", help="solve the mean-field equation")
@@ -344,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--k-max", type=int, default=256)
-    p.add_argument("--samples", type=int, default=21)
+    p.add_argument("--samples", type=_count, default=21)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("limit", help="evaluate the limit measure by shape")
@@ -353,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu0", default=None)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-leaves", type=int, default=4)
+    p.add_argument("--max-leaves", type=_count, default=4)
     p.set_defaults(func=cmd_limit)
 
     p = sub.add_parser("lln", help="run a law-of-large-numbers experiment plan")
@@ -373,7 +380,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except GelationError as e:
-        print(f"error: {e}", file=sys.stderr)
+        override = "; pass --allow-gelation to override" if "allow_gelation" in args else ""
+        print(f"error: {e}{override}", file=sys.stderr)
         return EXIT_GELATION
     except (ConfigError, KernelError, ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

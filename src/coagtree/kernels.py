@@ -84,9 +84,6 @@ class Kernel:
     phi: Callable
     ktilde_bound: float = 1.0
 
-    def __call__(self, x, y):
-        return self.evaluate(x, y)
-
     def matrix(self, masses: np.ndarray) -> np.ndarray:
         m = np.asarray(masses, dtype=float)
         return np.asarray(self.evaluate(m[:, None], m[None, :]), dtype=float)
@@ -253,9 +250,11 @@ GELATION_FRACTION = 0.95
 
 def check_gelation(kernel: Kernel, masses, weights, t_end: float,
                    allow_gelation: bool = False) -> None:
+    """Refuse a horizon at or beyond ``GELATION_FRACTION`` of a finite
+    gelation time, unless ``allow_gelation``."""
     tgel = gelation_time(kernel, masses, weights)
-    if t_end >= GELATION_FRACTION * tgel and not allow_gelation:
+    if np.isfinite(tgel) and t_end >= GELATION_FRACTION * tgel and not allow_gelation:
         raise GelationError(
             f"horizon {t_end} is at or beyond {GELATION_FRACTION:g} of the gelation time "
-            f"{tgel:g}; pass allow_gelation to override"
+            f"{tgel:g}"
         )

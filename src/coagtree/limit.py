@@ -27,6 +27,10 @@ the work is shared.  It serves every functional that declares, through
 ``time_boxes(shape, mass)`` with the total leaf mass, that it is a constant
 times per-node time-box indicators on each shape: the built-in functionals
 of :mod:`coagtree.simulate`.  Any other f is refused with ``TypeError``.
+
+The densities are evaluated at a built ``HistoricalTree``.  The nested
+Gauss-Legendre quadrature that checks the evaluator, and the finite-N
+jump-chain density, are test oracles in ``tests/tests_support.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,7 +48,6 @@ from .smoluchowski import MassSpectrum, SolutionPath
 from .trees import (
     HistoricalTree,
     TreeShape,
-    build_preorder,
     edge_intervals,
     epsilon,
     kernel_product,
@@ -55,25 +58,6 @@ from .trees import (
 
 # splits of every solver time cell tried in turn by the recursive evaluator
 REFINEMENTS = (1, 2, 4, 8, 16, 32)
-
-
-@dataclass(frozen=True)
-class TreeDensityQuery:
-    """A point of the density's domain: shape, leaf masses, node times, horizon.
-
-    ``times`` are listed in pre-order over internal nodes (parent before its
-    children) and must respect the tree partial order: each node's time lies
-    strictly between its children's times and its parent's time, all below
-    the horizon ``t``.
-    """
-
-    shape: TreeShape
-    masses: tuple
-    times: tuple
-    t: float
-
-    def tree(self) -> HistoricalTree:
-        return build_preorder(self.shape, self.masses, self.times)
 
 
 def _labeled_density(tree: HistoricalTree, path: SolutionPath, t: float,
@@ -124,11 +108,6 @@ def density_recursive(tree: HistoricalTree, path: SolutionPath, t: float,
     return done[0]
 
 
-def density(query: TreeDensityQuery, path: SolutionPath,
-            kernel: Optional[Kernel] = None) -> float:
-    return density_product(query.tree(), path, query.t, kernel)
-
-
 @dataclass(frozen=True)
 class LimitFunctionalResult:
     value: float
@@ -137,20 +116,19 @@ class LimitFunctionalResult:
     unconverged: int  # terms whose time integrals did not converge
 
 
-class TimeIntegral(tuple):
-    """``(value, error, one, one_error)`` of :func:`time_integral`.
+class TimeIntegral(NamedTuple):
+    """What :func:`time_integral` returns.
 
-    ``converged`` is False when the refinement levels ran out before two
-    successive ones agreed within tol / 10.
+    ``one`` is the same integral with f replaced by 1; each error estimates
+    its value's error.  ``converged`` is False when the refinement levels
+    ran out before two successive ones agreed within tol / 10.
     """
 
-    def __new__(cls, value, error, one, one_error, converged=True):
-        self = super().__new__(cls, (value, error, one, one_error))
-        self.converged = converged
-        return self
-
-    def __getnewargs__(self):
-        return (*self, self.converged)
+    value: float
+    error: float
+    one: float
+    one_error: float
+    converged: bool = True
 
 
 def _refine(grid: np.ndarray, r: int) -> np.ndarray:
@@ -288,10 +266,8 @@ def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
     """Integral over node times of K_xi * exp(-sum Lambda) * [f(tree), 1].
 
     This is the labeled-tree transition functional at fixed leaf masses; no
-    symmetry factor and no initial-measure weights are applied.  Returns the
-    :class:`TimeIntegral` (value, error, one_value, one_error), where
-    ``one_*`` is the same integral with f replaced by 1 and each error is an
-    estimate of the value's error, aimed at tol / 10.
+    symmetry factor and no initial-measure weights are applied.  Returns a
+    :class:`TimeIntegral`, whose errors are aimed at tol / 10.
 
     ``f.time_boxes(shape, sum(masses))`` gives f on this shape as a constant
     times time-box indicators, and the recursive evaluator integrates it; an
@@ -345,10 +321,9 @@ def functional(f: Callable, tau_max_leaves: int, path: SolutionPath,
     captured = 0.0
     unconverged = 0
     for _, _, coef, integral in terms(f, tau_max_leaves, path, kernel, mu0, t, tol):
-        val, err, one, _ = integral
-        value += coef * val
-        error += coef * err
-        captured += coef * one
+        value += coef * integral.value
+        error += coef * integral.error
+        captured += coef * integral.one
         unconverged += not integral.converged
     tail = max(path.moment(0.0, t) - captured, 0.0)
     return LimitFunctionalResult(value, error, tail, unconverged)
@@ -371,10 +346,10 @@ def pushforward_check(path: SolutionPath, mu0: MassSpectrum, kernel: Kernel,
     """
     unit = {m: path.unit_of(m) for m in mu0.masses}
     sums: dict[int, float] = {}
-    for _, masses, coef, (_, _, one, _) in terms(
+    for _, masses, coef, integral in terms(
             ConstantOne(), n_max, path, kernel, mu0, t, tol):
         key = sum(unit[m] for m in masses)
-        sums[key] = sums.get(key, 0.0) + coef * one
+        sums[key] = sums.get(key, 0.0) + coef * integral.one
     weights = path.weights_at(t)
     rows = []
     worst = 0.0
@@ -385,52 +360,3 @@ def pushforward_check(path: SolutionPath, mu0: MassSpectrum, kernel: Kernel,
         rows.append((float(u * path.quantum), sums[u], solver_w))
         worst = max(worst, abs(sums[u] - solver_w))
     return PushforwardReport(tuple(rows), worst)
-
-
-# ---------------------------------------------------------------------------
-# finite-N jump-chain density
-
-
-def finite_n_jump_density(tree: HistoricalTree, t: float, N: int,
-                          kernel: Kernel) -> float:
-    """Density of the realized history of an isolated n-particle system.
-
-    (K_xi / N^(n-1)) * exp(-int_0^t K_s(xi)/N ds), where K_s is the pairwise
-    interaction rate among the sub-clusters of ``tree`` alive at s.  The
-    integral is exact: the rate is piecewise constant between merge times,
-    and is updated at each merge, in time order, from the kernel rows of the
-    two merged clusters and the new one, so O(n^2) kernel values in all.
-    The product is taken in log space, so a large tree underflows to 0.0
-    instead of overflowing N^(n-1) or K_xi.
-    """
-    n = tree.n_leaves
-    merges = sorted(tree.internal_nodes(), key=lambda v: v.time)
-    cuts = sorted({0.0, float(t)} | {v.time for v in merges})
-    live = [v.mass for v in tree.walk() if v.is_leaf]  # live sub-clusters' masses
-    pairs = kernel.matrix(live)
-    rate = 0.5 * float(pairs.sum() - np.trace(pairs))
-    integral = 0.0
-    done = 0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        # the merges at or before a have happened inside the cell (a, b)
-        while done < len(merges) and merges[done].time <= a:
-            v = merges[done]
-            done += 1
-            x, y = v.left.mass, v.right.mass
-            live.remove(x)
-            live.remove(y)
-            rest = np.array(live)
-            rate += float(np.sum(kernel.evaluate(v.mass, rest))
-                          - np.sum(kernel.evaluate(x, rest))
-                          - np.sum(kernel.evaluate(y, rest))) - float(kernel.evaluate(x, y))
-            live.append(v.mass)
-            if len(live) == 1:
-                rate = 0.0  # no pair left; drop the rounding of the updates
-        integral += rate * (b - a)
-    log_density = -(n - 1) * math.log(N) - integral / N
-    for v in merges:
-        k = float(kernel.evaluate(v.left.mass, v.right.mass))
-        if k == 0.0:
-            return 0.0
-        log_density += math.log(k)
-    return math.exp(log_density)

@@ -269,7 +269,9 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
     the lattice by ``t_end`` is kept on the path as ``leak``, relative to the
     initial mass, and warned about when it exceeds 10 * tol. Refuses horizons
     inside the gelation window unless overridden, and a kernel with a
-    non-finite entry on the lattice with :class:`KernelError`.
+    non-finite entry on the lattice with :class:`KernelError`.  A horizon
+    that is not positive and finite, ``k_max < 1`` and ``tol <= 0`` are
+    refused with :class:`ConfigError`.
 
     RK45 (rtol ``tol``, atol ``ATOL_PER_TOL * tol``) steps to ``t_end``; after
     each accepted step, the ``n_grid`` equally spaced times that the step
@@ -277,8 +279,12 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
     ``solve_ivp`` with ``t_eval`` would.  The path keeps the accepted steps
     and right-hand-side evaluations as ``steps`` and ``nfev``.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ConfigError(f"t_end must be positive and finite, got {t_end!r}")
+    if k_max < 1:
+        raise ConfigError(f"k_max must be at least 1, got {k_max!r}")
+    if not tol > 0:
+        raise ConfigError(f"tol must be positive, got {tol!r}")
     check_gelation(kernel, mu0.masses, mu0.weights, t_end, allow_gelation)
 
     quantum = mass_quantum(mu0.masses)

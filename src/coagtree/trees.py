@@ -234,14 +234,6 @@ def hist_node(time: float, a: HistoricalTree, b: HistoricalTree) -> HistoricalTr
 # basic functionals on trees
 
 
-def count_leaves(x) -> int:
-    return x.n_leaves
-
-
-def mass(xi: HistoricalTree) -> float:
-    return xi.mass
-
-
 def symmetry_exponent(tau: TreeShape) -> int:
     """Number of internal nodes whose two child subtrees are equal shapes."""
     return sum(1 for v, _ in preorder(tau) if not v.is_leaf and v.left == v.right)
@@ -252,30 +244,6 @@ def epsilon(tau: TreeShape) -> float:
     if tau.is_leaf:
         raise TreeError("epsilon undefined for a single leaf")
     return 0.5 if tau.left == tau.right else 1.0
-
-
-def shape_of(xi: HistoricalTree) -> TreeShape:
-    return xi.shape
-
-
-def forget_times(xi: HistoricalTree):
-    """Nested unordered pairs of masses (times and labels erased).
-
-    Leaves map to a float; internal nodes map to a 2-tuple in canonical order:
-    by leaf count, then by ``repr``.
-    """
-    done = []  # (value, its repr) of finished subtrees, children before parents
-    for v in xi.walk():
-        if v.is_leaf:
-            value = float(v.mass_value)
-            done.append((value, repr(value)))
-            continue
-        (b, rb), (a, ra) = done.pop(), done.pop()  # walk() yields left, right, parent
-        if (v.right.n_leaves, rb) < (v.left.n_leaves, ra):
-            a, ra, b, rb = b, rb, a, ra
-        # repr of a nested tuple recurses, so the text is built here
-        done.append(((a, b), f"({ra}, {rb})"))
-    return done[0][0]
 
 
 def forget_labels(xi: HistoricalTree) -> HistoricalTree:
@@ -320,39 +288,6 @@ def edge_intervals(xi: HistoricalTree, horizon: float) -> list[EdgeInterval]:
     return out
 
 
-def clusters_alive_at(xi: HistoricalTree, s: float) -> list[HistoricalTree]:
-    """Maximal sub-clusters of ``xi`` already formed at time ``s``, left to right."""
-    out = []
-    stack = [xi]
-    while stack:
-        v = stack.pop()
-        if v.is_leaf or v.time <= s:
-            out.append(v)
-        else:
-            stack += (v.right, v.left)
-    return out
-
-
-def internal_interaction_rate(xi: HistoricalTree, s: float, kernel) -> float:
-    """Half-sum of kernel values over ordered pairs of distinct live sub-clusters."""
-    live = clusters_alive_at(xi, s)
-    total = 0.0
-    for i, a in enumerate(live):
-        for j, b in enumerate(live):
-            if i != j:
-                total += kernel.evaluate(a.mass, b.mass)
-    return 0.5 * total
-
-
-def cross_interaction_rate(x1: HistoricalTree, x2: HistoricalTree, s: float, kernel) -> float:
-    """Kernel sum over cross pairs of sub-clusters live in two disjoint trees."""
-    total = 0.0
-    for a in clusters_alive_at(x1, s):
-        for b in clusters_alive_at(x2, s):
-            total += kernel.evaluate(a.mass, b.mass)
-    return total
-
-
 def kernel_product(xi: HistoricalTree, kernel) -> float:
     """Product of kernel values over the merge events inside ``xi`` (1 for a leaf)."""
     out = 1.0
@@ -381,48 +316,6 @@ def preorder(node) -> Iterator[tuple]:
         if not v.is_leaf:
             stack += ((v.right, internal), (v.left, internal))
             internal += 1
-
-
-def build_preorder(shape: TreeShape, masses, times) -> HistoricalTree:
-    """Historical tree from leaf masses (left to right) and internal times in
-    pre-order (each parent listed before its children)."""
-    if len(masses) != shape.n_leaves:
-        raise TreeError("need one mass per leaf")
-    if len(times) != shape.n_leaves - 1:
-        raise TreeError("need one time per internal node")
-    mi = iter(masses)
-    ti = iter(times)
-    nodes = [(s, next(mi) if s.is_leaf else next(ti)) for s, _ in preorder(shape)]
-    built: list[HistoricalTree] = []
-    for s, value in reversed(nodes):
-        if s.is_leaf:
-            built.append(hist_leaf(value))
-        else:
-            built.append(hist_node(value, built.pop(), built.pop()))
-    return built[0]
-
-
-# ---------------------------------------------------------------------------
-# labeled trees
-
-
-def distinct_labelings(shape: TreeShape, labels: list[int]) -> set:
-    """All distinct labeled trees of the given shape over ``labels``.
-
-    Returns canonical nested frozensets; there are n!/2^q of them.
-    """
-    if len(labels) != shape.n_leaves:
-        raise TreeError("label count must match leaf count")
-    import itertools
-
-    def key(s: TreeShape, perm: tuple) -> object:
-        # canonical labeled-tree key: leaf -> label, node -> frozenset of keys
-        if s.is_leaf:
-            return perm[0]
-        k = s.left.n_leaves
-        return frozenset({key(s.left, perm[:k]), key(s.right, perm[k:])})
-
-    return {key(shape, p) for p in itertools.permutations(labels)}
 
 
 # ---------------------------------------------------------------------------

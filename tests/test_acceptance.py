@@ -130,13 +130,12 @@ def test_criterion_7_jump_density():
 
 def test_criterion_8_combinatorics_suite():
     from coagtree.trees import (
-        distinct_labelings,
         parse,
         serialize,
         shapes_with_leaves,
         symmetry_exponent,
     )
-    from tests_support import random_history
+    from tests_support import distinct_labelings, random_history
 
     t0 = time.perf_counter()
     ok = True

@@ -311,9 +311,16 @@ def test_exit_codes(tmp_path, capsys):
     # config error
     assert main(["simulate", "--kernel", "bogus", "--n", "4", "--t", "1",
                  "--out", str(tmp_path / "x")]) == 2
-    # gelation guard
+    # gelation guard; the refusal names the override that simulate takes
     assert main(["simulate", "--kernel", "product", "--n", "16", "--t", "5",
                  "--out", str(tmp_path / "y")]) == 3
+    err = capsys.readouterr().err
+    assert "gelation time 1" in err and "pass --allow-gelation to override" in err
+    # no gelation time, no guard: the constant kernel runs until one cluster
+    # is left rather than refusing "gelation time inf"
+    assert main(["simulate", "--n", "8", "--t", "inf", "--out", str(tmp_path / "inf")]) == 0
+    assert "gelation" not in capsys.readouterr().err
+    assert len((tmp_path / "inf" / "trees.txt").read_text().splitlines()) == 1
     # override
     assert main(["simulate", "--kernel", "product", "--n", "16", "--t", "5",
                  "--allow-gelation", "--out", str(tmp_path / "z")]) == 0
@@ -324,10 +331,25 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exited:
         main(["simulate", "--construction", "direct", "--out", str(tmp_path / "v")])
     assert exited.value.code == 2
+    # counts below 1 are refused by argparse, before any output is written
+    for argv in (["simulate", "--replicas", "0"], ["simulate", "--replicas", "-2"],
+                 ["limit", "--max-leaves", "0"], ["limit", "--max-leaves", "-1"],
+                 ["solve", "--samples", "0"]):
+        out = tmp_path / "count"
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--out", str(out)])
+        assert exited.value.code == 2 and not out.exists(), argv
+    # solver inputs that once crashed with a traceback and exit 1
+    for argv in (["solve", "--k-max", "0"], ["solve", "--tol", "0"],
+                 ["limit", "--tol", "0"], ["solve", "--t", "inf"]):
+        assert main(argv + ["--out", str(tmp_path / "solver")]) == 2, argv
     # --allow-gelation only where a run reads it: not on lln or gallery
     gelling = tmp_path / "gelling.json"
     gelling.write_text(json.dumps({"kernel": "product", "t": 0.99}))
+    capsys.readouterr()
     assert main(["lln", str(gelling), "--out", str(tmp_path / "u")]) == 3
+    err = capsys.readouterr().err
+    assert "gelation time 1" in err and "allow" not in err
     for argv in (["lln", str(gelling)], ["gallery"]):
         with pytest.raises(SystemExit) as exited:
             main(argv + ["--allow-gelation", "--out", str(tmp_path / "u")])

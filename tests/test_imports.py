@@ -20,17 +20,24 @@ plain ``(time, left, right)`` rows whose node ids are implied by their
 order, so no module defines an ``Event`` type; the empirical measure reads
 merge times and children from those rows rather than keeping its own
 copies; and ``trees.py``, not ``cli.py``, writes the history text.
+
+And ``src/`` holds only the pipeline: every public top-level definition
+there has a reader in the package, the demos or the benchmark, apart from
+the few paper-level entry points on ``ALLOWED_API``.  Code that only tests
+read lives in ``tests/tests_support.py``.
 """
 
 import ast
 import dataclasses
 import importlib
+import symtable
 from pathlib import Path
 
 from coagtree.kernels import builtin
 from coagtree.simulate import EmpiricalHistoricalMeasure, SimConfig, rng_for, simulate
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coagtree"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "coagtree"
 
 
 def sibling_imports(tree: ast.Module, siblings: set):
@@ -166,3 +173,80 @@ def test_one_history_representation_in_the_package():
     assert log.events
     assert all(type(row) is tuple and len(row) == 3 and row[1] < row[2]
                for row in log.events)
+
+
+# public definitions that nothing in src/, demos/ or perfbench/ reads, kept
+# as the package's API on purpose
+ALLOWED_API = {
+    "check_assumptions": "checks a user's kernel against the paper's hypotheses on K and mu0",
+    "tightness_diagnostic": "the tail weight behind the tightness step of the LLN proof",
+    "FunctionalProduct": "the product of built-in functionals, which the limit evaluator integrates",
+    "time_integral": "one term of a limit functional, at fixed shape and leaf masses",
+}
+
+
+def definitions(tree: ast.Module):
+    """Names bound at the top level: functions, classes and assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+def global_reads(table: symtable.SymbolTable) -> set:
+    """Module-scope names read in a scope and the scopes nested in it; a
+    local, a parameter or, under postponed annotations, an annotation is no
+    read."""
+    names = {s.get_name() for s in table.get_symbols()
+             if s.is_referenced() and s.is_global()}
+    for child in table.get_children():
+        names |= global_reads(child)
+    return names
+
+
+def readers(path: Path) -> list:
+    """(owner, names read) per top-level scope of ``path``: a function or
+    class owns what its body reads; the rest of the file, owner None, reads
+    its module-scope names, the names it imports, and the attributes of the
+    package or one of its modules (``ct.x``, ``limit_measure.x``), but no
+    other ``.x``."""
+    text = path.read_text()
+    module = symtable.symtable(text, str(path), "exec")
+    out = [(child.get_name(), global_reads(child)) for child in module.get_children()]
+    read = {s.get_name() for s in module.get_symbols() if s.is_referenced()}
+    package = set()  # names bound to the package or one of its modules
+    tree = ast.parse(text)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            package.update(alias.asname or "coagtree" for alias in node.names
+                           if alias.name.partition(".")[0] == "coagtree")
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+            if node.module == "coagtree" or node.level and node.module is None:
+                package.update(alias.asname or alias.name for alias in node.names)
+    read.update(node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in package)
+    return out + [(None, read)]
+
+
+def unread_definitions() -> dict:
+    """Public top-level definitions of the package's modules that nothing
+    reads but their own body, ``__init__.py`` or the tests, by module."""
+    sources = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
+    others = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    reads = {path: readers(path) for path in sources + others}
+    return {name: path.name
+            for path in sources for name in definitions(ast.parse(path.read_text()))
+            if not name.startswith("_")
+            and not any(name in names for other, scopes in reads.items()
+                        for owner, names in scopes if (other, owner) != (path, name))}
+
+
+def test_src_holds_only_the_pipeline():
+    assert (ROOT / "demos").is_dir() and (ROOT / "perfbench").is_dir()
+    unread = unread_definitions()
+    assert set(unread) == set(ALLOWED_API), unread

@@ -103,6 +103,12 @@ def test_gelation_guard():
     check_gelation(builtin("product"), mono.masses, mono.weights, 0.9)
     check_gelation(builtin("product"), mono.masses, mono.weights, 2.0,
                    allow_gelation=True)
+    # no finite gelation time: any horizon passes
+    check_gelation(builtin("constant"), mono.masses, mono.weights, np.inf)
+    # the message names no override; the CLI adds its own flag's name
+    with pytest.raises(GelationError) as refused:
+        check_gelation(builtin("product"), mono.masses, mono.weights, 0.96)
+    assert "allow" not in str(refused.value)
 
 
 def test_tabulated_kernel(tmp_path):

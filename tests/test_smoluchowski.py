@@ -288,6 +288,18 @@ def test_solve_rejects_gelation_horizon():
         solve(MONO, builtin("product"), 0.99)
 
 
+def test_solve_refuses_bad_sizes_tolerances_and_horizons():
+    # each raised IndexError, SolverError or GelationError before
+    for kw, match in (({"k_max": 0}, "k_max"), ({"k_max": -3}, "k_max"),
+                      ({"tol": 0.0}, "tol"), ({"tol": -1e-8}, "tol"),
+                      ({"tol": math.nan}, "tol")):
+        with pytest.raises(ConfigError, match=match):
+            solve(MONO, CONSTANT, 1.0, **kw)
+    for t_end in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ConfigError, match="t_end"):
+            solve(MONO, CONSTANT, t_end)
+
+
 def test_mass_spectrum_validation():
     with pytest.raises(ValueError):
         MassSpectrum((2.0, 1.0), (0.5, 0.5))  # unsorted

@@ -10,29 +10,27 @@ from coagtree.trees import (
     ParseError,
     TreeError,
     TreeShape,
-    clusters_alive_at,
-    count_leaves,
-    cross_interaction_rate,
-    distinct_labelings,
     edge_intervals,
     epsilon,
     forget_labels,
-    forget_times,
     hist_leaf,
     hist_node,
-    internal_interaction_rate,
     kernel_product,
-    mass,
     parse,
     serialize,
     shape_node,
-    shape_of,
     shapes_up_to,
     shapes_with_leaves,
     symmetry_exponent,
 )
 from coagtree.kernels import builtin
-from tests_support import reference_parse
+from tests_support import (
+    clusters_alive_at,
+    cross_interaction_rate,
+    distinct_labelings,
+    internal_interaction_rate,
+    reference_parse,
+)
 
 CONSTANT = builtin("constant")
 ADDITIVE = builtin("additive")
@@ -61,13 +59,13 @@ def random_tree(rng, n_leaves, horizon=1.0):
 
 
 def test_leaf_counts():
-    assert count_leaves(LEAF) == 1
+    assert LEAF.n_leaves == 1
     three = shape_node(LEAF, cherry_shape())
-    assert count_leaves(three) == 3
+    assert three.n_leaves == 3
     deep = LEAF
     for _ in range(3):
         deep = shape_node(deep, deep)
-    assert count_leaves(deep) == 8
+    assert deep.n_leaves == 8
 
 
 def test_shape_enumeration_counts():
@@ -119,11 +117,11 @@ def test_shape_canonicalization_is_order_free():
 
 
 def test_mass_additivity():
-    assert mass(hist_leaf(1.0)) == 1.0
+    assert hist_leaf(1.0).mass == 1.0
     node = hist_node(0.3, hist_leaf(1.0), hist_leaf(2.0))
-    assert mass(node) == 3.0
+    assert node.mass == 3.0
     chain = hist_node(0.6, node, hist_leaf(1.0))
-    assert mass(chain) == 4.0
+    assert chain.mass == 4.0
 
 
 def test_time_monotonicity_enforced():
@@ -152,20 +150,11 @@ def test_parse_refuses_numbers_that_overflow():
 
 
 def test_shape_of():
-    assert shape_of(hist_leaf(5.0)) == LEAF
+    assert hist_leaf(5.0).shape == LEAF
     cherry = hist_node(0.3, hist_leaf(1.0), hist_leaf(1.0))
-    assert shape_of(cherry) == cherry_shape()
+    assert cherry.shape == cherry_shape()
     three = hist_node(0.6, cherry, hist_leaf(1.0))
-    assert shape_of(three) == shape_node(LEAF, cherry_shape())
-
-
-def test_forget_times():
-    assert forget_times(hist_leaf(2.5)) == 2.5
-    node = hist_node(0.3, hist_leaf(1.0), hist_leaf(2.0))
-    assert forget_times(node) == (1.0, 2.0)
-    three = hist_node(0.7, hist_node(0.2, hist_leaf(1.0), hist_leaf(1.0)),
-                      hist_leaf(1.0))
-    assert forget_times(three) == (1.0, (1.0, 1.0))
+    assert three.shape == shape_node(LEAF, cherry_shape())
 
 
 def test_forget_labels_drops_labels_only():
@@ -365,18 +354,11 @@ def test_deep_caterpillar_round_trips():
     assert len(tree.internal_nodes()) == n - 1
     assert tree.n_leaves == n
     assert tree.mass == sum(1.0 + k % 3 for k in range(n))
-    assert shape_of(tree).n_leaves == n
+    assert tree.shape.n_leaves == n
     assert parse(text) == tree
     assert hash(parse(text)) == hash(tree)
     assert len(edge_intervals(tree, 2.0)) == 2 * n - 1
     assert forget_labels(tree) == tree
-    # forget_times: the leaf sorts first at every level (nested tuples compare
-    # recursively, so walk down instead of using ==)
-    pairs = forget_times(tree)
-    for k in range(n - 1, 1, -1):
-        assert pairs[0] == 1.0 + k % 3
-        pairs = pairs[1]
-    assert pairs == (1.0, 2.0)  # the first merge: equal leaf counts, by repr
     # between the last two merges: the leaf and the subtree below the root
     s = (n - 1.5) / 1000.0
     live = clusters_alive_at(tree, s)

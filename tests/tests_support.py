@@ -1,10 +1,21 @@
-"""Shared helpers for tests: random tree and density-query generators, the
-built-in functionals' values read from a tree alone, a tabulated kernel
-file, nested Gauss-Legendre quadrature over node times, the coupled
-exponential-clock construction and its agreement test with the sampler, and
-the reference jump-chain and thinning samplers, replica streams, history
-building, coupled construction, history text writer and scanner, mass
-lattice, pair index and mean-field solve."""
+"""Shared helpers for tests, and the oracles that the package is checked
+against.
+
+Generators: random trees and density points, with ``build_preorder`` to
+build a tree from pre-order node times, and a tabulated kernel file.
+
+Oracles: the built-in functionals' values read from a tree alone; nested
+Gauss-Legendre quadrature over node times; the coupled exponential-clock
+construction and its agreement test with the sampler; the reference
+jump-chain and thinning samplers, replica streams, history building,
+history text writer and scanner, mass lattice, pair index and mean-field
+solve; the sub-clusters of a tree alive at a time and their interaction
+rates; the distinct labelings of a shape; and the finite-N jump-chain
+density.
+
+Nothing in the package, the demos or the benchmark reads these, so they
+live here rather than in ``src/`` (``test_imports.py`` keeps it so).
+"""
 
 import csv
 import functools
@@ -19,7 +30,7 @@ from scipy import stats
 from scipy.integrate import solve_ivp
 
 from coagtree.kernels import ConfigError, Kernel, check_gelation
-from coagtree.limit import TimeIntegral, _labeled_density, build_preorder
+from coagtree.limit import TimeIntegral, _labeled_density
 from coagtree.simulate import (
     RATIO_ROUNDING,
     ConstantOne,
@@ -43,8 +54,10 @@ from coagtree.smoluchowski import (
     mass_quantum,
 )
 from coagtree.trees import (
+    HistoricalTree,
     ParseError,
     TreeError,
+    TreeShape,
     hist_leaf,
     hist_node,
     preorder,
@@ -304,8 +317,8 @@ def gl_time_integral(shape, masses, path, t, f, kernel, tol):
             converged = True
             break
         prev = cur
-    return TimeIntegral(float(cur[0]), float(diff[0]), float(cur[1]), float(diff[1]),
-                        converged)
+    return TimeIntegral(value=float(cur[0]), error=float(diff[0]), one=float(cur[1]),
+                        one_error=float(diff[1]), converged=converged)
 
 
 def write_additive_table(path):
@@ -722,3 +735,131 @@ def reference_solve(mu0, kernel, t_end, tol=1e-8, k_max=256, allow_gelation=Fals
             "increase k_max for tighter tails", stacklevel=2)
     return SolutionPath(units, quantum, times, weights, kernel, mu0, tol,
                         leak / total0 if total0 > 0 else 0.0, None, sol.nfev)
+
+
+# ---------------------------------------------------------------------------
+# trees from pre-order times; live sub-clusters and their interaction rates
+
+
+def build_preorder(shape: TreeShape, masses, times) -> HistoricalTree:
+    """Historical tree from leaf masses (left to right) and internal times in
+    pre-order (each parent listed before its children)."""
+    if len(masses) != shape.n_leaves:
+        raise TreeError("need one mass per leaf")
+    if len(times) != shape.n_leaves - 1:
+        raise TreeError("need one time per internal node")
+    mi = iter(masses)
+    ti = iter(times)
+    nodes = [(s, next(mi) if s.is_leaf else next(ti)) for s, _ in preorder(shape)]
+    built: list[HistoricalTree] = []
+    for s, value in reversed(nodes):
+        if s.is_leaf:
+            built.append(hist_leaf(value))
+        else:
+            built.append(hist_node(value, built.pop(), built.pop()))
+    return built[0]
+
+
+def clusters_alive_at(xi: HistoricalTree, s: float) -> list[HistoricalTree]:
+    """Maximal sub-clusters of ``xi`` already formed at time ``s``, left to right."""
+    out = []
+    stack = [xi]
+    while stack:
+        v = stack.pop()
+        if v.is_leaf or v.time <= s:
+            out.append(v)
+        else:
+            stack += (v.right, v.left)
+    return out
+
+
+def internal_interaction_rate(xi: HistoricalTree, s: float, kernel) -> float:
+    """Half-sum of kernel values over ordered pairs of distinct live sub-clusters."""
+    live = clusters_alive_at(xi, s)
+    total = 0.0
+    for i, a in enumerate(live):
+        for j, b in enumerate(live):
+            if i != j:
+                total += kernel.evaluate(a.mass, b.mass)
+    return 0.5 * total
+
+
+def cross_interaction_rate(x1: HistoricalTree, x2: HistoricalTree, s: float, kernel) -> float:
+    """Kernel sum over cross pairs of sub-clusters live in two disjoint trees."""
+    total = 0.0
+    for a in clusters_alive_at(x1, s):
+        for b in clusters_alive_at(x2, s):
+            total += kernel.evaluate(a.mass, b.mass)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# labeled trees
+
+
+def distinct_labelings(shape: TreeShape, labels: list[int]) -> set:
+    """All distinct labeled trees of the given shape over ``labels``.
+
+    Returns canonical nested frozensets; there are n!/2^q of them.
+    """
+    if len(labels) != shape.n_leaves:
+        raise TreeError("label count must match leaf count")
+    import itertools
+
+    def key(s: TreeShape, perm: tuple) -> object:
+        # canonical labeled-tree key: leaf -> label, node -> frozenset of keys
+        if s.is_leaf:
+            return perm[0]
+        k = s.left.n_leaves
+        return frozenset({key(s.left, perm[:k]), key(s.right, perm[k:])})
+
+    return {key(shape, p) for p in itertools.permutations(labels)}
+
+
+# ---------------------------------------------------------------------------
+# finite-N jump-chain density
+
+
+def finite_n_jump_density(tree: HistoricalTree, t: float, N: int,
+                          kernel: Kernel) -> float:
+    """Density of the realized history of an isolated n-particle system.
+
+    (K_xi / N^(n-1)) * exp(-int_0^t K_s(xi)/N ds), where K_s is the pairwise
+    interaction rate among the sub-clusters of ``tree`` alive at s.  The
+    integral is exact: the rate is piecewise constant between merge times,
+    and is updated at each merge, in time order, from the kernel rows of the
+    two merged clusters and the new one, so O(n^2) kernel values in all.
+    The product is taken in log space, so a large tree underflows to 0.0
+    instead of overflowing N^(n-1) or K_xi.
+    """
+    n = tree.n_leaves
+    merges = sorted(tree.internal_nodes(), key=lambda v: v.time)
+    cuts = sorted({0.0, float(t)} | {v.time for v in merges})
+    live = [v.mass for v in tree.walk() if v.is_leaf]  # live sub-clusters' masses
+    pairs = kernel.matrix(live)
+    rate = 0.5 * float(pairs.sum() - np.trace(pairs))
+    integral = 0.0
+    done = 0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        # the merges at or before a have happened inside the cell (a, b)
+        while done < len(merges) and merges[done].time <= a:
+            v = merges[done]
+            done += 1
+            x, y = v.left.mass, v.right.mass
+            live.remove(x)
+            live.remove(y)
+            rest = np.array(live)
+            rate += float(np.sum(kernel.evaluate(v.mass, rest))
+                          - np.sum(kernel.evaluate(x, rest))
+                          - np.sum(kernel.evaluate(y, rest))) - float(kernel.evaluate(x, y))
+            live.append(v.mass)
+            if len(live) == 1:
+                rate = 0.0  # no pair left; drop the rounding of the updates
+        integral += rate * (b - a)
+    log_density = -(n - 1) * math.log(N) - integral / N
+    for v in merges:
+        k = float(kernel.evaluate(v.left.mass, v.right.mass))
+        if k == 0.0:
+            return 0.0
+        log_density += math.log(k)
+    return math.exp(log_density)
