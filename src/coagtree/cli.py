@@ -366,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lln", help="run a law-of-large-numbers experiment plan")
     common(p)
     p.add_argument("plan", help="JSON plan file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count, default=1)
     p.set_defaults(func=cmd_lln)
 
     p = sub.add_parser("gallery", help="N=128 merger forests for each kernel")

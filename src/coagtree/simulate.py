@@ -10,8 +10,8 @@ keyed by the masses in the order met.
 Each run draws from the generator it is given, which is
 ``rng_for(seed, replica, stream)``: a Philox stream that depends on those
 three numbers only, so replicas give the same results in any order and in
-any worker process.  ``replica_stream(seed, stream)`` gives the same
-streams, replica after replica, from one reseated Philox.
+any worker process.  ``rng_for`` is one seating of ``replica_stream(seed,
+stream)``, which gives the streams replica after replica from one Philox.
 
 A run's ``EventLog`` holds its merges as plain ``(time, left, right)`` rows,
 left < right, in time order.  Merge k creates node N + k, so node ids are
@@ -26,7 +26,6 @@ tree, and ``coagtree.limit`` in its time integrals.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -70,15 +69,14 @@ def rng_for(seed: int, replica: int = 0, stream: int = 0) -> Generator:
     (seed, stream) fixes a Philox key; ``replica``, in [0, 2^128), starts
     the counter at replica * 2^128, which is ``Philox(key).jumped(replica)``.
     Replica streams start 2^128 Philox blocks apart, so they never overlap,
-    and each depends only on these three numbers.
+    and each depends only on these three numbers.  It is one seating of a
+    fresh ``replica_stream(seed, stream)``, so no later call reseats it.
     """
-    # uint64 words: a plain list would go through a signed cast
-    counter = np.array(_replica_counter(replica), dtype=np.uint64)
-    return Generator(Philox(key=_stream_key(int(seed), int(stream)), counter=counter))
+    return replica_stream(seed, stream)(replica)
 
 
 def replica_stream(seed: int, stream: int) -> Callable[[int], Generator]:
-    """``replica -> rng_for(seed, replica, stream)``, draw for draw, from one Philox.
+    """``replica -> `` that replica's generator, from one reseated Philox.
 
     Each call reseats the one generator: counter replica * 2^128 and an empty
     buffer, as a fresh ``Philox`` starts.  That is a few times cheaper than
@@ -172,11 +170,6 @@ class EventLog:
         times = [time for time, _, _ in self.events]
         if any(map(operator.le, times[1:], times)):
             raise ValueError("event times must be strictly increasing")
-
-    def n_events(self, t: Optional[float] = None) -> int:
-        if t is None:
-            return len(self.events)
-        return bisect.bisect_right(self.events, t, key=operator.itemgetter(0))
 
 
 # acceptance ratios at most this far above 1 are rounding in c * phi * phi,

@@ -91,7 +91,8 @@ def test_criterion_4_historical_lln():
     rep = run_lln(plan)
     elapsed = time.perf_counter() - t0
     detail = "; ".join(
-        f"{name}: z={rep.rows_for(name)[-1].z:.2f} slope={rep.slopes[name]:+.2f}"
+        f"{name}: z={[r for r in rep.rows if r.functional == name][-1].z:.2f} "
+        f"slope={rep.slopes[name]:+.2f}"
         for name, _ in plan.functionals)
     report(4, "historical law of large numbers", rep.passed, 600.0, elapsed,
            detail)

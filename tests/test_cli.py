@@ -334,7 +334,9 @@ def test_exit_codes(tmp_path, capsys):
     # counts below 1 are refused by argparse, before any output is written
     for argv in (["simulate", "--replicas", "0"], ["simulate", "--replicas", "-2"],
                  ["limit", "--max-leaves", "0"], ["limit", "--max-leaves", "-1"],
-                 ["solve", "--samples", "0"]):
+                 ["solve", "--samples", "0"],
+                 ["lln", str(tmp_path / "plan.json"), "--jobs", "0"],
+                 ["lln", str(tmp_path / "plan.json"), "--jobs", "-3"]):
         out = tmp_path / "count"
         with pytest.raises(SystemExit) as exited:
             main(argv + ["--out", str(out)])

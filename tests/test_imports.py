@@ -24,13 +24,23 @@ copies; and ``trees.py``, not ``cli.py``, writes the history text.
 And ``src/`` holds only the pipeline: every public top-level definition
 there has a reader in the package, the demos or the benchmark, apart from
 the few paper-level entry points on ``ALLOWED_API``.  Code that only tests
-read lives in ``tests/tests_support.py``.
+read lives in ``tests/tests_support.py``.  The same holds one level down:
+every public method or property of a public class there is read as
+``.name`` somewhere outside its own definition, apart from the members on
+``ALLOWED_MEMBERS``.
+
+And src/ needs one scipy subpackage, ``scipy.integrate``; the chi-square
+p-values of the finite-N checks come from ``scipy.special``, which it
+loads anyway, so a fresh ``import coagtree`` leaves ``scipy.stats`` out.
 """
 
 import ast
 import dataclasses
 import importlib
+import os
+import subprocess
 import symtable
+import sys
 from pathlib import Path
 
 from coagtree.kernels import builtin
@@ -250,3 +260,56 @@ def test_src_holds_only_the_pipeline():
     assert (ROOT / "demos").is_dir() and (ROOT / "perfbench").is_dir()
     unread = unread_definitions()
     assert set(unread) == set(ALLOWED_API), unread
+
+
+# public methods and properties that nothing in src/, demos/ or perfbench/
+# reads, kept as the package's API on purpose
+ALLOWED_MEMBERS = {
+    "AssumptionReport.ok": "the verdict of check_assumptions, which is on ALLOWED_API",
+}
+
+
+def members(tree: ast.Module):
+    """(class.name, definition) per public method or property of a public
+    top-level class; dunders and dataclass fields are no members here."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and not item.name.startswith("_"):
+                yield f"{node.name}.{item.name}", item
+
+
+def unread_members() -> dict:
+    """Public members of the package's classes whose name no attribute read
+    ``.name`` in the package, the demos or the benchmark reads, outside the
+    member's own definition, by module."""
+    paths = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+             + sorted((ROOT / "perfbench").glob("*.py")))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    reads = [(node.attr, node) for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, definition in members(trees[path]):
+            own = set(map(id, ast.walk(definition)))
+            attr = name.partition(".")[2]
+            if not any(read == attr and id(node) not in own for read, node in reads):
+                out[name] = path.name
+    return out
+
+
+def test_every_public_member_is_read():
+    unread = unread_members()
+    assert set(unread) == set(ALLOWED_MEMBERS), unread
+
+
+def test_import_leaves_scipy_stats_out():
+    # src/ needs one scipy subpackage, scipy.integrate; scipy.stats alone
+    # would add about half a second to every import of the package
+    code = "import sys, coagtree; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False", done.stdout

@@ -40,6 +40,7 @@ from tests_support import (
     build_preorder,
     finite_n_jump_density,
     gl_time_integral,
+    mono_limit_cell,
     reference_value,
 )
 
@@ -494,3 +495,18 @@ def test_functionals_without_time_boxes_are_refused(path, t):
         evaluate_functional(m, lambda tree: tree.mass * tree.n_leaves)
     with pytest.raises(TypeError, match="time_boxes"):
         product(hist_node(1.0, hist_leaf(1.0), hist_leaf(1.0)))
+
+
+# |coef * one - closed form| for every cell to 6 leaves, fixed before the first run
+CLOSED_FORM_BOUND = 1e-7
+
+
+@pytest.mark.parametrize("kernel_name, t", [("constant", 2.0), ("additive", 0.8)])
+def test_mono_limit_cells_match_their_closed_forms(kernel_name, t):
+    kernel = builtin(kernel_name)
+    path = solve(MONO, kernel, t, tol=1e-10)
+    cells = list(terms(ConstantOne(), 6, path, kernel, MONO, t, tol=1e-10))
+    assert len(cells) == 14  # 1 + 1 + 1 + 2 + 3 + 6 shapes
+    errors = {shape.serial: abs(coef * integral.one - mono_limit_cell(kernel_name, shape, t))
+              for shape, _, coef, integral in cells}
+    assert max(errors.values()) <= CLOSED_FORM_BOUND, errors

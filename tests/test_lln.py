@@ -1,13 +1,17 @@
+import dataclasses
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from coagtree.kernels import builtin, tabulated_kernel
 from coagtree.lln import (
+    JUMP_TIME_BINS,
     ExperimentPlan,
+    _chi2_pvalue,
     jump_density_test,
     run_lln,
     survival_test,
@@ -45,6 +49,19 @@ def test_plan_validation():
                        replicas=(100, 10))
 
 
+def test_plan_refuses_fewer_than_one_job():
+    f = (("leaf", ShapeIndicator(LEAF)),)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            ExperimentPlan(CONSTANT, MONO, 2.0, f, n_ladder=(100, 200),
+                           replicas=(100, 100), jobs=jobs)
+    plan = ExperimentPlan(CONSTANT, MONO, 2.0, f, n_ladder=(100, 200),
+                          replicas=(100, 100), jobs=1)
+    # the solve's tolerance is a constant of the harness, not a plan field
+    assert plan.solver_tol == 1e-8
+    assert "solver_tol" not in {field.name for field in dataclasses.fields(plan)}
+
+
 def test_masses_for_polydisperse_composition():
     plan = ExperimentPlan(
         CONSTANT, MassSpectrum((1.0, 2.0), (0.75, 0.25)), 1.0,
@@ -62,7 +79,7 @@ def test_run_lln_small_ladder():
         n_ladder=(50, 500), replicas=(2000, 200), seed=21, jobs=1,
         tau_max_leaves=2)
     report = run_lln(plan)
-    rows = report.rows_for("leaf")
+    rows = [r for r in report.rows if r.functional == "leaf"]
     assert [r.n for r in rows] == [50, 500]
     final = rows[-1]
     assert final.limit_value == pytest.approx(0.25, abs=1e-6)
@@ -111,6 +128,28 @@ def test_jump_density_n3_thinned_kernels(tmp_path, kernel_name, seed):
                             seed=seed)
     assert rep.passed
     assert rep.pair_pvalue > 0.001
+
+
+def chi2_cases():
+    """(observed, expected) count vectors of equal totals, among them the
+    20-bin first-merge-time and 3-pair shapes that jump_density_test builds."""
+    rng = np.random.default_rng(5)
+    edges = np.linspace(0.0, 1.0, JUMP_TIME_BINS + 1)
+    cdf = 1.0 - np.exp(-4.0 / 3.0 * edges)
+    probs = np.diff(cdf) / cdf[-1]
+    pairs = np.array([0.2, 0.3, 0.5])
+    yield rng.multinomial(1461, probs), 1461 * probs
+    yield rng.multinomial(20000, probs), 20000 * probs
+    yield rng.multinomial(1461, pairs), 1461 * pairs
+    yield np.array([381, 528, 1109]), 2018 * np.array([2.0, 3.0, 6.0]) / 11.0
+    yield np.array([3, 0, 7, 2]), np.array([3.0, 1.5, 5.0, 2.5])
+    yield np.array([50, 50]), np.array([50.0, 50.0])
+
+
+def test_chi2_pvalue_is_scipy_stats_chisquare():
+    for observed, expected in chi2_cases():
+        want = float(stats.chisquare(observed, expected).pvalue)
+        assert _chi2_pvalue(observed, expected).hex() == want.hex(), observed
 
 
 def test_jump_density_rejects_large_n():

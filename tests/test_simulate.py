@@ -1,3 +1,4 @@
+import bisect
 import math
 import pickle
 
@@ -214,7 +215,7 @@ def test_mass_conservation_and_event_count():
     for t in (0.0, 0.5, 1.0, 2.0):
         m = empirical_measure(log, t)
         assert m.total_mass() == pytest.approx(1.0, rel=1e-12)
-        assert len(m.atoms) == 200 - log.n_events(t)
+        assert len(m.atoms) == 200 - bisect.bisect_right(log.events, t, key=lambda row: row[0])
         assert m.total_weight == pytest.approx(len(m.atoms) / 200)
 
 
@@ -471,7 +472,7 @@ def test_flat_functionals_match_the_trees(case, n, replica, fraction):
     log = simulate(cfg, rng_for(29, replica))
     t = fraction * cfg.horizon
     m = empirical_measure(log, t)
-    assert len(m.atoms) == n - log.n_events(t)
+    assert len(m.atoms) == n - bisect.bisect_right(log.events, t, key=lambda row: row[0])
     assert tuple(m.atoms) == reference_atoms(log, t)
     for f in BUILTINS:
         values = [reference_value(f, tree) for tree in m.atoms]

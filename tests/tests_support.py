@@ -10,8 +10,9 @@ construction and its agreement test with the sampler; the reference
 jump-chain and thinning samplers, replica streams, history building,
 history text writer and scanner, mass lattice, pair index and mean-field
 solve; the sub-clusters of a tree alive at a time and their interaction
-rates; the distinct labelings of a shape; and the finite-N jump-chain
-density.
+rates; the distinct labelings of a shape; the finite-N jump-chain
+density; and the closed-form limit cells of the constant and additive
+kernels from a mono start.
 
 Nothing in the package, the demos or the benchmark reads these, so they
 live here rather than in ``src/`` (``test_imports.py`` keeps it so).
@@ -63,6 +64,7 @@ from coagtree.trees import (
     preorder,
     serialize,
     shapes_with_leaves,
+    symmetry_exponent,
 )
 
 
@@ -863,3 +865,53 @@ def finite_n_jump_density(tree: HistoricalTree, t: float, N: int,
             return 0.0
         log_density += math.log(k)
     return math.exp(log_density)
+
+
+# ---------------------------------------------------------------------------
+# closed-form limit cells from a mono start
+#
+# For K = a + b(x+y) + cxy the survival exponents of a node's two children
+# cancel their mass parts, so each term of the limit measure factors into a
+# shape weight times a function of the leaf count n alone.  From unit masses
+# the constant kernel's shape law given n is Yule-Harding (Harding 1971,
+# "The probabilities of rooted tree-shapes generated by random
+# bifurcation"), and c_n(t) has closed forms (Aldous 1999, "Deterministic
+# and stochastic models for coalescence").
+
+
+def _internal_nodes(shape: TreeShape) -> list:
+    return [v for v, _ in preorder(shape) if not v.is_leaf]
+
+
+def yule_harding(shape: TreeShape) -> float:
+    """Yule-Harding probability of ``shape`` among the shapes of its leaf
+    count: the product over internal nodes v of (1 if v's children are equal
+    shapes, else 2) / (n_v - 1)."""
+    p = 1.0
+    for v in _internal_nodes(shape):
+        p *= (1.0 if v.left == v.right else 2.0) / (v.n_leaves - 1)
+    return p
+
+
+def _additive_shape_weight(shape: TreeShape) -> float:
+    """2^-q(shape) times the product over internal nodes v of n_v / (n_v - 1)."""
+    w = 2.0 ** -symmetry_exponent(shape)
+    for v in _internal_nodes(shape):
+        w *= v.n_leaves / (v.n_leaves - 1)
+    return w
+
+
+def mono_limit_cell(kernel_name: str, shape: TreeShape, t: float) -> float:
+    """Limit-measure mass at t of the trees of ``shape`` from unit masses,
+    c_n(t) times the shape's share of the n-leaf trees, for the constant
+    (K = 1) and additive (K = x + y) kernels."""
+    n = shape.n_leaves
+    if kernel_name == "constant":
+        return (t / 2) ** (n - 1) / (1 + t / 2) ** (n + 1) * yule_harding(shape)
+    if kernel_name == "additive":
+        x = 1.0 - math.exp(-t)
+        c_n = (math.exp(-t) * x ** (n - 1) * n ** (n - 1) * math.exp(-n * x)
+               / math.factorial(n))
+        total = sum(_additive_shape_weight(s) for s in shapes_with_leaves(n))
+        return c_n * _additive_shape_weight(shape) / total
+    raise ValueError(f"no closed form for the {kernel_name} kernel")
