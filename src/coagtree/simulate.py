@@ -1,11 +1,14 @@
 """Stochastic coagulation with full merger-history recording.
 
 ``simulate(cfg, rng)`` samples the process (pairwise merge rate K(x, y)/N)
-by majorant thinning: pairs proposed in proportion to phi(x) phi(y) from a
-Fenwick tree and accepted with probability K / majorant, O(log N) work per
-proposal.  Its initial state is built once per ``SimConfig``, and so is
-every majorant state a run reaches: each ``SimConfig`` keeps them in a trie
-keyed by the masses in the order met.
+by majorant thinning: pairs proposed in proportion to phi(x) phi(y) and
+accepted with probability K / majorant.  While every live phi is the same
+(in runs of up to 2^14 particles), a proposal picks two live ids by their
+rank in a sorted list; from the first merge that makes a different phi on,
+it descends a Fenwick tree, O(log N) work per proposal.  Its initial state
+is built once per ``SimConfig``, and so is every majorant state a run
+reaches: each ``SimConfig`` keeps them in a trie keyed by the masses in the
+order met.
 
 Each run draws from the generator it is given, which is
 ``rng_for(seed, replica, stream)``: a Philox stream that depends on those
@@ -116,8 +119,10 @@ class SimConfig:
     def _sampler_start(self) -> tuple:
         """``simulate``'s initial state: the majorant state over the
         initial masses (a node of this config's majorant trie), phi by mass,
-        per-slot mass and phi, their Fenwick tree and phi's sum.  Built once;
-        runs copy the dict and the lists, and share the trie."""
+        per-slot mass and phi, their Fenwick tree, phi's sum, and w: the one
+        phi of every initial mass when the run may start in the uniform
+        phase, else None.  Built once; runs copy the dict and the lists, and
+        share the trie."""
         state = _MajorantState()
         seen = {}
         n0 = self.n
@@ -127,7 +132,12 @@ class SimConfig:
                 state = state.step(self.kernel, x)
                 seen[x] = state.phi
         phi = [seen[x] for x in mass[:n0]] + [0.0] * (n0 - 1)
-        return state, seen, mass, phi, _fenwick(phi), math.fsum(phi)
+        # an integer w with w (2N - 1) < 2^52 makes every sum of live phi exact
+        w = state.phi_floor
+        exact = w.is_integer() and w * (2 * n0 - 1) < 2.0 ** 52
+        if not (exact and n0 <= _RANK_SEARCH_MAX_N and w == max(seen.values())):
+            w = None
+        return state, seen, mass, phi, _fenwick(phi), math.fsum(phi), w
 
     @functools.cached_property
     def _shape_table(self) -> tuple:
@@ -151,8 +161,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("need at least one particle")
-        if any(m <= 0 for m in self.masses):
-            raise ConfigError("masses must be positive")
+        if not all(0.0 < m < math.inf for m in self.masses):
+            raise ConfigError("masses must be positive and finite")
+        if self.rate_n is not None and not 0 < self.rate_n < math.inf:
+            raise ConfigError(f"rate_n must be positive and finite, got {self.rate_n!r}")
         if not self.horizon >= 0:
             raise ConfigError("horizon must be nonnegative")
         weights = np.full(self.n, 1.0 / self.n)
@@ -176,9 +188,14 @@ class EventLog:
 # not a kernel above its majorant
 RATIO_ROUNDING = 1e-12
 
+# runs of more particles start on the Fenwick tree: each merge in the uniform
+# phase deletes two ids from a list of up to N, which moves O(N) memory and
+# from about 4e4 ids costs more than the two descents it saves
+_RANK_SEARCH_MAX_N = 1 << 14
+
 
 def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
-    """Thinning sampler, O(log N) work per proposal.
+    """Thinning sampler.
 
     Pairs are proposed from a majorant of the merge rates and each proposal
     is accepted with probability (true rate) / (majorant rate), so accepted
@@ -187,8 +204,7 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
     least phi of any mass seen so far, proposals arrive at rate
     c * S1 * (S1 - phi_floor) / (2N).  A proposal draws its first cluster i
     with probability phi_i / S1 and its partner j with phi_j / (S1 - phi_i),
-    both by descending a Fenwick tree over phi with one slot per node id, and
-    is accepted with probability
+    and is accepted with probability
 
         2 K (S1 - phi_i) (S1 - phi_j)
         / [c phi_i phi_j (S1 - phi_floor) (2 S1 - phi_i - phi_j)].
@@ -200,22 +216,42 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
     the ratio is below 1.  With the constant kernel every proposal is
     accepted, and each event draws one exponential and two uniforms.
 
+    A run has two phases.  It starts in the uniform phase when N <= 2^14,
+    every initial mass has the same phi = w, w is an integer and
+    w (2N - 1) < 2^52.  Every sum of live phi is then an exact integer, so
+    the first p live ids sum to p w, and i and j are found by rank in the
+    ascending list of live ids, each rank by one division (i's then
+    corrected to the rank that the Fenwick descent's rounding gives).  A
+    merge deletes its two ids from the list and appends the new one.  At
+    the first merge that makes a mass with a different phi, the run hands
+    over to the Fenwick phase: the start's Fenwick tree over phi, one slot
+    per node id, with the merges so far replayed on it.  Every later
+    proposal descends that tree, O(log N) work each.  Both phases pick the
+    same i and j from the same draws, so where a run hands over changes
+    none of its rows or proposals.  The phase follows N and the phi values
+    met, not the kernel's name.
+
     The state at time 0 (the majorant over the initial masses, phi, the
-    Fenwick tree and S1) is built once per ``cfg``, and each run works on its
-    own copy of phi, the masses and the tree.  The majorant state (c and
-    phi_floor) after each sequence of masses met is memoised per ``cfg``: a
-    trie keyed by the masses in the order met, whose nodes are built from the
-    same kernel row as when each run built its own.  So a run never sees
-    masses that another run created, and draws what it would have drawn alone.
+    Fenwick tree, S1 and w) is built once per ``cfg``.  Each run works on
+    its own copy of the masses, and of phi and the tree from its handover
+    on.  The majorant state (c and phi_floor) after each sequence of masses
+    met is memoised per ``cfg``: a trie keyed by the masses in the order
+    met, whose nodes are built from the same kernel row as when each run
+    built its own.  So a run never sees masses that another run created, and
+    draws what it would have drawn alone.
     """
     kernel = cfg.kernel
     evaluate = kernel.evaluate
     exponential, uniform = rng.standard_exponential, rng.random
     n0 = cfg.n
     size = 2 * n0 - 1  # one slot per node id; merged clusters get new ids
-    state, seen, mass, phi, tree, s1 = cfg._sampler_start
-    seen, mass, phi, tree = seen.copy(), mass.copy(), phi.copy(), tree.copy()
+    state, seen, mass, start_phi, start_tree, s1, w = cfg._sampler_start
+    seen, mass = seen.copy(), mass.copy()
     c, phi_floor = state.c, state.phi_floor
+    # uniform phase: the live ids in ascending order, while every phi is w
+    live = list(range(n0)) if w is not None else None
+    if live is None:
+        phi, tree = start_phi.copy(), start_tree.copy()
     # a descent's steps: top, the largest power of two not above size, to 1
     steps = [1 << b for b in range(size.bit_length() - 1, -1, -1)]
     rate_scale = 2.0 * cfg.n_eff
@@ -234,35 +270,56 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
         if t > horizon:
             break
         proposals += 1
-        # i: the first slot whose prefix sum of phi, times scale, exceeds the
-        # target, by descending the 1-based Fenwick tree (slot k at k + 1); a
-        # draw that rounding carries onto a dead slot is a rejection
         target = uniform() * total
-        i, acc = 0, 0.0
-        for step in steps:
-            k = i + step
-            s = acc + tree[k]
-            if s * scale <= target:
-                i, acc = k, s
-        if i == size or phi[i] == 0.0:
-            continue
-        pi = phi[i]
-        rest_i = s1 - pi
-        # j: the same descent with slot i counted as empty, its phi taken off
-        # every node that covers it
-        target = uniform() * rest_i
-        j, acc = 0, 0.0
-        for step in steps:
-            k = j + step
-            s = acc + tree[k]
-            if j <= i < k:
-                s -= pi
-            if s <= target:
-                j, acc = k, s
-        if j == size or j == i or phi[j] == 0.0:
-            continue
-        pj = phi[j]
-        rest_j = s1 - pj
+        if live is not None:
+            # the first p live ids sum to p w exactly, as in the Fenwick tree,
+            # so i is live[p] for the largest p with p w scale <= target, and
+            # j the q-th live id other than i for the largest q with q w <=
+            # the second target.  U < 1 keeps both inside ``live``, so no
+            # proposal here lands past the end or on a dead slot
+            p = int(target / (w * scale))
+            while p * w * scale > target:
+                p -= 1
+            while (p + 1) * w * scale <= target:
+                p += 1
+            i = live[p]
+            pi = pj = w
+            rest_i = rest_j = s1 - w
+            # q w is an integer below 2^52, so // gives that q exactly
+            q = int(uniform() * rest_i // w)
+            if q >= p:  # skip i's position
+                q += 1
+            j = live[q]
+        else:
+            # i: the first slot whose prefix sum of phi, times scale, exceeds
+            # the target, by descending the 1-based Fenwick tree (slot k at
+            # k + 1); a draw that rounding carries onto a dead slot is a
+            # rejection
+            i, acc = 0, 0.0
+            for step in steps:
+                k = i + step
+                s = acc + tree[k]
+                if s * scale <= target:
+                    i, acc = k, s
+            if i == size or phi[i] == 0.0:
+                continue
+            pi = phi[i]
+            rest_i = s1 - pi
+            # j: the same descent with slot i counted as empty, its phi taken
+            # off every node that covers it
+            target = uniform() * rest_i
+            j, acc = 0, 0.0
+            for step in steps:
+                k = j + step
+                s = acc + tree[k]
+                if j <= i < k:
+                    s -= pi
+                if s <= target:
+                    j, acc = k, s
+            if j == size or j == i or phi[j] == 0.0:
+                continue
+            pj = phi[j]
+            rest_j = s1 - pj
         num = 2.0 * evaluate(mass[i], mass[j]) * rest_i * rest_j
         den = scale * pi * pj * (rest_i + rest_j)
         if num < den:
@@ -274,6 +331,46 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
                 f"is above the thinning majorant: acceptance ratio {num / den!r}")
 
         x = mass[i] + mass[j]
+        px = seen.get(x)
+        if px is None:  # a mass new to this run moves the majorant
+            state = state.step(kernel, x)
+            px = seen[x] = state.phi
+            c, phi_floor = state.c, state.phi_floor
+        if live is not None:
+            if px == w:  # the larger position goes first
+                if p < q:
+                    del live[q], live[p]
+                else:
+                    del live[p], live[q]
+                live.append(next_id)
+            else:
+                # hand over to the Fenwick tree: the start's, with the merges
+                # so far replayed (exact, as every phi was w)
+                phi, tree = start_phi.copy(), start_tree.copy()
+                for node, a, b in zip(range(n0, next_id), lefts, rights):
+                    for k, delta in ((a + 1, -w), (b + 1, -w), (node + 1, w)):
+                        while k <= size:
+                            tree[k] += delta
+                            k += k & -k
+                    phi[a] = phi[b] = 0.0
+                    phi[node] = w
+                live = None
+        if live is None:
+            # Fenwick updates: slots i and j empty, slot next_id gets px
+            k = i + 1
+            while k <= size:
+                tree[k] -= pi
+                k += k & -k
+            k = j + 1
+            while k <= size:
+                tree[k] -= pj
+                k += k & -k
+            k = next_id + 1
+            while k <= size:
+                tree[k] += px
+                k += k & -k
+            phi[i] = phi[j] = 0.0
+            phi[next_id] = px
         times.append(t)
         if i < j:
             lefts.append(i)
@@ -281,26 +378,7 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
         else:
             lefts.append(j)
             rights.append(i)
-        px = seen.get(x)
-        if px is None:  # a mass new to this run moves the majorant
-            state = state.step(kernel, x)
-            px = seen[x] = state.phi
-            c, phi_floor = state.c, state.phi_floor
-        # Fenwick updates: slots i and j empty, slot next_id gets px
-        k = i + 1
-        while k <= size:
-            tree[k] -= pi
-            k += k & -k
-        k = j + 1
-        while k <= size:
-            tree[k] -= pj
-            k += k & -k
-        k = next_id + 1
-        while k <= size:
-            tree[k] += px
-            k += k & -k
-        phi[i] = phi[j] = 0.0
-        mass[next_id], phi[next_id] = x, px
+        mass[next_id] = x
         s1 += px - pi - pj
         next_id += 1
     return EventLog(cfg, tuple(zip(times, lefts, rights)), proposals)
@@ -486,6 +564,8 @@ def empirical_measure(log: EventLog, t: float) -> EmpiricalHistoricalMeasure:
     One pass over the events up to ``t``; no ``HistoricalTree`` is built.
     """
     cfg = log.config
+    if not t >= 0.0:
+        raise ValueError(f"time {t} is not a nonnegative number")
     if t > cfg.horizon:
         raise ValueError(f"time {t} beyond simulated horizon {cfg.horizon}")
     n0 = cfg.n

@@ -44,6 +44,12 @@ def test_config_validation():
         SimConfig((), CONSTANT, 1.0)
     with pytest.raises(ConfigError):
         SimConfig((1.0, -1.0), CONSTANT, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            SimConfig((bad, 1.0, 1.0), CONSTANT, 1.0)
+    for bad in (0, -3, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="rate_n"):
+            SimConfig((1.0,) * 4, CONSTANT, 1.0, rate_n=bad)
     with pytest.raises(ConfigError):
         simulate_coupled(SimConfig.monodisperse(13, CONSTANT, 1.0), rng_for(0))
 
@@ -115,6 +121,18 @@ def counting(kernel):
     return Kernel(kernel.name, evaluate, kernel.phi, kernel.ktilde_bound), rows
 
 
+def _step_phi(x):
+    return np.maximum(2.0, np.asarray(x, dtype=float) / 2.0)
+
+
+def _eval_step_phi(x, y):
+    return 0.5 * (_step_phi(x) + _step_phi(y))
+
+
+# phi is 2 up to mass 4, so a mono start hands over to the Fenwick tree only
+# after several merges, at the first one that makes a mass above 4
+STEP_PHI = Kernel("step-phi", _eval_step_phi, _step_phi)
+
 # kernel, initial masses, horizon, rate_n
 THINNING_CASES = {
     "constant": ("constant", (1.0,) * 60, 3.0, None),
@@ -124,6 +142,12 @@ THINNING_CASES = {
     "tabulated": ("tabulated", (1.0,) * 60, 1.0, None),
     "additive-bidisperse": ("additive", (0.1, 0.7) * 30, 1.0, None),
     "additive-rate_n": ("additive", (1.0,) * 60, 1.0, 90),
+    "constant-bidisperse": ("constant", (1.0, 2.0) * 30, 3.0, None),
+    "product-bidisperse": ("product", (1.0, 2.0) * 30, 0.3, None),
+    "inverse-sum-rate_n": ("inverse-sum", (1.0,) * 60, 3.0, 90),
+    "constant-short": ("constant", (1.0,) * 60, 0.02, None),
+    "constant-pair": ("constant", (1.0, 1.0), 3.0, None),
+    "step-phi": ("step-phi", (1.0,) * 60, 2.0, None),
 }
 
 
@@ -135,6 +159,8 @@ def test_sampler_matches_the_reference_thinning_sampler(case, tmp_path):
     name, masses, horizon, rate_n = THINNING_CASES[case]
     if name == "tabulated":
         kernel = tabulated_kernel(write_additive_table(tmp_path / "xy.csv"))
+    elif name == "step-phi":
+        kernel = STEP_PHI
     else:
         kernel = builtin(name)
     oracle, oracle_rows = counting(kernel)
@@ -152,6 +178,75 @@ def test_sampler_matches_the_reference_thinning_sampler(case, tmp_path):
     assert merged > 0
     # each memoised state cost one kernel row, and the runs shared them
     assert 0 < len(rows) < len(oracle_rows)
+
+
+def _largest_draw(bound, total, strict):
+    """The largest u < 1 with fl(u * total) <= bound, or < bound if strict."""
+    if strict and bound == 0.0:
+        return 0.0
+    fits = (lambda u: u * total < bound) if strict else (lambda u: u * total <= bound)
+    u = min(bound / total, math.nextafter(1.0, 0.0))
+    while not fits(u):
+        u = math.nextafter(u, 0.0)
+    while u < math.nextafter(1.0, 0.0) and fits(math.nextafter(u, 1.0)):
+        u = math.nextafter(u, 1.0)
+    return u
+
+
+class _BoundaryDraws:
+    """Stands in for a Generator on a mono run whose phi is w everywhere and
+    whose majorant c never moves, with every proposal accepted.  Each first
+    uniform puts the target on a rank boundary p w scale of the live-id
+    search, or one float below it, and each second uniform does the same
+    for q w; an acceptance uniform is 0."""
+
+    def __init__(self, n: int, w: float, c: float):
+        self.n, self.w, self.c = n, w, c
+        self.proposals, self.draws = 0, 0
+
+    def standard_exponential(self) -> float:
+        self.proposals += 1
+        self.draws = 0
+        return 1e-3
+
+    def random(self) -> float:
+        self.draws += 1
+        k, w = self.proposals, self.w
+        live = self.n - (k - 1)
+        s1 = w * live
+        if self.draws == 1:
+            scale = self.c * (s1 - w)
+            return _largest_draw((7 * k) % live * w * scale, scale * s1, k % 2 == 0)
+        if self.draws == 2:
+            return _largest_draw((5 * k) % (live - 1) * w, s1 - w, k % 4 < 2)
+        return 0.0
+
+
+def _phi_three(x):
+    return np.full(np.shape(x), 3.0)
+
+
+@pytest.mark.parametrize("kernel,w,c", [
+    (builtin("inverse-sum"), 1.0, 1.0 / 3.0),
+    (Kernel("phi-three", CONSTANT.evaluate, _phi_three), 3.0, 1.0 / 9.0)])
+def test_rank_search_matches_the_fenwick_descent_on_boundaries(kernel, w, c):
+    # targets on, and one float below, each boundary between two ranks: the
+    # live-id search must land where the Fenwick descent does
+    n = 300
+    cfg = SimConfig((1.0,) * n, kernel, 10.0)
+    log = simulate(cfg, _BoundaryDraws(n, w, c))
+    want = reference_thinning_sampler(cfg, _BoundaryDraws(n, w, c))
+    assert len(log.events) == log.proposals == n - 1
+    assert event_keys(log) == event_keys(want)
+    assert log.proposals == want.proposals
+
+
+def test_only_runs_up_to_the_size_bound_start_by_rank():
+    # above 2^14 particles, the live list's deletions cost more than the
+    # Fenwick descents, so such a run starts on the tree
+    phase = [SimConfig.monodisperse(n, CONSTANT, 1.0)._sampler_start[-1]
+             for n in (1 << 14, (1 << 14) + 1)]
+    assert phase == [1.0, None]
 
 
 def test_tabulated_kernel_thins_little(tmp_path):
@@ -239,6 +334,9 @@ def test_empirical_measure_structure():
         assert cherries[0].time == t1
     with pytest.raises(ValueError):
         empirical_measure(log, 4.0)
+    for bad in (math.nan, -0.5):
+        with pytest.raises(ValueError, match="nonnegative"):
+            empirical_measure(log, bad)
 
 
 def test_coupled_two_particles_law():
