@@ -3,8 +3,9 @@
 ``run_lln`` estimates E<f, mu~_t^N> by Monte Carlo over a ladder of system
 sizes and compares against the limit functional; ``jump_density_test`` and
 ``survival_test`` check the finite-N jump-chain density and the survival
-exponential on isolated small systems, with chi-square p-values from
-``scipy.special.chdtrc``, the function ``scipy.stats.chisquare`` ends in.
+exponential on isolated small systems.  ``jump_density_test`` takes its
+chi-square p-values from ``scipy.special.chdtrc``, the function
+``scipy.stats.chisquare`` ends in, imported on its first call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import chdtrc
 
 from . import limit as limit_measure
 from .kernels import Kernel, check_gelation
@@ -252,6 +252,10 @@ JUMP_TIME_BINS = 20
 
 def _chi2_pvalue(observed, expected) -> float:
     """Pearson chi-square p-value, as ``scipy.stats.chisquare`` gives it."""
+    # the package's one scipy import, here so that only jump_density_test
+    # loads scipy and ``import coagtree`` needs numpy alone
+    from scipy.special import chdtrc
+
     stat = np.sum((observed - expected) ** 2 / expected)
     return float(chdtrc(len(observed) - 1, stat))
 

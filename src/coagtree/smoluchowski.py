@@ -12,6 +12,11 @@ q is the mass quantum.  Masses with no such fraction (say 1 and sqrt 2) are
 refused with :class:`ConfigError`.  The lattice holds the ``k_max`` smallest
 sums of initial masses as integer units of q, and its float masses are the
 correctly rounded units * q, so 0.1 + 0.7 and 0.7 + 0.1 are one point.
+
+The time stepper is the Dormand-Prince 5(4) pair with Shampine's quartic
+dense output and the step control of Hairer, Norsett & Wanner (Solving
+ODEs I, II.4), in numpy: it takes scipy's ``RK45`` steps float for float,
+so the module, like the package, imports numpy and no scipy.
 """
 
 from __future__ import annotations
@@ -19,13 +24,13 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .kernels import ConfigError, Kernel, KernelError, check_gelation
 
@@ -258,6 +263,112 @@ def _pair_index(units: np.ndarray):
     return ii[hit], jj[hit], kk[hit]
 
 
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980): nodes C, stages A,
+# fifth-order weights B, error weights E (fifth minus fourth order, with the
+# FSAL stage last), and Shampine's (1986) quartic dense output P, as
+# scipy.integrate.RK45 holds them
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# step-size control (Hairer, Norsett & Wanner, Solving ODEs I, II.4): the
+# new step is h * SAFETY * err^(-1/5), the factor kept within [MIN, MAX]
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5
+# smallest relative tolerance the stepper takes, as RK45 clamps it
+_RTOL_FLOOR = 100 * sys.float_info.epsilon
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, y0, f0, t_bound, rtol, atol) -> float:
+    """Hairer, Norsett & Wanner's starting step from t = 0 (Solving ODEs I, II.4)."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    d2 = _rms((fun(h0, y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_bound)
+
+
+def _dopri45(fun, y, t_bound, rtol, atol):
+    """Dormand-Prince 5(4) steps of y' = fun(t, y) from t = 0 to ``t_bound``.
+
+    Takes scipy 1.17's RK45 steps op for op: the same starting step, stage
+    sums, error norm and step factors, so the same floats.  Yields
+    ``(t_old, t, y_old, K)`` after each accepted step, K its stages (a buffer
+    the next step overwrites).  Raises :class:`SolverError` when a step
+    would fall below ten spacings of the floats at t, also when it is NaN.
+    A relative tolerance below 100 float epsilons is raised to that, with a
+    warning.
+    """
+    if rtol < _RTOL_FLOOR:
+        warnings.warn(f"tol {rtol!r} is below {_RTOL_FLOOR!r}, which the stepper "
+                      "uses instead", stacklevel=3)
+        rtol = _RTOL_FLOOR
+    f = fun(0.0, y)
+    h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
+    K = np.empty((len(_C) + 1, len(y)))
+    t = 0.0
+    while t < t_bound:
+        min_step = 10 * abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise SolverError("integration failed: Required step size is less "
+                                  "than spacing between numbers.")
+            t_new = min(t + h_abs, t_bound)
+            h_abs = h = t_new - t
+            K[0] = f
+            for s in range(1, len(_C)):
+                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = K[-1] = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(np.dot(K.T, _E) * h / scale)
+            if error < 1:
+                factor = _MAX_FACTOR if error == 0 else min(
+                    _MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
+        yield t, t_new, y, K
+        t, y, f = t_new, y_new, f_new
+
+
+def _dense(t_old, t, y_old, K, at: np.ndarray) -> np.ndarray:
+    """A step's quartic interpolant at the times ``at``, one row per time."""
+    h = t - t_old
+    p = np.cumprod(np.tile((at - t_old) / h, (_P.shape[1], 1)), axis=0)
+    y = h * np.dot(K.T.dot(_P), p)
+    y += y_old[:, None]
+    return y.T
+
+
 def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
           k_max: int = 256, allow_gelation: bool = False,
           n_grid: int = 2001) -> SolutionPath:
@@ -270,14 +381,17 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
     initial mass, and warned about when it exceeds 10 * tol. Refuses horizons
     inside the gelation window unless overridden, and a kernel with a
     non-finite entry on the lattice with :class:`KernelError`.  A horizon
-    that is not positive and finite, ``k_max < 1`` and ``tol <= 0`` are
-    refused with :class:`ConfigError`.
+    that is not positive and finite, ``k_max < 1``, ``tol <= 0`` and
+    ``n_grid < 2`` are refused with :class:`ConfigError`.
 
-    RK45 (rtol ``tol``, atol ``ATOL_PER_TOL * tol``) steps to ``t_end``; after
-    each accepted step, the ``n_grid`` equally spaced times that the step
-    covers are read from its interpolant into their rows of the weights, as
-    ``solve_ivp`` with ``t_eval`` would.  The path keeps the accepted steps
-    and right-hand-side evaluations as ``steps`` and ``nfev``.
+    The Dormand-Prince stepper (rtol ``tol``, atol ``ATOL_PER_TOL * tol``;
+    see the module) steps to ``t_end``; after each accepted step, the
+    ``n_grid`` equally spaced times that the step covers are read from its
+    interpolant into their rows of the weights, as ``solve_ivp`` with
+    ``t_eval`` would.  A step that falls below ten float spacings, and a
+    right-hand side that overflows, raise :class:`SolverError`.  The path
+    keeps the accepted steps and right-hand-side evaluations as ``steps``
+    and ``nfev``.
     """
     if not 0 < t_end < math.inf:
         raise ConfigError(f"t_end must be positive and finite, got {t_end!r}")
@@ -285,6 +399,8 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
         raise ConfigError(f"k_max must be at least 1, got {k_max!r}")
     if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol!r}")
+    if n_grid < 2:
+        raise ConfigError(f"n_grid must be at least 2, got {n_grid!r}")
     check_gelation(kernel, mu0.masses, mu0.weights, t_end, allow_gelation)
 
     quantum = mass_quantum(mu0.masses)
@@ -311,7 +427,11 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
     per_row = np.bincount(ii, minlength=n)
     pair = np.empty(len(ii))
 
+    nfev = 0
+
     def rhs(_t, c):
+        nonlocal nfev
+        nfev += 1
         np.multiply(half_k, np.repeat(c, per_row), out=pair)
         np.multiply(pair, c.take(jj), out=pair)
         gain = np.bincount(kk, weights=pair, minlength=n)
@@ -324,16 +444,13 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
     with warnings.catch_warnings():
         warnings.simplefilter("error", category=RuntimeWarning)
         try:
-            solver = RK45(rhs, 0.0, c0, float(t_end), rtol=tol, atol=ATOL_PER_TOL * tol)
-            while solver.status == "running":
-                message = solver.step()
-                if solver.status == "failed":
-                    raise SolverError(f"integration failed: {message}")
+            for t_old, t, c_old, stages in _dopri45(rhs, c0, float(t_end), tol,
+                                                    ATOL_PER_TOL * tol):
                 steps += 1
                 # the grid times this step covers, read from its interpolant
-                upto = int(np.searchsorted(times, solver.t, side="right"))
+                upto = int(np.searchsorted(times, t, side="right"))
                 if upto > filled:
-                    weights[filled:upto] = solver.dense_output()(times[filled:upto]).T
+                    weights[filled:upto] = _dense(t_old, t, c_old, stages, times[filled:upto])
                     filled = upto
         except (RuntimeWarning, FloatingPointError) as e:
             raise SolverError(f"integration blew up before t={t_end}: {e}") from e
@@ -347,7 +464,7 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
             f"mass {leak:.3e} left the {n}-point lattice by t={t_end}; "
             "increase k_max for tighter tails", stacklevel=2)
     return SolutionPath(units, quantum, times, weights, kernel, mu0, tol,
-                        leak / total0 if total0 > 0 else 0.0, steps, solver.nfev)
+                        leak / total0 if total0 > 0 else 0.0, steps, nfev)
 
 
 def constant_kernel_weights(t: float, k: np.ndarray) -> np.ndarray:

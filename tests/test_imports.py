@@ -29,14 +29,18 @@ every public method or property of a public class there is read as
 ``.name`` somewhere outside its own definition, apart from the members on
 ``ALLOWED_MEMBERS``.
 
-And src/ needs one scipy subpackage, ``scipy.integrate``; the chi-square
-p-values of the finite-N checks come from ``scipy.special``, which it
-loads anyway, so a fresh ``import coagtree`` leaves ``scipy.stats`` out.
+And src/ imports scipy in one place: ``lln._chi2_pvalue`` takes the
+chi-square p-values of ``jump_density_test`` from ``scipy.special``, imported
+on its first call.  The mean-field solve steps with its own Dormand-Prince
+stepper in numpy, so a fresh ``import coagtree``, a ``simulate`` run and a
+``limit`` run load no scipy module, and ``scipy.stats`` stays out even after
+``jump_density_test``.
 """
 
 import ast
 import dataclasses
 import importlib
+import json
 import os
 import subprocess
 import symtable
@@ -306,10 +310,48 @@ def test_every_public_member_is_read():
 
 
 def test_import_leaves_scipy_stats_out():
-    # src/ needs one scipy subpackage, scipy.integrate; scipy.stats alone
-    # would add about half a second to every import of the package
+    # scipy.stats alone would add about half a second to every import of
+    # the package
     code = "import sys, coagtree; print('scipy.stats' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False", done.stdout
+
+
+SCIPY_USE = """
+import json, sys, tempfile
+import coagtree
+from coagtree import cli
+from coagtree.lln import jump_density_test
+
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+seen = {"import": scipy_loaded()}
+with tempfile.TemporaryDirectory() as out:
+    cli.main(["simulate", "--n", "16", "--t", "1", "--seed", "3", "--out", out])
+    seen["simulate"] = scipy_loaded()
+    cli.main(["limit", "--max-leaves", "2", "--t", "1", "--out", out])
+    seen["limit"] = scipy_loaded()
+jump_density_test(3, (1.0, 1.0, 2.0), coagtree.builtin("constant"), 1.0,
+                  replicas=200, seed=1)
+seen["jump_density_test"] = scipy_loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_import_leaves_scipy_out():
+    # the package's one scipy import is the chi-square p-value of
+    # jump_density_test; scipy.integrate alone would add about 0.5 s and
+    # 50 MB to every import of the package
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", SCIPY_USE], env=env, cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["import"] == seen["simulate"] == seen["limit"] == [], seen
+    assert "scipy.special" in seen["jump_density_test"]
+    assert "scipy.stats" not in seen["jump_density_test"]
+    assert "scipy.integrate" not in seen["jump_density_test"]

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from coagtree.kernels import ConfigError, Kernel, KernelError
 from coagtree.smoluchowski import (
     MassSpectrum,
     SolverError,
+    _dopri45,
     _lattice,
     _pair_index,
     constant_kernel_weights,
@@ -289,10 +291,12 @@ def test_solve_rejects_gelation_horizon():
 
 
 def test_solve_refuses_bad_sizes_tolerances_and_horizons():
-    # each raised IndexError, SolverError or GelationError before
+    # each raised IndexError, SolverError or GelationError before, except
+    # n_grid=1, which returned a path with t_end 0.0
     for kw, match in (({"k_max": 0}, "k_max"), ({"k_max": -3}, "k_max"),
                       ({"tol": 0.0}, "tol"), ({"tol": -1e-8}, "tol"),
-                      ({"tol": math.nan}, "tol")):
+                      ({"tol": math.nan}, "tol"), ({"n_grid": 1}, "n_grid"),
+                      ({"n_grid": 0}, "n_grid")):
         with pytest.raises(ConfigError, match=match):
             solve(MONO, CONSTANT, 1.0, **kw)
     for t_end in (math.inf, math.nan, 0.0, -1.0):
@@ -366,6 +370,16 @@ def test_solve_matches_the_solve_ivp_reference_off_the_defaults(kw):
         assert got.leak > 1e-4 and "left the 16-point lattice" in got_warned[0]
 
 
+def test_a_tolerance_below_100_epsilons_is_raised_to_it():
+    # as RK45 raises it, with a warning of its own
+    with pytest.warns(UserWarning, match=r"tol 1e-15 is below 2\.22\d*e-14"):
+        got = solve(MONO, CONSTANT, 0.5, tol=1e-15, k_max=16)
+    with pytest.warns(UserWarning, match="rtol"):
+        want = reference_solve(MONO, CONSTANT, 0.5, tol=1e-15, k_max=16)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.nfev == want.nfev
+
+
 def test_path_counts_solver_steps():
     path = solve(MONO, CONSTANT, 2.0)
     assert path.steps > 0
@@ -400,3 +414,31 @@ def test_non_finite_weights_are_refused():
 def test_overflowing_solve_raises_solver_error():
     with pytest.raises(SolverError, match="blew up before t=1.0: overflow"):
         solve(MassSpectrum.monodisperse(1.0, 1e200), CONSTANT, 1.0)
+
+
+@pytest.mark.parametrize("nan_from_call", [1, 2, 40],
+                         ids=["first-call", "initial-step", "partway"])
+def test_stepper_fails_on_a_right_hand_side_that_turns_nan(nan_from_call):
+    # a stand-in for the mean-field right-hand side: y' = -y until its
+    # nan_from_call-th evaluation, NaN from there on.  Every step after that
+    # is rejected and shrunk until it falls below ten float spacings, as in
+    # scipy's RK45; a NaN first step, which RK45 retries forever, fails at once
+    calls = 0
+
+    def rhs(_t, y):
+        nonlocal calls
+        calls += 1
+        return np.full_like(y, np.nan) if calls >= nan_from_call else -y
+
+    accepted = 0
+    with pytest.raises(SolverError, match=re.escape(
+            "integration failed: Required step size is less than spacing "
+            "between numbers.")):
+        for _t_old, t, y_old, stages in _dopri45(rhs, np.ones(3), 10.0, 1e-6, 1e-8):
+            assert np.isfinite(y_old).all() and np.isfinite(stages).all()
+            assert 0.0 < t < 10.0
+            accepted += 1
+    assert accepted == (nan_from_call == 40) * ((nan_from_call - 2) // 6)
+    # each rejection shrinks the step by 0.2, so a step of at most 10 falls
+    # below 10 spacings of the floats even at t = 0 (5e-323) within 463 tries
+    assert calls <= max(nan_from_call, 2) + 6 * 463

@@ -687,9 +687,10 @@ def reference_pair_index(masses):
 
 def reference_solve(mu0, kernel, t_end, tol=1e-8, k_max=256, allow_gelation=False,
                     n_grid=2001):
-    """The ``solve`` that the direct RK45 loop replaced: ``solve_ivp`` with
-    ``t_eval`` on the grid, gathering ``c[ii]`` and ``c[jj]`` in the right-hand
-    side.  ``solve_ivp`` does not report its step count, so ``steps`` is None."""
+    """The ``solve`` that a direct RK45 loop and then the numpy Dormand-Prince
+    stepper replaced: ``solve_ivp`` with ``t_eval`` on the grid, gathering
+    ``c[ii]`` and ``c[jj]`` in the right-hand side.  ``solve_ivp`` does not
+    report its step count, so ``steps`` is None."""
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     check_gelation(kernel, mu0.masses, mu0.weights, t_end, allow_gelation)
