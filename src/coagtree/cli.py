@@ -12,7 +12,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -36,18 +35,6 @@ from .trees import LEAF, history_text, shape_node
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_GELATION = 3
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("COAGTREE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"COAGTREE_SEED must be an integer, got {env!r}")
-    return 0
 
 
 def _resolve_kernel(name: str):
@@ -111,7 +98,6 @@ def _write_events(log, outdir: Path) -> list:
 
 
 def cmd_simulate(args) -> int:
-    seed = _resolve_seed(args)
     kernel = _resolve_kernel(args.kernel)
     outdir = Path(args.out)
     cfg = SimConfig.monodisperse(args.n, kernel, args.t, mass=args.mass,
@@ -122,12 +108,12 @@ def cmd_simulate(args) -> int:
     if args.replicas == 1:
         subdirs = [outdir]
     outputs = [sub / name for sub in subdirs for name in ("events.csv", "trees.txt")]
-    manifest_args = (outdir, "simulate", config, seed, [], outputs)
+    manifest_args = (outdir, "simulate", config, args.seed, [], outputs)
     _write_manifest(*manifest_args)
     events, proposals, simulate_s, write_s = 0, 0, 0.0, 0.0
     for r, sub in enumerate(subdirs):
         start = time.perf_counter()
-        log = simulate(cfg, rng_for(seed, r))
+        log = simulate(cfg, rng_for(args.seed, r))
         simulated = time.perf_counter()
         sub.mkdir(exist_ok=True)
         _write_events(log, sub)
@@ -143,7 +129,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    seed = _resolve_seed(args)
     kernel = _resolve_kernel(args.kernel)
     outdir = Path(args.out)
     inputs = []
@@ -155,7 +140,7 @@ def cmd_solve(args) -> int:
     config = {"kernel": args.kernel, "t": args.t, "tol": args.tol,
               "k_max": args.k_max, "mu0": args.mu0 or "monodisperse"}
     out_csv = outdir / "solution.csv"
-    manifest_args = (outdir, "solve", config, seed, inputs, [out_csv])
+    manifest_args = (outdir, "solve", config, args.seed, inputs, [out_csv])
     _write_manifest(*manifest_args)
     start = time.perf_counter()
     path = solve(mu0, kernel, args.t, tol=args.tol, k_max=args.k_max,
@@ -178,14 +163,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    seed = _resolve_seed(args)
     kernel = _resolve_kernel(args.kernel)
     outdir = Path(args.out)
     mu0 = _read_mu0(args.mu0) if args.mu0 else MassSpectrum.monodisperse()
     config = {"kernel": args.kernel, "t": args.t, "tol": args.tol,
               "max_leaves": args.max_leaves, "mu0": args.mu0 or "monodisperse"}
     out_csv = outdir / "limit.csv"
-    manifest_args = (outdir, "limit", config, seed,
+    manifest_args = (outdir, "limit", config, args.seed,
                      [args.mu0] if args.mu0 else [], [out_csv])
     _write_manifest(*manifest_args)
     start = time.perf_counter()
@@ -214,14 +198,22 @@ def cmd_limit(args) -> int:
     return 0
 
 
+# the keys a plan file may hold
+PLAN_KEYS = ("kernel", "mu0", "t", "functionals", "n_ladder", "replicas", "seed",
+             "tau_max_leaves", "quad_tol")
+
+
 def cmd_lln(args) -> int:
-    seed = _resolve_seed(args)
     outdir = Path(args.out)
     with open(args.plan) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError(f"{args.plan}: a plan must be a JSON object, "
                           f"got a {type(raw).__name__}")
+    unknown = [key for key in raw if key not in PLAN_KEYS]
+    if unknown:
+        raise ConfigError(f"{args.plan}: unknown keys "
+                          + ", ".join(f'"{key}"' for key in unknown))
     kernel_name = raw.get("kernel", "constant")
     if not isinstance(kernel_name, str):
         raise ConfigError(f'{args.plan}: "kernel" must be a name or a file name, '
@@ -235,17 +227,21 @@ def cmd_lln(args) -> int:
         except (TypeError, ValueError) as e:
             raise ConfigError(f'{args.plan}: "{key}" cannot be {got!r}: {e}') from None
 
-    plan = lln_harness.ExperimentPlan(
+    fields = dict(
         kernel=kernel, mu0=value("mu0", [[1.0, 1.0]], MassSpectrum.from_pairs),
         t=value("t", 2.0, float),
         functionals=value("functionals", [{"type": "leaf"}], _build_functionals),
         n_ladder=value("n_ladder", [100, 1000, 10000], _integers),
         replicas=value("replicas", [20000, 2000, 200], _integers),
-        seed=value("seed", seed, int),
+        seed=value("seed", args.seed, int),
         tau_max_leaves=value("tau_max_leaves", 4, int),
         quad_tol=value("quad_tol", 1e-8, float),
         jobs=args.jobs,
     )
+    try:
+        plan = lln_harness.ExperimentPlan(**fields)
+    except ValueError as e:  # the plan's own checks
+        raise ConfigError(f"{args.plan}: {e}") from None
     out_json = outdir / "report.json"
     out_text = outdir / "report.txt"
     manifest_args = (outdir, "lln", raw, plan.seed, [args.plan], [out_json, out_text])
@@ -296,16 +292,15 @@ GALLERY = (
 
 def cmd_gallery(args) -> int:
     """One N=128 monodisperse run per built-in display kernel; trees to files."""
-    seed = _resolve_seed(args)
     outdir = Path(args.out)
     config = {"n": 128, "kernels": [k for k, _ in GALLERY],
               "horizons": {k: t for k, t in GALLERY}}
     outputs = [outdir / f"gallery-{name}.txt" for name, _ in GALLERY]
-    _write_manifest(outdir, "gallery", config, seed, [], outputs)
+    _write_manifest(outdir, "gallery", config, args.seed, [], outputs)
     for (name, horizon), out in zip(GALLERY, outputs):
         kernel = builtin(name)
         cfg = SimConfig.monodisperse(128, kernel, horizon)
-        log = simulate(cfg, rng_for(seed))
+        log = simulate(cfg, rng_for(args.seed))
         with open(out, "w") as fh:
             fh.writelines(text + "\n" for text in history_text(cfg.masses, log.events)[1])
     return 0
@@ -328,8 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, gelation=False):
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (fallback: COAGTREE_SEED env, then 0)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="RNG seed (default 0)")
         p.add_argument("--out", default=".", help="output directory")
         if gelation:  # only where the run reads it
             p.add_argument("--allow-gelation", action="store_true",

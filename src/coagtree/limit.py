@@ -28,8 +28,9 @@ the work is shared.  It serves every functional that declares, through
 times per-node time-box indicators on each shape: the built-in functionals
 of :mod:`coagtree.simulate`.  Any other f is refused with ``TypeError``.
 
-The densities are evaluated at a built ``HistoricalTree``.  The nested
-Gauss-Legendre quadrature that checks the evaluator, and the finite-N
+The densities are evaluated at a built ``HistoricalTree``.  They and
+:func:`time_integral` take K from the solution path, ``path.kernel``.  The
+nested Gauss-Legendre quadrature that checks the evaluator, and the finite-N
 jump-chain density, are test oracles in ``tests/tests_support.py``.
 """
 
@@ -60,28 +61,24 @@ from .trees import (
 REFINEMENTS = (1, 2, 4, 8, 16, 32)
 
 
-def _labeled_density(tree: HistoricalTree, path: SolutionPath, t: float,
-                     kernel: Kernel) -> float:
+def _labeled_density(tree: HistoricalTree, path: SolutionPath, t: float) -> float:
     """K_xi * exp(-sum over lifetime intervals of Lambda): the density
     without its symmetry factor 2^(-q)."""
     exponent = 0.0
     for e in edge_intervals(tree, t):
         exponent += path.survival_exponent(e.mass, e.birth, e.death)
-    return kernel_product(tree, kernel) * math.exp(-exponent)
+    return kernel_product(tree, path.kernel) * math.exp(-exponent)
 
 
-def density_product(tree: HistoricalTree, path: SolutionPath, t: float,
-                    kernel: Optional[Kernel] = None) -> float:
+def density_product(tree: HistoricalTree, path: SolutionPath, t: float) -> float:
     """Product-form density at ``tree`` with horizon ``t``."""
     q = symmetry_exponent(tree.shape)
-    return 2.0 ** (-q) * _labeled_density(tree, path, t, kernel or path.kernel)
+    return 2.0 ** (-q) * _labeled_density(tree, path, t)
 
 
-def density_recursive(tree: HistoricalTree, path: SolutionPath, t: float,
-                      kernel: Optional[Kernel] = None) -> float:
+def density_recursive(tree: HistoricalTree, path: SolutionPath, t: float) -> float:
     """Recursive density: leaves carry survival exponentials, each merge
     contributes epsilon(shape) * K(mass_1, mass_2)."""
-    kernel = kernel or path.kernel
     # pre-order with each node's horizon (its parent's time), checked top down
     order = []
     stack = [(tree, t)]
@@ -100,7 +97,7 @@ def density_recursive(tree: HistoricalTree, path: SolutionPath, t: float,
         left, right = done.pop(), done.pop()
         done.append(
             epsilon(v.shape)
-            * kernel.evaluate(v.left.mass, v.right.mass)
+            * path.kernel.evaluate(v.left.mass, v.right.mass)
             * left
             * right
             * math.exp(-path.survival_exponent(v.mass, v.time, horizon))
@@ -261,8 +258,7 @@ def _time_integrals(f: Callable, items: list, path: SolutionPath, t: float,
 
 
 def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
-                  f: Callable, kernel: Optional[Kernel] = None,
-                  tol: float = 1e-8) -> TimeIntegral:
+                  f: Callable, tol: float = 1e-8) -> TimeIntegral:
     """Integral over node times of K_xi * exp(-sum Lambda) * [f(tree), 1].
 
     This is the labeled-tree transition functional at fixed leaf masses; no
@@ -274,7 +270,7 @@ def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
     f without ``time_boxes`` raises ``TypeError``.  This is a one-term call
     of the evaluator behind :func:`terms`.
     """
-    return _time_integrals(f, [(shape, masses)], path, t, kernel or path.kernel, tol)[0]
+    return _time_integrals(f, [(shape, masses)], path, t, path.kernel, tol)[0]
 
 
 def terms(f: Callable, tau_max_leaves: int, path: SolutionPath,
@@ -336,18 +332,19 @@ class PushforwardReport:
 
 
 def pushforward_check(path: SolutionPath, mu0: MassSpectrum, kernel: Kernel,
-                      t: float, n_max: int, tol: float = 1e-8) -> PushforwardReport:
+                      t: float, n_max: int) -> PushforwardReport:
     """Compare the mass pushforward of mu~_t against mu_t for small masses.
 
     For each total mass reachable with at most ``n_max`` atoms, sums the
     limit-measure weight of the :func:`terms` of that mass, keyed by its
     integer units of the solver's mass quantum, and compares with the solved
-    weight at that lattice point (0 off the lattice).
+    weight at that lattice point (0 off the lattice).  The terms are
+    integrated at their default tol, 1e-8.
     """
     unit = {m: path.unit_of(m) for m in mu0.masses}
     sums: dict[int, float] = {}
     for _, masses, coef, integral in terms(
-            ConstantOne(), n_max, path, kernel, mu0, t, tol):
+            ConstantOne(), n_max, path, kernel, mu0, t):
         key = sum(unit[m] for m in masses)
         sums[key] = sums.get(key, 0.0) + coef * integral.one
     weights = path.weights_at(t)

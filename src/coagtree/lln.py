@@ -55,6 +55,16 @@ class ExperimentPlan:
             raise ValueError("ladder needs at least two sizes")
         if any(r < 30 for r in self.replicas):
             raise ValueError("need at least 30 replicas per size for CLT intervals")
+        # the field names in quotes, as a plan file's keys
+        if not sum(self.mu0.weights) > 0:
+            raise ValueError(f'"mu0" needs a positive total weight, got {self.mu0.weights!r}')
+        if self.tau_max_leaves < 1:
+            raise ValueError('"tau_max_leaves" must be at least 1, got '
+                             f"{self.tau_max_leaves!r}")
+        if not self.quad_tol > 0:
+            raise ValueError(f'"quad_tol" must be positive, got {self.quad_tol!r}')
+        if self.seed < 0:
+            raise ValueError(f'"seed" must be nonnegative, got {self.seed!r}')
         check_gelation(self.kernel, self.mu0.masses, self.mu0.weights, self.t)
 
     def masses_for(self, n: int) -> tuple:
@@ -324,16 +334,17 @@ class SurvivalReport:
 
 
 def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
-                  seed: int = 0, mass: float = 1.0) -> SurvivalReport:
-    """Two independent estimates of P(particle 1 still unmerged at t).
+                  seed: int = 0) -> SurvivalReport:
+    """Two independent estimates of P(particle 1 still unmerged at t), all
+    n masses 1.
 
     Direct: frequency over n-particle runs.  Exponential: average over
     (n-1)-particle background runs (rates still scaled by n) of
-    exp(-int_0^t sum_clusters K(y1, m_cluster(r)) dr / n).
+    exp(-int_0^t sum_clusters K(1, m_cluster(r)) dr / n).
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    masses = (float(mass),) * n
+    masses = (1.0,) * n
     if t == 0:
         return SurvivalReport(n, t, replicas, 1.0, 0.0, 1.0, 0.0, True)
 
@@ -347,15 +358,14 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
     p_direct = alive / replicas
     se_direct = math.sqrt(max(p_direct * (1 - p_direct), 1e-300) / replicas)
 
-    bg_masses = (float(mass),) * (n - 1)
-    y1 = float(mass)
+    bg_masses = masses[1:]
     vals = np.empty(replicas)
     cfg = SimConfig(bg_masses, kernel, t, rate_n=n)
     rng_at = replica_stream(seed, stream=13)
     for replica in range(replicas):
         log = simulate(cfg, rng_at(replica))
         live = {i: m for i, m in enumerate(bg_masses)}
-        g = sum(float(kernel.evaluate(y1, m)) for m in live.values())
+        g = sum(float(kernel.evaluate(1.0, m)) for m in live.values())
         integral = 0.0
         prev = 0.0
         for node, (s, i, j) in enumerate(log.events, n - 1):
@@ -364,8 +374,8 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
             ma = live.pop(i)
             mb = live.pop(j)
             live[node] = ma + mb
-            g += float(kernel.evaluate(y1, ma + mb)) \
-                - float(kernel.evaluate(y1, ma)) - float(kernel.evaluate(y1, mb))
+            g += float(kernel.evaluate(1.0, ma + mb)) \
+                - float(kernel.evaluate(1.0, ma)) - float(kernel.evaluate(1.0, mb))
         integral += g * (t - prev)
         vals[replica] = math.exp(-integral / n)
     p_exp = float(vals.mean())

@@ -66,8 +66,9 @@ class MassSpectrum:
             raise ValueError("masses must be sorted and distinct")
 
     @classmethod
-    def monodisperse(cls, mass: float = 1.0, weight: float = 1.0) -> "MassSpectrum":
-        return cls((float(mass),), (float(weight),))
+    def monodisperse(cls) -> "MassSpectrum":
+        """Unit mass with unit weight."""
+        return cls((1.0,), (1.0,))
 
     @classmethod
     def from_pairs(cls, pairs) -> "MassSpectrum":
@@ -75,11 +76,6 @@ class MassSpectrum:
         ms = tuple(m for m, _ in pairs)
         ws = tuple(w for _, w in pairs)
         return cls(ms, ws)
-
-    def moment(self, p: float = 0.0) -> float:
-        m = np.asarray(self.masses)
-        w = np.asarray(self.weights)
-        return float(np.sum(w * m ** p))
 
     def weight_of(self, mass: float) -> float:
         """Weight of the atom nearest ``mass``, if within ``MASS_RTOL`` of it
@@ -136,6 +132,8 @@ def _unit_masses(units: np.ndarray, quantum: Fraction) -> np.ndarray:
 
 # the solver's absolute tolerance, per unit of its relative tolerance ``tol``
 ATOL_PER_TOL = 1e-2
+# equally spaced times, 0 to t_end, at which a solve keeps the weights
+N_GRID = 2001
 
 
 class SolutionPath:
@@ -146,7 +144,7 @@ class SolutionPath:
     """
 
     def __init__(self, units: np.ndarray, quantum: Fraction, times: np.ndarray,
-                 weights: np.ndarray, kernel: Kernel, mu0: MassSpectrum, tol: float,
+                 weights: np.ndarray, kernel: Kernel, tol: float,
                  leak: float, steps: int, nfev: int):
         self.units = np.asarray(units, dtype=np.int64)  # lattice masses / quantum
         self.quantum = quantum
@@ -155,7 +153,6 @@ class SolutionPath:
         self._grid = self.times.tolist()  # bisect on floats: cheap scalar lookups
         self.weights = np.asarray(weights, dtype=float)  # shape (n_times, n_masses)
         self.kernel = kernel
-        self.mu0 = mu0
         self.tol = tol
         self.leak = leak  # mass off the lattice at t_end, relative to the start
         self.steps = steps  # accepted solver steps
@@ -370,8 +367,7 @@ def _dense(t_old, t, y_old, K, at: np.ndarray) -> np.ndarray:
 
 
 def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
-          k_max: int = 256, allow_gelation: bool = False,
-          n_grid: int = 2001) -> SolutionPath:
+          k_max: int = 256, allow_gelation: bool = False) -> SolutionPath:
     """Integrate the coagulation equation up to ``t_end``.
 
     Truncates to the lattice of the ``k_max`` smallest sums of initial masses
@@ -381,12 +377,12 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
     initial mass, and warned about when it exceeds 10 * tol. Refuses horizons
     inside the gelation window unless overridden, and a kernel with a
     non-finite entry on the lattice with :class:`KernelError`.  A horizon
-    that is not positive and finite, ``k_max < 1``, ``tol <= 0`` and
-    ``n_grid < 2`` are refused with :class:`ConfigError`.
+    that is not positive and finite, ``k_max < 1`` and ``tol <= 0`` are
+    refused with :class:`ConfigError`.
 
     The Dormand-Prince stepper (rtol ``tol``, atol ``ATOL_PER_TOL * tol``;
     see the module) steps to ``t_end``; after each accepted step, the
-    ``n_grid`` equally spaced times that the step covers are read from its
+    ``N_GRID`` equally spaced times that the step covers are read from its
     interpolant into their rows of the weights, as ``solve_ivp`` with
     ``t_eval`` would.  A step that falls below ten float spacings, and a
     right-hand side that overflows, raise :class:`SolverError`.  The path
@@ -399,8 +395,6 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
         raise ConfigError(f"k_max must be at least 1, got {k_max!r}")
     if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol!r}")
-    if n_grid < 2:
-        raise ConfigError(f"n_grid must be at least 2, got {n_grid!r}")
     check_gelation(kernel, mu0.masses, mu0.weights, t_end, allow_gelation)
 
     quantum = mass_quantum(mu0.masses)
@@ -438,8 +432,8 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
         loss = c * (kmat @ c)
         return gain - loss
 
-    times = np.linspace(0.0, t_end, n_grid)
-    weights = np.empty((n_grid, n))
+    times = np.linspace(0.0, t_end, N_GRID)
+    weights = np.empty((N_GRID, n))
     filled = steps = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", category=RuntimeWarning)
@@ -454,7 +448,7 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
                     filled = upto
         except (RuntimeWarning, FloatingPointError) as e:
             raise SolverError(f"integration blew up before t={t_end}: {e}") from e
-    assert filled == n_grid, "the solver stopped short of the last grid time"
+    assert filled == N_GRID, "the solver stopped short of the last grid time"
 
     total0 = float(np.sum(c0 * masses))
     total_end = float(np.sum(weights[-1] * masses))
@@ -463,7 +457,7 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
         warnings.warn(
             f"mass {leak:.3e} left the {n}-point lattice by t={t_end}; "
             "increase k_max for tighter tails", stacklevel=2)
-    return SolutionPath(units, quantum, times, weights, kernel, mu0, tol,
+    return SolutionPath(units, quantum, times, weights, kernel, tol,
                         leak / total0 if total0 > 0 else 0.0, steps, nfev)
 
 

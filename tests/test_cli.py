@@ -123,19 +123,6 @@ def test_simulate_deterministic_reruns(tmp_path):
     assert read(a / "trees.txt") == read(b / "trees.txt")
 
 
-def test_env_seed_fallback(tmp_path, monkeypatch):
-    a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("COAGTREE_SEED", "11")
-    assert main(["simulate", "--n", "16", "--t", "1", "--out", str(a)]) == 0
-    monkeypatch.delenv("COAGTREE_SEED")
-    assert main(["simulate", "--n", "16", "--t", "1", "--seed", "11",
-                 "--out", str(b)]) == 0
-    assert read(a / "events.csv") == read(b / "events.csv")
-    monkeypatch.setenv("COAGTREE_SEED", "not-an-int")
-    assert main(["simulate", "--n", "4", "--t", "1",
-                 "--out", str(tmp_path / "c")]) == 2
-
-
 def test_solve_csv(tmp_path):
     out = tmp_path / "sol"
     assert main(["solve", "--kernel", "constant", "--t", "2",
@@ -377,10 +364,17 @@ def test_exit_codes(tmp_path, capsys):
     for k, (argv, path) in enumerate(runs):
         assert main(argv + ["--out", str(tmp_path / f"out{k}")]) == 2, argv
         assert str(path) in capsys.readouterr().err, argv
-    # malformed lln plan values: the file and the key are named
+    # malformed lln plan values: the file and the key are named.  On a small
+    # ladder, tau_max_leaves 0 and -3 once ran to a FAIL verdict (exit 1),
+    # quad_tol 0 ran to exit 0, seed -1 failed in numpy with no key named,
+    # and an unknown key was ignored
+    small = {"n_ladder": [10, 20], "replicas": [30, 30]}
     for k, bad in enumerate(({"n_ladder": 5}, {"mu0": 3}, {"functionals": 5},
                              {"functionals": [5]}, {"t": [1]}, {"tau_max_leaves": None},
-                             {"replicas": ["a", "b"]}, {"seed": "x"})):
+                             {"replicas": ["a", "b"]}, {"seed": "x"},
+                             {"tau_max_leaves": 0, **small}, {"tau_max_leaves": -3, **small},
+                             {"quad_tol": 0, **small}, {"seed": -1, **small},
+                             {"tau_max_leaf": 2, **small}, {"mu0": [[1.0, 0.0]], **small})):
         plan = tmp_path / f"bad{k}.json"
         plan.write_text(json.dumps(bad))
         assert main(["lln", str(plan), "--out", str(tmp_path / f"bad{k}")]) == 2, bad

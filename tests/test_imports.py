@@ -27,7 +27,10 @@ the few paper-level entry points on ``ALLOWED_API``.  Code that only tests
 read lives in ``tests/tests_support.py``.  The same holds one level down:
 every public method or property of a public class there is read as
 ``.name`` somewhere outside its own definition, apart from the members on
-``ALLOWED_MEMBERS``.
+``ALLOWED_MEMBERS``.  And every option has a caller: each parameter with a
+default of a public function, method or constructor there is passed by
+some call in the package, the demos or the benchmark, apart from those on
+``ALLOWED_OPTIONS``; one that nothing passes is a constant.
 
 And src/ imports scipy in one place: ``lln._chi2_pvalue`` takes the
 chi-square p-values of ``jump_density_test`` from ``scipy.special``, imported
@@ -307,6 +310,204 @@ def unread_members() -> dict:
 def test_every_public_member_is_read():
     unread = unread_members()
     assert set(unread) == set(ALLOWED_MEMBERS), unread
+
+
+# parameters with a default that no call in src/, demos/ or perfbench/
+# passes, kept settable on purpose
+ALLOWED_OPTIONS = {
+    "parse.strict": "an opt-in check on history text from outside the program",
+    "AssumptionReport.ok.tol": "the slack of check_assumptions' verdict, which is on ALLOWED_API",
+    "time_integral.tol": "the quadrature target of time_integral, which is on ALLOWED_API",
+}
+
+
+def _init_field(value) -> bool:
+    """False for ``field(init=False)``: no constructor parameter."""
+    return not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+                and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False for k in value.keywords))
+
+
+def _signature_options(fn: ast.FunctionDef, bound: bool):
+    """(parameter, position or None) per parameter of ``fn`` with a default;
+    ``bound`` drops the first parameter, self or cls."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = 1 if bound else 0
+    for k, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                            len(positional) - len(args.defaults)):
+        yield arg.arg, k - first
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def options(tree: ast.Module):
+    """(callee, option, parameter, position or None) per parameter with a
+    default of a public function, method or constructor.  A constructor's
+    callee is its class's name, a method's is ``Class.name``; a field with a
+    default of a dataclass or a NamedTuple is a constructor parameter."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            for param, k in _signature_options(node, bound=False):
+                yield node.name, f"{node.name}.{param}", param, k
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)
+                  and not ast.unparse(item.annotation).startswith("ClassVar")
+                  and _init_field(item.value)]
+        for k, item in enumerate(fields):
+            if item.value is not None:
+                yield node.name, f"{node.name}.{item.target.id}", item.target.id, k
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in item.decorator_list)
+            if item.name == "__init__":
+                callee, prefix = node.name, node.name
+            elif not item.name.startswith("_"):
+                callee = prefix = f"{node.name}.{item.name}"
+            else:
+                continue
+            for param, k in _signature_options(item, bound=not static):
+                yield callee, f"{prefix}.{param}", param, k
+
+
+class _Calls(ast.NodeVisitor):
+    """What the calls of one file pass, by callee name.
+
+    A callee is the called name, through ``import ... as`` aliases, or
+    attribute; ``cls`` in a class's method is that class, and ``C.name``
+    with C one of ``classes`` is the callee ``C.name``.  ``keywords``
+    holds the keywords passed, ``positions`` the most positional arguments,
+    ``spread`` the callees given ``*args``.  A ``**d`` of a dict literal or
+    ``dict(...)`` call stored to the same name or attribute in the file
+    passes its keys; a ``**kw`` of the calling function's own ``**kw``
+    parameter is a forward, kept in ``forwards`` as (caller, its named
+    parameters, callee).
+    """
+
+    def __init__(self, tree: ast.Module, classes: set):
+        self.classes = classes
+        self.aliases = {alias.asname: alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom)
+                        for alias in node.names if alias.asname}
+        self.dicts = {ast.unparse(target): self._literal_keys(node.value)
+                      for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                      and self._literal_keys(node.value) is not None
+                      for target in node.targets}
+        self.keywords, self.positions, self.spread = {}, {}, set()
+        self.forwards = []
+        self._scope = []  # (class name or None, function node or None)
+        self.visit(tree)
+
+    @staticmethod
+    def _literal_keys(value):
+        if isinstance(value, ast.Dict) and all(isinstance(k, ast.Constant) for k in value.keys):
+            return {k.value for k in value.keys}
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict" \
+                and not value.args:
+            return {k.arg for k in value.keywords if k.arg is not None}
+        return None
+
+    def visit_ClassDef(self, node):
+        self._scope.append((node.name, None))
+        self.generic_visit(node)
+        self._scope.pop()
+
+    def visit_FunctionDef(self, node):
+        owner = self._scope[-1][0] if self._scope else None
+        self._scope.append((owner, node))
+        self.generic_visit(node)
+        self._scope.pop()
+
+    def _name(self, node) -> str | None:
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        if not isinstance(node, ast.Name):
+            return None
+        if node.id == "cls" and self._scope and self._scope[-1][0]:
+            return self._scope[-1][0]
+        return self.aliases.get(node.id, node.id)
+
+    def _callee(self, func) -> str | None:
+        if isinstance(func, ast.Attribute) and self._name(func.value) in self.classes:
+            return f"{self._name(func.value)}.{func.attr}"
+        return self._name(func)
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        callee = self._callee(node.func)
+        if callee is None:
+            return
+        plain = [a for a in node.args if not isinstance(a, ast.Starred)]
+        if len(plain) < len(node.args):
+            self.spread.add(callee)
+        self.positions[callee] = max(self.positions.get(callee, 0), len(plain))
+        passed = self.keywords.setdefault(callee, set())
+        for kw in node.keywords:
+            if kw.arg is not None:
+                passed.add(kw.arg)
+                continue
+            passed |= self.dicts.get(ast.unparse(kw.value), set())
+            owner, fn = self._scope[-1] if self._scope else (None, None)
+            if fn is not None and fn.args.kwarg is not None \
+                    and isinstance(kw.value, ast.Name) and kw.value.id == fn.args.kwarg.arg:
+                caller = owner if fn.name == "__init__" else \
+                    f"{owner}.{fn.name}" if owner else fn.name
+                named = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+                self.forwards.append((caller, named, callee))
+
+
+def unset_options() -> dict:
+    """Options of the package that no call in the package, the demos or the
+    benchmark passes, by keyword, by position or through ``**``, by module."""
+    paths = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+             + sorted((ROOT / "perfbench").glob("*.py")))
+    classes = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    keywords, positions, spread, forwards = {}, {}, set(), []
+    for path in paths:
+        calls = _Calls(ast.parse(path.read_text()), classes)
+        for callee, passed in calls.keywords.items():
+            keywords.setdefault(callee, set()).update(passed)
+        for callee, n in calls.positions.items():
+            positions[callee] = max(positions.get(callee, 0), n)
+        spread |= calls.spread
+        forwards += calls.forwards
+
+    def names(callee: str) -> tuple:
+        # an instance's method call reads as its bare name
+        return (callee, callee.rpartition(".")[2])
+
+    def passed(callee: str) -> set:
+        return set().union(*(keywords.get(name, set()) for name in names(callee)))
+
+    changed = True
+    while changed:  # keywords a caller takes into **kw reach its callee
+        changed = False
+        for caller, named, callee in forwards:
+            extra = passed(caller) - named - keywords.get(callee, set())
+            if extra:
+                keywords.setdefault(callee, set()).update(extra)
+                changed = True
+    out = {}
+    for path in sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}):
+        for callee, option, param, k in options(ast.parse(path.read_text())):
+            by_position = k is not None and any(
+                k < positions.get(name, 0) or name in spread for name in names(callee))
+            if param not in passed(callee) and not by_position:
+                out[option] = path.name
+    return out
+
+
+def test_every_option_is_set():
+    # a settable value that nothing sets is a constant with extra code paths
+    unset = unset_options()
+    assert set(unset) == set(ALLOWED_OPTIONS), unset
 
 
 def test_import_leaves_scipy_stats_out():

@@ -55,10 +55,12 @@ def path():
     return solve(MONO, CONSTANT, 2.0, tol=1e-10)
 
 
+INV_MU0 = MassSpectrum((1.0, 2.0), (0.7, 0.3))
+
+
 @pytest.fixture(scope="module")
 def path_inv():
-    return solve(MassSpectrum((1.0, 2.0), (0.7, 0.3)), builtin("inverse-sum"),
-                 2.0, tol=1e-10, k_max=64)
+    return solve(INV_MU0, builtin("inverse-sum"), 2.0, tol=1e-10, k_max=64)
 
 
 def random_query(rng, n_leaves, t, mu0):
@@ -112,10 +114,9 @@ def test_recursive_vs_product_three_leaves(path):
 
 
 def test_recursive_vs_product_polydisperse(path_inv):
-    mu0 = path_inv.mu0
     rng = np.random.default_rng(4)
     for _ in range(50):
-        tree = random_query(rng, int(rng.integers(1, 5)), 2.0, mu0)
+        tree = random_query(rng, int(rng.integers(1, 5)), 2.0, INV_MU0)
         a = density_recursive(tree, path_inv, 2.0)
         b = density_product(tree, path_inv, 2.0)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-14)
@@ -124,7 +125,7 @@ def test_recursive_vs_product_polydisperse(path_inv):
 def test_density_nonnegative(path_inv):
     rng = np.random.default_rng(5)
     for _ in range(50):
-        tree = random_query(rng, int(rng.integers(1, 5)), 2.0, path_inv.mu0)
+        tree = random_query(rng, int(rng.integers(1, 5)), 2.0, INV_MU0)
         assert density_product(tree, path_inv, 2.0) >= 0.0
 
 
@@ -184,7 +185,7 @@ def test_labeled_sum_matches_unlabeled_at_n3(path):
     # shape has 3 labelings and q=1, so the unlabeled integral equals the
     # per-labeling integral directly (masses identical).
     one = time_integral(THREE, (1.0, 1.0, 1.0), path, 2.0,
-                        ConstantOne(), CONSTANT, tol=1e-10).one
+                        ConstantOne(), tol=1e-10).one
     res = functional(ShapeIndicator(THREE), 3, path, CONSTANT, MONO, 2.0)
     q = 1  # symmetry exponent of the 3-leaf chain
     assert res.value == pytest.approx(2.0 ** (-q) * one, rel=1e-9)
@@ -275,7 +276,7 @@ def test_time_integral_reports_an_unconverged_order_ladder(path):
     def early_merge(tree):
         return 1.0 if tree.time < 0.7 else 0.0
 
-    res = gl_time_integral(CHERRY, (1.0, 1.0), path, 2.0, early_merge, CONSTANT, tol=1e-8)
+    res = gl_time_integral(CHERRY, (1.0, 1.0), path, 2.0, early_merge, tol=1e-8)
     val, err, one, one_err, converged = res
     assert err > 1e-9 and not converged
     assert one_err <= 1e-9
@@ -338,8 +339,7 @@ def test_recursive_evaluator_matches_gauss_legendre(oracle_paths, case, shape):
     masses = masses[:shape.n_leaves]
     tol = 1e-8
     fast = time_integral(shape, masses, p, t, f, tol=tol)
-    oracle = gl_time_integral(shape, masses, p, t, gl_only(f, shape, masses), p.kernel,
-                              tol=1e-12)
+    oracle = gl_time_integral(shape, masses, p, t, gl_only(f, shape, masses), tol=1e-12)
     assert fast[0] == pytest.approx(oracle[0], abs=1e-10)
     assert fast[2] == pytest.approx(oracle[2], abs=1e-10)
     assert fast[1] <= tol and fast[3] <= tol
@@ -413,7 +413,7 @@ def test_terms_equal_one_term_time_integrals(case):
     listed = list(terms(f, tau, p, kernel, mu0, t))
     assert len(listed) == sum(len(mu0.masses) ** s.n_leaves for s in shapes_up_to(tau))
     for shape, masses, _, integral in listed:
-        alone = time_integral(shape, masses, p, t, f, kernel)
+        alone = time_integral(shape, masses, p, t, f)
         assert [x.hex() for x in integral[:4]] == [x.hex() for x in alone[:4]]
         assert integral.converged is alone.converged is True
     back = pickle.loads(pickle.dumps(listed[-1][3]))
@@ -501,7 +501,8 @@ def test_functionals_without_time_boxes_are_refused(path, t):
 CLOSED_FORM_BOUND = 1e-7
 
 
-@pytest.mark.parametrize("kernel_name, t", [("constant", 2.0), ("additive", 0.8)])
+@pytest.mark.parametrize("kernel_name, t", [("constant", 2.0), ("additive", 0.8),
+                                           ("product", 0.6)])
 def test_mono_limit_cells_match_their_closed_forms(kernel_name, t):
     kernel = builtin(kernel_name)
     path = solve(MONO, kernel, t, tol=1e-10)

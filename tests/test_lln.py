@@ -47,6 +47,12 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ExperimentPlan(CONSTANT, MONO, 2.0, f, n_ladder=(100, 200),
                        replicas=(100, 10))
+    # a zero total weight was accepted, and masses_for then never returned:
+    # floor(nan) cast to the int64 minimum, and its fill loop added one a turn
+    for weights in ((0.0,), (0.0, 0.0)):
+        mu0 = MassSpectrum((1.0, 2.0)[:len(weights)], weights)
+        with pytest.raises(ValueError, match='"mu0" needs a positive total weight'):
+            ExperimentPlan(CONSTANT, mu0, 2.0, f, n_ladder=(10, 20), replicas=(30, 30))
 
 
 def test_plan_refuses_fewer_than_one_job():

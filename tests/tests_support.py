@@ -46,6 +46,7 @@ from coagtree.simulate import (
 )
 from coagtree.smoluchowski import (
     ATOL_PER_TOL,
+    N_GRID,
     SolutionPath,
     SolverError,
     _fraction,
@@ -295,7 +296,7 @@ def _simplex_integral(shape, t, evaluate, order, breakpoints=()):
     return nested(0)
 
 
-def gl_time_integral(shape, masses, path, t, f, kernel, tol):
+def gl_time_integral(shape, masses, path, t, f, tol):
     """``limit.time_integral`` by nested Gauss-Legendre over the node times,
     for any callable f: the oracle of the recursive evaluator.
 
@@ -306,7 +307,7 @@ def gl_time_integral(shape, masses, path, t, f, kernel, tol):
     """
     def evaluate(times):
         tree = build_preorder(shape, masses, times)
-        core = _labeled_density(tree, path, t, kernel)
+        core = _labeled_density(tree, path, t)
         return np.array([core * f(tree), core])
 
     breakpoints = tuple(getattr(f, "time_breakpoints", ()))
@@ -685,8 +686,7 @@ def reference_pair_index(masses):
     return np.array(ii), np.array(jj), np.array(kk)
 
 
-def reference_solve(mu0, kernel, t_end, tol=1e-8, k_max=256, allow_gelation=False,
-                    n_grid=2001):
+def reference_solve(mu0, kernel, t_end, tol=1e-8, k_max=256, allow_gelation=False):
     """The ``solve`` that a direct RK45 loop and then the numpy Dormand-Prince
     stepper replaced: ``solve_ivp`` with ``t_eval`` on the grid, gathering
     ``c[ii]`` and ``c[jj]`` in the right-hand side.  ``solve_ivp`` does not
@@ -717,7 +717,7 @@ def reference_solve(mu0, kernel, t_end, tol=1e-8, k_max=256, allow_gelation=Fals
         loss = c * (kmat @ c)
         return gain - loss
 
-    times = np.linspace(0.0, t_end, n_grid)
+    times = np.linspace(0.0, t_end, N_GRID)
     with warnings.catch_warnings():
         warnings.simplefilter("error", category=RuntimeWarning)
         try:
@@ -736,7 +736,7 @@ def reference_solve(mu0, kernel, t_end, tol=1e-8, k_max=256, allow_gelation=Fals
         warnings.warn(
             f"mass {leak:.3e} left the {n}-point lattice by t={t_end}; "
             "increase k_max for tighter tails", stacklevel=2)
-    return SolutionPath(units, quantum, times, weights, kernel, mu0, tol,
+    return SolutionPath(units, quantum, times, weights, kernel, tol,
                         leak / total0 if total0 > 0 else 0.0, None, sol.nfev)
 
 
@@ -873,46 +873,44 @@ def finite_n_jump_density(tree: HistoricalTree, t: float, N: int,
 #
 # For K = a + b(x+y) + cxy the survival exponents of a node's two children
 # cancel their mass parts, so each term of the limit measure factors into a
-# shape weight times a function of the leaf count n alone.  From unit masses
-# the constant kernel's shape law given n is Yule-Harding (Harding 1971,
-# "The probabilities of rooted tree-shapes generated by random
-# bifurcation"), and c_n(t) has closed forms (Aldous 1999, "Deterministic
-# and stochastic models for coalescence").
+# shape weight times a function of the leaf count n alone: c_n(t), the
+# limit mass of the n-leaf trees, which has closed forms (Aldous 1999,
+# "Deterministic and stochastic models for coalescence").  From unit masses
+# a shape's weight is 2^-q(shape) times the product over internal nodes v of
+# K(n_l, n_r) / (n_v - 1), n_l and n_r the leaf counts of v's children; for
+# the constant kernel its share is the Yule-Harding law (Harding 1971, "The
+# probabilities of rooted tree-shapes generated by random bifurcation").
+
+# K on leaf counts, by kernel name
+MONO_KERNELS = {"constant": lambda a, b: 1.0, "additive": lambda a, b: a + b,
+                "product": lambda a, b: a * b}
 
 
-def _internal_nodes(shape: TreeShape) -> list:
-    return [v for v, _ in preorder(shape) if not v.is_leaf]
+def _c_n(kernel_name: str, n: int, t: float) -> float:
+    if kernel_name == "constant":
+        return (t / 2) ** (n - 1) / (1 + t / 2) ** (n + 1)
+    if kernel_name == "additive":
+        x = 1.0 - math.exp(-t)
+        return (math.exp(-t) * x ** (n - 1) * n ** (n - 1) * math.exp(-n * x)
+                / math.factorial(n))
+    return n ** (n - 2) * t ** (n - 1) * math.exp(-n * t) / math.factorial(n)
 
 
-def yule_harding(shape: TreeShape) -> float:
-    """Yule-Harding probability of ``shape`` among the shapes of its leaf
-    count: the product over internal nodes v of (1 if v's children are equal
-    shapes, else 2) / (n_v - 1)."""
-    p = 1.0
-    for v in _internal_nodes(shape):
-        p *= (1.0 if v.left == v.right else 2.0) / (v.n_leaves - 1)
-    return p
-
-
-def _additive_shape_weight(shape: TreeShape) -> float:
-    """2^-q(shape) times the product over internal nodes v of n_v / (n_v - 1)."""
+def _shape_weight(kernel_name: str, shape: TreeShape) -> float:
+    kernel = MONO_KERNELS[kernel_name]
     w = 2.0 ** -symmetry_exponent(shape)
-    for v in _internal_nodes(shape):
-        w *= v.n_leaves / (v.n_leaves - 1)
+    for v, _ in preorder(shape):
+        if not v.is_leaf:
+            w *= kernel(v.left.n_leaves, v.right.n_leaves) / (v.n_leaves - 1)
     return w
 
 
 def mono_limit_cell(kernel_name: str, shape: TreeShape, t: float) -> float:
     """Limit-measure mass at t of the trees of ``shape`` from unit masses,
     c_n(t) times the shape's share of the n-leaf trees, for the constant
-    (K = 1) and additive (K = x + y) kernels."""
+    (K = 1), additive (K = x + y) and product (K = xy) kernels."""
+    if kernel_name not in MONO_KERNELS:
+        raise ValueError(f"no closed form for the {kernel_name} kernel")
     n = shape.n_leaves
-    if kernel_name == "constant":
-        return (t / 2) ** (n - 1) / (1 + t / 2) ** (n + 1) * yule_harding(shape)
-    if kernel_name == "additive":
-        x = 1.0 - math.exp(-t)
-        c_n = (math.exp(-t) * x ** (n - 1) * n ** (n - 1) * math.exp(-n * x)
-               / math.factorial(n))
-        total = sum(_additive_shape_weight(s) for s in shapes_with_leaves(n))
-        return c_n * _additive_shape_weight(shape) / total
-    raise ValueError(f"no closed form for the {kernel_name} kernel")
+    total = sum(_shape_weight(kernel_name, s) for s in shapes_with_leaves(n))
+    return _c_n(kernel_name, n, t) * _shape_weight(kernel_name, shape) / total
