@@ -7,6 +7,7 @@ measure's composition at a few times, and shows the tree text format.
 import numpy as np
 
 import coagtree as ct
+from coagtree.trees import history_text
 
 
 def main():
@@ -17,20 +18,21 @@ def main():
 
     for t in (0.5, 1.0, 2.0):
         m = ct.empirical_measure(log, t)
-        sizes = np.array([tree.n_leaves for tree in m.atoms])
+        sizes = np.array([m.shapes[m.shape[i]].n_leaves for i in m.atoms])
         print(f"t = {t}: {len(m.atoms)} clusters, "
               f"mean size {sizes.mean():.2f}, max size {sizes.max()}")
 
-    m = ct.empirical_measure(log, 2.0)
-    biggest = max(m.atoms, key=lambda tree: tree.n_leaves)
+    # at the horizon the live clusters are the histories alive after the
+    # last merge, which history_text lists by ascending node id, as m.atoms
+    m = ct.empirical_measure(log, cfg.horizon)
+    texts = history_text(cfg.masses, log.events)[1]
+    sizes = [m.shapes[m.shape[i]].n_leaves for i in m.atoms]
+    text = texts[sizes.index(max(sizes))]
     print("\nlargest cluster's history (leaf mass / merge-time format):")
-    print(ct.serialize(biggest))
-    # the text format carries masses and times but not particle labels
-    assert ct.parse(ct.serialize(biggest)) == ct.forget_labels(biggest)
-
-    print("\nlifetime intervals of its sub-clusters:")
-    for e in ct.edge_intervals(biggest, 2.0)[:8]:
-        print(f"  mass {e.mass:4.1f} alive on [{e.birth:.3f}, {e.death:.3f})")
+    print(text)
+    # the text carries masses and merge times; parse numbers the leaves in
+    # text order, so the particles' own ids are not in it
+    assert ct.serialize(ct.parse(text)) == text
 
 
 if __name__ == "__main__":

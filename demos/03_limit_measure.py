@@ -1,12 +1,13 @@
-"""Evaluate the limit historical measure: densities and functionals.
+"""Evaluate the limit historical measure: one term and functionals.
 
-Checks that the recursive and product-form densities agree, evaluates shape
-functionals with the recursive evaluator (one cumulative integral per tree
-node on the solver's time grid), and verifies the mass pushforward against
-the mean-field spectrum.
+Integrates the cherry term over its merge time, evaluates shape functionals
+with the recursive evaluator (one cumulative integral per tree node on the
+solver's time grid), and verifies the mass pushforward against the
+mean-field spectrum.
 """
 
 import coagtree as ct
+from coagtree.limit import time_integral
 from coagtree.trees import LEAF, shape_node
 
 
@@ -16,13 +17,15 @@ def main():
     t = 2.0
     path = ct.solve(mu0, kernel, t, tol=1e-10)
 
-    cherry_tree = ct.hist_node(0.8, ct.hist_leaf(1.0), ct.hist_leaf(1.0))
-    a = ct.density_recursive(cherry_tree, path, t)
-    b = ct.density_product(cherry_tree, path, t)
-    print(f"cherry density at merge time 0.8: recursive {a:.10f}, "
-          f"product form {b:.10f}")
-
+    # the cherry term at unit masses: the density without its symmetry
+    # factor 1/2, integrated over the merge time
     cherry = shape_node(LEAF, LEAF)
+    for name, f in (("any merge time", ct.ShapeIndicator(cherry)),
+                    ("merged before 0.8", ct.ShapeTimeBoxIndicator(cherry, ((0.0, 0.8),)))):
+        term = time_integral(cherry, (1.0, 1.0), path, t, f)
+        print(f"cherry term, {name}: {term.value:.10f} (error {term.error:.1e})")
+    print("expected: 0.25 and 1/7 = 0.1428571429 (constant-kernel closed forms)\n")
+
     for name, shape in (("leaf", LEAF), ("cherry", cherry),
                         ("three-chain", shape_node(LEAF, cherry))):
         res = ct.functional(ct.ShapeIndicator(shape), 3, path, kernel, mu0, t)
@@ -35,7 +38,6 @@ def main():
     for m, lim, sol in rep.rows:
         print(f"  mass {m:.0f}: limit {lim:.8f}, solver {sol:.8f}")
     print(f"max discrepancy {rep.max_discrepancy:.2e}")
-
 
 if __name__ == "__main__":
     main()

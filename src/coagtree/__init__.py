@@ -4,8 +4,6 @@ limit historical measure."""
 from .kernels import Kernel, builtin, check_assumptions, gelation_time
 from .limit import (
     LimitFunctionalResult,
-    density_product,
-    density_recursive,
     functional,
     pushforward_check,
 )
@@ -32,14 +30,7 @@ from .simulate import (
 from .smoluchowski import MassSpectrum, SolutionPath, solve
 from .trees import (
     LEAF,
-    HistoricalTree,
     TreeShape,
-    edge_intervals,
-    epsilon,
-    forget_labels,
-    hist_leaf,
-    hist_node,
-    kernel_product,
     parse,
     serialize,
     shape_node,

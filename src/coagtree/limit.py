@@ -1,18 +1,17 @@
-"""Limit historical measure: densities and functionals.
+"""Limit historical measure: functionals <f, mu~_t>.
 
 The limit measure lives on merger-history trees.  Its density with respect to
 (time simplex) x (atom assignments) has a product form over the lifetime
 intervals of the tree's sub-clusters:
 
-    2^(-q(tau)) * K_xi * prod_edges exp(-Lambda(mass_e; birth_e, death_e))
+    2^(-q(tau)) * K_xi * prod_edges exp(-Lambda(mass_e; birth_e, death_e)).
 
-and an equivalent recursive form built from the symmetry factor epsilon.
 Functionals <f, mu~_t> are computed by enumerating shapes, summing over
 ordered leaf-mass assignments, and integrating over node times.
 
-The time integral follows the recursive form.  With G_m(u) = Lambda(m; 0, u),
-a leaf of mass m carries A(u) = exp(-G_m(u)) and an internal node of mass m
-with children l, r carries
+The time integral follows the density's recursive form.  With G_m(u) =
+Lambda(m; 0, u), a leaf of mass m carries A(u) = exp(-G_m(u)) and an internal
+node of mass m with children l, r carries
 
     A(u) = exp(-G_m(u)) * int_0^u K(m_l, m_r) A_l(s) A_r(s) exp(G_m(s)) ds,
 
@@ -28,16 +27,15 @@ the work is shared.  It serves every functional that declares, through
 times per-node time-box indicators on each shape: the built-in functionals
 of :mod:`coagtree.simulate`.  Any other f is refused with ``TypeError``.
 
-The densities are evaluated at a built ``HistoricalTree``.  They and
-:func:`time_integral` take K from the solution path, ``path.kernel``.  The
-nested Gauss-Legendre quadrature that checks the evaluator, and the finite-N
-jump-chain density, are test oracles in ``tests/tests_support.py``.
+:func:`time_integral` takes K from the solution path, ``path.kernel``.  The
+density at one tree in its product and recursive forms, the nested
+Gauss-Legendre quadrature that checks the evaluator, and the finite-N
+jump-chain density are test oracles in ``tests/tests_support.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -46,63 +44,10 @@ import numpy as np
 from .kernels import Kernel
 from .simulate import ConstantOne, time_boxes_of
 from .smoluchowski import MassSpectrum, SolutionPath
-from .trees import (
-    HistoricalTree,
-    TreeShape,
-    edge_intervals,
-    epsilon,
-    kernel_product,
-    preorder,
-    shapes_up_to,
-    symmetry_exponent,
-)
+from .trees import TreeShape, preorder, shapes_up_to, symmetry_exponent
 
 # splits of every solver time cell tried in turn by the recursive evaluator
 REFINEMENTS = (1, 2, 4, 8, 16, 32)
-
-
-def _labeled_density(tree: HistoricalTree, path: SolutionPath, t: float) -> float:
-    """K_xi * exp(-sum over lifetime intervals of Lambda): the density
-    without its symmetry factor 2^(-q)."""
-    exponent = 0.0
-    for e in edge_intervals(tree, t):
-        exponent += path.survival_exponent(e.mass, e.birth, e.death)
-    return kernel_product(tree, path.kernel) * math.exp(-exponent)
-
-
-def density_product(tree: HistoricalTree, path: SolutionPath, t: float) -> float:
-    """Product-form density at ``tree`` with horizon ``t``."""
-    q = symmetry_exponent(tree.shape)
-    return 2.0 ** (-q) * _labeled_density(tree, path, t)
-
-
-def density_recursive(tree: HistoricalTree, path: SolutionPath, t: float) -> float:
-    """Recursive density: leaves carry survival exponentials, each merge
-    contributes epsilon(shape) * K(mass_1, mass_2)."""
-    # pre-order with each node's horizon (its parent's time), checked top down
-    order = []
-    stack = [(tree, t)]
-    while stack:
-        v, horizon = stack.pop()
-        order.append((v, horizon))
-        if not v.is_leaf:
-            if not v.time < horizon:
-                raise ValueError(f"node time {v.time} not below horizon {horizon}")
-            stack += ((v.right, v.time), (v.left, v.time))
-    done = []  # densities of finished subtrees, children before parents
-    for v, horizon in reversed(order):
-        if v.is_leaf:
-            done.append(math.exp(-path.survival_exponent(v.mass, 0.0, horizon)))
-            continue
-        left, right = done.pop(), done.pop()
-        done.append(
-            epsilon(v.shape)
-            * path.kernel.evaluate(v.left.mass, v.right.mass)
-            * left
-            * right
-            * math.exp(-path.survival_exponent(v.mass, v.time, horizon))
-        )
-    return done[0]
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -56,6 +57,12 @@ class ExperimentPlan:
         if any(r < 30 for r in self.replicas):
             raise ValueError("need at least 30 replicas per size for CLT intervals")
         # the field names in quotes, as a plan file's keys
+        if not 0 < self.t < math.inf:
+            raise ValueError(f'"t" must be positive and finite, got {self.t!r}')
+        sizes = self.n_ladder
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in sizes) \
+                or len(set(sizes)) < len(sizes):
+            raise ValueError(f'"n_ladder" needs distinct positive integer sizes, got {sizes!r}')
         if not sum(self.mu0.weights) > 0:
             raise ValueError(f'"mu0" needs a positive total weight, got {self.mu0.weights!r}')
         if self.tau_max_leaves < 1:
@@ -389,4 +396,4 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
 def tightness_diagnostic(m: EmpiricalHistoricalMeasure, n0: int) -> float:
     """Empirical-measure weight carried by trees with at least n0 leaves."""
     shapes, shape = m.shapes, m.shape
-    return m.weight * sum(1 for i in m.live if shapes[shape[i]].n_leaves >= n0)
+    return m.weight * sum(1 for i in m.atoms if shapes[shape[i]].n_leaves >= n0)

@@ -20,11 +20,10 @@ A run's ``EventLog`` holds its merges as plain ``(time, left, right)`` rows,
 left < right, in time order.  Merge k creates node N + k, so node ids are
 implied by the row order: leaves are 0..N-1 and node v >= N is row v - N.
 ``empirical_measure`` adds only per-node shape ids (interned) and masses and
-the live ids, and reads merge times and children from the rows; a
-``HistoricalTree`` is built only when ``atoms`` is read.  A functional
-declares itself once, by ``time_boxes(shape, mass)``; ``evaluate_functional``
-reads that declaration on the flat arrays, a built-in's ``__call__`` on a
-tree, and ``coagtree.limit`` in its time integrals.
+the live ids, and reads merge times and children from the rows; it builds no
+tree.  A functional declares itself once, by ``time_boxes(shape, mass)``;
+``evaluate_functional`` reads that declaration on the flat arrays, and
+``coagtree.limit`` in its time integrals.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -40,15 +38,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .kernels import ConfigError, Kernel, check_gelation
-from .trees import (
-    LEAF,
-    HistoricalTree,
-    TreeShape,
-    hist_leaf,
-    hist_node,
-    preorder,
-    shape_node,
-)
+from .trees import LEAF, TreeShape, preorder, shape_node
 
 
 @functools.cache
@@ -464,29 +454,25 @@ class EmpiricalHistoricalMeasure:
     so equal ids are equal shapes, and ``shapes[id]`` is that
     ``TreeShape``) and ``mass`` the total mass.  Node v >= N is the merge
     in row v - N of the log's ``events``, which gives its time and
-    children.  ``live`` lists the live clusters' ids in ascending order,
-    which is the order of ``atoms``: a read-only sequence of their
-    ``HistoricalTree``s (leaf i labelled i), built on first element access.
+    children.  ``atoms`` lists the live clusters' node ids in ascending
+    order.
     """
 
     weight: float  # 1/N
-    live: tuple
+    atoms: tuple
     shape: list
     shapes: list  # TreeShape per shape id, shared by the runs of one SimConfig
     mass: list
     events: tuple  # the log's (time, left, right) rows
     n0: int  # N: the first internal node's id
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", _Atoms(self))  # frozen: written once, here
-
     @property
     def total_weight(self) -> float:
-        return self.weight * len(self.live)
+        return self.weight * len(self.atoms)
 
     def total_mass(self) -> float:
         mass = self.mass
-        return self.weight * sum(mass[i] for i in self.live)
+        return self.weight * sum(mass[i] for i in self.atoms)
 
     @functools.cached_property
     def _cells(self) -> tuple:
@@ -494,35 +480,18 @@ class EmpiricalHistoricalMeasure:
         first appearance, and each live atom's index among them."""
         index = {}
         shape, mass = self.shape, self.mass
-        cell_of = [index.setdefault((shape[i], mass[i]), len(index)) for i in self.live]
+        cell_of = [index.setdefault((shape[i], mass[i]), len(index)) for i in self.atoms]
         return tuple(index), cell_of
 
-    def tree(self, node: int) -> HistoricalTree:
-        """The ``HistoricalTree`` of node ``node``; leaf i carries label i."""
-        events, n0 = self.events, self.n0
-        order = []
-        stack = [node]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            if v >= n0:
-                stack += events[v - n0][1:]
-        built = []  # finished subtrees: children before parents, left before right
-        for v in reversed(order):
-            if v < n0:
-                built.append(hist_leaf(self.mass[v], label=v))
-            else:
-                b = built.pop()
-                built.append(hist_node(events[v - n0][0], built.pop(), b))
-        return built[0]
-
     def preorder_times(self, node: int) -> list:
-        """Merge times under ``node`` in pre-order, the smaller child first.
+        """Merge times under ``node`` in pre-order, the child with fewer
+        leaves first: the order in which ``time_boxes`` lists its boxes.
 
-        This is the order of ``preorder(self.tree(node))`` except between two
-        children of equal leaf count, which the history orders by its text
-        and this by node id.  A ``ShapeTimeBoxIndicator`` gives such
-        siblings equal boxes, so either order gives it the same value.
+        Of two children with equal leaf count, the canonical text (see
+        ``trees.history_text``) writes first the one whose text sorts first;
+        this takes the one with the smaller node id first.  A
+        ``ShapeTimeBoxIndicator`` gives such siblings equal boxes, so either
+        order gives it the same value.
         """
         events, n0, shapes, shape = self.events, self.n0, self.shapes, self.shape
         times = []
@@ -542,26 +511,10 @@ class EmpiricalHistoricalMeasure:
         return times
 
 
-class _Atoms(Sequence):
-    """The measure's live histories, built on first element access."""
-
-    def __init__(self, m: EmpiricalHistoricalMeasure):
-        self._m = m
-        self._trees = None
-
-    def __len__(self) -> int:
-        return len(self._m.live)
-
-    def __getitem__(self, k):
-        if self._trees is None:
-            self._trees = tuple(self._m.tree(i) for i in self._m.live)
-        return self._trees[k]
-
-
 def empirical_measure(log: EventLog, t: float) -> EmpiricalHistoricalMeasure:
     """mu~_t^N: the live clusters' histories at time ``t``, weight 1/N each.
 
-    One pass over the events up to ``t``; no ``HistoricalTree`` is built.
+    One pass over the events up to ``t``.
     """
     cfg = log.config
     if not t >= 0.0:
@@ -586,8 +539,8 @@ def empirical_measure(log: EventLog, t: float) -> EmpiricalHistoricalMeasure:
         mass.append(mass[i] + mass[j])
         alive[i] = alive[j] = False
         alive.append(True)
-    live = tuple(i for i, x in enumerate(alive) if x)
-    return EmpiricalHistoricalMeasure(1.0 / n0, live, shape, shapes, mass, log.events, n0)
+    atoms = tuple(i for i, x in enumerate(alive) if x)
+    return EmpiricalHistoricalMeasure(1.0 / n0, atoms, shape, shapes, mass, log.events, n0)
 
 
 def evaluate_functional(m: EmpiricalHistoricalMeasure, f: Callable) -> float:
@@ -601,7 +554,7 @@ def evaluate_functional(m: EmpiricalHistoricalMeasure, f: Callable) -> float:
     """
     form = time_boxes_of(f)
     cells, cell_of = m._cells
-    shapes, live = m.shapes, m.live
+    shapes, atoms = m.shapes, m.atoms
     forms = [form(shapes[s], x) for s, x in cells]
     values = list(map([c for c, _ in forms].__getitem__, cell_of))
     boxed = {k: boxes for k, (c, boxes) in enumerate(forms)
@@ -609,7 +562,7 @@ def evaluate_functional(m: EmpiricalHistoricalMeasure, f: Callable) -> float:
     if boxed:
         for pos, k in enumerate(cell_of):
             boxes = boxed.get(k)
-            if boxes is not None and not _in_boxes(boxes, m.preorder_times(live[pos])):
+            if boxes is not None and not _in_boxes(boxes, m.preorder_times(atoms[pos])):
                 values[pos] = 0.0
     return m.weight * sum(values)
 
@@ -622,18 +575,18 @@ def evaluate_functional(m: EmpiricalHistoricalMeasure, f: Callable) -> float:
 # <= hi_v] over the internal nodes v.  It returns ``(c, boxes)``, with one
 # (lo, hi) per internal node in the shape's pre-order, or ``boxes`` None
 # when f ignores the merge times.  Every built-in is of that form on every
-# shape, and that declaration is all it defines: its value on a tree, on
-# the empirical measure and under the limit measure are all read from it.
+# shape, and that declaration is all it defines: its value on the empirical
+# measure and under the limit measure are both read from it.
 
 
 def time_boxes_of(f: Callable) -> Callable:
     """``f.time_boxes``, or ``TypeError`` when f does not declare it."""
-    form = getattr(f, "time_boxes", None)
-    if form is None:
+    try:
+        return f.time_boxes
+    except AttributeError:
         raise TypeError(f"{f!r} has no time_boxes(shape, mass): coagtree evaluates only "
                         "functionals of that protocol, such as the built-ins of "
-                        "coagtree.simulate")
-    return form
+                        "coagtree.simulate") from None
 
 
 def _in_boxes(boxes: tuple, times) -> bool:
@@ -643,20 +596,8 @@ def _in_boxes(boxes: tuple, times) -> bool:
     return True
 
 
-class _TimeBoxFunctional:
-    """f(tree), read from ``self.time_boxes``: c, or 0.0 when a merge time
-    in pre-order falls outside its box."""
-
-    def __call__(self, tree: HistoricalTree) -> float:
-        c, boxes = self.time_boxes(tree.shape, tree.mass)
-        if boxes is not None and c != 0.0 and not _in_boxes(
-                boxes, [v.time for v, _ in preorder(tree) if not v.is_leaf]):
-            return 0.0
-        return c
-
-
 @dataclass(frozen=True)
-class ShapeIndicator(_TimeBoxFunctional):
+class ShapeIndicator:
     shape: TreeShape
 
     def time_boxes(self, shape: TreeShape, mass: float) -> tuple:
@@ -664,7 +605,7 @@ class ShapeIndicator(_TimeBoxFunctional):
 
 
 @dataclass(frozen=True)
-class ShapeTimeBoxIndicator(_TimeBoxFunctional):
+class ShapeTimeBoxIndicator:
     """Indicator of a shape with every merge time inside its box.
 
     Boxes are matched to internal nodes in pre-order over the canonical tree
@@ -698,7 +639,7 @@ class ShapeTimeBoxIndicator(_TimeBoxFunctional):
 
 
 @dataclass(frozen=True)
-class MassCutoff(_TimeBoxFunctional):
+class MassCutoff:
     """Ramp cutoff of the total mass: 1 on m <= M, linear to 0 on [M, M+1]."""
 
     M: float
@@ -712,7 +653,7 @@ class MassCutoff(_TimeBoxFunctional):
 
 
 @dataclass(frozen=True)
-class FunctionalProduct(_TimeBoxFunctional):
+class FunctionalProduct:
     factors: tuple
 
     def time_boxes(self, shape: TreeShape, mass: float) -> tuple:
@@ -729,6 +670,6 @@ class FunctionalProduct(_TimeBoxFunctional):
 
 
 @dataclass(frozen=True)
-class ConstantOne(_TimeBoxFunctional):
+class ConstantOne:
     def time_boxes(self, shape: TreeShape, mass: float) -> tuple:
         return 1.0, None

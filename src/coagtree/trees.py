@@ -1,9 +1,12 @@
-"""Binary merger trees: shapes, historical trees, symmetry counts, and a text format.
+"""Binary merger trees: shapes, symmetry counts, and the history text format.
 
-A *shape* is an unlabeled binary tree; a *historical tree* additionally carries
-leaf masses and internal coagulation times.  Both are immutable and kept in a
-canonical form (children sorted under a fixed total order) so that structural
-equality is insensitive to child order.
+A *shape* is an unlabeled binary tree, immutable and kept in a canonical form
+(children sorted under a fixed total order) so that structural equality is
+insensitive to child order.  A merger history is no object here: it is its
+leaf masses plus ``(time, left, right)`` merge rows, row k creating node
+``len(masses) + k``, the form that :mod:`coagtree.simulate` records.
+:func:`history_text` writes that form as canonical text and :func:`parse`
+reads text back into it.
 """
 
 from __future__ import annotations
@@ -113,124 +116,6 @@ def shapes_up_to(n_max: int) -> list[TreeShape]:
 
 
 # ---------------------------------------------------------------------------
-# historical trees
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class HistoricalTree:
-    """Merger history of one cluster: leaf masses plus internal merge times.
-
-    A leaf holds a positive ``mass_value`` (and optionally an integer particle
-    ``label``); an internal node holds the merge ``time`` and two children whose
-    own times do not exceed it.  Instances are immutable; build nodes through
-    :func:`hist_node` so children are stored canonically.
-
-    ``n_leaves``, the total ``mass``, the canonical text ``serial`` (no
-    labels) and the ``shape`` are set at construction from the children's
-    own.  Two trees are equal when their serials are equal and so are their
-    leaf labels in :meth:`walk` order; the hash reads the serial only.
-    """
-
-    mass_value: Optional[float] = None
-    label: Optional[int] = None
-    time: Optional[float] = None
-    left: Optional["HistoricalTree"] = None
-    right: Optional["HistoricalTree"] = None
-    n_leaves: int = field(init=False)
-    mass: float = field(init=False)
-    serial: str = field(init=False)
-    shape: TreeShape = field(init=False)
-
-    def __post_init__(self):
-        a, b = self.left, self.right
-        if a is None:
-            mass = self.mass_value
-            if mass is None or not 0 < mass < math.inf:
-                raise TreeError("leaf mass must be positive and finite")
-            n_leaves, shape, serial = 1, LEAF, repr(float(mass))
-        else:
-            t = self.time
-            if t is None or not 0 < t < math.inf:
-                raise TreeError("merge time must be positive and finite")
-            for child in (a, b):
-                if child.left is not None and child.time > t:
-                    raise TreeError(
-                        f"non-monotone times: child at {child.time} above parent at {t}"
-                    )
-            n_leaves, mass = a.n_leaves + b.n_leaves, a.mass + b.mass
-            shape = shape_node(a.shape, b.shape)
-            serial = _NODE_TEXT % (a.serial, b.serial, float(t))
-        put = object.__setattr__  # frozen: the derived fields are written once, here
-        put(self, "n_leaves", n_leaves)
-        put(self, "mass", mass)
-        put(self, "serial", serial)
-        put(self, "shape", shape)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def sort_key(self) -> tuple:
-        return (self.n_leaves, self.serial)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HistoricalTree):
-            return NotImplemented
-        return self.serial == other.serial and (
-            [v.label for v in self.walk() if v.is_leaf]
-            == [v.label for v in other.walk() if v.is_leaf])
-
-    def __hash__(self) -> int:
-        return hash(self.serial)
-
-    def __repr__(self) -> str:
-        return f"HistoricalTree({self.serial})"
-
-    def __reduce__(self):
-        # flat, so pickling a deep history does not recurse once per level
-        tokens = [(v.mass_value, v.label) if v.is_leaf else v.time for v in self.walk()]
-        return _history_from_postorder, (tokens,)
-
-    def walk(self) -> Iterator["HistoricalTree"]:
-        """Post-order traversal (children before parent, left before right)."""
-        out = []
-        stack = [self]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            if not v.is_leaf:
-                stack += (v.left, v.right)
-        return reversed(out)
-
-    def internal_nodes(self) -> list["HistoricalTree"]:
-        return [v for v in self.walk() if not v.is_leaf]
-
-
-def _history_from_postorder(tokens: list) -> HistoricalTree:
-    """Inverse of ``HistoricalTree.__reduce__``: a (mass, label) pair per leaf
-    and a merge time per internal node, in :meth:`HistoricalTree.walk` order."""
-    done = []
-    for token in tokens:
-        if isinstance(token, tuple):
-            done.append(HistoricalTree(mass_value=token[0], label=token[1]))
-        else:
-            b = done.pop()
-            done.append(HistoricalTree(time=token, left=done.pop(), right=b))
-    return done[0]
-
-
-def hist_leaf(mass: float, label: Optional[int] = None) -> HistoricalTree:
-    return HistoricalTree(mass_value=float(mass), label=label)
-
-
-def hist_node(time: float, a: HistoricalTree, b: HistoricalTree) -> HistoricalTree:
-    """Internal node; children stored in canonical order."""
-    if b.sort_key() < a.sort_key():
-        a, b = b, a
-    return HistoricalTree(time=float(time), left=a, right=b)
-
-
-# ---------------------------------------------------------------------------
 # basic functionals on trees
 
 
@@ -239,70 +124,13 @@ def symmetry_exponent(tau: TreeShape) -> int:
     return sum(1 for v, _ in preorder(tau) if not v.is_leaf and v.left == v.right)
 
 
-def epsilon(tau: TreeShape) -> float:
-    """Symmetry correction: 1 if the two children differ, 1/2 if equal."""
-    if tau.is_leaf:
-        raise TreeError("epsilon undefined for a single leaf")
-    return 0.5 if tau.left == tau.right else 1.0
-
-
-def forget_labels(xi: HistoricalTree) -> HistoricalTree:
-    """Drop leaf labels; preserves masses and times, re-canonicalizes.
-
-    The text format carries no labels, so a round trip through it drops them.
-    """
-    return parse(serialize(xi))
-
-
-# ---------------------------------------------------------------------------
-# lifetime intervals
-
-
-@dataclass(frozen=True)
-class EdgeInterval:
-    mass: float
-    birth: float
-    death: float
-
-
-def edge_intervals(xi: HistoricalTree, horizon: float) -> list[EdgeInterval]:
-    """Lifetime interval of every sub-cluster of ``xi`` up to ``horizon``.
-
-    A leaf is born at 0, a merged cluster at its merge time; each dies at its
-    parent's merge time, the root at ``horizon``.  Post-order, one entry per
-    node, 2*n_leaves - 1 entries in total.
-    """
-    if not xi.is_leaf and xi.time >= horizon:
-        # child times never exceed their parent's, so the root is the latest
-        raise TreeError(f"node time {xi.time} not below horizon {horizon}")
-    out: list[EdgeInterval] = []
-    stack = [(xi, float(horizon))]
-    while stack:
-        v, death = stack.pop()
-        if v.is_leaf:
-            out.append(EdgeInterval(v.mass, 0.0, death))
-        else:
-            out.append(EdgeInterval(v.mass, v.time, death))
-            stack += ((v.left, v.time), (v.right, v.time))
-    out.reverse()
-    return out
-
-
-def kernel_product(xi: HistoricalTree, kernel) -> float:
-    """Product of kernel values over the merge events inside ``xi`` (1 for a leaf)."""
-    out = 1.0
-    for v in xi.internal_nodes():
-        out *= kernel.evaluate(v.left.mass, v.right.mass)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # pre-order: node times and time boxes are listed parent before children
 
 
 def preorder(node) -> Iterator[tuple]:
-    """Nodes of a shape or historical tree, parent before children and left
-    before right, as ``(node, parent)`` pairs.
+    """Nodes of a shape, parent before children and left before right, as
+    ``(node, parent)`` pairs.
 
     ``parent`` is the position of the node's parent among the internal nodes
     in this order (-1 for the root): the index of its time in a pre-order
@@ -325,20 +153,15 @@ def preorder(node) -> Iterator[tuple]:
 _NODE_TEXT = "(%s,%s)@%r"  # left text, right text, merge time
 
 
-def serialize(xi: HistoricalTree) -> str:
-    return xi.serial
-
-
 def history_text(masses, events) -> tuple:
-    """The text of a merger forest from its leaf masses and its merges, no
-    tree built.
+    """The text of a merger forest from its leaf masses and its merges.
 
-    ``events`` are ``(time, left, right)`` rows in time order, and row k
-    creates node ``len(masses) + k``.  Returns, per row, its two children's
-    text in the row's order, and the text of each history alive after the
-    last row, by ascending node id.  Each text is the ``serial`` of that
-    node's ``HistoricalTree``: a live node carries (leaf count, text), the
-    tree's ``sort_key``, and the smaller of two children is written first.
+    ``events`` are ``(time, left, right)`` rows, children before parents (as
+    time order is), and row k creates node ``len(masses) + k``.  Returns, per
+    row, its two children's text in the row's order, and the text of each
+    history alive after the last row, by ascending node id.  Each text is
+    canonical: a live node carries (leaf count, text), and the smaller of
+    two children is written first.
     """
     live = {i: (1, repr(float(m))) for i, m in enumerate(masses)}
     children = []
@@ -351,26 +174,43 @@ def history_text(masses, events) -> tuple:
     return children, [text for _, text in live.values()]
 
 
+def serialize(history) -> str:
+    """The canonical text of one history, ``(masses, events)`` as
+    :func:`parse` returns it."""
+    masses, events = history
+    return history_text(masses, events)[1][0]
+
+
 # a token is a run of number characters or any other single character; the
 # group leaves out the whitespace before it
 _NUMBER = re.compile(r"[\d+\-.eE]+")
 _TOKEN = re.compile(r"\s*(%s|\S)" % _NUMBER.pattern)
 
 
-def parse(text: str, strict: bool = False) -> HistoricalTree:
-    """Parse the tree text format; inverse of :func:`serialize` on canonical forms.
+def parse(text: str, strict: bool = False) -> tuple:
+    """Read the history text format into ``(masses, events)``; the inverse of
+    :func:`serialize` on canonical text.
 
-    With ``strict=True``, equal times anywhere in the tree are rejected
-    (simulation output never produces ties).
+    ``masses`` lists the leaf masses in text order.  ``events`` lists the
+    merges as ``(time, left, right)`` rows, children before parents and
+    ``left`` the child written first; row k creates node ``len(masses) + k``.
+    Masses and times must be positive and finite, and no child may merge
+    after its parent.  With ``strict=True``, equal times anywhere in the
+    tree are rejected (simulation output never produces ties).
     """
     tokens = _TOKEN.findall(text)
     n = len(tokens)
     k = 0  # the next token
+    # each internal node has its own "(", so in accepted text this is the
+    # leaf count, and the first internal node's id
+    n_leaves = tokens.count("(") + 1
     # One entry per open "(": False while its first child is being read,
-    # True while its second is.  Finished subtrees wait on ``done``.
+    # True while its second is.  Finished subtrees wait on ``done`` as
+    # (node id, merge time), a leaf's time 0.0.
     open_nodes: list[bool] = []
-    done: list[HistoricalTree] = []
-    times: list[float] = []
+    done: list[tuple] = []
+    masses: list[float] = []
+    events: list[tuple] = []
     while True:
         if k == n:
             raise ParseError("unexpected end of input", _position(text, k))
@@ -387,7 +227,8 @@ def parse(text: str, strict: bool = False) -> HistoricalTree:
         if not 0 < val < math.inf:
             raise ParseError("leaf mass must be positive and finite",
                              _position(text, k - 1, end=True))
-        done.append(HistoricalTree(mass_value=val))
+        done.append((len(masses), 0.0))
+        masses.append(val)
         while open_nodes and open_nodes[-1]:
             if k == n or tokens[k] != ")":
                 raise ParseError("expected ')'", _position(text, k))
@@ -400,13 +241,11 @@ def parse(text: str, strict: bool = False) -> HistoricalTree:
                 _not_a_number(text, tokens, k - 1)
             b = done.pop()
             a = done.pop()
-            if (b.n_leaves, b.serial) < (a.n_leaves, a.serial):
-                a, b = b, a
-            try:
-                done.append(HistoricalTree(time=t, left=a, right=b))
-            except TreeError as e:
-                raise ParseError(str(e), _position(text, k - 1, end=True))
-            times.append(t)
+            if not 0 < t < math.inf or a[1] > t or b[1] > t:
+                raise ParseError(_bad_merge(masses, events, n_leaves, a, b, t),
+                                 _position(text, k - 1, end=True))
+            done.append((n_leaves + len(events), t))
+            events.append((t, a[0], b[0]))
             open_nodes.pop()
         if not open_nodes:
             break
@@ -418,9 +257,28 @@ def parse(text: str, strict: bool = False) -> HistoricalTree:
     if k != n:
         raise ParseError("trailing input", _position(text, k))
     # this also catches a child tied with its parent
-    if strict and len(times) != len(set(times)):
+    if strict and len({row[0] for row in events}) != len(events):
         raise ParseError("duplicate merge times under strict validation", 0)
-    return done[0]
+    return masses, events
+
+
+def _bad_merge(masses: list, events: list, n_leaves: int, a: tuple, b: tuple,
+               t: float) -> str:
+    """Why children ``a`` and ``b``, (node id, merge time), cannot merge at
+    ``t``: a time that is not positive and finite, or a child merged later.
+    Of two later children, the one first in canonical order is named."""
+    if not 0 < t < math.inf:
+        return "merge time must be positive and finite"
+    late = [child for child in (a, b) if child[1] > t]
+    if len(late) == 2:
+        # both children's text, from the rows so far and this merge; leaves
+        # not read yet get a stand-in mass, as no row reads them
+        pad = [1.0] * (n_leaves - len(masses))
+        texts = history_text(masses + pad, events + [(t, a[0], b[0])])[0][-1]
+        # canonical order: (leaf count, text), a text having one "," per merge
+        if (texts[1].count(","), texts[1]) < (texts[0].count(","), texts[0]):
+            late.reverse()
+    return f"non-monotone times: child at {late[0][1]} above parent at {t}"
 
 
 def _not_a_number(text: str, tokens: list, k: int):

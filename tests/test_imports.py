@@ -12,14 +12,17 @@ And it keeps one sampler, seeded one way: no module defines the coupled
 construction or its agreement test, which are test oracles too, and
 ``SimConfig`` carries no construction, seed or replica; a run's generator
 is passed to ``simulate``.  And one functional protocol: each built-in
-functional declares only ``time_boxes(shape, mass)``, which its value on a
-tree, on the empirical measure and under the limit measure all read, so no
-module defines a per-atom ``atom_values`` and no built-in its own
-``__call__``.  And one history representation: an event log's merges are
-plain ``(time, left, right)`` rows whose node ids are implied by their
-order, so no module defines an ``Event`` type; the empirical measure reads
-merge times and children from those rows rather than keeping its own
-copies; and ``trees.py``, not ``cli.py``, writes the history text.
+functional declares only ``time_boxes(shape, mass)``, which its value on the
+empirical measure and under the limit measure both read, so no module
+defines a per-atom ``atom_values`` and no built-in is callable.  And one
+history representation: leaf masses plus plain ``(time, left, right)``
+merge rows whose node ids are implied by their order, so no module defines
+an ``Event`` type; the empirical measure reads merge times and children
+from those rows rather than keeping its own copies, and its atoms are node
+ids; ``parse`` reads text into the same masses and rows; ``trees.py``, not
+``cli.py``, writes the history text; and no module defines the object form
+of a history, its lifetime intervals or the limit density at one, which
+are test oracles.
 
 And ``src/`` holds only the pipeline: every public top-level definition
 there has a reader in the package, the demos or the benchmark, apart from
@@ -51,7 +54,19 @@ import sys
 from pathlib import Path
 
 from coagtree.kernels import builtin
-from coagtree.simulate import EmpiricalHistoricalMeasure, SimConfig, rng_for, simulate
+from coagtree.simulate import (
+    ConstantOne,
+    EmpiricalHistoricalMeasure,
+    FunctionalProduct,
+    MassCutoff,
+    ShapeIndicator,
+    ShapeTimeBoxIndicator,
+    SimConfig,
+    empirical_measure,
+    rng_for,
+    simulate,
+)
+from coagtree.trees import LEAF, parse, shape_node
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "coagtree"
@@ -169,14 +184,26 @@ def test_one_functional_protocol_in_the_package():
         assert "time_boxes" in own and "__call__" not in own, name
 
 
+# the object form of a history and what is read from it, test oracles in
+# tests/tests_support.py
+TREE_LAYER = {"Event", "HistoricalTree", "EdgeInterval", "edge_intervals",
+              "kernel_product", "density_product", "density_recursive"}
+
+
 def test_one_history_representation_in_the_package():
-    defined = [f"{path.name}:{node.lineno} defines Event"
+    defined = [f"{path.name}:{node.lineno} defines {name}"
                for path in sorted(PACKAGE.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.ClassDef) and node.name == "Event"
-               or isinstance(getattr(node, "ctx", None), ast.Store)
-               and getattr(node, "id", None) == "Event"]
+               for name in [node.name if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                            else getattr(node, "id", None)
+                            if isinstance(getattr(node, "ctx", None), ast.Store) else None]
+               if name in TREE_LAYER]
     assert defined == []
+    cherry = shape_node(LEAF, LEAF)
+    builtins = (ShapeIndicator(cherry), ShapeTimeBoxIndicator(cherry, ((0.0, 1.0),)),
+                MassCutoff(2.0), FunctionalProduct(()), ConstantOne())
+    assert [f for f in builtins if callable(f)] == []
+    assert parse("((1.0,2.0)@0.3,3.0)@0.5") == ([1.0, 2.0, 3.0], [(0.3, 0, 1), (0.5, 3, 2)])
     fields = {f.name for f in dataclasses.fields(EmpiricalHistoricalMeasure)}
     assert fields.isdisjoint({"time", "left", "right"}) and len(fields) <= 7, fields
     # the history text's node format, "(left,right)@time", is written by trees.py
@@ -190,6 +217,9 @@ def test_one_history_representation_in_the_package():
     assert log.events
     assert all(type(row) is tuple and len(row) == 3 and row[1] < row[2]
                for row in log.events)
+    m = empirical_measure(log, 1.0)
+    assert type(m.atoms) is tuple and all(type(i) is int for i in m.atoms)
+    assert len(m.atoms) == cfg.n - len(log.events)
 
 
 # public definitions that nothing in src/, demos/ or perfbench/ reads, kept
@@ -198,7 +228,6 @@ ALLOWED_API = {
     "check_assumptions": "checks a user's kernel against the paper's hypotheses on K and mu0",
     "tightness_diagnostic": "the tail weight behind the tightness step of the LLN proof",
     "FunctionalProduct": "the product of built-in functionals, which the limit evaluator integrates",
-    "time_integral": "one term of a limit functional, at fixed shape and leaf masses",
 }
 
 
@@ -317,7 +346,8 @@ def test_every_public_member_is_read():
 ALLOWED_OPTIONS = {
     "parse.strict": "an opt-in check on history text from outside the program",
     "AssumptionReport.ok.tol": "the slack of check_assumptions' verdict, which is on ALLOWED_API",
-    "time_integral.tol": "the quadrature target of time_integral, which is on ALLOWED_API",
+    "time_integral.tol": "the quadrature target of one limit term, which demo 03 "
+                         "integrates at the default",
 }
 
 

@@ -8,8 +8,6 @@ import pytest
 
 from coagtree.kernels import builtin
 from coagtree.limit import (
-    density_product,
-    density_recursive,
     functional,
     pushforward_check,
     terms,
@@ -28,18 +26,15 @@ from coagtree.simulate import (
     simulate,
 )
 from coagtree.smoluchowski import MassSpectrum, solve
-from coagtree.trees import (
-    LEAF,
-    hist_leaf,
-    hist_node,
-    shape_node,
-    shapes_up_to,
-    shapes_with_leaves,
-)
+from coagtree.trees import LEAF, shape_node, shapes_up_to, shapes_with_leaves
 from tests_support import (
     build_preorder,
+    density_product,
+    density_recursive,
     finite_n_jump_density,
     gl_time_integral,
+    hist_leaf,
+    hist_node,
     mono_limit_cell,
     reference_value,
 )
@@ -227,8 +222,7 @@ def test_finite_n_jump_density_three_particles():
 
 
 def test_finite_n_jump_density_agrees_with_the_direct_product():
-    from coagtree.trees import kernel_product
-    from tests_support import internal_interaction_rate, random_history
+    from tests_support import internal_interaction_rate, kernel_product, random_history
 
     additive = builtin("additive")
     rng = np.random.default_rng(1011)
@@ -480,7 +474,7 @@ def test_unconverged_terms_are_counted(path):
 @pytest.mark.parametrize("t", (2.0, 0.0))
 def test_functionals_without_time_boxes_are_refused(path, t):
     # at t = 0 too, where every non-leaf term is 0 without integrating; the
-    # empirical measure and a product's own __call__ refuse them as well
+    # empirical measure and a product's own time_boxes refuse them as well
     plain = lambda tree: 1.0  # noqa: E731
     product = FunctionalProduct((ShapeIndicator(CHERRY), MassCutoff(2.0), plain))
     for f in (plain, product):
@@ -494,7 +488,7 @@ def test_functionals_without_time_boxes_are_refused(path, t):
     with pytest.raises(TypeError, match="time_boxes"):
         evaluate_functional(m, lambda tree: tree.mass * tree.n_leaves)
     with pytest.raises(TypeError, match="time_boxes"):
-        product(hist_node(1.0, hist_leaf(1.0), hist_leaf(1.0)))
+        product.time_boxes(CHERRY, 2.0)
 
 
 # |coef * one - closed form| for every cell to 6 leaves, fixed before the first run

@@ -25,6 +25,9 @@ from coagtree.simulate import (
 )
 from coagtree.trees import LEAF, preorder, shape_node
 from tests_support import (
+    hist_leaf,
+    hist_node,
+    measure_tree,
     reference_atoms,
     reference_rng_for,
     reference_simulate_coupled,
@@ -58,8 +61,8 @@ def test_single_particle_empty_log():
     log = simulate(SimConfig((1.0,), CONSTANT, 5.0), rng_for(1))
     assert log.events == ()
     m = empirical_measure(log, 5.0)
-    assert len(m.atoms) == 1
-    assert m.atoms[0].is_leaf
+    assert m.atoms == (0,)
+    assert measure_tree(m, 0).is_leaf
 
 
 def test_two_particle_exponential_law():
@@ -324,11 +327,12 @@ def test_empirical_measure_structure():
     cfg = SimConfig.monodisperse(10, CONSTANT, 3.0)
     log = simulate(cfg, rng_for(8))
     m0 = empirical_measure(log, 0.0)
-    assert len(m0.atoms) == 10 and all(a.is_leaf for a in m0.atoms)
+    assert m0.atoms == tuple(range(10))
     if log.events:
         t1 = log.events[0][0]
         m1 = empirical_measure(log, t1)
-        cherries = [a for a in m1.atoms if not a.is_leaf]
+        trees = [measure_tree(m1, i) for i in m1.atoms]
+        cherries = [a for a in trees if not a.is_leaf]
         assert len(m1.atoms) == 9
         assert len(cherries) == 1
         assert cherries[0].time == t1
@@ -371,8 +375,8 @@ def test_coupled_runs_to_completion():
     log = simulate_coupled(cfg, rng_for(10))
     assert len(log.events) == 7
     m = empirical_measure(log, 1000.0)
-    assert len(m.atoms) == 1
-    assert m.atoms[0].mass == 8.0
+    assert m.atoms == (14,)
+    assert m.mass[14] == measure_tree(m, 14).mass == 8.0
 
 
 def test_exchangeability_mass_relabeling():
@@ -395,28 +399,35 @@ def test_exchangeability_mass_relabeling():
 
 def test_functionals():
     cherry = shape_node(LEAF, LEAF)
-    from coagtree.trees import hist_leaf, hist_node
+
+    def value(f, tree):
+        # f on one tree, read from its time_boxes declaration
+        c, boxes = f.time_boxes(tree.shape, tree.mass)
+        times = [v.time for v, _ in preorder(tree) if not v.is_leaf]
+        inside = boxes is None or all(lo <= s <= hi for (lo, hi), s in zip(boxes, times))
+        got = c if inside else 0.0
+        assert got == reference_value(f, tree), f
+        return got
 
     leaf = hist_leaf(1.0)
     node = hist_node(0.5, hist_leaf(1.0), hist_leaf(1.0))
-    assert ShapeIndicator(LEAF)(leaf) == 1.0
-    assert ShapeIndicator(LEAF)(node) == 0.0
-    assert ShapeIndicator(cherry)(node) == 1.0
+    assert value(ShapeIndicator(LEAF), leaf) == 1.0
+    assert value(ShapeIndicator(LEAF), node) == 0.0
+    assert value(ShapeIndicator(cherry), node) == 1.0
     box = ShapeTimeBoxIndicator(cherry, ((0.2, 0.7),))
-    assert box(node) == 1.0
-    assert ShapeTimeBoxIndicator(cherry, ((0.6, 0.7),))(node) == 0.0
-    assert MassCutoff(3.0)(node) == 1.0
-    assert MassCutoff(1.5)(node) == 0.5
-    assert MassCutoff(0.5)(node) == 0.0
+    assert value(box, node) == 1.0
+    assert value(ShapeTimeBoxIndicator(cherry, ((0.6, 0.7),)), node) == 0.0
+    assert value(MassCutoff(3.0), node) == 1.0
+    assert value(MassCutoff(1.5), node) == 0.5
+    assert value(MassCutoff(0.5), node) == 0.0
     prod = FunctionalProduct((ShapeIndicator(cherry), MassCutoff(1.5)))
-    assert prod(node) == 0.5
-    assert prod(leaf) == 0.0
-    assert ConstantOne()(node) == 1.0
+    assert value(prod, node) == 0.5
+    assert value(prod, leaf) == 0.0
+    assert value(ConstantOne(), node) == 1.0
     # worker pools receive functionals pickled: equality must survive it
-    assert pickle.loads(pickle.dumps(ShapeIndicator(cherry)))(node) == 1.0
-    for x in (cherry, node):
-        back = pickle.loads(pickle.dumps(x))
-        assert back == x and hash(back) == hash(x)
+    assert value(pickle.loads(pickle.dumps(ShapeIndicator(cherry))), node) == 1.0
+    back = pickle.loads(pickle.dumps(cherry))
+    assert back == cherry and hash(back) == hash(cherry)
 
 
 def test_time_box_indicator_validates_its_boxes():
@@ -571,10 +582,10 @@ def test_flat_functionals_match_the_trees(case, n, replica, fraction):
     t = fraction * cfg.horizon
     m = empirical_measure(log, t)
     assert len(m.atoms) == n - bisect.bisect_right(log.events, t, key=lambda row: row[0])
-    assert tuple(m.atoms) == reference_atoms(log, t)
+    trees = reference_atoms(log, t)
+    assert tuple(measure_tree(m, i) for i in m.atoms) == trees
     for f in BUILTINS:
-        values = [reference_value(f, tree) for tree in m.atoms]
-        assert [f(tree).hex() for tree in m.atoms] == [v.hex() for v in values], f
+        values = [reference_value(f, tree) for tree in trees]
         assert evaluate_functional(m, f).hex() == (m.weight * sum(values)).hex(), f
 
 
@@ -587,27 +598,22 @@ def test_time_boxes_on_equal_size_subtrees_follow_the_history():
     cfg = SimConfig((2.0, 2.0, 1.0, 1.0), CONSTANT, 1.0)
     log = EventLog(cfg, ((0.1, 0, 1), (0.2, 2, 3), (0.5, 4, 5)))
     m = empirical_measure(log, 1.0)
-    tree_times = [v.time for v, _ in preorder(m.atoms[0]) if not v.is_leaf]
+    tree = measure_tree(m, 6)
+    tree_times = [v.time for v, _ in preorder(tree) if not v.is_leaf]
     assert tree_times == [0.5, 0.2, 0.1] and m.preorder_times(6) == [0.5, 0.1, 0.2]
     both = ShapeTimeBoxIndicator(BALANCED4, ((0.0, 1.0), (0.0, 0.3), (0.0, 0.3)))
     late = ShapeTimeBoxIndicator(BALANCED4, ((0.0, 1.0), (0.15, 0.3), (0.15, 0.3)))
-    assert evaluate_functional(m, both) == 0.25 == both(m.atoms[0]) / 4
-    assert evaluate_functional(m, late) == 0.0 == late(m.atoms[0])
+    assert evaluate_functional(m, both) == 0.25 == reference_value(both, tree) / 4
+    assert evaluate_functional(m, late) == 0.0 == reference_value(late, tree)
     with pytest.raises(ValueError, match="same boxes"):
         ShapeTimeBoxIndicator(BALANCED4, ((0.0, 1.0), (0.15, 0.3), (0.0, 0.15)))
 
 
-def test_builtins_read_no_trees(monkeypatch):
-    import importlib
-
+def test_builtins_read_no_trees():
+    # the package has no tree object to build (test_imports.py keeps it so):
+    # the runs read the flat arrays only
     from coagtree.lln import _replica_values, tightness_diagnostic
 
-    def no_trees(*args, **kwargs):
-        raise AssertionError("a HistoricalTree was built")
-
-    simulate_module = importlib.import_module("coagtree.simulate")
-    monkeypatch.setattr(simulate_module, "hist_leaf", no_trees)
-    monkeypatch.setattr(simulate_module, "hist_node", no_trees)
     functionals = tuple((str(k), f) for k, f in enumerate(BUILTINS))
     values, events, proposals = _replica_values(
         CONSTANT, (1.0,) * 50, 3.0, 31, 0, 0, 5, functionals)
@@ -615,6 +621,4 @@ def test_builtins_read_no_trees(monkeypatch):
     log = simulate(SimConfig.monodisperse(50, CONSTANT, 3.0), rng_for(0))
     m = empirical_measure(log, 3.0)
     assert 0.0 < tightness_diagnostic(m, 2) < 1.0
-    assert len(m.atoms) == len(m.live)
-    with pytest.raises(AssertionError, match="HistoricalTree"):
-        m.atoms[0]
+    assert all(type(i) is int for i in m.atoms)

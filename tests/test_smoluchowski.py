@@ -198,8 +198,7 @@ def test_survival_exponent_vs_trapezoid_oracle():
 
 
 def test_survival_exponent_refuses_times_past_the_solution():
-    from coagtree.limit import density_product
-    from coagtree.trees import hist_leaf
+    from tests_support import density_product, hist_leaf
 
     path = solve(MONO, CONSTANT, 1.0, tol=1e-10)
     # in range, up to the same 1e-12 slack that weights_at allows

@@ -4,8 +4,12 @@ against.
 Generators: random trees and density points, with ``build_preorder`` to
 build a tree from pre-order node times, and a tabulated kernel file.
 
-Oracles: the built-in functionals' values read from a tree alone; nested
-Gauss-Legendre quadrature over node times; the coupled exponential-clock
+Oracles: ``HistoricalTree``, a merger history as an immutable object tree
+with its own canonical text (the package keeps a history as leaf masses
+plus merge rows), with a measure's atom built as one, the lifetime
+intervals of its sub-clusters, its kernel product and the limit density at
+it in product and recursive form; the built-in functionals' values read
+from a tree alone; nested Gauss-Legendre quadrature over node times; the coupled exponential-clock
 construction and its agreement test with the sampler; the reference
 jump-chain and thinning samplers, replica streams, history building,
 history text writer and scanner, mass lattice, pair index and mean-field
@@ -23,7 +27,8 @@ import functools
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -31,7 +36,7 @@ from scipy import stats
 from scipy.integrate import solve_ivp
 
 from coagtree.kernels import ConfigError, Kernel, check_gelation
-from coagtree.limit import TimeIntegral, _labeled_density
+from coagtree.limit import TimeIntegral
 from coagtree.simulate import (
     RATIO_ROUNDING,
     ConstantOne,
@@ -56,17 +61,229 @@ from coagtree.smoluchowski import (
     mass_quantum,
 )
 from coagtree.trees import (
-    HistoricalTree,
+    LEAF,
     ParseError,
     TreeError,
     TreeShape,
-    hist_leaf,
-    hist_node,
     preorder,
-    serialize,
+    shape_node,
     shapes_with_leaves,
     symmetry_exponent,
 )
+
+
+# ---------------------------------------------------------------------------
+# historical trees: a history as an object tree
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class HistoricalTree:
+    """Merger history of one cluster: leaf masses plus internal merge times.
+
+    A leaf holds a positive ``mass_value`` (and optionally an integer particle
+    ``label``); an internal node holds the merge ``time`` and two children whose
+    own times do not exceed it.  Instances are immutable; build nodes through
+    :func:`hist_node` so children are stored canonically.
+
+    ``n_leaves``, the total ``mass``, the canonical text ``serial`` (no
+    labels) and the ``shape`` are set at construction from the children's
+    own.  Two trees are equal when their serials are equal and so are their
+    leaf labels in :meth:`walk` order; the hash reads the serial only.
+    """
+
+    mass_value: Optional[float] = None
+    label: Optional[int] = None
+    time: Optional[float] = None
+    left: Optional["HistoricalTree"] = None
+    right: Optional["HistoricalTree"] = None
+    n_leaves: int = field(init=False)
+    mass: float = field(init=False)
+    serial: str = field(init=False)
+    shape: TreeShape = field(init=False)
+
+    def __post_init__(self):
+        a, b = self.left, self.right
+        if a is None:
+            mass = self.mass_value
+            if mass is None or not 0 < mass < math.inf:
+                raise TreeError("leaf mass must be positive and finite")
+            n_leaves, shape, serial = 1, LEAF, repr(float(mass))
+        else:
+            t = self.time
+            if t is None or not 0 < t < math.inf:
+                raise TreeError("merge time must be positive and finite")
+            for child in (a, b):
+                if child.left is not None and child.time > t:
+                    raise TreeError(
+                        f"non-monotone times: child at {child.time} above parent at {t}"
+                    )
+            n_leaves, mass = a.n_leaves + b.n_leaves, a.mass + b.mass
+            shape = shape_node(a.shape, b.shape)
+            serial = "(%s,%s)@%r" % (a.serial, b.serial, float(t))
+        put = object.__setattr__  # frozen: the derived fields are written once, here
+        put(self, "n_leaves", n_leaves)
+        put(self, "mass", mass)
+        put(self, "serial", serial)
+        put(self, "shape", shape)
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+    def sort_key(self) -> tuple:
+        return (self.n_leaves, self.serial)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HistoricalTree):
+            return NotImplemented
+        return self.serial == other.serial and (
+            [v.label for v in self.walk() if v.is_leaf]
+            == [v.label for v in other.walk() if v.is_leaf])
+
+    def __hash__(self) -> int:
+        return hash(self.serial)
+
+    def __repr__(self) -> str:
+        return f"HistoricalTree({self.serial})"
+
+    def walk(self) -> Iterator["HistoricalTree"]:
+        """Post-order traversal (children before parent, left before right)."""
+        out = []
+        stack = [self]
+        while stack:
+            v = stack.pop()
+            out.append(v)
+            if not v.is_leaf:
+                stack += (v.left, v.right)
+        return reversed(out)
+
+    def internal_nodes(self) -> list["HistoricalTree"]:
+        return [v for v in self.walk() if not v.is_leaf]
+
+
+def hist_leaf(mass: float, label: Optional[int] = None) -> HistoricalTree:
+    return HistoricalTree(mass_value=float(mass), label=label)
+
+
+def hist_node(time: float, a: HistoricalTree, b: HistoricalTree) -> HistoricalTree:
+    """Internal node; children stored in canonical order."""
+    if b.sort_key() < a.sort_key():
+        a, b = b, a
+    return HistoricalTree(time=float(time), left=a, right=b)
+
+
+def measure_tree(m, node: int) -> HistoricalTree:
+    """The ``HistoricalTree`` of node ``node`` of an empirical measure, from
+    its flat arrays and event rows; leaf i carries label i."""
+    events, n0 = m.events, m.n0
+    order = []
+    stack = [node]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        if v >= n0:
+            stack += events[v - n0][1:]
+    built = []  # finished subtrees: children before parents, left before right
+    for v in reversed(order):
+        if v < n0:
+            built.append(hist_leaf(m.mass[v], label=v))
+        else:
+            b = built.pop()
+            built.append(hist_node(events[v - n0][0], built.pop(), b))
+    return built[0]
+
+
+def epsilon(tau: TreeShape) -> float:
+    """Symmetry correction: 1 if the two children differ, 1/2 if equal."""
+    if tau.is_leaf:
+        raise TreeError("epsilon undefined for a single leaf")
+    return 0.5 if tau.left == tau.right else 1.0
+
+
+@dataclass(frozen=True)
+class EdgeInterval:
+    mass: float
+    birth: float
+    death: float
+
+
+def edge_intervals(xi: HistoricalTree, horizon: float) -> list[EdgeInterval]:
+    """Lifetime interval of every sub-cluster of ``xi`` up to ``horizon``.
+
+    A leaf is born at 0, a merged cluster at its merge time; each dies at its
+    parent's merge time, the root at ``horizon``.  Post-order, one entry per
+    node, 2*n_leaves - 1 entries in total.
+    """
+    if not xi.is_leaf and xi.time >= horizon:
+        # child times never exceed their parent's, so the root is the latest
+        raise TreeError(f"node time {xi.time} not below horizon {horizon}")
+    out: list[EdgeInterval] = []
+    stack = [(xi, float(horizon))]
+    while stack:
+        v, death = stack.pop()
+        if v.is_leaf:
+            out.append(EdgeInterval(v.mass, 0.0, death))
+        else:
+            out.append(EdgeInterval(v.mass, v.time, death))
+            stack += ((v.left, v.time), (v.right, v.time))
+    out.reverse()
+    return out
+
+
+def kernel_product(xi: HistoricalTree, kernel) -> float:
+    """Product of kernel values over the merge events inside ``xi`` (1 for a leaf)."""
+    out = 1.0
+    for v in xi.internal_nodes():
+        out *= kernel.evaluate(v.left.mass, v.right.mass)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the limit density at one tree
+
+
+def labeled_density(tree: HistoricalTree, path: SolutionPath, t: float) -> float:
+    """K_xi * exp(-sum over lifetime intervals of Lambda): the density
+    without its symmetry factor 2^(-q)."""
+    exponent = 0.0
+    for e in edge_intervals(tree, t):
+        exponent += path.survival_exponent(e.mass, e.birth, e.death)
+    return kernel_product(tree, path.kernel) * math.exp(-exponent)
+
+
+def density_product(tree: HistoricalTree, path: SolutionPath, t: float) -> float:
+    """Product-form density at ``tree`` with horizon ``t``."""
+    q = symmetry_exponent(tree.shape)
+    return 2.0 ** (-q) * labeled_density(tree, path, t)
+
+
+def density_recursive(tree: HistoricalTree, path: SolutionPath, t: float) -> float:
+    """Recursive density: leaves carry survival exponentials, each merge
+    contributes epsilon(shape) * K(mass_1, mass_2)."""
+    # pre-order with each node's horizon (its parent's time), checked top down
+    order = []
+    stack = [(tree, t)]
+    while stack:
+        v, horizon = stack.pop()
+        order.append((v, horizon))
+        if not v.is_leaf:
+            if not v.time < horizon:
+                raise ValueError(f"node time {v.time} not below horizon {horizon}")
+            stack += ((v.right, v.time), (v.left, v.time))
+    done = []  # densities of finished subtrees, children before parents
+    for v, horizon in reversed(order):
+        if v.is_leaf:
+            done.append(math.exp(-path.survival_exponent(v.mass, 0.0, horizon)))
+            continue
+        left, right = done.pop(), done.pop()
+        done.append(
+            epsilon(v.shape)
+            * path.kernel.evaluate(v.left.mass, v.right.mass)
+            * left
+            * right
+            * math.exp(-path.survival_exponent(v.mass, v.time, horizon))
+        )
+    return done[0]
 
 
 def reference_rng_for(seed, replica=0, stream=0):
@@ -133,7 +350,7 @@ def reference_write_events(log, outdir):
             built[log.config.n + k] = hist_node(s, built.pop(i), built.pop(j))
     with open(trees_path, "w") as fh:
         for tree in built.values():
-            fh.write(serialize(tree) + "\n")
+            fh.write(tree.serial + "\n")
     return [events_path, trees_path]
 
 
@@ -307,7 +524,7 @@ def gl_time_integral(shape, masses, path, t, f, tol):
     """
     def evaluate(times):
         tree = build_preorder(shape, masses, times)
-        core = _labeled_density(tree, path, t)
+        core = labeled_density(tree, path, t)
         return np.array([core * f(tree), core])
 
     breakpoints = tuple(getattr(f, "time_breakpoints", ()))
