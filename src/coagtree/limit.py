@@ -27,7 +27,8 @@ the work is shared.  It serves every functional that declares, through
 times per-node time-box indicators on each shape: the built-in functionals
 of :mod:`coagtree.simulate`.  Any other f is refused with ``TypeError``.
 
-:func:`time_integral` takes K from the solution path, ``path.kernel``.  The
+The evaluator takes K from the solution path, ``path.kernel``, and
+:func:`terms` refuses a ``kernel`` or ``mu0`` that is not the path's.  The
 density at one tree in its product and recursive forms, the nested
 Gauss-Legendre quadrature that checks the evaluator, and the finite-N
 jump-chain density are test oracles in ``tests/tests_support.py``.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,9 +88,8 @@ class _Level:
     leaf masses and boxes: (left key, right key, box), a leaf's key its mass.
     """
 
-    def __init__(self, path: SolutionPath, kernel: Kernel, x: np.ndarray,
-                 keep_below: int):
-        self.kernel, self.x = kernel, x
+    def __init__(self, path: SolutionPath, x: np.ndarray, keep_below: int):
+        self.kernel, self.x = path.kernel, x
         self.dx = np.diff(x)
         self._exponent = path.cumulative_exponents(x)
         self.keep_below = keep_below
@@ -137,56 +137,23 @@ class _Level:
         return float(done[0][2][-1])
 
 
-def _recursive_time_integrals(batch: list, cuts: tuple, path: SolutionPath,
-                              t: float, kernel: Kernel, tol: float,
-                              results: list) -> None:
-    """:func:`time_integral` of every f = c * (time-box indicators) term in
-    ``batch``, ``(index, shape, masses, c, boxes)``, into ``results[index]``.
-
-    The grid is the solver's time grid cut at ``t``, plus ``cuts``, the box
-    endpoints shared by the batch.  Every cell is split into r = 1, 2, 4, ...
-    parts, one level at a time for all terms, so terms share G_m and subtree
-    arrays on it.  A term drops out once its levels T_r, T_2r agree within
-    tol / 10 (or ``REFINEMENTS`` runs out), with T_2r + (T_2r - T_r) / 3 and
-    error |T_2r - T_r| / 3.
-    """
-    grid = np.unique(np.concatenate([path.times[path.times < t], [t], cuts]))
-    keep_below = max(shape.n_leaves for _, shape, _, _, _ in batch)
-    # the f == 1 integral, then the boxed one when f has boxes and c != 0;
-    # f's value is c times the last of them
-    pending = {k: (shape, masses, c, [None] if boxes is None or c == 0.0 else [None, boxes])
-               for k, shape, masses, c, boxes in batch}
-    prev = {}
-    for r in REFINEMENTS:
-        if not pending:
-            break
-        level = _Level(path, kernel, _refine(grid, r), keep_below)
-        for k, (shape, masses, c, box_sets) in list(pending.items()):
-            cur = np.array([level.integral(shape, masses, b) for b in box_sets])
-            if k not in prev:
-                prev[k] = cur
-                continue
-            step = cur - prev[k]
-            converged = bool((np.abs(step) <= 0.1 * tol).all())
-            if converged or r == REFINEMENTS[-1]:
-                est, err = cur + step / 3.0, np.abs(step) / 3.0
-                results[k] = TimeIntegral(c * float(est[-1]), abs(c) * float(err[-1]),
-                                          float(est[0]), float(err[0]), converged)
-                del pending[k]
-            else:
-                prev[k] = cur
-
-
 def _time_integrals(f: Callable, items: list, path: SolutionPath, t: float,
-                    kernel: Kernel, tol: float) -> list:
+                    tol: float) -> list:
     """:func:`time_integral` of f for every ``(shape, masses)`` in ``items``.
 
-    Raises ``TypeError`` before integrating anything when f, or a factor of
-    it, has no ``time_boxes``.
+    f on a shape is c * (time-box indicators), from ``time_boxes``; an f, or
+    a factor of it, without one raises ``TypeError`` before anything is
+    integrated.  Terms with the same box endpoints in (0, t) form a batch on
+    the solver's time grid cut at ``t`` and at those endpoints.  Every cell
+    is split into r = 1, 2, 4, ... parts, one level at a time for the whole
+    batch, so its terms share G_m and subtree arrays; K is ``path.kernel``.
+    A term drops out once its levels T_r, T_2r agree within tol / 10 (or
+    ``REFINEMENTS`` runs out), with T_2r + (T_2r - T_r) / 3 and error
+    |T_2r - T_r| / 3.
     """
     form = time_boxes_of(f)
     results = [None] * len(items)
-    batches = {}  # grid cuts -> time-box terms on that grid
+    batches = {}  # grid cuts -> {index: (shape, masses, c, box sets)} on that grid
     for k, (shape, masses) in enumerate(items):
         c, boxes = form(shape, sum(masses))
         if t <= 0.0 and not shape.is_leaf:
@@ -196,9 +163,32 @@ def _time_integrals(f: Callable, items: list, path: SolutionPath, t: float,
         if boxes is not None:
             boxes = tuple((lo, hi) for lo, hi in boxes)
         cuts = tuple(sorted({b for box in boxes or () for b in box if 0.0 < b < t}))
-        batches.setdefault(cuts, []).append((k, shape, masses, c, boxes))
-    for cuts, batch in batches.items():
-        _recursive_time_integrals(batch, cuts, path, t, kernel, tol, results)
+        # the f == 1 integral, then the boxed one when f has boxes and c != 0;
+        # f's value is c times the last of them
+        box_sets = [None] if boxes is None or c == 0.0 else [None, boxes]
+        batches.setdefault(cuts, {})[k] = (shape, masses, c, box_sets)
+    for cuts, pending in batches.items():
+        grid = np.unique(np.concatenate([path.times[path.times < t], [t], cuts]))
+        keep_below = max(shape.n_leaves for shape, _, _, _ in pending.values())
+        prev = {}
+        for r in REFINEMENTS:
+            if not pending:
+                break
+            level = _Level(path, _refine(grid, r), keep_below)
+            for k, (shape, masses, c, box_sets) in list(pending.items()):
+                cur = np.array([level.integral(shape, masses, b) for b in box_sets])
+                if k not in prev:
+                    prev[k] = cur
+                    continue
+                step = cur - prev[k]
+                converged = bool((np.abs(step) <= 0.1 * tol).all())
+                if converged or r == REFINEMENTS[-1]:
+                    est, err = cur + step / 3.0, np.abs(step) / 3.0
+                    results[k] = TimeIntegral(c * float(est[-1]), abs(c) * float(err[-1]),
+                                              float(est[0]), float(err[0]), converged)
+                    del pending[k]
+                else:
+                    prev[k] = cur
     return results
 
 
@@ -215,12 +205,11 @@ def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
     f without ``time_boxes`` raises ``TypeError``.  This is a one-term call
     of the evaluator behind :func:`terms`.
     """
-    return _time_integrals(f, [(shape, masses)], path, t, path.kernel, tol)[0]
+    return _time_integrals(f, [(shape, masses)], path, t, tol)[0]
 
 
 def terms(f: Callable, tau_max_leaves: int, path: SolutionPath,
-          kernel: Optional[Kernel], mu0: MassSpectrum, t: float,
-          tol: float = 1e-8):
+          kernel: Kernel, mu0: MassSpectrum, t: float, tol: float = 1e-8):
     """The terms of <f, mu~_t> over shapes with at most ``tau_max_leaves`` leaves.
 
     Yields ``(shape, masses, coefficient, time_integral(...))`` for every
@@ -228,8 +217,17 @@ def terms(f: Callable, tau_max_leaves: int, path: SolutionPath,
     where coefficient = 2^(-q(shape)) * (product of the atoms' weights).
     Assignments of zero weight are skipped.  All terms are integrated
     together, one refinement level at a time, so they share subtrees.
+
+    ``kernel`` and ``mu0`` stay only for the benchmark's positional calls and
+    must be the path's: ``path.kernel``, and the spectrum whose weights, at
+    their lattice points, are ``path.weights[0]``.  Others raise
+    ``ValueError`` when the first term is asked for.
     """
-    kernel = kernel or path.kernel
+    if kernel != path.kernel:
+        raise ValueError(f"kernel {kernel.name!r} is not the path's {path.kernel.name!r}")
+    given = {path.unit_of(m): w for m, w in zip(mu0.masses, mu0.weights) if w}
+    if given != {u: w for u, w in zip(path.units.tolist(), path.weights[0].tolist()) if w}:
+        raise ValueError("mu0 is not the initial measure the path was solved from")
     atoms = list(zip(mu0.masses, mu0.weights))
     listed = []
     for shape in shapes_up_to(tau_max_leaves):
@@ -242,20 +240,21 @@ def terms(f: Callable, tau_max_leaves: int, path: SolutionPath,
             if weight > 0:
                 listed.append((shape, masses, sym * weight))
     integrals = _time_integrals(f, [(shape, masses) for shape, masses, _ in listed],
-                                path, t, kernel, tol)
+                                path, t, tol)
     for (shape, masses, coef), integral in zip(listed, integrals):
         yield shape, masses, coef, integral
 
 
 def functional(f: Callable, tau_max_leaves: int, path: SolutionPath,
-               kernel: Optional[Kernel], mu0: MassSpectrum, t: float,
+               kernel: Kernel, mu0: MassSpectrum, t: float,
                tol: float = 1e-8) -> LimitFunctionalResult:
     """<f, mu~_t> for f supported on shapes with at most ``tau_max_leaves`` leaves.
 
     Sums the :func:`terms`.  The tail bound is the mu~_t-mass of trees
     outside the enumerated shapes, computed from the f == 1 integrals
     against the solved total cluster density.  ``unconverged`` counts the
-    terms whose time integrals did not converge.
+    terms whose time integrals did not converge.  ``kernel`` and ``mu0``
+    must be the path's, as in :func:`terms`, or ``ValueError`` is raised.
     """
     value = 0.0
     error = 0.0
@@ -284,7 +283,8 @@ def pushforward_check(path: SolutionPath, mu0: MassSpectrum, kernel: Kernel,
     limit-measure weight of the :func:`terms` of that mass, keyed by its
     integer units of the solver's mass quantum, and compares with the solved
     weight at that lattice point (0 off the lattice).  The terms are
-    integrated at their default tol, 1e-8.
+    integrated at their default tol, 1e-8.  ``mu0`` and ``kernel`` must be
+    the path's, as in :func:`terms`, or ``ValueError`` is raised.
     """
     unit = {m: path.unit_of(m) for m in mu0.masses}
     sums: dict[int, float] = {}

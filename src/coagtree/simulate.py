@@ -214,8 +214,8 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
     corrected to the rank that the Fenwick descent's rounding gives).  A
     merge deletes its two ids from the list and appends the new one.  At
     the first merge that makes a mass with a different phi, the run hands
-    over to the Fenwick phase: the start's Fenwick tree over phi, one slot
-    per node id, with the merges so far replayed on it.  Every later
+    over to the Fenwick phase: a Fenwick tree over phi, one slot per node
+    id, built from the live ids, each with phi w.  Every later
     proposal descends that tree, O(log N) work each.  Both phases pick the
     same i and j from the same draws, so where a run hands over changes
     none of its rows or proposals.  The phase follows N and the phi values
@@ -334,17 +334,12 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
                     del live[p], live[q]
                 live.append(next_id)
             else:
-                # hand over to the Fenwick tree: the start's, with the merges
-                # so far replayed (exact, as every phi was w)
-                phi, tree = start_phi.copy(), start_tree.copy()
-                for node, a, b in zip(range(n0, next_id), lefts, rights):
-                    for k, delta in ((a + 1, -w), (b + 1, -w), (node + 1, w)):
-                        while k <= size:
-                            tree[k] += delta
-                            k += k & -k
-                    phi[a] = phi[b] = 0.0
-                    phi[node] = w
-                live = None
+                # hand over to a Fenwick tree over the live ids, each with
+                # phi w (its sums are exact integers, as in the uniform phase)
+                phi = [0.0] * size
+                for k in live:
+                    phi[k] = w
+                tree, live = _fenwick(phi), None
         if live is None:
             # Fenwick updates: slots i and j empty, slot next_id gets px
             k = i + 1

@@ -176,9 +176,12 @@ def history_text(masses, events) -> tuple:
 
 def serialize(history) -> str:
     """The canonical text of one history, ``(masses, events)`` as
-    :func:`parse` returns it."""
-    masses, events = history
-    return history_text(masses, events)[1][0]
+    :func:`parse` returns it; ``TreeError`` unless the merges leave exactly
+    one tree."""
+    texts = history_text(*history)[1]
+    if len(texts) != 1:
+        raise TreeError(f"serialize takes one history, not a forest of {len(texts)}")
+    return texts[0]
 
 
 # a token is a run of number characters or any other single character; the

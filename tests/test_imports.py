@@ -8,6 +8,10 @@ scipy.  ``__init__.py`` re-exports names and is exempt.
 The package also keeps one limit evaluator: no module calls ``leggauss`` or
 defines ``time_breakpoints``, the panel breaks of the nested Gauss-Legendre
 quadrature that is now a test oracle only (``tests/tests_support.py``).
+That evaluator reads K from the solution path: in ``limit.py`` only
+``terms``, ``functional`` and ``pushforward_check`` take a ``kernel``, typed
+``Kernel`` and not ``Optional``, and only to refuse one that is not
+``path.kernel``.
 And it keeps one sampler, seeded one way: no module defines the coupled
 construction or its agreement test, which are test oracles too, and
 ``SimConfig`` carries no construction, seed or replica; a run's generator
@@ -152,6 +156,16 @@ def gauss_legendre_findings() -> list:
 
 def test_one_limit_evaluator_in_the_package():
     assert gauss_legendre_findings() == []
+
+
+def test_only_the_public_limit_calls_take_a_kernel():
+    taking = {}
+    for node in ast.walk(ast.parse((PACKAGE / "limit.py").read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
+                if arg.arg == "kernel":
+                    taking[node.name] = arg.annotation and ast.unparse(arg.annotation)
+    assert taking == dict.fromkeys(("terms", "functional", "pushforward_check"), "Kernel")
 
 
 ORACLE_SAMPLERS = {"simulate_coupled", "simulate_direct", "construction_agreement_test"}

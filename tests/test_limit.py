@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pickle
@@ -463,6 +464,25 @@ def test_pushforward_rows_keep_their_floats():
     assert bi.max_discrepancy.hex() == '0x1.d40001d2c7df4p-7'
 
 
+def test_a_kernel_or_mu0_that_is_not_the_paths_is_refused(path):
+    # K, mu0 and the survival exponents all come from one solved path
+    cherry = ShapeIndicator(CHERRY)
+    wrong = (("kernel", builtin("additive"), MONO),
+             ("mu0", CONSTANT, MassSpectrum.from_pairs([(1.0, 2.0)])),
+             ("mu0", CONSTANT, BIDISPERSE))
+    for what, kernel, mu0 in wrong:
+        with pytest.raises(ValueError, match=what):
+            list(terms(cherry, 2, path, kernel, mu0, 2.0))
+        with pytest.raises(ValueError, match=what):
+            functional(cherry, 2, path, kernel, mu0, 2.0)
+        with pytest.raises(ValueError, match=what):
+            pushforward_check(path, mu0, kernel, 2.0, 2)
+    # equal copies of the path's own pass, and so does an atom of weight 0
+    same = functional(cherry, 2, path, dataclasses.replace(CONSTANT),
+                      MassSpectrum((1.0, 2.0), (1.0, 0.0)), 2.0)
+    assert same == functional(cherry, 2, path, CONSTANT, MONO, 2.0)
+
+
 def test_unconverged_terms_are_counted(path):
     # no two refinement levels of the cherry agree within 1e-20; the leaf's
     # A(t) = exp(-G_1(t)) is the same float on every level, so it converges
@@ -491,7 +511,8 @@ def test_functionals_without_time_boxes_are_refused(path, t):
         product.time_boxes(CHERRY, 2.0)
 
 
-# |coef * one - closed form| for every cell to 6 leaves, fixed before the first run
+# |coef * one - closed form| for every cell to 10 leaves; fixed before the first
+# run, at 6 leaves, and kept
 CLOSED_FORM_BOUND = 1e-7
 
 
@@ -500,8 +521,8 @@ CLOSED_FORM_BOUND = 1e-7
 def test_mono_limit_cells_match_their_closed_forms(kernel_name, t):
     kernel = builtin(kernel_name)
     path = solve(MONO, kernel, t, tol=1e-10)
-    cells = list(terms(ConstantOne(), 6, path, kernel, MONO, t, tol=1e-10))
-    assert len(cells) == 14  # 1 + 1 + 1 + 2 + 3 + 6 shapes
+    cells = list(terms(ConstantOne(), 10, path, kernel, MONO, t, tol=1e-10))
+    assert len(cells) == 192  # 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 46 + 98 shapes
     errors = {shape.serial: abs(coef * integral.one - mono_limit_cell(kernel_name, shape, t))
               for shape, _, coef, integral in cells}
     assert max(errors.values()) <= CLOSED_FORM_BOUND, errors

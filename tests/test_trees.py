@@ -244,6 +244,14 @@ def test_serialize_examples():
         "((1.0,2.0)@0.2,(1.0,3.0)@0.3)@0.9"
 
 
+def test_serialize_refuses_a_forest():
+    # merges that leave more than one tree are a forest, not one history
+    for history in (([1.0, 2.0], []), ([1.0, 2.0, 3.0], [(0.5, 1, 2)]),
+                    ([1.0, 2.0, 3.0, 4.0], [(0.1, 0, 1), (0.2, 2, 3)])):
+        with pytest.raises(TreeError, match="forest of 2"):
+            serialize(history)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError):
         parse("(1.0,2.0")
