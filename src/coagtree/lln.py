@@ -3,9 +3,9 @@
 ``run_lln`` estimates E<f, mu~_t^N> by Monte Carlo over a ladder of system
 sizes and compares against the limit functional; ``jump_density_test`` and
 ``survival_test`` check the finite-N jump-chain density and the survival
-exponential on isolated small systems.  ``jump_density_test`` takes its
-chi-square p-values from ``scipy.special.chdtrc``, the function
-``scipy.stats.chisquare`` ends in, imported on its first call.
+exponential on isolated small systems.  ``jump_density_test`` computes its
+chi-square p-values in closed form with ``math`` alone, so the package needs
+numpy and nothing else; ``scipy.stats.chisquare`` is their test oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -194,34 +194,40 @@ def run_lln(plan: ExperimentPlan) -> ConvergenceReport:
                 "solver_steps": path.steps, "solver_nfev": path.nfev,
                 "unconverged_terms": {name: res.unconverged for name, res in limits.items()}}
 
+    if plan.jobs > 1:
+        # imported here: concurrent.futures.process and multiprocessing add
+        # 1 to 2 MB to every import of the package, and most runs are serial
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=plan.jobs)
+        run = pool.map
+    else:
+        pool, run = nullcontext(), map
     rows = []
-    for stream, (n, reps) in enumerate(zip(plan.n_ladder, plan.replicas)):
-        size_start = time.perf_counter()
-        masses = plan.masses_for(n)
-        chunk = max(1, reps // (plan.jobs * 4))
-        tasks = [
-            (plan.kernel, masses, plan.t, plan.seed, stream, s,
-             min(chunk, reps - s), plan.functionals)
-            for s in range(0, reps, chunk)
-        ]
-        if plan.jobs > 1:
-            with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
-                parts = list(pool.map(_replica_values, *zip(*tasks)))
-        else:
-            parts = [_replica_values(*task) for task in tasks]
-        vals = np.concatenate([p[0] for p in parts], axis=0)
-        events = sum(p[1] for p in parts)
-        proposals = sum(p[2] for p in parts)
-        counters[str(n)] = {"replicas": reps, "events": events, "proposals": proposals,
-                            "acceptance": events / proposals if proposals else None}
-        timings["ladder_s"][str(n)] = time.perf_counter() - size_start
-        for c, (name, _) in enumerate(plan.functionals):
-            col = vals[:, c]
-            mean = float(col.mean())
-            var = float(col.var(ddof=1))
-            rows.append(LadderRow(
-                name, n, reps, mean, var, math.sqrt(var / reps),
-                limits[name].value, limits[name].error))
+    with pool:  # one pool for the whole ladder
+        for stream, (n, reps) in enumerate(zip(plan.n_ladder, plan.replicas)):
+            size_start = time.perf_counter()
+            masses = plan.masses_for(n)
+            chunk = max(1, reps // (plan.jobs * 4))
+            tasks = [
+                (plan.kernel, masses, plan.t, plan.seed, stream, s,
+                 min(chunk, reps - s), plan.functionals)
+                for s in range(0, reps, chunk)
+            ]
+            parts = list(run(_replica_values, *zip(*tasks)))
+            vals = np.concatenate([p[0] for p in parts], axis=0)
+            events = sum(p[1] for p in parts)
+            proposals = sum(p[2] for p in parts)
+            counters[str(n)] = {"replicas": reps, "events": events, "proposals": proposals,
+                                "acceptance": events / proposals if proposals else None}
+            timings["ladder_s"][str(n)] = time.perf_counter() - size_start
+            for c, (name, _) in enumerate(plan.functionals):
+                col = vals[:, c]
+                mean = float(col.mean())
+                var = float(col.var(ddof=1))
+                rows.append(LadderRow(
+                    name, n, reps, mean, var, math.sqrt(var / reps),
+                    limits[name].value, limits[name].error))
 
     slopes = {}
     verdicts = {}
@@ -267,14 +273,35 @@ class JumpDensityReport:
 JUMP_TIME_BINS = 20
 
 
-def _chi2_pvalue(observed, expected) -> float:
-    """Pearson chi-square p-value, as ``scipy.stats.chisquare`` gives it."""
-    # the package's one scipy import, here so that only jump_density_test
-    # loads scipy and ``import coagtree`` needs numpy alone
-    from scipy.special import chdtrc
+def _chi2_tail(df: int, x: float) -> float:
+    """P(X > x) for X chi-square with integer ``df`` >= 1 degrees of freedom.
 
-    stat = np.sum((observed - expected) ** 2 / expected)
-    return float(chdtrc(len(observed) - 1, stat))
+    With y = x / 2 it is e^-y sum_{i<m} y^i / i! for df = 2m, and
+    erfc(sqrt y) + e^-y sum_{i<m} y^(i+1/2) / Gamma(i + 3/2) for df = 2m + 1.
+    Each term is the one before it times y / (i + 1), or y / (i + 3/2), and
+    the terms are summed exactly; at x = 0 the tail is 1.0 exactly.
+    """
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"chi-square statistic must be finite and nonnegative, got {x!r}")
+    y = 0.5 * x
+    m, odd = divmod(df, 2)
+    term = math.exp(-y)
+    if odd:
+        term *= 2.0 * math.sqrt(y / math.pi)  # e^-y y^(1/2) / Gamma(3/2)
+    terms = [math.erfc(math.sqrt(y))] if odd else []
+    for i in range(m):
+        terms.append(term)
+        term *= y / (i + 1.5 if odd else i + 1)
+    return math.fsum(terms)
+
+
+def _chi2_pvalue(observed, expected) -> float:
+    """Pearson chi-square p-value: the chi-square tail, with one degree of
+    freedom less than the cells, at the statistic sum (observed -
+    expected)^2 / expected.  The tests hold it within 1e-12 relative of
+    ``scipy.stats.chisquare``."""
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    return _chi2_tail(len(observed) - 1, stat)
 
 
 def jump_density_test(n: int, masses, kernel: Kernel, t: float,
@@ -289,6 +316,8 @@ def jump_density_test(n: int, masses, kernel: Kernel, t: float,
     """
     if n not in (2, 3):
         raise ValueError("jump density test supports n in {2, 3}")
+    if replicas < 2:  # a standard error, and so a verdict, needs two
+        raise ValueError(f"replicas must be at least 2, got {replicas!r}")
     masses = tuple(float(m) for m in masses)
     kmat = kernel.matrix(np.asarray(masses))
     pair_ids = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -307,6 +336,9 @@ def jump_density_test(n: int, masses, kernel: Kernel, t: float,
             first_pairs.append((i, j))  # rows have left < right
 
     merged = len(first_times)
+    if merged == 0:
+        raise ValueError(f"no replica merged before t = {t!r} in replicas = {replicas}: "
+                         "the first-merge-time law has nothing to test")
     edges = np.linspace(0.0, t, JUMP_TIME_BINS + 1)
     counts, _ = np.histogram(first_times, bins=edges)
     cdf = 1.0 - np.exp(-total_rate * edges)
@@ -351,6 +383,8 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if replicas < 2:  # a standard error, and so a verdict, needs two
+        raise ValueError(f"replicas must be at least 2, got {replicas!r}")
     masses = (1.0,) * n
     if t == 0:
         return SurvivalReport(n, t, replicas, 1.0, 0.0, 1.0, 0.0, True)

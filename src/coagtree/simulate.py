@@ -111,8 +111,9 @@ class SimConfig:
         initial masses (a node of this config's majorant trie), phi by mass,
         per-slot mass and phi, their Fenwick tree, phi's sum, and w: the one
         phi of every initial mass when the run may start in the uniform
-        phase, else None.  Built once; runs copy the dict and the lists, and
-        share the trie."""
+        phase, else None.  A uniform-phase start has no phi list or tree
+        (None) and sum w N.  Built once; runs copy the dict and the lists,
+        and share the trie."""
         state = _MajorantState()
         seen = {}
         n0 = self.n
@@ -121,13 +122,15 @@ class SimConfig:
             if x not in seen:
                 state = state.step(self.kernel, x)
                 seen[x] = state.phi
-        phi = [seen[x] for x in mass[:n0]] + [0.0] * (n0 - 1)
         # an integer w with w (2N - 1) < 2^52 makes every sum of live phi exact
         w = state.phi_floor
         exact = w.is_integer() and w * (2 * n0 - 1) < 2.0 ** 52
-        if not (exact and n0 <= _RANK_SEARCH_MAX_N and w == max(seen.values())):
-            w = None
-        return state, seen, mass, phi, _fenwick(phi), math.fsum(phi), w
+        if exact and n0 <= _RANK_SEARCH_MAX_N and w == max(seen.values()):
+            # a uniform-phase run reads no phi list or tree before its
+            # handover, which builds its own
+            return state, seen, mass, None, None, w * n0, w
+        phi = [seen[x] for x in mass[:n0]] + [0.0] * (n0 - 1)
+        return state, seen, mass, phi, _fenwick(phi), math.fsum(phi), None
 
     @functools.cached_property
     def _shape_table(self) -> tuple:
@@ -221,8 +224,9 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
     none of its rows or proposals.  The phase follows N and the phi values
     met, not the kernel's name.
 
-    The state at time 0 (the majorant over the initial masses, phi, the
-    Fenwick tree, S1 and w) is built once per ``cfg``.  Each run works on
+    The state at time 0 (the majorant over the initial masses, S1 and w,
+    and phi and the Fenwick tree for a run that starts on the tree) is built
+    once per ``cfg``.  Each run works on
     its own copy of the masses, and of phi and the tree from its handover
     on.  The majorant state (c and phi_floor) after each sequence of masses
     met is memoised per ``cfg``: a trie keyed by the masses in the order

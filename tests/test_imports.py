@@ -39,12 +39,15 @@ default of a public function, method or constructor there is passed by
 some call in the package, the demos or the benchmark, apart from those on
 ``ALLOWED_OPTIONS``; one that nothing passes is a constant.
 
-And src/ imports scipy in one place: ``lln._chi2_pvalue`` takes the
-chi-square p-values of ``jump_density_test`` from ``scipy.special``, imported
-on its first call.  The mean-field solve steps with its own Dormand-Prince
-stepper in numpy, so a fresh ``import coagtree``, a ``simulate`` run and a
-``limit`` run load no scipy module, and ``scipy.stats`` stays out even after
-``jump_density_test``.
+And src/ imports scipy in none: the mean-field solve steps with its own
+Dormand-Prince stepper in numpy, and ``lln._chi2_pvalue`` computes the
+chi-square p-values of ``jump_density_test`` in closed form with ``math``.
+So a fresh ``import coagtree``, a ``simulate`` run, a ``limit`` run, a serial
+``run_lln`` and ``jump_density_test`` load no scipy module, and no worker
+pool module either: ``run_lln`` imports ``ProcessPoolExecutor`` only when a
+plan asks for more than one job.  ``pyproject.toml`` names numpy as the only
+runtime dependency, every third-party module that ``src/`` imports is numpy,
+and the tests import only numpy and the ``test`` extra.
 """
 
 import ast
@@ -52,10 +55,13 @@ import dataclasses
 import importlib
 import json
 import os
+import re
 import subprocess
 import symtable
 import sys
 from pathlib import Path
+
+import pytest
 
 from coagtree.kernels import builtin
 from coagtree.simulate import (
@@ -568,35 +574,76 @@ SCIPY_USE = """
 import json, sys, tempfile
 import coagtree
 from coagtree import cli
-from coagtree.lln import jump_density_test
+from coagtree.lln import ExperimentPlan, jump_density_test, run_lln
 
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+                  or m == "multiprocessing" or m.startswith("multiprocessing.")
+                  or m == "concurrent.futures.process")
 
 
-seen = {"import": scipy_loaded()}
+seen = {"import": loaded()}
 with tempfile.TemporaryDirectory() as out:
     cli.main(["simulate", "--n", "16", "--t", "1", "--seed", "3", "--out", out])
-    seen["simulate"] = scipy_loaded()
+    seen["simulate"] = loaded()
     cli.main(["limit", "--max-leaves", "2", "--t", "1", "--out", out])
-    seen["limit"] = scipy_loaded()
+    seen["limit"] = loaded()
+leaf = (("leaf", coagtree.ShapeIndicator(coagtree.LEAF)),)
+run_lln(ExperimentPlan(coagtree.builtin("constant"), coagtree.MassSpectrum.monodisperse(),
+                       1.0, leaf, n_ladder=(10, 20), replicas=(30, 30), tau_max_leaves=1,
+                       jobs=1))
+seen["run_lln"] = loaded()
 jump_density_test(3, (1.0, 1.0, 2.0), coagtree.builtin("constant"), 1.0,
                   replicas=200, seed=1)
-seen["jump_density_test"] = scipy_loaded()
+seen["jump_density_test"] = loaded()
 print(json.dumps(seen))
 """
 
 
 def test_import_leaves_scipy_out():
-    # the package's one scipy import is the chi-square p-value of
-    # jump_density_test; scipy.integrate alone would add about 0.5 s and
-    # 50 MB to every import of the package
+    # scipy.integrate alone would add about 0.5 s and 50 MB to every import
+    # of the package, scipy.special over 10 MB, and the worker pool's
+    # modules 1 to 2 MB
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", SCIPY_USE], env=env, cwd=ROOT,
                           capture_output=True, text=True, check=True)
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen["import"] == seen["simulate"] == seen["limit"] == [], seen
-    assert "scipy.special" in seen["jump_density_test"]
-    assert "scipy.stats" not in seen["jump_density_test"]
-    assert "scipy.integrate" not in seen["jump_density_test"]
+    assert list(seen) == ["import", "simulate", "limit", "run_lln", "jump_density_test"]
+    assert all(names == [] for names in seen.values()), seen
+
+
+def third_party_imports(paths) -> set:
+    """Top-level modules that ``paths`` import, absolute imports only, less
+    the standard library, the package and the modules beside each file."""
+    out = set()
+    for path in paths:
+        local = {p.stem for p in path.parent.glob("*.py")} | {"coagtree"}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            out.update(top for name in names
+                       if (top := name.partition(".")[0]) not in sys.stdlib_module_names
+                       and top not in local)
+    return out
+
+
+def requirement_names(requirements: list) -> set:
+    # the distribution name ahead of any version or marker; each of this
+    # project's distributions installs a module of the same name
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in requirements}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is new in Python 3.11")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert requirement_names(project["dependencies"]) == {"numpy"}
+    assert third_party_imports(sorted(PACKAGE.glob("*.py"))) == {"numpy"}
+    allowed = {"numpy"} | requirement_names(project["optional-dependencies"]["test"])
+    assert allowed == {"numpy", "pytest", "hypothesis", "scipy"}
+    tests = third_party_imports(sorted((ROOT / "tests").glob("*.py")))
+    assert "scipy" in tests and tests <= allowed, tests

@@ -12,6 +12,7 @@ from coagtree.lln import (
     JUMP_TIME_BINS,
     ExperimentPlan,
     _chi2_pvalue,
+    _chi2_tail,
     jump_density_test,
     run_lln,
     survival_test,
@@ -107,6 +108,18 @@ def test_run_lln_deterministic():
     assert a.to_json() == b.to_json()
 
 
+def test_run_lln_gives_the_same_report_under_two_jobs():
+    plan = ExperimentPlan(
+        CONSTANT, MONO, 1.0, (("leaf", ShapeIndicator(LEAF)), ("cherry", ShapeIndicator(CHERRY))),
+        n_ladder=(20, 60), replicas=(40, 30), seed=7, tau_max_leaves=2, jobs=1)
+    serial = run_lln(plan)
+    pooled = run_lln(dataclasses.replace(plan, jobs=2))
+    assert pooled.to_json() == serial.to_json()
+    for n in ("20", "60"):
+        assert {k: pooled.counters[n][k] for k in ("events", "proposals")} == \
+            {k: serial.counters[n][k] for k in ("events", "proposals")}
+
+
 def test_jump_density_n2():
     rep = jump_density_test(2, (1.0, 1.0), CONSTANT, 2.0, replicas=20000, seed=31)
     assert rep.passed
@@ -152,15 +165,58 @@ def chi2_cases():
     yield np.array([50, 50]), np.array([50.0, 50.0])
 
 
+def chi2_sweep():
+    """(observed, expected) with 1 to 40 degrees of freedom and statistics
+    0 to 300: unit expected counts, the first two observed moved by +-d,
+    which makes the statistic 2 d^2."""
+    for df in range(1, 41):
+        for stat in np.linspace(0.0, 300.0, 31):
+            d = math.sqrt(stat / 2.0)
+            observed = np.ones(df + 1)
+            observed[:2] += (d, -d)
+            yield observed, np.ones(df + 1)
+
+
+# the closed-form tail against scipy's, fixed before the first run; the
+# largest gap seen over these cases is 2.8e-14
+CHI2_RELATIVE_BOUND = 1e-12
+
+
 def test_chi2_pvalue_is_scipy_stats_chisquare():
-    for observed, expected in chi2_cases():
+    for observed, expected in (*chi2_cases(), *chi2_sweep()):
         want = float(stats.chisquare(observed, expected).pvalue)
-        assert _chi2_pvalue(observed, expected).hex() == want.hex(), observed
+        got = _chi2_pvalue(observed, expected)
+        assert got == pytest.approx(want, rel=CHI2_RELATIVE_BOUND, abs=0.0), observed
+    for df in range(1, 41):
+        assert _chi2_pvalue(np.full(df + 1, 3.0), np.full(df + 1, 3.0)) == 1.0
+        assert _chi2_tail(df, 0.0) == 1.0
+
+
+def test_chi2_tail_refuses_a_statistic_that_is_not_finite_or_negative():
+    for stat in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="statistic"):
+            _chi2_tail(19, stat)
 
 
 def test_jump_density_rejects_large_n():
     with pytest.raises(ValueError):
         jump_density_test(4, (1.0,) * 4, CONSTANT, 1.0)
+
+
+def test_finite_n_checks_refuse_fewer_than_two_replicas():
+    # zero replicas divided by zero, and one gave a NaN standard error and a
+    # failed verdict
+    for replicas in (0, 1):
+        with pytest.raises(ValueError, match="replicas"):
+            jump_density_test(3, (1.0, 1.0, 2.0), CONSTANT, 1.0, replicas=replicas)
+        with pytest.raises(ValueError, match="replicas"):
+            survival_test(3, 1.0, CONSTANT, replicas=replicas)
+
+
+def test_jump_density_refuses_a_horizon_that_no_replica_merges_before():
+    # no merge left every expected count 0, and a NaN p-value failed quietly
+    with pytest.raises(ValueError, match=r"t = 1e-09.*replicas = 50"):
+        jump_density_test(2, (1.0, 1.0), CONSTANT, 1e-9, replicas=50)
 
 
 def test_survival_trivial_t0():
@@ -245,15 +301,15 @@ GOLDEN_FINITE_N = {
          '0x1.08bde926dfcf9p-1',
          '0x1.94ea7e73fdde4p-9'],
         ['0x1.3d70a3d70a3d7p-1',
-         '0x1.f5042285cf1e0p-2',
-         '0x1.a5e7415a692eep-1']),
+         '0x1.f5042285cf1dap-2',
+         '0x1.a5e7415a692edp-1']),
     "additive": (
         ['0x1.0000000000000p-2',
          '0x1.999999999999ap-6',
          '0x1.0d49c05432a6dp-2',
          '0x1.02c56dc14a7f3p-9'],
         ['0x1.cb17e4b17e4b1p-1',
-         '0x1.59f716ad3434ap-5',
+         '0x1.59f716ad34352p-5',
          '0x1.d9d7f58aba0bap-1']),
 }
 
