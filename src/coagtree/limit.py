@@ -113,7 +113,7 @@ class _Level:
         leaf_masses = iter(masses)
         node_boxes = iter(boxes) if boxes is not None else itertools.repeat(None)
         nodes = [(s, next(leaf_masses) if s.is_leaf else next(node_boxes))
-                 for s, _ in preorder(shape)]
+                 for s in preorder(shape)]
         done = []  # (key, mass, A on x) of finished subtrees; children first
         for s, item in reversed(nodes):
             if s.is_leaf:

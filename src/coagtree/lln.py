@@ -232,8 +232,7 @@ def run_lln(plan: ExperimentPlan) -> ConvergenceReport:
     slopes = {}
     verdicts = {}
     for name, _ in plan.functionals:
-        seq = sorted(rows_n := [r for r in rows if r.functional == name],
-                     key=lambda r: r.n)
+        seq = sorted((r for r in rows if r.functional == name), key=lambda r: r.n)
         final = seq[-1]
         ok_final = final.discrepancy <= 3.0 * (final.se + final.limit_error)
         ok_monotone = all(
@@ -318,6 +317,8 @@ def jump_density_test(n: int, masses, kernel: Kernel, t: float,
         raise ValueError("jump density test supports n in {2, 3}")
     if replicas < 2:  # a standard error, and so a verdict, needs two
         raise ValueError(f"replicas must be at least 2, got {replicas!r}")
+    if not math.isfinite(t):  # the time bins would run to infinity
+        raise ValueError(f"t must be finite, got {t!r}")
     masses = tuple(float(m) for m in masses)
     kmat = kernel.matrix(np.asarray(masses))
     pair_ids = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -385,6 +386,8 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
         raise ValueError("need n >= 2")
     if replicas < 2:  # a standard error, and so a verdict, needs two
         raise ValueError(f"replicas must be at least 2, got {replicas!r}")
+    if not math.isfinite(t):  # all would merge: both estimates 0, a vacuous pass
+        raise ValueError(f"t must be finite, got {t!r}")
     masses = (1.0,) * n
     if t == 0:
         return SurvivalReport(n, t, replicas, 1.0, 0.0, 1.0, 0.0, True)

@@ -625,7 +625,7 @@ class ShapeTimeBoxIndicator:
             if not lo <= hi:
                 raise ValueError(f"time box ({lo}, {hi}) needs lo <= hi")
         boxes = self.boxes
-        nodes = [v for v, _ in preorder(self.shape) if not v.is_leaf]
+        nodes = [v for v in preorder(self.shape) if not v.is_leaf]
         for i, v in enumerate(nodes):
             k = v.left.n_leaves - 1
             left, right = boxes[i + 1:i + 1 + k], boxes[i + 1 + k:i + 1 + 2 * k]

@@ -139,8 +139,10 @@ N_GRID = 2001
 class SolutionPath:
     """Dense-in-time solution of the mean-field equation on a fixed mass lattice.
 
-    Values between grid times are piecewise linear; survival exponents are
-    integrated exactly against that interpolation and cached per mass.
+    Values between grid times are piecewise linear.  The survival exponent
+    has one rule: the exact integral of the linearly interpolated rate,
+    cumulated from 0 on the grid and cached per mass, so Lambda(y; s, t) is
+    G_y(t) - G_y(s).  Every time is placed in the grid by :meth:`_locate`.
     """
 
     def __init__(self, units: np.ndarray, quantum: Fraction, times: np.ndarray,
@@ -150,27 +152,31 @@ class SolutionPath:
         self.quantum = quantum
         self.masses = _unit_masses(self.units, quantum)
         self.times = np.asarray(times, dtype=float)
-        self._grid = self.times.tolist()  # bisect on floats: cheap scalar lookups
         self.weights = np.asarray(weights, dtype=float)  # shape (n_times, n_masses)
         self.kernel = kernel
         self.tol = tol
         self.leak = leak  # mass off the lattice at t_end, relative to the start
         self.steps = steps  # accepted solver steps
         self.nfev = nfev  # right-hand side evaluations
-        self._lambda_cache: dict[float, np.ndarray] = {}
+        self._lambda_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def _locate(self, t: float) -> tuple:
-        """Grid interval (k, a) holding ``t``: t = (1 - a) * times[k] + a * times[k + 1]."""
-        grid = self._grid
-        if not 0.0 <= t <= grid[-1] + 1e-12:
-            raise ValueError(f"time {t} outside [0, {self.t_end}]")
-        k = min(max(bisect.bisect_right(grid, t) - 1, 0), len(grid) - 2)
-        t0, t1 = grid[k], grid[k + 1]
-        return k, 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+    def _locate(self, u) -> tuple:
+        """Grid cells (k, a, u - times[k]) of the times ``u``, an array:
+        u = (1 - a) * times[k] + a * times[k + 1].  A time outside [0, t_end]
+        (up to 1e-12 past the end) or NaN raises ``ValueError``."""
+        u = np.asarray(u, dtype=float)
+        times = self.times
+        inside = (u >= 0.0) & (u <= times[-1] + 1e-12)
+        if not inside.all():
+            raise ValueError(f"time {u[~inside].flat[0]} outside [0, {self.t_end}]")
+        k = np.clip(np.searchsorted(times, u, side="right") - 1, 0, len(times) - 2)
+        t0 = times[k]
+        offset = u - t0
+        return k, offset / (times[k + 1] - t0), offset
 
     def unit_of(self, mass: float) -> int:
         """``mass`` in integer units of the quantum; ValueError when not a multiple."""
@@ -180,7 +186,7 @@ class SolutionPath:
         return u.numerator
 
     def weights_at(self, t: float) -> np.ndarray:
-        k, a = self._locate(float(t))
+        k, a, _ = self._locate(float(t))
         return (1 - a) * self.weights[k] + a * self.weights[k + 1]
 
     def spectrum_at(self, t: float) -> MassSpectrum:
@@ -195,8 +201,8 @@ class SolutionPath:
     def moment(self, p: float, t: float) -> float:
         return float(np.sum(self.weights_at(t) * self.masses ** p))
 
-    def _g_cumulative(self, y: float) -> np.ndarray:
-        """Cumulative integral of g(r) = sum_j K(y, x_j) c_j(r) on the time grid."""
+    def _g_cumulative(self, y: float) -> tuple:
+        """``(cum, g)``: g(r) = sum_j K(y, x_j) c_j(r) on the time grid, cum its integral."""
         y = float(y)
         cum = self._lambda_cache.get(y)
         if cum is None:
@@ -208,33 +214,21 @@ class SolutionPath:
         return self._lambda_cache[y]
 
     def survival_exponent(self, y: float, s: float, t: float) -> float:
-        """Lambda(y; s, t) = int_s^t sum_j K(y, x_j) c_j(r) dr, 0 <= s <= t <= t_end."""
+        """Lambda(y; s, t) = int_s^t sum_j K(y, x_j) c_j(r) dr, 0 <= s <= t <= t_end,
+        as G_y(t) - G_y(s) from :meth:`cumulative_exponents`."""
         if t < s:
             raise ValueError("need s <= t")
-        cum, g = self._g_cumulative(y)
-
-        def upto(u: float) -> float:
-            k, a = self._locate(u)
-            gu = (1 - a) * g[k] + a * g[k + 1]
-            return float(cum[k] + 0.5 * (g[k] + gu) * (u - self._grid[k]))
-
-        return upto(float(t)) - upto(float(s))
+        G = self.cumulative_exponents((s, t))(y)
+        return float(G[1] - G[0])
 
     def cumulative_exponents(self, u: np.ndarray) -> Callable:
         """The function y -> G_y(u) = Lambda(y; 0, u) at every time of ``u``.
 
-        The same exact integral of the interpolated g as
-        :meth:`survival_exponent`: G_y is quadratic between grid times.
-        Every mass shares the grid lookup of ``u``.
+        G_y is the exact integral of the linearly interpolated rate, so it
+        is quadratic between grid times.  Every mass shares the grid lookup
+        of ``u``.
         """
-        u = np.asarray(u, dtype=float)
-        if u.size and not (u.min() >= 0.0 and u.max() <= self._grid[-1] + 1e-12):
-            raise ValueError(f"times outside [0, {self.t_end}]")
-        times = self.times
-        k = np.clip(np.searchsorted(times, u, side="right") - 1, 0, len(times) - 2)
-        t0 = times[k]
-        a = (u - t0) / (times[k + 1] - t0)
-        offset = u - t0
+        k, a, offset = self._locate(u)
 
         def exponent(y: float) -> np.ndarray:
             cum, g = self._g_cumulative(y)

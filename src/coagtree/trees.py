@@ -73,7 +73,7 @@ class TreeShape:
 
     def __reduce__(self):
         # flat, so pickling a deep shape does not recurse once per level
-        return _shape_from_preorder, ([v.is_leaf for v, _ in preorder(self)],)
+        return _shape_from_preorder, ([v.is_leaf for v in preorder(self)],)
 
 
 LEAF = TreeShape()
@@ -121,29 +121,21 @@ def shapes_up_to(n_max: int) -> list[TreeShape]:
 
 def symmetry_exponent(tau: TreeShape) -> int:
     """Number of internal nodes whose two child subtrees are equal shapes."""
-    return sum(1 for v, _ in preorder(tau) if not v.is_leaf and v.left == v.right)
+    return sum(1 for v in preorder(tau) if not v.is_leaf and v.left == v.right)
 
 
 # ---------------------------------------------------------------------------
 # pre-order: node times and time boxes are listed parent before children
 
 
-def preorder(node) -> Iterator[tuple]:
-    """Nodes of a shape, parent before children and left before right, as
-    ``(node, parent)`` pairs.
-
-    ``parent`` is the position of the node's parent among the internal nodes
-    in this order (-1 for the root): the index of its time in a pre-order
-    time vector.
-    """
-    stack = [(node, -1)]
-    internal = 0
+def preorder(node) -> Iterator:
+    """Nodes of a shape, parent before children and left before right."""
+    stack = [node]
     while stack:
-        v, parent = stack.pop()
-        yield v, parent
+        v = stack.pop()
+        yield v
         if not v.is_leaf:
-            stack += ((v.right, internal), (v.left, internal))
-            internal += 1
+            stack += (v.right, v.left)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from those rows rather than keeping its own copies, and its atoms are node
 ids; ``parse`` reads text into the same masses and rows; ``trees.py``, not
 ``cli.py``, writes the history text; and no module defines the object form
 of a history, its lifetime intervals or the limit density at one, which
-are test oracles.
+are test oracles.  And one time lookup: only ``SolutionPath._locate`` finds a time's
+cell in the path's grid, and ``survival_exponent`` reads ``cumulative_exponents``.
 
 And ``src/`` holds only the pipeline: every public top-level definition
 there has a reader in the package, the demos or the benchmark, apart from
@@ -240,6 +241,34 @@ def test_one_history_representation_in_the_package():
     m = empirical_measure(log, 1.0)
     assert type(m.atoms) is tuple and all(type(i) is int for i in m.atoms)
     assert len(m.atoms) == cfg.n - len(log.events)
+
+
+def test_one_time_lookup_on_the_solution_path():
+    tree = ast.parse((PACKAGE / "smoluchowski.py").read_text())
+    calls = []  # (function, called name, attributes the call reads)
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            scopes = [(f"{top.name}.{fn.name}", fn) for fn in top.body
+                      if isinstance(fn, ast.FunctionDef)]
+        elif isinstance(top, ast.FunctionDef):
+            scopes = [(top.name, top)]
+        else:
+            continue
+        for owner, fn in scopes:
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call):
+                    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+                    reads = {n.attr for n in ast.walk(call) if isinstance(n, ast.Attribute)}
+                    calls.append((owner, name, reads))
+    lookups = {owner for owner, name, reads in calls
+               if name and (name == "searchsorted" or name.startswith("bisect"))
+               and (owner.startswith("SolutionPath.") or reads & {"times", "_grid"})}
+    assert lookups == {"SolutionPath._locate"}
+    assert {owner for owner, name, _ in calls if name == "_locate"} == {
+        "SolutionPath.weights_at", "SolutionPath.cumulative_exponents"}
+    assert ("SolutionPath.survival_exponent", "cumulative_exponents") in {
+        (owner, name) for owner, name, _ in calls}
+    assert not [n for n in ast.walk(tree) if getattr(n, "attr", None) == "_grid"]
 
 
 # public definitions that nothing in src/, demos/ or perfbench/ reads, kept

@@ -219,6 +219,21 @@ def test_jump_density_refuses_a_horizon_that_no_replica_merges_before():
         jump_density_test(2, (1.0, 1.0), CONSTANT, 1e-9, replicas=50)
 
 
+def test_finite_n_checks_refuse_a_horizon_that_is_not_finite(monkeypatch):
+    # an infinite horizon gave NaN bin edges and a NaN chi-square statistic
+    # in the one, and in the other merged every particle, so both estimates
+    # read 0.0 and it passed vacuously
+    def replica(*_):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr("coagtree.lln.simulate", replica)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^t must be finite"):
+            jump_density_test(2, (1.0, 1.0), CONSTANT, t, replicas=50)
+        with pytest.raises(ValueError, match=r"^t must be finite"):
+            survival_test(3, t, CONSTANT, replicas=50)
+
+
 def test_survival_trivial_t0():
     rep = survival_test(4, 0.0, CONSTANT, replicas=100, seed=1)
     assert rep.direct_estimate == 1.0

@@ -1,10 +1,12 @@
 import bisect
 import math
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 from scipy.linalg import expm
 
 from coagtree.kernels import Kernel, builtin, tabulated_kernel
@@ -23,8 +25,9 @@ from coagtree.simulate import (
     rng_for,
     simulate,
 )
-from coagtree.trees import LEAF, preorder, shape_node
+from coagtree.trees import LEAF, preorder, shape_node, shapes_with_leaves
 from tests_support import (
+    _shape_weight,
     hist_leaf,
     hist_node,
     measure_tree,
@@ -343,6 +346,25 @@ def test_empirical_measure_structure():
             empirical_measure(log, bad)
 
 
+def test_constant_kernel_cluster_shapes_follow_yule_harding():
+    # under K = 1 the merging pair is uniform over the live clusters, so given
+    # its leaf count n a cluster's shape follows the Yule-Harding law at every
+    # N (Harding 1971): P(tau) = 2^(n-1-q(tau)) / prod_v (n_v - 1), the
+    # normalised shape weight of the constant kernel's limit cells
+    cfg = SimConfig.monodisperse(10_000, CONSTANT, 2.0)
+    rng_at = replica_stream(77, 0)
+    counts = Counter()
+    for replica in range(40):
+        m = empirical_measure(simulate(cfg, rng_at(replica)), 2.0)
+        counts.update(m.shapes[m.shape[i]] for i in m.atoms)
+    for n in (4, 5, 6, 7):
+        shapes = shapes_with_leaves(n)
+        observed = np.array([counts[s] for s in shapes])
+        weights = np.array([_shape_weight("constant", s) for s in shapes])
+        p = stats.chisquare(observed, observed.sum() * weights / weights.sum()).pvalue
+        assert p > 0.001, (n, observed.tolist(), p)
+
+
 def test_coupled_two_particles_law():
     # N=2 coupled and direct share the same single-exponential law
     replicas = 20000
@@ -403,7 +425,7 @@ def test_functionals():
     def value(f, tree):
         # f on one tree, read from its time_boxes declaration
         c, boxes = f.time_boxes(tree.shape, tree.mass)
-        times = [v.time for v, _ in preorder(tree) if not v.is_leaf]
+        times = [v.time for v in preorder(tree) if not v.is_leaf]
         inside = boxes is None or all(lo <= s <= hi for (lo, hi), s in zip(boxes, times))
         got = c if inside else 0.0
         assert got == reference_value(f, tree), f
@@ -599,7 +621,7 @@ def test_time_boxes_on_equal_size_subtrees_follow_the_history():
     log = EventLog(cfg, ((0.1, 0, 1), (0.2, 2, 3), (0.5, 4, 5)))
     m = empirical_measure(log, 1.0)
     tree = measure_tree(m, 6)
-    tree_times = [v.time for v, _ in preorder(tree) if not v.is_leaf]
+    tree_times = [v.time for v in preorder(tree) if not v.is_leaf]
     assert tree_times == [0.5, 0.2, 0.1] and m.preorder_times(6) == [0.5, 0.1, 0.2]
     both = ShapeTimeBoxIndicator(BALANCED4, ((0.0, 1.0), (0.0, 0.3), (0.0, 0.3)))
     late = ShapeTimeBoxIndicator(BALANCED4, ((0.0, 1.0), (0.15, 0.3), (0.15, 0.3)))

@@ -189,6 +189,25 @@ def test_survival_exponent_additive_in_time():
     assert split == pytest.approx(full, abs=1e-10)
 
 
+@pytest.mark.parametrize("kernel_name, masses, t_end", [
+    ("constant", (1.0, 2.0), 2.0), ("additive", (1.0,), 0.8),
+    ("inverse-sum", (0.1, 0.7), 2.0)])
+def test_survival_exponent_is_a_difference_of_cumulative_exponents(kernel_name,
+                                                                  masses, t_end):
+    # one rule for Lambda: G_y(t) - G_y(s), float for float, with every time
+    # of the batch placed in the grid by one lookup
+    mu0 = MassSpectrum(masses, (1.0,) * len(masses))
+    path = solve(mu0, builtin(kernel_name), t_end)
+    rng = np.random.default_rng(11)
+    s, t = np.sort(rng.uniform(0.0, t_end, (2, 40)), axis=0)
+    s = np.append(s, (0.0, 0.0, t_end, 0.4 * t_end))
+    t = np.append(t, (0.0, t_end, t_end, 0.4 * t_end))
+    for y in path.masses[:6]:
+        G = path.cumulative_exponents(np.concatenate([s, t]))(y)
+        got = [path.survival_exponent(y, a, b) for a, b in zip(s, t)]
+        assert got == (G[len(s):] - G[:len(s)]).tolist()
+
+
 def test_survival_exponent_vs_trapezoid_oracle():
     path = solve(MONO, CONSTANT, 2.0, tol=1e-10)
     ts = np.linspace(0.3, 1.7, 3001)

@@ -312,7 +312,7 @@ def reference_value(f, tree):
     if isinstance(f, ShapeTimeBoxIndicator):
         if tree.shape != f.shape:
             return 0.0
-        times = [v.time for v, _ in preorder(tree) if not v.is_leaf]
+        times = [v.time for v in preorder(tree) if not v.is_leaf]
         for (lo, hi), s in zip(f.boxes, times):
             if not lo <= s <= hi:
                 return 0.0
@@ -478,6 +478,20 @@ def _gl(n):
     return np.polynomial.legendre.leggauss(n)
 
 
+def _internal_parents(shape) -> list:
+    """Per internal node of ``shape`` in pre-order, the position of its parent
+    among the internal nodes in that order (-1 for the root): the index of
+    the parent's time in a pre-order time vector."""
+    parents = []
+    stack = [(shape, -1)]
+    while stack:
+        v, parent = stack.pop()
+        if not v.is_leaf:
+            stack += ((v.right, len(parents)), (v.left, len(parents)))
+            parents.append(parent)
+    return parents
+
+
 def _simplex_integral(shape, t, evaluate, order, breakpoints=()):
     """Integrate ``evaluate(times)`` over node times respecting the tree order.
 
@@ -487,7 +501,7 @@ def _simplex_integral(shape, t, evaluate, order, breakpoints=()):
     are known discontinuity locations of the integrand in any single time
     coordinate; panels are split there so Gauss-Legendre stays accurate.
     """
-    parents = [parent for s, parent in preorder(shape) if not s.is_leaf]
+    parents = _internal_parents(shape)
     d = len(parents)
     if d == 0:
         return np.asarray(evaluate(()), dtype=float)
@@ -970,7 +984,7 @@ def build_preorder(shape: TreeShape, masses, times) -> HistoricalTree:
         raise TreeError("need one time per internal node")
     mi = iter(masses)
     ti = iter(times)
-    nodes = [(s, next(mi) if s.is_leaf else next(ti)) for s, _ in preorder(shape)]
+    nodes = [(s, next(mi) if s.is_leaf else next(ti)) for s in preorder(shape)]
     built: list[HistoricalTree] = []
     for s, value in reversed(nodes):
         if s.is_leaf:
@@ -1116,7 +1130,7 @@ def _c_n(kernel_name: str, n: int, t: float) -> float:
 def _shape_weight(kernel_name: str, shape: TreeShape) -> float:
     kernel = MONO_KERNELS[kernel_name]
     w = 2.0 ** -symmetry_exponent(shape)
-    for v, _ in preorder(shape):
+    for v in preorder(shape):
         if not v.is_leaf:
             w *= kernel(v.left.n_leaves, v.right.n_leaves) / (v.n_leaves - 1)
     return w
