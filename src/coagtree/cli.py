@@ -233,8 +233,8 @@ def cmd_lln(args) -> int:
         functionals=value("functionals", [{"type": "leaf"}], _build_functionals),
         n_ladder=value("n_ladder", [100, 1000, 10000], _integers),
         replicas=value("replicas", [20000, 2000, 200], _integers),
-        seed=value("seed", args.seed, int),
-        tau_max_leaves=value("tau_max_leaves", 4, int),
+        seed=value("seed", args.seed, _integer),
+        tau_max_leaves=value("tau_max_leaves", 4, _integer),
         quad_tol=value("quad_tol", 1e-8, float),
         jobs=args.jobs,
     )
@@ -252,6 +252,13 @@ def cmd_lln(args) -> int:
     print(report.to_text())
     _write_manifest(*manifest_args, counters=report.counters, timings=report.timings)
     return 0 if report.passed else EXIT_FAIL
+
+
+def _integer(value) -> int:
+    # a JSON integer: int() would take 7.5 as 7, and true as 1
+    if type(value) is not int:
+        raise TypeError("need an integer")
+    return value
 
 
 def _integers(values) -> tuple:

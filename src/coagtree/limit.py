@@ -22,7 +22,9 @@ together, one refinement level at a time: a level computes G_m once per mass
 and A_v once per subtree (its leaf masses and time boxes), and every term
 containing that subtree reads it; a term drops out once two successive levels
 agree.  Shapes of a given size are built from the same subtrees, so most of
-the work is shared.  It serves every functional that declares, through
+the work is shared.  :func:`functionals` does the same for several
+functionals at once, and integrates a term they share once.  It serves
+every functional that declares, through
 ``time_boxes(shape, mass)`` with the total leaf mass, that it is a constant
 times per-node time-box indicators on each shape: the built-in functionals
 of :mod:`coagtree.simulate`.  Any other f is refused with ``TypeError``.
@@ -57,6 +59,8 @@ class LimitFunctionalResult:
     error: float
     tail_bound: float
     unconverged: int  # terms whose time integrals did not converge
+    terms: int  # terms summed
+    integrals: int  # distinct time integrals computed by the call, for all its functionals
 
 
 class TimeIntegral(NamedTuple):
@@ -137,59 +141,77 @@ class _Level:
         return float(done[0][2][-1])
 
 
-def _time_integrals(f: Callable, items: list, path: SolutionPath, t: float,
-                    tol: float) -> list:
-    """:func:`time_integral` of f for every ``(shape, masses)`` in ``items``.
+def _time_integrals(fs: tuple, items: list, path: SolutionPath, t: float,
+                    tol: float) -> tuple:
+    """:func:`time_integral` of every f in ``fs`` for every ``(shape, masses)``
+    in ``items``: one list of them per f, item by item, and the number of
+    distinct integrals computed.
 
-    f on a shape is c * (time-box indicators), from ``time_boxes``; an f, or
-    a factor of it, without one raises ``TypeError`` before anything is
-    integrated.  Terms with the same box endpoints in (0, t) form a batch on
-    the solver's time grid cut at ``t`` and at those endpoints.  Every cell
-    is split into r = 1, 2, 4, ... parts, one level at a time for the whole
-    batch, so its terms share G_m and subtree arrays; K is ``path.kernel``.
-    A term drops out once its levels T_r, T_2r agree within tol / 10 (or
-    ``REFINEMENTS`` runs out), with T_2r + (T_2r - T_r) / 3 and error
-    |T_2r - T_r| / 3.
+    Each f on a shape is c * (time-box indicators), from ``time_boxes``; an
+    f, or a factor of it, without one raises ``TypeError`` before anything
+    is integrated.  A term's integral depends only on its group: its grid
+    cuts (the box endpoints in (0, t)), shape, leaf masses and box sets.
+    Each group is integrated once, and every f reads it times its own c, so
+    several functionals share their common terms float for float.  Groups
+    with the same cuts form a batch on the solver's time grid cut at ``t``
+    and at those endpoints.  Every cell is split into r = 1, 2, 4, ...
+    parts, one level at a time for the whole batch, so its groups share G_m
+    and subtree arrays; K is ``path.kernel``.  A group drops out once its
+    levels T_r, T_2r agree within tol / 10 (or ``REFINEMENTS`` runs out),
+    with T_2r + (T_2r - T_r) / 3 and error |T_2r - T_r| / 3.
     """
-    form = time_boxes_of(f)
-    results = [None] * len(items)
-    batches = {}  # grid cuts -> {index: (shape, masses, c, box sets)} on that grid
-    for k, (shape, masses) in enumerate(items):
-        c, boxes = form(shape, sum(masses))
-        if t <= 0.0 and not shape.is_leaf:
-            # node times live in (0, t): empty domain
-            results[k] = TimeIntegral(0.0, 0.0, 0.0, 0.0)
-            continue
-        if boxes is not None:
-            boxes = tuple((lo, hi) for lo, hi in boxes)
-        cuts = tuple(sorted({b for box in boxes or () for b in box if 0.0 < b < t}))
-        # the f == 1 integral, then the boxed one when f has boxes and c != 0;
-        # f's value is c times the last of them
-        box_sets = [None] if boxes is None or c == 0.0 else [None, boxes]
-        batches.setdefault(cuts, {})[k] = (shape, masses, c, box_sets)
+    forms = [time_boxes_of(f) for f in fs]
+    reads = []  # per f, per item: (c, group), or None for an empty domain
+    batches = {}  # grid cuts -> {group: (shape, masses, box sets)} on that grid
+    for form in forms:
+        row = []
+        for shape, masses in items:
+            c, boxes = form(shape, sum(masses))
+            if t <= 0.0 and not shape.is_leaf:
+                # node times live in (0, t): empty domain
+                row.append(None)
+                continue
+            if boxes is not None:
+                boxes = tuple((lo, hi) for lo, hi in boxes)
+            cuts = tuple(sorted({b for box in boxes or () for b in box if 0.0 < b < t}))
+            # the f == 1 integral, then the boxed one when f has boxes and
+            # c != 0; f's value is c times the last of them
+            box_sets = (None,) if boxes is None or c == 0.0 else (None, boxes)
+            group = (cuts, shape, masses, box_sets)
+            batches.setdefault(cuts, {})[group] = (shape, masses, box_sets)
+            row.append((c, group))
+        reads.append(row)
+    done = {}  # group -> its TimeIntegral with c = 1
     for cuts, pending in batches.items():
         grid = np.unique(np.concatenate([path.times[path.times < t], [t], cuts]))
-        keep_below = max(shape.n_leaves for shape, _, _, _ in pending.values())
+        keep_below = max(shape.n_leaves for shape, _, _ in pending.values())
         prev = {}
         for r in REFINEMENTS:
             if not pending:
                 break
             level = _Level(path, _refine(grid, r), keep_below)
-            for k, (shape, masses, c, box_sets) in list(pending.items()):
+            for group, (shape, masses, box_sets) in list(pending.items()):
                 cur = np.array([level.integral(shape, masses, b) for b in box_sets])
-                if k not in prev:
-                    prev[k] = cur
+                if group not in prev:
+                    prev[group] = cur
                     continue
-                step = cur - prev[k]
+                step = cur - prev[group]
                 converged = bool((np.abs(step) <= 0.1 * tol).all())
                 if converged or r == REFINEMENTS[-1]:
                     est, err = cur + step / 3.0, np.abs(step) / 3.0
-                    results[k] = TimeIntegral(c * float(est[-1]), abs(c) * float(err[-1]),
-                                              float(est[0]), float(err[0]), converged)
-                    del pending[k]
+                    done[group] = TimeIntegral(float(est[-1]), float(err[-1]),
+                                               float(est[0]), float(err[0]), converged)
+                    del pending[group]
                 else:
-                    prev[k] = cur
-    return results
+                    prev[group] = cur
+    empty = TimeIntegral(0.0, 0.0, 0.0, 0.0)
+
+    def scaled(c: float, group: tuple) -> TimeIntegral:
+        g = done[group]
+        return TimeIntegral(c * g.value, abs(c) * g.error, g.one, g.one_error, g.converged)
+
+    return [[empty if read is None else scaled(*read) for read in row]
+            for row in reads], len(done)
 
 
 def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
@@ -205,7 +227,29 @@ def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
     f without ``time_boxes`` raises ``TypeError``.  This is a one-term call
     of the evaluator behind :func:`terms`.
     """
-    return _time_integrals(f, [(shape, masses)], path, t, tol)[0]
+    ((integral,),), _ = _time_integrals((f,), [(shape, masses)], path, t, tol)
+    return integral
+
+
+def _listed_terms(tau_max_leaves: int, path: SolutionPath, mu0: MassSpectrum) -> list:
+    """``(shape, masses, coefficient)`` of every term to ``tau_max_leaves``
+    leaves, as :func:`terms` yields them; ``ValueError`` when ``mu0`` is not
+    the path's."""
+    given = {path.unit_of(m): w for m, w in zip(mu0.masses, mu0.weights) if w}
+    if given != {u: w for u, w in zip(path.units.tolist(), path.weights[0].tolist()) if w}:
+        raise ValueError("mu0 is not the initial measure the path was solved from")
+    atoms = list(zip(mu0.masses, mu0.weights))
+    listed = []
+    for shape in shapes_up_to(tau_max_leaves):
+        sym = 2.0 ** (-symmetry_exponent(shape))
+        for combo in itertools.product(atoms, repeat=shape.n_leaves):
+            masses = tuple(m for m, _ in combo)
+            weight = 1.0
+            for _, w in combo:
+                weight *= w
+            if weight > 0:
+                listed.append((shape, masses, sym * weight))
+    return listed
 
 
 def terms(f: Callable, tau_max_leaves: int, path: SolutionPath,
@@ -225,24 +269,49 @@ def terms(f: Callable, tau_max_leaves: int, path: SolutionPath,
     """
     if kernel != path.kernel:
         raise ValueError(f"kernel {kernel.name!r} is not the path's {path.kernel.name!r}")
-    given = {path.unit_of(m): w for m, w in zip(mu0.masses, mu0.weights) if w}
-    if given != {u: w for u, w in zip(path.units.tolist(), path.weights[0].tolist()) if w}:
-        raise ValueError("mu0 is not the initial measure the path was solved from")
-    atoms = list(zip(mu0.masses, mu0.weights))
-    listed = []
-    for shape in shapes_up_to(tau_max_leaves):
-        sym = 2.0 ** (-symmetry_exponent(shape))
-        for combo in itertools.product(atoms, repeat=shape.n_leaves):
-            masses = tuple(m for m, _ in combo)
-            weight = 1.0
-            for _, w in combo:
-                weight *= w
-            if weight > 0:
-                listed.append((shape, masses, sym * weight))
-    integrals = _time_integrals(f, [(shape, masses) for shape, masses, _ in listed],
-                                path, t, tol)
+    listed = _listed_terms(tau_max_leaves, path, mu0)
+    (integrals,), _ = _time_integrals(
+        (f,), [(shape, masses) for shape, masses, _ in listed], path, t, tol)
     for (shape, masses, coef), integral in zip(listed, integrals):
         yield shape, masses, coef, integral
+
+
+def functionals(fs: tuple, tau_max_leaves: int, path: SolutionPath,
+                mu0: MassSpectrum, t: float, tol: float = 1e-8) -> tuple:
+    """<f, mu~_t> for every f in ``fs``, each supported on shapes with at
+    most ``tau_max_leaves`` leaves: one :class:`LimitFunctionalResult` per f.
+
+    One call of the evaluator integrates the terms of all of them, so a term
+    that several functionals share, as the same group of shape, leaf masses
+    and time boxes, is integrated once; each result is float for float what
+    :func:`functional` gives for its f alone.  Each sums its f's terms in
+    :func:`terms` order.  The tail bound is the mu~_t-mass of trees outside
+    the enumerated shapes, computed from the f == 1 integrals against the
+    solved total cluster density.  ``unconverged`` counts the terms whose
+    time integrals did not converge, ``terms`` the terms summed and
+    ``integrals`` the distinct time integrals of the whole call.  K is the
+    path's; ``mu0`` must be the path's, as in :func:`terms`, or
+    ``ValueError`` is raised.
+    """
+    listed = _listed_terms(tau_max_leaves, path, mu0)
+    per_f, n_integrals = _time_integrals(
+        fs, [(shape, masses) for shape, masses, _ in listed], path, t, tol)
+    total = path.moment(0.0, t)
+    results = []
+    for integrals in per_f:
+        value = 0.0
+        error = 0.0
+        captured = 0.0
+        unconverged = 0
+        for (_, _, coef), integral in zip(listed, integrals):
+            value += coef * integral.value
+            error += coef * integral.error
+            captured += coef * integral.one
+            unconverged += not integral.converged
+        tail = max(total - captured, 0.0)
+        results.append(LimitFunctionalResult(value, error, tail, unconverged,
+                                             len(listed), n_integrals))
+    return tuple(results)
 
 
 def functional(f: Callable, tau_max_leaves: int, path: SolutionPath,
@@ -250,23 +319,12 @@ def functional(f: Callable, tau_max_leaves: int, path: SolutionPath,
                tol: float = 1e-8) -> LimitFunctionalResult:
     """<f, mu~_t> for f supported on shapes with at most ``tau_max_leaves`` leaves.
 
-    Sums the :func:`terms`.  The tail bound is the mu~_t-mass of trees
-    outside the enumerated shapes, computed from the f == 1 integrals
-    against the solved total cluster density.  ``unconverged`` counts the
-    terms whose time integrals did not converge.  ``kernel`` and ``mu0``
+    The one-element case of :func:`functionals`.  ``kernel`` and ``mu0``
     must be the path's, as in :func:`terms`, or ``ValueError`` is raised.
     """
-    value = 0.0
-    error = 0.0
-    captured = 0.0
-    unconverged = 0
-    for _, _, coef, integral in terms(f, tau_max_leaves, path, kernel, mu0, t, tol):
-        value += coef * integral.value
-        error += coef * integral.error
-        captured += coef * integral.one
-        unconverged += not integral.converged
-    tail = max(path.moment(0.0, t) - captured, 0.0)
-    return LimitFunctionalResult(value, error, tail, unconverged)
+    if kernel != path.kernel:
+        raise ValueError(f"kernel {kernel.name!r} is not the path's {path.kernel.name!r}")
+    return functionals((f,), tau_max_leaves, path, mu0, t, tol)[0]
 
 
 @dataclass(frozen=True)

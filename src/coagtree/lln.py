@@ -63,15 +63,18 @@ class ExperimentPlan:
         if not all(isinstance(n, numbers.Integral) and n >= 1 for n in sizes) \
                 or len(set(sizes)) < len(sizes):
             raise ValueError(f'"n_ladder" needs distinct positive integer sizes, got {sizes!r}')
+        names = [name for name, _ in self.functionals]
+        if not names or len(set(names)) < len(names):
+            raise ValueError(f'"functionals" needs one or more distinct names, got {names!r}')
         if not sum(self.mu0.weights) > 0:
             raise ValueError(f'"mu0" needs a positive total weight, got {self.mu0.weights!r}')
-        if self.tau_max_leaves < 1:
-            raise ValueError('"tau_max_leaves" must be at least 1, got '
+        if not isinstance(self.tau_max_leaves, numbers.Integral) or self.tau_max_leaves < 1:
+            raise ValueError('"tau_max_leaves" must be an integer of at least 1, got '
                              f"{self.tau_max_leaves!r}")
         if not self.quad_tol > 0:
             raise ValueError(f'"quad_tol" must be positive, got {self.quad_tol!r}')
-        if self.seed < 0:
-            raise ValueError(f'"seed" must be nonnegative, got {self.seed!r}')
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f'"seed" must be a nonnegative integer, got {self.seed!r}')
         check_gelation(self.kernel, self.mu0.masses, self.mu0.weights, self.t)
 
     def masses_for(self, n: int) -> tuple:
@@ -115,7 +118,8 @@ class ConvergenceReport:
     tail_bounds: dict  # functional name -> limit-side truncation tail
     # run telemetry, not part of to_json: the solve's relative mass leak,
     # accepted steps and right-hand-side evaluations, the unconverged limit
-    # terms per functional, and per ladder size N (keyed
+    # terms per functional, the limit terms read over all functionals and
+    # the distinct time integrals behind them, and per ladder size N (keyed
     # str(N)) replicas, events, proposals and acceptance; solve_s, limit_s
     # and the ladder's seconds per size
     counters: dict = field(default_factory=dict)
@@ -173,6 +177,13 @@ def _replica_values(kernel: Kernel, masses: tuple, t: float, seed: int,
 def run_lln(plan: ExperimentPlan) -> ConvergenceReport:
     """Monte Carlo ladder in N against the limit functional.
 
+    The limit side of every functional comes from one
+    ``limit.functionals`` call, which integrates their shared terms once.
+    With ``jobs == 1`` each ladder size is one ``_replica_values`` task, so
+    one ``SimConfig`` and its sampler state serve all its replicas; with
+    more jobs a size is split into four tasks per worker.  Either way
+    replica k of size index i draws from ``replica_stream(seed, i)(k)``.
+
     Verdict per functional: PASS when the discrepancy at the largest N is
     within 3*(SE + quadrature error), the discrepancy ladder is non-increasing
     within combined-noise slack, and the replica variance decreases.
@@ -180,19 +191,18 @@ def run_lln(plan: ExperimentPlan) -> ConvergenceReport:
     start = time.perf_counter()
     path = solve(plan.mu0, plan.kernel, plan.t, tol=plan.solver_tol)
     solved = time.perf_counter()
-    limits = {}
-    tails = {}
-    for name, f in plan.functionals:
-        res = limit_measure.functional(
-            f, plan.tau_max_leaves, path, plan.kernel, plan.mu0, plan.t,
-            tol=plan.quad_tol)
-        limits[name] = res
-        tails[name] = res.tail_bound
+    names, fs = zip(*plan.functionals)
+    results = limit_measure.functionals(fs, plan.tau_max_leaves, path, plan.mu0, plan.t,
+                                        tol=plan.quad_tol)
+    limits = dict(zip(names, results))
+    tails = {name: res.tail_bound for name, res in limits.items()}
     timings = {"solve_s": solved - start, "limit_s": time.perf_counter() - solved,
                "ladder_s": {}}
     counters = {"mass_leak": path.leak,
                 "solver_steps": path.steps, "solver_nfev": path.nfev,
-                "unconverged_terms": {name: res.unconverged for name, res in limits.items()}}
+                "unconverged_terms": {name: res.unconverged for name, res in limits.items()},
+                "limit_terms": sum(res.terms for res in results),
+                "limit_integrals": results[0].integrals}
 
     if plan.jobs > 1:
         # imported here: concurrent.futures.process and multiprocessing add
@@ -208,7 +218,8 @@ def run_lln(plan: ExperimentPlan) -> ConvergenceReport:
         for stream, (n, reps) in enumerate(zip(plan.n_ladder, plan.replicas)):
             size_start = time.perf_counter()
             masses = plan.masses_for(n)
-            chunk = max(1, reps // (plan.jobs * 4))
+            # a serial rung is one task, so one SimConfig serves all of it
+            chunk = reps if plan.jobs == 1 else max(1, reps // (plan.jobs * 4))
             tasks = [
                 (plan.kernel, masses, plan.t, plan.seed, stream, s,
                  min(chunk, reps - s), plan.functionals)
@@ -380,7 +391,10 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
 
     Direct: frequency over n-particle runs.  Exponential: average over
     (n-1)-particle background runs (rates still scaled by n) of
-    exp(-int_0^t sum_clusters K(1, m_cluster(r)) dr / n).
+    exp(-int_0^t sum_clusters K(1, m_cluster(r)) dr / n).  The sum starts
+    at the same float in every run and moves by K(1, a + b) - K(1, a) -
+    K(1, b) at a merge of masses a and b; K(1, m) is evaluated once per
+    distinct mass of the whole test.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -406,20 +420,24 @@ def survival_test(n: int, t: float, kernel: Kernel, replicas: int = 100000,
     vals = np.empty(replicas)
     cfg = SimConfig(bg_masses, kernel, t, rate_n=n)
     rng_at = replica_stream(seed, stream=13)
+    rate = {m: float(kernel.evaluate(1.0, m)) for m in set(bg_masses)}  # K(1, m) by mass m
+    g0 = sum(rate[m] for m in bg_masses)
     for replica in range(replicas):
         log = simulate(cfg, rng_at(replica))
-        live = {i: m for i, m in enumerate(bg_masses)}
-        g = sum(float(kernel.evaluate(1.0, m)) for m in live.values())
+        mass = list(bg_masses)  # by node id: merge k makes node n - 1 + k
+        g = g0
         integral = 0.0
         prev = 0.0
-        for node, (s, i, j) in enumerate(log.events, n - 1):
+        for s, i, j in log.events:
             integral += g * (s - prev)
             prev = s
-            ma = live.pop(i)
-            mb = live.pop(j)
-            live[node] = ma + mb
-            g += float(kernel.evaluate(1.0, ma + mb)) \
-                - float(kernel.evaluate(1.0, ma)) - float(kernel.evaluate(1.0, mb))
+            ma, mb = mass[i], mass[j]
+            x = ma + mb
+            mass.append(x)
+            rx = rate.get(x)
+            if rx is None:
+                rx = rate[x] = float(kernel.evaluate(1.0, x))
+            g += rx - rate[ma] - rate[mb]
         integral += g * (t - prev)
         vals[replica] = math.exp(-integral / n)
     p_exp = float(vals.mean())

@@ -29,6 +29,7 @@ tree.  A functional declares itself once, by ``time_boxes(shape, mass)``;
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -172,7 +173,7 @@ class EventLog:
     proposals: Optional[int] = None  # thinning proposals; None for a log built by hand
 
     def __post_init__(self):
-        times = [time for time, _, _ in self.events]
+        times = list(map(operator.itemgetter(0), self.events))
         if any(map(operator.le, times[1:], times)):
             raise ValueError("event times must be strictly increasing")
 
@@ -246,8 +247,7 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
     live = list(range(n0)) if w is not None else None
     if live is None:
         phi, tree = start_phi.copy(), start_tree.copy()
-    # a descent's steps: top, the largest power of two not above size, to 1
-    steps = [1 << b for b in range(size.bit_length() - 1, -1, -1)]
+        steps = _descent_steps(size)
     rate_scale = 2.0 * cfg.n_eff
     horizon = cfg.horizon
 
@@ -344,6 +344,7 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
                 for k in live:
                     phi[k] = w
                 tree, live = _fenwick(phi), None
+                steps = _descent_steps(size)
         if live is None:
             # Fenwick updates: slots i and j empty, slot next_id gets px
             k = i + 1
@@ -421,6 +422,12 @@ class _MajorantState:
         return child
 
 
+def _descent_steps(size: int) -> list:
+    """A Fenwick descent's steps over ``size`` slots: top, the largest power
+    of two not above size, down to 1."""
+    return [1 << b for b in range(size.bit_length() - 1, -1, -1)]
+
+
 def _fenwick(weights: list) -> list:
     """1-based Fenwick tree over ``weights`` (slot k at index k + 1), O(len).
 
@@ -478,8 +485,9 @@ class EmpiricalHistoricalMeasure:
         """The distinct (shape id, mass) cells of the live atoms, in order of
         first appearance, and each live atom's index among them."""
         index = {}
-        shape, mass = self.shape, self.mass
-        cell_of = [index.setdefault((shape[i], mass[i]), len(index)) for i in self.atoms]
+        atoms = self.atoms
+        cells = zip(map(self.shape.__getitem__, atoms), map(self.mass.__getitem__, atoms))
+        cell_of = [index.setdefault(cell, len(index)) for cell in cells]
         return tuple(index), cell_of
 
     def preorder_times(self, node: int) -> list:
@@ -538,7 +546,7 @@ def empirical_measure(log: EventLog, t: float) -> EmpiricalHistoricalMeasure:
         mass.append(mass[i] + mass[j])
         alive[i] = alive[j] = False
         alive.append(True)
-    atoms = tuple(i for i, x in enumerate(alive) if x)
+    atoms = tuple(itertools.compress(range(len(alive)), alive))
     return EmpiricalHistoricalMeasure(1.0 / n0, atoms, shape, shapes, mass, log.events, n0)
 
 

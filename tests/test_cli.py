@@ -258,11 +258,14 @@ def test_lln_manifest_records_counters_and_timings(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     counters = manifest["counters"]
     assert set(counters) == {"30", "100", "mass_leak", "solver_steps", "solver_nfev",
-                             "unconverged_terms"}
+                             "unconverged_terms", "limit_terms", "limit_integrals"}
     assert 0.0 <= counters["mass_leak"] <= 1e-7
     assert counters["solver_steps"] > 0
     assert counters["solver_nfev"] >= 2 + 6 * counters["solver_steps"]
     assert counters["unconverged_terms"] == {"leaf": 0, "cherry": 0}
+    # two functionals read the leaf and the cherry term each; both read the
+    # same two integrals, the cherry's as c = 0 or 1 times the f == 1 one
+    assert (counters["limit_terms"], counters["limit_integrals"]) == (4, 2)
     for n, replicas in (("30", 60), ("100", 30)):
         c = counters[n]
         assert c["replicas"] == replicas
@@ -367,8 +370,12 @@ def test_exit_codes(tmp_path, capsys):
     # quad_tol 0 ran to exit 0, seed -1 failed in numpy with no key named,
     # and an unknown key was ignored; t -1 and nan failed in the solve, after
     # the manifest was written, with no key named; n_ladder [0, 10] failed
-    # late in SimConfig, and [10, 10] ran to PASS on a slope fitted to one size
+    # late in SimConfig, and [10, 10] ran to PASS on a slope fitted to one size;
+    # two functionals of one name ran to a false FAIL (exit 1), each row
+    # twice, and a fractional seed or tau_max_leaves was cut to an integer
     small = {"n_ladder": [10, 20], "replicas": [30, 30]}
+    twice = {"functionals": [{"type": "leaf"}, {"type": "leaf"}], "kernel": "constant",
+             "t": 1.0, "n_ladder": [20, 60], "replicas": [40, 30], "tau_max_leaves": 2}
     for k, bad in enumerate(({"n_ladder": 5}, {"mu0": 3}, {"functionals": 5},
                              {"functionals": [5]}, {"t": [1]}, {"tau_max_leaves": None},
                              {"replicas": ["a", "b"]}, {"seed": "x"},
@@ -376,7 +383,9 @@ def test_exit_codes(tmp_path, capsys):
                              {"quad_tol": 0, **small}, {"seed": -1, **small},
                              {"tau_max_leaf": 2, **small}, {"mu0": [[1.0, 0.0]], **small},
                              {"t": -1.0, **small}, {"t": math.nan, **small},
-                             {**small, "n_ladder": [0, 10]}, {**small, "n_ladder": [10, 10]})):
+                             {**small, "n_ladder": [0, 10]}, {**small, "n_ladder": [10, 10]},
+                             twice, {"tau_max_leaves": 2.9, **small}, {"seed": 7.5, **small},
+                             {"seed": True, **small})):
         plan = tmp_path / f"bad{k}.json"
         plan.write_text(json.dumps(bad))
         assert main(["lln", str(plan), "--out", str(tmp_path / f"bad{k}")]) == 2, bad

@@ -10,6 +10,7 @@ import pytest
 from coagtree.kernels import builtin
 from coagtree.limit import (
     functional,
+    functionals,
     pushforward_check,
     terms,
     time_integral,
@@ -413,6 +414,50 @@ def test_terms_equal_one_term_time_integrals(case):
         assert integral.converged is alone.converged is True
     back = pickle.loads(pickle.dumps(listed[-1][3]))
     assert back == listed[-1][3] and back.converged is True
+
+
+# -- one integration for several functionals, float for float
+
+SHARED_CASES = {
+    # name: (kernel, mu0, t, functionals, tau)
+    "lln-trio": ("constant", MONO, 2.0, (
+        ShapeIndicator(LEAF), ShapeIndicator(CHERRY),
+        ShapeTimeBoxIndicator(CHERRY, ((0.5, 1.5),))), 2),
+    "two-cherry-boxes": ("constant", BIDISPERSE, 2.0, (
+        ShapeIndicator(CHERRY), ShapeTimeBoxIndicator(CHERRY, ((0.5, 1.5),)),
+        ShapeTimeBoxIndicator(CHERRY, ((0.2, 0.6),))), 3),
+    "cutoff-and-boxed-product": ("additive", MONO, 0.8, (
+        MassCutoff(2.5), FunctionalProduct((
+            ShapeTimeBoxIndicator(THREE, ((0.2, 0.7), (0.1, 0.5))), MassCutoff(3.5)))), 3),
+    "listed-twice": ("constant", MONO, 2.0, (ShapeIndicator(CHERRY),) * 2, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_CASES))
+def test_functionals_equal_one_functional_calls(case):
+    name, mu0, t, fs, tau = SHARED_CASES[case]
+    kernel = builtin(name)
+    p = solve(mu0, kernel, t)
+    together = functionals(fs, tau, p, mu0, t)
+    alone = [functional(f, tau, p, kernel, mu0, t) for f in fs]
+    assert len(together) == len(fs)
+    for res, one in zip(together, alone):
+        assert [x.hex() for x in (res.value, res.error, res.tail_bound)] == \
+            [x.hex() for x in (one.value, one.error, one.tail_bound)]
+        assert res.unconverged == one.unconverged == 0
+        assert res.terms == one.terms
+    # the call integrates each shared term once, for all of its functionals
+    assert len({res.integrals for res in together}) == 1
+    assert together[0].integrals < sum(one.integrals for one in alone)
+    if case == "lln-trio":
+        # leaf, cherry, and the cherry again in its box: 3 integrals for 6 reads
+        assert [res.terms for res in together] == [2, 2, 2]
+        assert together[0].integrals == 3
+
+
+def test_functionals_refuse_a_mu0_that_is_not_the_paths(path):
+    with pytest.raises(ValueError, match="mu0"):
+        functionals((ShapeIndicator(CHERRY),), 2, path, BIDISPERSE, 2.0)
 
 
 # float.hex of (value, error, tail_bound), computed before the batch

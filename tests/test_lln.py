@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from coagtree import limit, lln
 from coagtree.kernels import builtin, tabulated_kernel
 from coagtree.lln import (
     JUMP_TIME_BINS,
@@ -54,6 +55,19 @@ def test_plan_validation():
         mu0 = MassSpectrum((1.0, 2.0)[:len(weights)], weights)
         with pytest.raises(ValueError, match='"mu0" needs a positive total weight'):
             ExperimentPlan(CONSTANT, mu0, 2.0, f, n_ladder=(10, 20), replicas=(30, 30))
+
+
+def test_plan_refuses_repeated_names_and_fractional_integers():
+    leaf = ("leaf", ShapeIndicator(LEAF))
+    ladder = dict(n_ladder=(20, 60), replicas=(40, 30))
+    # two rows per size under one name once failed the variance check
+    # against each other: a false FAIL
+    for fs in ((leaf, leaf), (leaf, ("leaf", ShapeIndicator(CHERRY))), ()):
+        with pytest.raises(ValueError, match='"functionals"'):
+            ExperimentPlan(CONSTANT, MONO, 1.0, fs, **ladder)
+    for key, value in (("seed", 7.5), ("tau_max_leaves", 2.9)):
+        with pytest.raises(ValueError, match=f'"{key}"'):
+            ExperimentPlan(CONSTANT, MONO, 1.0, (leaf,), **ladder, **{key: value})
 
 
 def test_plan_refuses_fewer_than_one_job():
@@ -118,6 +132,34 @@ def test_run_lln_gives_the_same_report_under_two_jobs():
     for n in ("20", "60"):
         assert {k: pooled.counters[n][k] for k in ("events", "proposals")} == \
             {k: serial.counters[n][k] for k in ("events", "proposals")}
+
+
+def test_a_serial_ladder_integrates_once_and_sets_up_once_per_rung(monkeypatch):
+    calls = {"evaluator": 0, "SimConfig": 0}
+    evaluator = limit._time_integrals
+
+    def counted(*args):
+        calls["evaluator"] += 1
+        return evaluator(*args)
+
+    class CountedConfig(SimConfig):
+        def __post_init__(self):
+            calls["SimConfig"] += 1
+            super().__post_init__()
+
+    monkeypatch.setattr(limit, "_time_integrals", counted)
+    monkeypatch.setattr(lln, "SimConfig", CountedConfig)
+    plan = ExperimentPlan(
+        CONSTANT, MONO, 1.0, (("leaf", ShapeIndicator(LEAF)), ("cherry", ShapeIndicator(CHERRY)),
+                              ("cherry-box", ShapeTimeBoxIndicator(CHERRY, ((0.2, 0.6),)))),
+        n_ladder=(20, 60), replicas=(40, 30), seed=7, tau_max_leaves=2, jobs=1)
+    report = run_lln(plan)
+    assert calls == {"evaluator": 1, "SimConfig": 2}
+    # three functionals read two terms each, from three distinct integrals;
+    # telemetry, so the hashed report leaves them out
+    assert (report.counters["limit_terms"], report.counters["limit_integrals"]) == (6, 3)
+    assert set(json.loads(report.to_json())) == {"rows", "variance_slopes", "verdicts",
+                                                 "tail_bounds"}
 
 
 def test_jump_density_n2():
