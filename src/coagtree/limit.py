@@ -20,11 +20,17 @@ trapezoid per node on the solver's time grid, refined cell by cell and
 Richardson-extrapolated.  :func:`terms` integrates all terms of a functional
 together, one refinement level at a time: a level computes G_m once per mass
 and A_v once per subtree (its leaf masses and time boxes), and every term
-containing that subtree reads it; a term drops out once two successive levels
-agree.  Shapes of a given size are built from the same subtrees, so most of
-the work is shared.  :func:`functionals` does the same for several
-functionals at once, and integrates a term they share once.  It serves
-every functional that declares, through
+containing that subtree reads it; a term drops out once two successive
+trapezoid values, or from the third level on two successive Richardson
+values, agree (Romberg's rule).  The solver's grid times and the box cuts
+are nodes of every level, so the integrand is smooth inside each cell and
+the trapezoid error is a series in even powers of the cell width, one term
+of which each Richardson step removes.  A term's error covers this
+quadrature of the path's piecewise-linear interpolant only, not the path's
+own interpolation error.  Shapes of a given size are built from the same
+subtrees, so most of the work is shared.  :func:`functionals` does the same
+for several functionals at once, and integrates a term they share once.  It
+serves every functional that declares, through
 ``time_boxes(shape, mass)`` with the total leaf mass, that it is a constant
 times per-node time-box indicators on each shape: the built-in functionals
 of :mod:`coagtree.simulate`.  Any other f is refused with ``TypeError``.
@@ -51,6 +57,8 @@ from .trees import TreeShape, preorder, shapes_up_to, symmetry_exponent
 
 # splits of every solver time cell tried in turn by the recursive evaluator
 REFINEMENTS = (1, 2, 4, 8, 16, 32)
+# relative rounding of a float: the Romberg exit's floor on its test and error
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,11 @@ class TimeIntegral(NamedTuple):
     """What :func:`time_integral` returns.
 
     ``one`` is the same integral with f replaced by 1; each error estimates
-    its value's error.  ``converged`` is False when the refinement levels
-    ran out before two successive ones agreed within tol / 10.
+    its value's error, absolute, as the quadrature of the path's
+    piecewise-linear interpolant.  ``converged`` is False when the
+    refinement levels ran out before two successive trapezoid values, or
+    two successive Richardson values above their rounding, agreed within
+    tol / 10.
     """
 
     value: float
@@ -156,10 +167,24 @@ def _time_integrals(fs: tuple, items: list, path: SolutionPath, t: float,
     with the same cuts form a batch on the solver's time grid cut at ``t``
     and at those endpoints.  Every cell is split into r = 1, 2, 4, ...
     parts, one level at a time for the whole batch, so its groups share G_m
-    and subtree arrays; K is ``path.kernel``.  A group drops out once its
-    levels T_r, T_2r agree within tol / 10 (or ``REFINEMENTS`` runs out),
-    with T_2r + (T_2r - T_r) / 3 and error |T_2r - T_r| / 3.
+    and subtree arrays; K is ``path.kernel``.  At level 2r a group has the
+    trapezoid values T_r, T_2r and their Richardson value R(2r) = T_2r +
+    (T_2r - T_r) / 3, and it drops out by the first exit that every column
+    (the f == 1 integral, and the boxed one) passes:
+
+    - |T_2r - T_r| <= tol / 10: R(2r), with error |T_2r - T_r| / 3;
+    - from the third level on, max(|R(2r) - R(r)|, eps * |R(2r)|) <= tol / 10:
+      R(2r) + (R(2r) - R(r)) / 15, with error the larger of |R(2r) - R(r)| / 15
+      and eps * |R(2r)|, the value's rounding; so a tol below that rounding
+      is not reported as met;
+    - ``REFINEMENTS`` runs out: R(2r), with error |T_2r - T_r| / 3, not
+      converged.
+
+    A ``tol`` that is not positive (NaN, 0 or negative) raises ``ValueError``
+    before anything is integrated.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     forms = [time_boxes_of(f) for f in fs]
     reads = []  # per f, per item: (c, group), or None for an empty domain
     batches = {}  # grid cuts -> {group: (shape, masses, box sets)} on that grid
@@ -185,7 +210,7 @@ def _time_integrals(fs: tuple, items: list, path: SolutionPath, t: float,
     for cuts, pending in batches.items():
         grid = np.unique(np.concatenate([path.times[path.times < t], [t], cuts]))
         keep_below = max(shape.n_leaves for shape, _, _ in pending.values())
-        prev = {}
+        prev = {}  # group -> (T_r, R(r)) of its last level; R(r) None at r = 1
         for r in REFINEMENTS:
             if not pending:
                 break
@@ -193,17 +218,25 @@ def _time_integrals(fs: tuple, items: list, path: SolutionPath, t: float,
             for group, (shape, masses, box_sets) in list(pending.items()):
                 cur = np.array([level.integral(shape, masses, b) for b in box_sets])
                 if group not in prev:
-                    prev[group] = cur
+                    prev[group] = (cur, None)
                     continue
-                step = cur - prev[group]
+                last, last_rich = prev[group]
+                step = cur - last
+                rich = cur + step / 3.0
                 converged = bool((np.abs(step) <= 0.1 * tol).all())
+                est, err = rich, np.abs(step) / 3.0
+                if not converged and last_rich is not None:
+                    jump = rich - last_rich
+                    floor = _EPS * np.abs(rich)
+                    if (np.maximum(np.abs(jump), floor) <= 0.1 * tol).all():
+                        converged = True
+                        est, err = rich + jump / 15.0, np.maximum(np.abs(jump) / 15.0, floor)
                 if converged or r == REFINEMENTS[-1]:
-                    est, err = cur + step / 3.0, np.abs(step) / 3.0
                     done[group] = TimeIntegral(float(est[-1]), float(err[-1]),
                                                float(est[0]), float(err[0]), converged)
                     del pending[group]
                 else:
-                    prev[group] = cur
+                    prev[group] = (cur, rich)
     empty = TimeIntegral(0.0, 0.0, 0.0, 0.0)
 
     def scaled(c: float, group: tuple) -> TimeIntegral:

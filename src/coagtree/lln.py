@@ -174,6 +174,16 @@ def _replica_values(kernel: Kernel, masses: tuple, t: float, seed: int,
     return out, events, proposals
 
 
+def _variance_slope(ns: list, variances: list) -> float:
+    """Least-squares slope of log variance against log N, in closed form;
+    a variance of 0 counts as 1e-300."""
+    xs = [math.log(n) for n in ns]
+    ys = [math.log(max(v, 1e-300)) for v in variances]
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs = [x - mx for x in xs]
+    return math.fsum(dx * (y - my) for dx, y in zip(dxs, ys)) / math.fsum(dx * dx for dx in dxs)
+
+
 def run_lln(plan: ExperimentPlan) -> ConvergenceReport:
     """Monte Carlo ladder in N against the limit functional.
 
@@ -252,10 +262,7 @@ def run_lln(plan: ExperimentPlan) -> ConvergenceReport:
         ok_variance = all(
             b.variance < a.variance or a.variance == 0.0
             for a, b in zip(seq, seq[1:]))
-        logs_n = np.log([r.n for r in seq])
-        with np.errstate(divide="ignore"):
-            logs_v = np.log([max(r.variance, 1e-300) for r in seq])
-        slopes[name] = float(np.polyfit(logs_n, logs_v, 1)[0])
+        slopes[name] = _variance_slope([r.n for r in seq], [r.variance for r in seq])
         if ok_final and ok_monotone and ok_variance:
             verdicts[name] = "PASS"
         elif final.se > max(abs(final.limit_value), 1.0):

@@ -162,6 +162,18 @@ def test_a_serial_ladder_integrates_once_and_sets_up_once_per_rung(monkeypatch):
                                                  "tail_bounds"}
 
 
+@pytest.mark.parametrize("ns, variances", [
+    ((100, 1000), (2.5e-3, 2.4e-4)),
+    ((100, 300, 1000), (1.9e-3, 6.1e-4, 2.0e-4)),
+    ((100, 300, 1000), (1.9e-3, 6.1e-4, 0.0)),
+])
+def test_variance_slope_is_the_least_squares_slope(ns, variances):
+    # np.polyfit is the oracle; a variance of 0 counts as 1e-300 on both sides
+    logs_v = np.log(np.maximum(variances, 1e-300))
+    expected = np.polyfit(np.log(ns), logs_v, 1)[0]
+    assert lln._variance_slope(list(ns), list(variances)) == pytest.approx(expected, rel=1e-12)
+
+
 def test_jump_density_n2():
     rep = jump_density_test(2, (1.0, 1.0), CONSTANT, 2.0, replicas=20000, seed=31)
     assert rep.passed
@@ -399,4 +411,4 @@ def test_lln_workload_report_is_pinned():
         tau_max_leaves=2, jobs=1)
     report = run_lln(plan).to_json()
     assert hashlib.sha256(report.encode()).hexdigest() == \
-        "0d1f7f212635fd26480afbd7c4a177afbc31c76f06097ca7af4bbdf02d6d0155"
+        "d0ef193555da3a0e5dd4e071929596b1faefa9db2792c1039ebff8eacd67082a"
