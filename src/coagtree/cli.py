@@ -228,14 +228,15 @@ def cmd_lln(args) -> int:
             raise ConfigError(f'{args.plan}: "{key}" cannot be {got!r}: {e}') from None
 
     fields = dict(
-        kernel=kernel, mu0=value("mu0", [[1.0, 1.0]], MassSpectrum.from_pairs),
-        t=value("t", 2.0, float),
+        kernel=kernel, mu0=value("mu0", [[1.0, 1.0]], lambda pairs: MassSpectrum.from_pairs(
+            (_number(m), _number(w)) for m, w in pairs)),
+        t=value("t", 2.0, _number),
         functionals=value("functionals", [{"type": "leaf"}], _build_functionals),
         n_ladder=value("n_ladder", [100, 1000, 10000], _integers),
         replicas=value("replicas", [20000, 2000, 200], _integers),
         seed=value("seed", args.seed, _integer),
         tau_max_leaves=value("tau_max_leaves", 4, _integer),
-        quad_tol=value("quad_tol", 1e-8, float),
+        quad_tol=value("quad_tol", 1e-8, _number),
         jobs=args.jobs,
     )
     try:
@@ -261,6 +262,13 @@ def _integer(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    # a JSON number: float() would take true as 1.0, and "2" as 2.0
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("need a number")
+    return float(value)
+
+
 def _integers(values) -> tuple:
     if not isinstance(values, list) or not all(type(x) is int for x in values):
         raise TypeError("need a list of integers")
@@ -282,7 +290,8 @@ def _build_functional(spec: dict):
     if kind == "cherry-box":
         box = spec.get("box", [0.0, 1.0])
         if not (isinstance(box, list) and len(box) == 2
-                and all(isinstance(x, (int, float)) for x in box)):
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                        for x in box)):
             raise ConfigError(f'cherry-box needs "box": [lo, hi], two numbers; got {box!r}')
         lo, hi = box
         return (f"cherry-box[{lo},{hi}]",

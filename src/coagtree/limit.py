@@ -16,24 +16,25 @@ node of mass m with children l, r carries
     A(u) = exp(-G_m(u)) * int_0^u K(m_l, m_r) A_l(s) A_r(s) exp(G_m(s)) ds,
 
 so the integral over all node times is A_root(t): one cumulative 1-D
-trapezoid per node on the solver's time grid, refined cell by cell and
+trapezoid per node on the solver's step ends, refined cell by cell and
 Richardson-extrapolated.  :func:`terms` integrates all terms of a functional
 together, one refinement level at a time: a level computes G_m once per mass
 and A_v once per subtree (its leaf masses and time boxes), and every term
 containing that subtree reads it; a term drops out once two successive
 trapezoid values, or from the third level on two successive Richardson
-values, agree (Romberg's rule).  The solver's grid times and the box cuts
-are nodes of every level, so the integrand is smooth inside each cell and
-the trapezoid error is a series in even powers of the cell width, one term
-of which each Richardson step removes.  A term's error covers this
-quadrature of the path's piecewise-linear interpolant only, not the path's
-own interpolation error.  Shapes of a given size are built from the same
-subtrees, so most of the work is shared.  :func:`functionals` does the same
-for several functionals at once, and integrates a term they share once.  It
-serves every functional that declares, through
-``time_boxes(shape, mass)`` with the total leaf mass, that it is a constant
-times per-node time-box indicators on each shape: the built-in functionals
-of :mod:`coagtree.simulate`.  Any other f is refused with ``TypeError``.
+values, agree (Romberg's rule).  The solver's step ends and the box cuts
+are nodes of every level, so the integrand, read from the steps' dense
+output, is smooth inside each cell and the trapezoid error is a series in
+even powers of the cell width, one term of which each Richardson step
+removes.  A term's error covers this quadrature of the path only, not the
+solver's own error, which its tolerance bounds.  Shapes of a given size
+are built from the same subtrees, so most of the work is shared.
+:func:`functionals` does the same for several functionals at once, and
+integrates a term they share once.  It serves every functional that
+declares, through ``time_boxes(shape, mass)`` with the total leaf mass,
+that it is a constant times per-node time-box indicators on each shape:
+the built-in functionals of :mod:`coagtree.simulate`.  Any other f is
+refused with ``TypeError``.
 
 The evaluator takes K from the solution path, ``path.kernel``, and
 :func:`terms` refuses a ``kernel`` or ``mu0`` that is not the path's.  The
@@ -55,8 +56,8 @@ from .simulate import ConstantOne, time_boxes_of
 from .smoluchowski import MassSpectrum, SolutionPath
 from .trees import TreeShape, preorder, shapes_up_to, symmetry_exponent
 
-# splits of every solver time cell tried in turn by the recursive evaluator
-REFINEMENTS = (1, 2, 4, 8, 16, 32)
+# splits of every solver step tried in turn by the recursive evaluator
+REFINEMENTS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 # relative rounding of a float: the Romberg exit's floor on its test and error
 _EPS = float(np.finfo(float).eps)
 
@@ -75,11 +76,10 @@ class TimeIntegral(NamedTuple):
     """What :func:`time_integral` returns.
 
     ``one`` is the same integral with f replaced by 1; each error estimates
-    its value's error, absolute, as the quadrature of the path's
-    piecewise-linear interpolant.  ``converged`` is False when the
-    refinement levels ran out before two successive trapezoid values, or
-    two successive Richardson values above their rounding, agreed within
-    tol / 10.
+    its value's error, absolute, as the quadrature of the path's dense
+    output.  ``converged`` is False when the refinement levels ran out
+    before two successive trapezoid values, or two successive Richardson
+    values above their rounding, agreed within tol / 10.
     """
 
     value: float
@@ -164,7 +164,7 @@ def _time_integrals(fs: tuple, items: list, path: SolutionPath, t: float,
     cuts (the box endpoints in (0, t)), shape, leaf masses and box sets.
     Each group is integrated once, and every f reads it times its own c, so
     several functionals share their common terms float for float.  Groups
-    with the same cuts form a batch on the solver's time grid cut at ``t``
+    with the same cuts form a batch on the solver's step ends cut at ``t``
     and at those endpoints.  Every cell is split into r = 1, 2, 4, ...
     parts, one level at a time for the whole batch, so its groups share G_m
     and subtree arrays; K is ``path.kernel``.  At level 2r a group has the
@@ -208,7 +208,7 @@ def _time_integrals(fs: tuple, items: list, path: SolutionPath, t: float,
         reads.append(row)
     done = {}  # group -> its TimeIntegral with c = 1
     for cuts, pending in batches.items():
-        grid = np.unique(np.concatenate([path.times[path.times < t], [t], cuts]))
+        grid = np.unique(np.concatenate([path.ends[path.ends < t], [t], cuts]))
         keep_below = max(shape.n_leaves for shape, _, _ in pending.values())
         prev = {}  # group -> (T_r, R(r)) of its last level; R(r) None at r = 1
         for r in REFINEMENTS:
@@ -269,7 +269,7 @@ def _listed_terms(tau_max_leaves: int, path: SolutionPath, mu0: MassSpectrum) ->
     leaves, as :func:`terms` yields them; ``ValueError`` when ``mu0`` is not
     the path's."""
     given = {path.unit_of(m): w for m, w in zip(mu0.masses, mu0.weights) if w}
-    if given != {u: w for u, w in zip(path.units.tolist(), path.weights[0].tolist()) if w}:
+    if given != {u: w for u, w in zip(path.units.tolist(), path.y_old[0].tolist()) if w}:
         raise ValueError("mu0 is not the initial measure the path was solved from")
     atoms = list(zip(mu0.masses, mu0.weights))
     listed = []
@@ -297,7 +297,7 @@ def terms(f: Callable, tau_max_leaves: int, path: SolutionPath,
 
     ``kernel`` and ``mu0`` stay only for the benchmark's positional calls and
     must be the path's: ``path.kernel``, and the spectrum whose weights, at
-    their lattice points, are ``path.weights[0]``.  Others raise
+    their lattice points, are the path's at time 0.  Others raise
     ``ValueError`` when the first term is asked for.
     """
     if kernel != path.kernel:

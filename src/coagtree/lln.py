@@ -54,6 +54,8 @@ class ExperimentPlan:
             raise ValueError("need one replica count per ladder size")
         if len(self.n_ladder) < 2:
             raise ValueError("ladder needs at least two sizes")
+        if not all(isinstance(r, numbers.Integral) for r in self.replicas):
+            raise ValueError(f'"replicas" needs integer counts, got {self.replicas!r}')
         if any(r < 30 for r in self.replicas):
             raise ValueError("need at least 30 replicas per size for CLT intervals")
         # the field names in quotes, as a plan file's keys

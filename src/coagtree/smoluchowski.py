@@ -132,51 +132,51 @@ def _unit_masses(units: np.ndarray, quantum: Fraction) -> np.ndarray:
 
 # the solver's absolute tolerance, per unit of its relative tolerance ``tol``
 ATOL_PER_TOL = 1e-2
-# equally spaced times, 0 to t_end, at which a solve keeps the weights
-N_GRID = 2001
 
 
 class SolutionPath:
-    """Dense-in-time solution of the mean-field equation on a fixed mass lattice.
+    """Solution of the mean-field equation on a fixed mass lattice: the
+    solver's accepted steps with their quartic dense output, the one rule
+    for the weights at a time.
 
-    Values between grid times are piecewise linear.  The survival exponent
-    has one rule: the exact integral of the linearly interpolated rate,
-    cumulated from 0 on the grid and cached per mass, so Lambda(y; s, t) is
-    G_y(t) - G_y(s).  Every time is placed in the grid by :meth:`_locate`.
+    Step i runs from ``ends[i]`` to ``ends[i + 1]``, and at x = (t - ends[i])
+    / h its weights are y_old[i] + h * q[i] @ (x, x^2, x^3, x^4), as scipy's
+    ``RkDenseOutput`` holds them.  The survival exponent G_y(u) = Lambda(y;
+    0, u) is that rule's exact integral, a quintic per step, cumulated at
+    the step ends and cached per mass; Lambda(y; s, t) is G_y(t) - G_y(s).
+    Every time is placed in its step by :meth:`_locate`.
     """
 
-    def __init__(self, units: np.ndarray, quantum: Fraction, times: np.ndarray,
-                 weights: np.ndarray, kernel: Kernel, tol: float,
-                 leak: float, steps: int, nfev: int):
+    def __init__(self, units: np.ndarray, quantum: Fraction, ends: np.ndarray,
+                 y_old: np.ndarray, q: np.ndarray, kernel: Kernel, tol: float,
+                 nfev: int):
         self.units = np.asarray(units, dtype=np.int64)  # lattice masses / quantum
         self.quantum = quantum
         self.masses = _unit_masses(self.units, quantum)
-        self.times = np.asarray(times, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)  # shape (n_times, n_masses)
+        self.ends = np.asarray(ends, dtype=float)  # shape (n_steps + 1,)
+        self.y_old = np.asarray(y_old, dtype=float)  # shape (n_steps, n_masses)
+        self.q = np.asarray(q, dtype=float)  # shape (n_steps, n_masses, 4)
+        self.steps = len(self.y_old)  # accepted solver steps
+        self.t_end = float(self.ends[-1])
         self.kernel = kernel
         self.tol = tol
-        self.leak = leak  # mass off the lattice at t_end, relative to the start
-        self.steps = steps  # accepted solver steps
+        self.leak = 0.0  # mass off the lattice at t_end relative to the start; solve sets it
         self.nfev = nfev  # right-hand side evaluations
-        self._lambda_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
+        self._rates: dict[float, tuple] = {}
 
     def _locate(self, u) -> tuple:
-        """Grid cells (k, a, u - times[k]) of the times ``u``, an array:
-        u = (1 - a) * times[k] + a * times[k + 1].  A time outside [0, t_end]
+        """Steps (k, x, u - ends[k]) of the times ``u``, an array:
+        u = ends[k] + x * (ends[k + 1] - ends[k]).  A time outside [0, t_end]
         (up to 1e-12 past the end) or NaN raises ``ValueError``."""
         u = np.asarray(u, dtype=float)
-        times = self.times
-        inside = (u >= 0.0) & (u <= times[-1] + 1e-12)
+        ends = self.ends
+        inside = (u >= 0.0) & (u <= ends[-1] + 1e-12)
         if not inside.all():
             raise ValueError(f"time {u[~inside].flat[0]} outside [0, {self.t_end}]")
-        k = np.clip(np.searchsorted(times, u, side="right") - 1, 0, len(times) - 2)
-        t0 = times[k]
+        k = np.clip(np.searchsorted(ends, u, side="right") - 1, 0, len(ends) - 2)
+        t0 = ends[k]
         offset = u - t0
-        return k, offset / (times[k + 1] - t0), offset
+        return k, offset / (ends[k + 1] - t0), offset
 
     def unit_of(self, mass: float) -> int:
         """``mass`` in integer units of the quantum; ValueError when not a multiple."""
@@ -186,8 +186,11 @@ class SolutionPath:
         return u.numerator
 
     def weights_at(self, t: float) -> np.ndarray:
-        k, a, _ = self._locate(float(t))
-        return (1 - a) * self.weights[k] + a * self.weights[k + 1]
+        """The weights at ``t``, from its step's interpolant op for op as
+        ``RkDenseOutput`` evaluates it."""
+        k, x, _ = self._locate(float(t))
+        p = np.cumprod(np.tile(x, self.q.shape[2]))
+        return (self.ends[k + 1] - self.ends[k]) * np.dot(self.q[k], p) + self.y_old[k]
 
     def spectrum_at(self, t: float) -> MassSpectrum:
         """The weights at ``t`` as a spectrum.  The solver keeps each weight
@@ -201,17 +204,20 @@ class SolutionPath:
     def moment(self, p: float, t: float) -> float:
         return float(np.sum(self.weights_at(t) * self.masses ** p))
 
-    def _g_cumulative(self, y: float) -> tuple:
-        """``(cum, g)``: g(r) = sum_j K(y, x_j) c_j(r) on the time grid, cum its integral."""
+    def _rate(self, y: float) -> tuple:
+        """``(cum, coef)``: G_y at the step ends, and per step G_y(ends[k] + x h)
+        - cum[k] = x h * coef[k] @ (1, x, x^2, x^3, x^4)."""
         y = float(y)
-        cum = self._lambda_cache.get(y)
-        if cum is None:
+        got = self._rates.get(y)
+        if got is None:
             ky = np.asarray(self.kernel.evaluate(y, self.masses), dtype=float)
-            g = self.weights @ ky
-            dt = np.diff(self.times)
-            cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[:-1] + g[1:]) * dt)])
-            self._lambda_cache[y] = (cum, g)
-        return self._lambda_cache[y]
+            h = np.diff(self.ends)
+            # the rate's h * x^j term integrates to h^2 x^(j+1) / (j+1)
+            coef = np.column_stack([self.y_old @ ky, (ky @ self.q) * (
+                h[:, None] / np.arange(2, self.q.shape[2] + 2))])
+            cum = np.concatenate(([0.0], np.cumsum(h * coef.sum(axis=1))))
+            got = self._rates[y] = (cum, coef)
+        return got
 
     def survival_exponent(self, y: float, s: float, t: float) -> float:
         """Lambda(y; s, t) = int_s^t sum_j K(y, x_j) c_j(r) dr, 0 <= s <= t <= t_end,
@@ -224,17 +230,16 @@ class SolutionPath:
     def cumulative_exponents(self, u: np.ndarray) -> Callable:
         """The function y -> G_y(u) = Lambda(y; 0, u) at every time of ``u``.
 
-        G_y is the exact integral of the linearly interpolated rate, so it
-        is quadratic between grid times.  Every mass shares the grid lookup
-        of ``u``.
+        G_y is the exact integral of the rate that the interpolated weights
+        give, a quintic in each step.  Every mass shares the step lookup of
+        ``u``.
         """
-        k, a, offset = self._locate(u)
+        k, x, offset = self._locate(u)
+        powers = x[..., None] ** np.arange(self.q.shape[2] + 1)
 
         def exponent(y: float) -> np.ndarray:
-            cum, g = self._g_cumulative(y)
-            gk = g[k]
-            gu = (1 - a) * gk + a * g[k + 1]
-            return cum[k] + 0.5 * (gk + gu) * offset
+            cum, coef = self._rate(y)
+            return cum[k] + offset * np.sum(coef[k] * powers, axis=-1)
 
         return exponent
 
@@ -351,15 +356,6 @@ def _dopri45(fun, y, t_bound, rtol, atol):
         t, y, f = t_new, y_new, f_new
 
 
-def _dense(t_old, t, y_old, K, at: np.ndarray) -> np.ndarray:
-    """A step's quartic interpolant at the times ``at``, one row per time."""
-    h = t - t_old
-    p = np.cumprod(np.tile((at - t_old) / h, (_P.shape[1], 1)), axis=0)
-    y = h * np.dot(K.T.dot(_P), p)
-    y += y_old[:, None]
-    return y.T
-
-
 def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
           k_max: int = 256, allow_gelation: bool = False) -> SolutionPath:
     """Integrate the coagulation equation up to ``t_end``.
@@ -375,13 +371,12 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
     refused with :class:`ConfigError`.
 
     The Dormand-Prince stepper (rtol ``tol``, atol ``ATOL_PER_TOL * tol``;
-    see the module) steps to ``t_end``; after each accepted step, the
-    ``N_GRID`` equally spaced times that the step covers are read from its
-    interpolant into their rows of the weights, as ``solve_ivp`` with
-    ``t_eval`` would.  A step that falls below ten float spacings, and a
-    right-hand side that overflows, raise :class:`SolverError`.  The path
-    keeps the accepted steps and right-hand-side evaluations as ``steps``
-    and ``nfev``.
+    see the module) steps to ``t_end``, and the path keeps each accepted
+    step with its dense output, as ``solve_ivp`` with ``dense_output`` would
+    (see :class:`SolutionPath`).  A step that falls below ten float
+    spacings, and a right-hand side that overflows, raise
+    :class:`SolverError`.  The path keeps the right-hand-side evaluations as
+    ``nfev``.
     """
     if not 0 < t_end < math.inf:
         raise ConfigError(f"t_end must be positive and finite, got {t_end!r}")
@@ -426,33 +421,24 @@ def solve(mu0: MassSpectrum, kernel: Kernel, t_end: float, tol: float = 1e-8,
         loss = c * (kmat @ c)
         return gain - loss
 
-    times = np.linspace(0.0, t_end, N_GRID)
-    weights = np.empty((N_GRID, n))
-    filled = steps = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", category=RuntimeWarning)
         try:
-            for t_old, t, c_old, stages in _dopri45(rhs, c0, float(t_end), tol,
-                                                    ATOL_PER_TOL * tol):
-                steps += 1
-                # the grid times this step covers, read from its interpolant
-                upto = int(np.searchsorted(times, t, side="right"))
-                if upto > filled:
-                    weights[filled:upto] = _dense(t_old, t, c_old, stages, times[filled:upto])
-                    filled = upto
+            steps = [(t, c_old, stages.T.dot(_P)) for _, t, c_old, stages
+                     in _dopri45(rhs, c0, float(t_end), tol, ATOL_PER_TOL * tol)]
         except (RuntimeWarning, FloatingPointError) as e:
             raise SolverError(f"integration blew up before t={t_end}: {e}") from e
-    assert filled == N_GRID, "the solver stopped short of the last grid time"
+    ends, y_old, q = zip(*steps)
+    path = SolutionPath(units, quantum, (0.0,) + ends, y_old, q, kernel, tol, nfev)
 
     total0 = float(np.sum(c0 * masses))
-    total_end = float(np.sum(weights[-1] * masses))
-    leak = total0 - total_end
+    leak = total0 - float(np.sum(path.weights_at(t_end) * masses))
     if leak > 10 * tol * max(total0, 1.0):
         warnings.warn(
             f"mass {leak:.3e} left the {n}-point lattice by t={t_end}; "
             "increase k_max for tighter tails", stacklevel=2)
-    return SolutionPath(units, quantum, times, weights, kernel, tol,
-                        leak / total0 if total0 > 0 else 0.0, steps, nfev)
+    path.leak = leak / total0 if total0 > 0 else 0.0
+    return path
 
 
 def constant_kernel_weights(t: float, k: np.ndarray) -> np.ndarray:

@@ -372,7 +372,9 @@ def test_exit_codes(tmp_path, capsys):
     # the manifest was written, with no key named; n_ladder [0, 10] failed
     # late in SimConfig, and [10, 10] ran to PASS on a slope fitted to one size;
     # two functionals of one name ran to a false FAIL (exit 1), each row
-    # twice, and a fractional seed or tau_max_leaves was cut to an integer
+    # twice, and a fractional seed or tau_max_leaves was cut to an integer;
+    # JSON booleans ran as numbers: t true as 1.0, quad_tol true as 1.0, a
+    # mu0 pair [1.0, true] as weight 1.0 and a box [false, true] as [0, 1]
     small = {"n_ladder": [10, 20], "replicas": [30, 30]}
     twice = {"functionals": [{"type": "leaf"}, {"type": "leaf"}], "kernel": "constant",
              "t": 1.0, "n_ladder": [20, 60], "replicas": [40, 30], "tau_max_leaves": 2}
@@ -385,7 +387,11 @@ def test_exit_codes(tmp_path, capsys):
                              {"t": -1.0, **small}, {"t": math.nan, **small},
                              {**small, "n_ladder": [0, 10]}, {**small, "n_ladder": [10, 10]},
                              twice, {"tau_max_leaves": 2.9, **small}, {"seed": 7.5, **small},
-                             {"seed": True, **small})):
+                             {"seed": True, **small}, {"t": True, **small},
+                             {"quad_tol": True, **small}, {"mu0": [[True, 1.0]], **small},
+                             {"mu0": [[1.0, True]], **small},
+                             {"functionals": [{"type": "cherry-box", "box": [False, True]}],
+                              **small})):
         plan = tmp_path / f"bad{k}.json"
         plan.write_text(json.dumps(bad))
         assert main(["lln", str(plan), "--out", str(tmp_path / f"bad{k}")]) == 2, bad

@@ -27,7 +27,9 @@ ids; ``parse`` reads text into the same masses and rows; ``trees.py``, not
 ``cli.py``, writes the history text; and no module defines the object form
 of a history, its lifetime intervals or the limit density at one, which
 are test oracles.  And one time lookup: only ``SolutionPath._locate`` finds a time's
-cell in the path's grid, and ``survival_exponent`` reads ``cumulative_exponents``.
+step in the path's step table, and ``survival_exponent`` reads ``cumulative_exponents``.
+And one representation of the path: its steps with their dense output, and no
+time grid (``N_GRID``, ``times``) or grid interpolant (``_dense``) beside them.
 
 And ``src/`` holds only the pipeline: every public top-level definition
 there has a reader in the package, the demos or the benchmark, apart from
@@ -262,13 +264,14 @@ def test_one_time_lookup_on_the_solution_path():
                     calls.append((owner, name, reads))
     lookups = {owner for owner, name, reads in calls
                if name and (name == "searchsorted" or name.startswith("bisect"))
-               and (owner.startswith("SolutionPath.") or reads & {"times", "_grid"})}
+               and (owner.startswith("SolutionPath.") or reads & {"ends"})}
     assert lookups == {"SolutionPath._locate"}
     assert {owner for owner, name, _ in calls if name == "_locate"} == {
         "SolutionPath.weights_at", "SolutionPath.cumulative_exponents"}
     assert ("SolutionPath.survival_exponent", "cumulative_exponents") in {
         (owner, name) for owner, name, _ in calls}
-    assert not [n for n in ast.walk(tree) if getattr(n, "attr", None) == "_grid"]
+    assert not [n for n in ast.walk(tree) if getattr(n, "attr", None) in ("_grid", "times")]
+    assert {"N_GRID", "_dense"}.isdisjoint(definitions(tree))
 
 
 # public definitions that nothing in src/, demos/ or perfbench/ reads, kept

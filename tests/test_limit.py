@@ -462,14 +462,16 @@ def test_functionals_refuse_a_mu0_that_is_not_the_paths(path):
 
 
 # float.hex of (value, error, tail_bound), computed before the batch
-# evaluator and the integer lattice replaced the per-term recursion, and
+# evaluator and the integer lattice replaced the per-term recursion,
 # re-pinned when a Romberg exit came to stop the refinement ladder (values
 # moved by at most 9.2e-16, tail bounds 1.3e-15, errors to their rounding
-# floor)
+# floor), and again when the path's dense output replaced its linear
+# interpolation between 2001 grid times (the cherry's values moved from
+# 6.0e-9 below their closed form 0.125 to 5.0e-11 / 5.9e-11 above it)
 LIMIT_WORKLOAD_GOLDEN = {
-    "mono_tau4": ('0x1.fffffe61df0b2p-4', '0x1.fffffe61df0b1p-56', '0x1.00000b38af710p-5'),
-    "bi_tau3": ('0x1.fffffe6276d57p-4', '0x1.fffffe6276d57p-56', '0x1.000004f1bf7c4p-4'),
-    "additive_box_tau3": ('0x1.cb8596c153bc0p-6', '0x1.413aa8aaaaaabp-35', '0x1.2d652b01ab688p-4'),
+    "mono_tau4": ('0x1.00000001b7ffdp-3', '0x1.a83d777777777p-39', '0x1.0000002732c18p-5'),
+    "bi_tau3": ('0x1.0000000203e5ep-3', '0x1.0a10333333333p-38', '0x1.0000001bf60a8p-4'),
+    "additive_box_tau3": ('0x1.cb85978c61f17p-6', '0x1.9bd7844444444p-40', '0x1.2d65297ffccb4p-4'),
 }
 
 
@@ -495,23 +497,23 @@ def test_pushforward_rows_keep_their_floats():
     # the limit weights re-pinned with LIMIT_WORKLOAD_GOLDEN
     mono = pushforward_check(solve(MONO, CONSTANT, 2.0, tol=1e-8), MONO, CONSTANT, 2.0, 4)
     assert [tuple(x.hex() for x in row) for row in mono.rows] == list((
-        ('0x1.0000000000000p+0', '0x1.fffffef6292c3p-3', '0x1.00000022fa64dp-2'),
-        ('0x1.0000000000000p+1', '0x1.fffffe61df0b2p-4', '0x1.ffffff291b990p-4'),
-        ('0x1.8000000000000p+1', '0x1.fffffdcd94e80p-5', '0x1.0000006cc00f2p-4'),
-        ('0x1.0000000000000p+2', '0x1.fffffd394ac8cp-6', '0x1.0000002c96814p-5'),
+        ('0x1.0000000000000p+0', '0x1.000000014c52fp-2', '0x1.00000022fa64dp-2'),
+        ('0x1.0000000000000p+1', '0x1.00000001b7ffdp-3', '0x1.ffffff291b990p-4'),
+        ('0x1.8000000000000p+1', '0x1.0000000223ed1p-4', '0x1.0000006cc00f2p-4'),
+        ('0x1.0000000000000p+2', '0x1.000000028f51bp-5', '0x1.0000002c96814p-5'),
     ))
-    assert mono.max_discrepancy.hex() == '0x1.4fcb9d7000000p-27'
+    assert mono.max_discrepancy.hex() == '0x1.b4a8cd4000000p-29'
     bi = pushforward_check(solve(BIDISPERSE, CONSTANT, 2.0, tol=1e-8), BIDISPERSE,
                            CONSTANT, 2.0, 3)
     assert [tuple(x.hex() for x in row) for row in bi.rows] == list((
-        ('0x1.0000000000000p+0', '0x1.fffffef6795d5p-4', '0x1.0000002d4776dp-3'),
-        ('0x1.0000000000000p+1', '0x1.3fffff478b895p-3', '0x1.400000098b5d0p-3'),
-        ('0x1.8000000000000p+1', '0x1.1fffff0e22afap-4', '0x1.1fffff84c7274p-4'),
-        ('0x1.0000000000000p+2', '0x1.bffffe5ea7085p-5', '0x1.cfffffe972a55p-5'),
-        ('0x1.4000000000000p+2', '0x1.7ffffe5ad73b2p-6', '0x1.0400007da43dcp-5'),
-        ('0x1.8000000000000p+2', '0x1.fffffdce744eep-8', '0x1.6a00005d0103ap-6'),
+        ('0x1.0000000000000p+0', '0x1.00000001746b6p-3', '0x1.0000002d4776dp-3'),
+        ('0x1.0000000000000p+1', '0x1.40000001f564ep-3', '0x1.400000098b5d0p-3'),
+        ('0x1.8000000000000p+1', '0x1.20000002565bfp-4', '0x1.1fffff84c7274p-4'),
+        ('0x1.0000000000000p+2', '0x1.c0000003f2aa1p-5', '0x1.cfffffe972a55p-5'),
+        ('0x1.4000000000000p+2', '0x1.80000003dd888p-6', '0x1.0400007da43dcp-5'),
+        ('0x1.8000000000000p+2', '0x1.0000000293b05p-7', '0x1.6a00005d0103ap-6'),
     ))
-    assert bi.max_discrepancy.hex() == '0x1.d40001d2c7dfdp-7'
+    assert bi.max_discrepancy.hex() == '0x1.d40000b76e56fp-7'
 
 
 def test_a_kernel_or_mu0_that_is_not_the_paths_is_refused(path):
@@ -579,13 +581,47 @@ def test_mono_limit_cells_match_their_closed_forms(kernel_name, t):
     assert [shape.serial for shape, _, _, integral in cells if not integral.converged] == []
 
 
+# |coef * one - closed form| for every cell to 10 leaves at tol 1e-10, with
+# the path's dense output as the one rule; fixed before the first run
+DENSE_CLOSED_FORM_BOUND = 1e-10
+
+
+@pytest.mark.parametrize("kernel_name, t", [("constant", 2.0), ("additive", 0.8),
+                                           ("product", 0.6)])
+def test_mono_limit_cells_meet_the_dense_bound(kernel_name, t):
+    # the piecewise-linear path over a 2001-point grid left the constant
+    # kernel's cells up to 7.8e-9 off while they reported at most 3.3e-12
+    kernel = builtin(kernel_name)
+    path = solve(MONO, kernel, t, tol=1e-10)
+    errors = {shape.serial: abs(coef * integral.one - mono_limit_cell(kernel_name, shape, t))
+              for shape, _, coef, integral in terms(ConstantOne(), 10, path, kernel, MONO,
+                                                    t, tol=1e-10)}
+    assert len(errors) == 192
+    assert max(errors.values()) <= DENSE_CLOSED_FORM_BOUND, errors
+
+
+@pytest.mark.parametrize("kernel_name, t", [("constant", 2.0), ("additive", 0.8),
+                                           ("product", 0.6)])
+def test_mono_limit_cells_converge_at_every_tol(kernel_name, t):
+    # the path's steps are ~100 times wider than the old grid's cells: with
+    # 1 .. 32 splits of each step, tol 1e-12 left 6 / 0 / 130 cells unconverged
+    kernel = builtin(kernel_name)
+    path = solve(MONO, kernel, t, tol=1e-10)
+    for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+        cells = terms(ConstantOne(), 10, path, kernel, MONO, t, tol=tol)
+        assert [shape.serial for shape, _, _, integral in cells
+                if not integral.converged] == [], tol
+
+
 @pytest.mark.parametrize("case", ("mono_tau4", "bi_tau3", "additive_box_tau3",
                                   "pushforward", "lln-plan"))
 def test_workload_terms_stop_at_four_splits_per_solver_cell(monkeypatch, case):
     # the benchmark's limit functionals, its pushforward check and the lln
     # plan's functionals call: two agreeing Richardson values stop a term one
     # level before two agreeing trapezoids would, so no level is finer than
-    # 4 splits per solver cell, 8001 grid points on their 2000-cell paths
+    # 16 splits per solver step, 337 points on the 21-step path at tol 1e-8
+    # (the name is from the 2001-point time grid the path once kept, where
+    # the same stop came at 4 splits per grid cell)
     additive = builtin("additive")
     mono = solve(MONO, CONSTANT, 2.0, tol=1e-8)
     cherry = ShapeIndicator(CHERRY)
@@ -605,14 +641,14 @@ def test_workload_terms_stop_at_four_splits_per_solver_cell(monkeypatch, case):
 
     class CountedLevel(limit._Level):
         def __init__(self, path, x, keep_below):
-            # no cut falls inside the first solver cell, so the points of x
-            # before path.times[1] are that cell's splits
-            splits.append(int(np.searchsorted(x, path.times[1])))
+            # no cut falls inside the first solver step, so the points of x
+            # before path.ends[1] are that step's splits
+            splits.append(int(np.searchsorted(x, path.ends[1])))
             super().__init__(path, x, keep_below)
 
     monkeypatch.setattr(limit, "_Level", CountedLevel)
     call()
-    assert splits and max(splits) <= 4, splits
+    assert splits and max(splits) <= 16, splits
 
 
 @pytest.mark.parametrize("tol", (math.nan, 0.0, -1.0))

@@ -68,6 +68,10 @@ def test_plan_refuses_repeated_names_and_fractional_integers():
     for key, value in (("seed", 7.5), ("tau_max_leaves", 2.9)):
         with pytest.raises(ValueError, match=f'"{key}"'):
             ExperimentPlan(CONSTANT, MONO, 1.0, (leaf,), **ladder, **{key: value})
+    # a fractional replica count failed only in run_lln, after the solve and
+    # the limit integration, with a TypeError
+    with pytest.raises(ValueError, match='"replicas"'):
+        ExperimentPlan(CONSTANT, MONO, 1.0, (leaf,), n_ladder=(20, 60), replicas=(30.5, 40))
 
 
 def test_plan_refuses_fewer_than_one_job():
@@ -411,4 +415,4 @@ def test_lln_workload_report_is_pinned():
         tau_max_leaves=2, jobs=1)
     report = run_lln(plan).to_json()
     assert hashlib.sha256(report.encode()).hexdigest() == \
-        "d0ef193555da3a0e5dd4e071929596b1faefa9db2792c1039ebff8eacd67082a"
+        "b4d69434b6761aab8af27016b80d24dddde3dbd6e4cc7189774ff639be9ae130"

@@ -131,8 +131,10 @@ def test_spectrum_at_reads_rounding_negatives_as_zero(mu0, kernel):
     assert spec.weights == tuple(np.where(weights < 0.0, 0.0, weights))
     # where every weight is nonnegative the floats are the path's own
     assert path.spectrum_at(2.0).weights == tuple(path.weights_at(2.0))
-    # beyond the tolerance a negative weight is a defect, and still raises
-    path.weights[:, -1] = -path.tol
+    # beyond the tolerance a negative weight is a defect, and still raises;
+    # the last mass reads -tol at every time of every step
+    path.y_old[:, -1] = -path.tol
+    path.q[:, -1] = 0.0
     with pytest.raises(ValueError, match="nonnegative"):
         path.spectrum_at(1.0)
 
@@ -206,6 +208,33 @@ def test_survival_exponent_is_a_difference_of_cumulative_exponents(kernel_name,
         G = path.cumulative_exponents(np.concatenate([s, t]))(y)
         got = [path.survival_exponent(y, a, b) for a, b in zip(s, t)]
         assert got == (G[len(s):] - G[:len(s)]).tolist()
+
+
+@pytest.mark.parametrize("kernel_name, masses, t_end", [
+    ("constant", (1.0, 2.0), 2.0), ("additive", (1.0,), 0.8),
+    ("inverse-sum", (0.1, 0.7), 2.0)])
+def test_cumulative_exponents_are_the_exact_integral_of_the_dense_rate(kernel_name,
+                                                                      masses, t_end):
+    # oracle: 4-point Gauss-Legendre, exact for the quartic rate, over each
+    # step up to u, on K(y, .) . weights_at(.)
+    mu0 = MassSpectrum(masses, (1.0,) * len(masses))
+    kernel = builtin(kernel_name)
+    path = solve(mu0, kernel, t_end)
+    nodes, gl_weights = np.polynomial.legendre.leggauss(4)
+    rng = np.random.default_rng(5)
+    u = np.concatenate([path.ends, rng.uniform(0.0, t_end, 30)])
+    for y in path.masses[[0, 1, 5]]:
+        ky = np.asarray(kernel.evaluate(float(y), path.masses), dtype=float)
+        oracle = []
+        for b in u:
+            total = 0.0
+            for lo, hi in zip(path.ends[:-1], np.minimum(path.ends[1:], b)):
+                if hi > lo:
+                    r = lo + 0.5 * (hi - lo) * (nodes + 1.0)
+                    rates = [ky @ path.weights_at(x) for x in r]
+                    total += 0.5 * (hi - lo) * float(np.dot(gl_weights, rates))
+            oracle.append(total)
+        assert np.abs(path.cumulative_exponents(u)(y) - oracle).max() <= 1e-13
 
 
 def test_survival_exponent_vs_trapezoid_oracle():
@@ -347,6 +376,15 @@ HORIZONS = {"constant": 2.0, "additive": 0.5, "product": 0.5, "inverse-sum": 2.0
             "tabulated": 0.5}
 
 
+def _assert_same_steps(got, want):
+    """Every step's (t_old, t, y_old, Q) float for float, and the leak and nfev."""
+    assert np.array_equal(got.ends, want.ends)
+    assert np.array_equal(got.y_old, want.y_old)
+    assert np.array_equal(got.q, want.q)
+    assert got.leak == want.leak
+    assert got.nfev == want.nfev
+
+
 def _solve_both(mu0, kernel, t, **kw):
     """Both solves, with the warnings each one gave."""
     out = []
@@ -366,24 +404,18 @@ def test_solve_matches_the_solve_ivp_reference(name, spectrum, tmp_path):
               if name == "tabulated" else builtin(name))
     t = min(HORIZONS[name], 0.5 * gelation_time(kernel, mu0.masses, mu0.weights))
     (got, got_warned), (want, want_warned) = _solve_both(mu0, kernel, t)
-    assert np.array_equal(got.times, want.times)
-    assert np.array_equal(got.weights, want.weights)
-    assert got.weights.flags.c_contiguous
-    assert got.leak == want.leak
-    assert got.nfev == want.nfev
+    _assert_same_steps(got, want)
+    assert got.y_old.flags.c_contiguous and got.q.flags.c_contiguous
     assert got_warned == want_warned
 
 
-# at t_end 20 and tol 1e-12, 8 of the 277 steps cover no grid time: the
-# only such steps among these cases
+# at t_end 20 and tol 1e-12, 8 of the 277 steps covered no time of the
+# equally spaced 2001-point grid that the path once kept
 @pytest.mark.parametrize("t_end, kw", [(2.0, {"k_max": 16}), (20.0, {"tol": 1e-12})],
                          ids=["leaking-k_max-16", "steps-between-grid-times"])
 def test_solve_matches_the_solve_ivp_reference_off_the_defaults(t_end, kw):
     (got, got_warned), (want, want_warned) = _solve_both(MONO, CONSTANT, t_end, **kw)
-    assert np.array_equal(got.times, want.times)
-    assert np.array_equal(got.weights, want.weights)
-    assert got.leak == want.leak
-    assert got.nfev == want.nfev
+    _assert_same_steps(got, want)
     assert got_warned == want_warned
     if "k_max" in kw:
         assert got.leak > 1e-4 and "left the 16-point lattice" in got_warned[0]
@@ -395,8 +427,7 @@ def test_a_tolerance_below_100_epsilons_is_raised_to_it():
         got = solve(MONO, CONSTANT, 0.5, tol=1e-15, k_max=16)
     with pytest.warns(UserWarning, match="rtol"):
         want = reference_solve(MONO, CONSTANT, 0.5, tol=1e-15, k_max=16)
-    assert np.array_equal(got.weights, want.weights)
-    assert got.nfev == want.nfev
+    _assert_same_steps(got, want)
 
 
 def test_path_counts_solver_steps():

@@ -51,7 +51,6 @@ from coagtree.simulate import (
 )
 from coagtree.smoluchowski import (
     ATOL_PER_TOL,
-    N_GRID,
     SolutionPath,
     SolverError,
     _fraction,
@@ -919,9 +918,9 @@ def reference_pair_index(masses):
 
 def reference_solve(mu0, kernel, t_end, tol=1e-8, k_max=256, allow_gelation=False):
     """The ``solve`` that a direct RK45 loop and then the numpy Dormand-Prince
-    stepper replaced: ``solve_ivp`` with ``t_eval`` on the grid, gathering
-    ``c[ii]`` and ``c[jj]`` in the right-hand side.  ``solve_ivp`` does not
-    report its step count, so ``steps`` is None."""
+    stepper replaced: ``solve_ivp`` with ``dense_output``, gathering ``c[ii]``
+    and ``c[jj]`` in the right-hand side.  The path is its interpolants'
+    ``(t_old, t, y_old, Q)``, and the leak reads the last one at ``t_end``."""
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     check_gelation(kernel, mu0.masses, mu0.weights, t_end, allow_gelation)
@@ -948,27 +947,28 @@ def reference_solve(mu0, kernel, t_end, tol=1e-8, k_max=256, allow_gelation=Fals
         loss = c * (kmat @ c)
         return gain - loss
 
-    times = np.linspace(0.0, t_end, N_GRID)
     with warnings.catch_warnings():
         warnings.simplefilter("error", category=RuntimeWarning)
         try:
-            sol = solve_ivp(rhs, (0.0, t_end), c0, method="RK45", t_eval=times,
-                            rtol=tol, atol=ATOL_PER_TOL * tol, dense_output=False)
+            sol = solve_ivp(rhs, (0.0, t_end), c0, method="RK45",
+                            rtol=tol, atol=ATOL_PER_TOL * tol, dense_output=True)
         except (RuntimeWarning, FloatingPointError) as e:
             raise SolverError(f"integration blew up before t={t_end}: {e}") from e
     if not sol.success:
         raise SolverError(f"integration failed: {sol.message}")
 
-    weights = sol.y.T.copy()
+    steps = sol.sol.interpolants
+    path = SolutionPath(units, quantum, [s.t_old for s in steps] + [steps[-1].t],
+                        [s.y_old for s in steps], [s.Q for s in steps], kernel, tol,
+                        sol.nfev)
     total0 = float(np.sum(c0 * masses))
-    total_end = float(np.sum(weights[-1] * masses))
-    leak = total0 - total_end
+    leak = total0 - float(np.sum(steps[-1](t_end) * masses))
     if leak > 10 * tol * max(total0, 1.0):
         warnings.warn(
             f"mass {leak:.3e} left the {n}-point lattice by t={t_end}; "
             "increase k_max for tighter tails", stacklevel=2)
-    return SolutionPath(units, quantum, times, weights, kernel, tol,
-                        leak / total0 if total0 > 0 else 0.0, None, sol.nfev)
+    path.leak = leak / total0 if total0 > 0 else 0.0
+    return path
 
 
 # ---------------------------------------------------------------------------
