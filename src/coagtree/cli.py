@@ -2,15 +2,15 @@
 
 Every run writes a JSON manifest (resolved configuration, seed, input hashes,
 output paths) before computing, so outputs are reproducible from the manifest
-alone.  Exit codes: 0 success, 1 FAIL verdict, 2 configuration error,
-3 gelation guard.
+alone.  Each input file (a plan, a ``--mu0`` spectrum, a kernel table) is
+hashed once per run; ``hashlib`` loads with the first one.  Exit codes:
+0 success, 1 FAIL verdict, 2 configuration error, 3 gelation guard.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 import time
@@ -37,15 +37,20 @@ EXIT_CONFIG = 2
 EXIT_GELATION = 3
 
 
-def _resolve_kernel(name: str):
+def _resolve_kernel(name: str, inputs: list):
+    """The built-in kernel ``name``, or the kernel table in that file, which
+    then joins the run's ``inputs``."""
     if name in BUILTIN_KERNELS:
         return builtin(name)
     if Path(name).exists():
+        inputs.append(name)
         return tabulated_kernel(name)
     raise ConfigError(f"unknown kernel {name!r} and no such grid file")
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # its OpenSSL adds 3.5 MB to a run that hashes no file
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(65536), b""):
@@ -53,8 +58,12 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _input_hashes(input_files: list) -> dict:
+    return {f: _sha256(f) for f in input_files}
+
+
 def _write_manifest(outdir: Path, subcommand: str, config: dict, seed: int,
-                    input_files: list, output_paths: list, **extra) -> Path:
+                    input_hashes: dict, output_paths: list, **extra) -> Path:
     """Write ``manifest.json``; ``extra`` adds fields known after the run."""
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -62,7 +71,7 @@ def _write_manifest(outdir: Path, subcommand: str, config: dict, seed: int,
         "config": config,
         "seed": seed,
         "version": __version__,
-        "input_hashes": {f: _sha256(f) for f in input_files},
+        "input_hashes": input_hashes,
         "outputs": [str(p) for p in output_paths],
         **extra,
     }
@@ -98,7 +107,8 @@ def _write_events(log, outdir: Path) -> list:
 
 
 def cmd_simulate(args) -> int:
-    kernel = _resolve_kernel(args.kernel)
+    inputs = []
+    kernel = _resolve_kernel(args.kernel, inputs)
     outdir = Path(args.out)
     cfg = SimConfig.monodisperse(args.n, kernel, args.t, mass=args.mass,
                                  allow_gelation=args.allow_gelation)
@@ -108,7 +118,7 @@ def cmd_simulate(args) -> int:
     if args.replicas == 1:
         subdirs = [outdir]
     outputs = [sub / name for sub in subdirs for name in ("events.csv", "trees.txt")]
-    manifest_args = (outdir, "simulate", config, args.seed, [], outputs)
+    manifest_args = (outdir, "simulate", config, args.seed, _input_hashes(inputs), outputs)
     _write_manifest(*manifest_args)
     events, proposals, simulate_s, write_s = 0, 0, 0.0, 0.0
     for r, sub in enumerate(subdirs):
@@ -129,9 +139,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    kernel = _resolve_kernel(args.kernel)
-    outdir = Path(args.out)
     inputs = []
+    kernel = _resolve_kernel(args.kernel, inputs)
+    outdir = Path(args.out)
     if args.mu0:
         mu0 = _read_mu0(args.mu0)
         inputs.append(args.mu0)
@@ -140,7 +150,7 @@ def cmd_solve(args) -> int:
     config = {"kernel": args.kernel, "t": args.t, "tol": args.tol,
               "k_max": args.k_max, "mu0": args.mu0 or "monodisperse"}
     out_csv = outdir / "solution.csv"
-    manifest_args = (outdir, "solve", config, args.seed, inputs, [out_csv])
+    manifest_args = (outdir, "solve", config, args.seed, _input_hashes(inputs), [out_csv])
     _write_manifest(*manifest_args)
     start = time.perf_counter()
     path = solve(mu0, kernel, args.t, tol=args.tol, k_max=args.k_max,
@@ -163,14 +173,18 @@ def cmd_solve(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    kernel = _resolve_kernel(args.kernel)
+    inputs = []
+    kernel = _resolve_kernel(args.kernel, inputs)
     outdir = Path(args.out)
-    mu0 = _read_mu0(args.mu0) if args.mu0 else MassSpectrum.monodisperse()
+    if args.mu0:
+        mu0 = _read_mu0(args.mu0)
+        inputs.append(args.mu0)
+    else:
+        mu0 = MassSpectrum.monodisperse()
     config = {"kernel": args.kernel, "t": args.t, "tol": args.tol,
               "max_leaves": args.max_leaves, "mu0": args.mu0 or "monodisperse"}
     out_csv = outdir / "limit.csv"
-    manifest_args = (outdir, "limit", config, args.seed,
-                     [args.mu0] if args.mu0 else [], [out_csv])
+    manifest_args = (outdir, "limit", config, args.seed, _input_hashes(inputs), [out_csv])
     _write_manifest(*manifest_args)
     start = time.perf_counter()
     path = solve(mu0, kernel, args.t, tol=min(args.tol, 1e-8),
@@ -218,7 +232,8 @@ def cmd_lln(args) -> int:
     if not isinstance(kernel_name, str):
         raise ConfigError(f'{args.plan}: "kernel" must be a name or a file name, '
                           f"got {kernel_name!r}")
-    kernel = _resolve_kernel(kernel_name)
+    inputs = [args.plan]
+    kernel = _resolve_kernel(kernel_name, inputs)
 
     def value(key, default, read):
         got = raw.get(key, default)
@@ -245,7 +260,8 @@ def cmd_lln(args) -> int:
         raise ConfigError(f"{args.plan}: {e}") from None
     out_json = outdir / "report.json"
     out_text = outdir / "report.txt"
-    manifest_args = (outdir, "lln", raw, plan.seed, [args.plan], [out_json, out_text])
+    manifest_args = (outdir, "lln", raw, plan.seed, _input_hashes(inputs),
+                     [out_json, out_text])
     _write_manifest(*manifest_args)
     report = lln_harness.run_lln(plan)
     out_json.write_text(report.to_json() + "\n")
@@ -312,7 +328,7 @@ def cmd_gallery(args) -> int:
     config = {"n": 128, "kernels": [k for k, _ in GALLERY],
               "horizons": {k: t for k, t in GALLERY}}
     outputs = [outdir / f"gallery-{name}.txt" for name, _ in GALLERY]
-    _write_manifest(outdir, "gallery", config, args.seed, [], outputs)
+    _write_manifest(outdir, "gallery", config, args.seed, {}, outputs)
     for (name, horizon), out in zip(GALLERY, outputs):
         kernel = builtin(name)
         cfg = SimConfig.monodisperse(128, kernel, horizon)

@@ -340,6 +340,9 @@ def jump_density_test(n: int, masses, kernel: Kernel, t: float,
     if not math.isfinite(t):  # the time bins would run to infinity
         raise ValueError(f"t must be finite, got {t!r}")
     masses = tuple(float(m) for m in masses)
+    if len(masses) != n:  # the law tested is the n-particle one
+        raise ValueError(f"jump density test with n = {n} needs {n} masses, "
+                         f"got {len(masses)}: {masses!r}")
     kmat = kernel.matrix(np.asarray(masses))
     pair_ids = [(i, j) for i in range(n) for j in range(i + 1, n)]
     pair_rates = np.array([kmat[i, j] / n for i, j in pair_ids])

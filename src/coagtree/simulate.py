@@ -15,6 +15,8 @@ Each run draws from the generator it is given, which is
 three numbers only, so replicas give the same results in any order and in
 any worker process.  ``rng_for`` is one seating of ``replica_stream(seed,
 stream)``, which gives the streams replica after replica from one Philox.
+``numpy.random`` loads with the first stream, so the limit side, which
+draws nothing, never imports it.
 
 A run's ``EventLog`` holds its merges as plain ``(time, left, right)`` rows,
 left < right, in time order.  Merge k creates node N + k, so node ids are
@@ -33,10 +35,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 from .kernels import ConfigError, Kernel, check_gelation
 from .trees import LEAF, TreeShape, preorder, shape_node
@@ -45,13 +49,23 @@ from .trees import LEAF, TreeShape, preorder, shape_node
 @functools.cache
 def _stream_key(seed: int, stream: int) -> int:
     """128-bit Philox key of one (seed, stream)."""
+    from numpy.random import SeedSequence
+
     key = SeedSequence((seed, stream)).generate_state(2)
     return int(key[0]) << 64 | int(key[1])
 
 
+def _index(name: str, value) -> int:
+    """``value`` as an int, refusing a float or any other non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _replica_counter(replica: int) -> list:
     """Philox counter of replica * 2^128 as four uint64 words, low first."""
-    replica = int(replica)
+    replica = _index("replica", replica)
     if not 0 <= replica < 1 << 128:
         raise ValueError(f"replica index {replica} is outside [0, 2**128)")
     return [0, 0, replica & (1 << 64) - 1, replica >> 64]
@@ -63,8 +77,10 @@ def rng_for(seed: int, replica: int = 0, stream: int = 0) -> Generator:
     (seed, stream) fixes a Philox key; ``replica``, in [0, 2^128), starts
     the counter at replica * 2^128, which is ``Philox(key).jumped(replica)``.
     Replica streams start 2^128 Philox blocks apart, so they never overlap,
-    and each depends only on these three numbers.  It is one seating of a
-    fresh ``replica_stream(seed, stream)``, so no later call reseats it.
+    and each depends only on these three numbers.  All three must be
+    integers: a float such as 1.5 is refused with a ``TypeError``, not
+    truncated.  It is one seating of a fresh ``replica_stream(seed,
+    stream)``, so no later call reseats it.
     """
     return replica_stream(seed, stream)(replica)
 
@@ -76,7 +92,9 @@ def replica_stream(seed: int, stream: int) -> Callable[[int], Generator]:
     buffer, as a fresh ``Philox`` starts.  That is a few times cheaper than
     building one, but a returned generator is valid only until the next call.
     """
-    bitgen = Philox(key=_stream_key(int(seed), int(stream)))
+    from numpy.random import Generator, Philox
+
+    bitgen = Philox(key=_stream_key(_index("seed", seed), _index("stream", stream)))
     generator = Generator(bitgen)
     key = bitgen.state["state"]["key"].tolist()
 

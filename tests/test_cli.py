@@ -141,6 +141,36 @@ def test_solve_with_mu0_file(tmp_path):
     assert str(mu0) in manifest["input_hashes"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "solve", "limit", "lln"])
+def test_manifest_hashes_the_kernel_table_once(tmp_path, monkeypatch, command):
+    # a kernel table changes every output, but was left out of the manifest,
+    # and each input was hashed again on the manifest's second write
+    from coagtree import cli
+
+    table = tmp_path / "k.csv"
+    table.write_text("x,y,value\n1,1,1\n1,2,1\n2,2,1\n")
+    hashed = []
+    sha = cli._sha256
+    monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha(path))
+    out = tmp_path / "out"
+    if command == "lln":
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "kernel": str(table), "t": 1.0, "functionals": [{"type": "leaf"}],
+            "n_ladder": [10, 20], "replicas": [30, 30], "tau_max_leaves": 1}))
+        args = ["lln", str(plan), "--jobs", "1"]
+        inputs = [str(table), str(plan)]
+    else:
+        args = [command, "--kernel", str(table), "--t", "1"]
+        args += ["--n", "8"] if command == "simulate" else []
+        args += ["--max-leaves", "2"] if command == "limit" else []
+        inputs = [str(table)]
+    assert main(args + ["--out", str(out)]) in (0, 1)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["input_hashes"] == {path: sha256(path) for path in inputs}
+    assert sorted(hashed) == sorted(inputs)
+
+
 def test_limit_csv_values(tmp_path):
     import csv
 

@@ -48,7 +48,11 @@ chi-square p-values of ``jump_density_test`` in closed form with ``math``.
 So a fresh ``import coagtree``, a ``simulate`` run, a ``limit`` run, a serial
 ``run_lln`` and ``jump_density_test`` load no scipy module, and no worker
 pool module either: ``run_lln`` imports ``ProcessPoolExecutor`` only when a
-plan asks for more than one job.  ``pyproject.toml`` names numpy as the only
+plan asks for more than one job.  The limit side draws no random number and
+a manifest often hashes no file, so ``import coagtree``, ``solve``, the limit
+functionals and the ``solve`` and ``limit`` commands load neither
+``numpy.random`` nor ``_hashlib``: each loads with its first use, a replica
+stream or an input file.  ``pyproject.toml`` names numpy as the only
 runtime dependency, every third-party module that ``src/`` imports is numpy,
 and the tests import only numpy and the ``test`` extra.
 """
@@ -643,6 +647,54 @@ def test_import_leaves_scipy_out():
     seen = json.loads(done.stdout.splitlines()[-1])
     assert list(seen) == ["import", "simulate", "limit", "run_lln", "jump_density_test"]
     assert all(names == [] for names in seen.values()), seen
+
+
+RNG_AND_HASH_USE = """
+import json, pathlib, sys, tempfile
+import coagtree, coagtree.cli
+from coagtree import cli, limit
+
+
+def loaded():
+    return [m for m in ("numpy.random", "_hashlib") if m in sys.modules]
+
+
+seen = {"import": loaded()}
+with tempfile.TemporaryDirectory() as out:
+    cli.main(["solve", "--t", "1", "--out", out])
+    cli.main(["limit", "--max-leaves", "2", "--t", "1", "--out", out])
+    seen["solve, limit"] = loaded()
+    kernel, mu0 = coagtree.builtin("constant"), coagtree.MassSpectrum.monodisperse()
+    path = coagtree.solve(mu0, kernel, 1.0)
+    leaf = coagtree.ShapeIndicator(coagtree.LEAF)
+    limit.functionals((leaf,), 2, path, mu0, 1.0)
+    limit.pushforward_check(path, mu0, kernel, 1.0, 3)
+    seen["functionals, pushforward_check"] = loaded()
+    spectrum = pathlib.Path(out) / "mu0.csv"
+    spectrum.write_text("1.0,0.5\\n2.0,0.5\\n")
+    cli.main(["limit", "--max-leaves", "2", "--t", "1", "--mu0", str(spectrum),
+              "--out", out])
+    seen["limit --mu0"] = loaded()
+    cli.main(["simulate", "--n", "16", "--t", "1", "--out", out])
+    seen["simulate"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_limit_side_loads_no_rng_or_hash_module():
+    # the limit side draws no random number, so numpy.random (6 MB with the
+    # OpenSSL that its seeding pulls in) waits for the first replica stream,
+    # and hashlib (3.5 MB) for the first input file of a manifest
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", RNG_AND_HASH_USE], env=env, cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "import": [],
+        "solve, limit": [],
+        "functionals, pushforward_check": [],
+        "limit --mu0": ["_hashlib"],
+        "simulate": ["numpy.random", "_hashlib"],
+    }
 
 
 def third_party_imports(paths) -> set:

@@ -261,6 +261,20 @@ def test_jump_density_rejects_large_n():
         jump_density_test(4, (1.0,) * 4, CONSTANT, 1.0)
 
 
+def test_jump_density_refuses_a_mass_count_other_than_n(monkeypatch):
+    # three masses simulated against the two-particle law read as a false
+    # FAIL (chi-square p 1.7e-14), and two masses with n = 3 raised an
+    # IndexError; both are refused before any replica runs
+    def replica(*_):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr("coagtree.lln.simulate", replica)
+    with pytest.raises(ValueError, match=r"n = 2 needs 2 masses, got 3"):
+        jump_density_test(2, (1.0, 1.0, 2.0), CONSTANT, 1.0, replicas=4000, seed=3)
+    with pytest.raises(ValueError, match=r"n = 3 needs 3 masses, got 2"):
+        jump_density_test(3, (1.0, 1.0), CONSTANT, 1.0, replicas=4000, seed=3)
+
+
 def test_finite_n_checks_refuse_fewer_than_two_replicas():
     # zero replicas divided by zero, and one gave a NaN standard error and a
     # failed verdict

@@ -544,6 +544,23 @@ def test_rng_for_refuses_replicas_outside_its_range():
             rng_for(3, replica)
 
 
+def test_rng_for_refuses_arguments_that_are_not_integers():
+    # int() truncated them: rng_for(1.5, 2.7) drew what rng_for(1, 2) draws
+    for name, args in (("seed", (1.5, 2)), ("replica", (1, 2.7)),
+                       ("stream", (1, 2, 3.0)), ("seed", ("1", 2))):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            rng_for(*args)
+    with pytest.raises(TypeError, match="^seed must be an integer"):
+        replica_stream(1.0, 0)
+    with pytest.raises(TypeError, match="^stream must be an integer"):
+        replica_stream(1, 0.5)
+    at = replica_stream(1, 0)
+    with pytest.raises(TypeError, match="^replica must be an integer"):
+        at(2.0)
+    # integers of any integer type still seat the same stream
+    assert rng_for(np.int64(1), np.uint8(2), True).random() == rng_for(1, 2, 1).random()
+
+
 def test_replica_draws_do_not_depend_on_earlier_replicas():
     # bidisperse additive: merged masses raise the majorant constant c, so a
     # run that saw another run's masses would draw differently
