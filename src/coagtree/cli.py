@@ -233,7 +233,9 @@ def cmd_lln(args) -> int:
         raise ConfigError(f'{args.plan}: "kernel" must be a name or a file name, '
                           f"got {kernel_name!r}")
     inputs = [args.plan]
-    kernel = _resolve_kernel(kernel_name, inputs)
+    # a kernel file is named relative to the plan file's own directory
+    kernel = _resolve_kernel(kernel_name if kernel_name in BUILTIN_KERNELS
+                             else str(Path(args.plan).parent / kernel_name), inputs)
 
     def value(key, default, read):
         got = raw.get(key, default)

@@ -15,20 +15,17 @@ node of mass m with children l, r carries
 
     A(u) = exp(-G_m(u)) * int_0^u K(m_l, m_r) A_l(s) A_r(s) exp(G_m(s)) ds,
 
-so the integral over all node times is A_root(t): one cumulative 1-D
-trapezoid per node on the solver's step ends, refined cell by cell and
-Richardson-extrapolated.  :func:`terms` integrates all terms of a functional
-together, one refinement level at a time: a level computes G_m once per mass
-and A_v once per subtree (its leaf masses and time boxes), and every term
-containing that subtree reads it; a term drops out once two successive
-trapezoid values, or from the third level on two successive Richardson
-values, agree (Romberg's rule).  The solver's step ends and the box cuts
-are nodes of every level, so the integrand, read from the steps' dense
-output, is smooth inside each cell and the trapezoid error is a series in
-even powers of the cell width, one term of which each Richardson step
-removes.  A term's error covers this quadrature of the path only, not the
-solver's own error, which its tolerance bounds.  Shapes of a given size
-are built from the same subtrees, so most of the work is shared.
+so the integral over all node times is A_root(t): one cumulative integral
+per node on the solver's step ends and the box cuts.  In each cell between
+them the integrand, read from the steps' dense output, is analytic; it is
+interpolated at p Chebyshev points of the first kind, and the interpolant
+is integrated exactly to each point and to the cell's end.  The value takes
+p = 16, and its error is the gap to p = 12.  :func:`terms` integrates all
+terms of a functional together, one rule at a time: a rule computes G_m
+once per mass and A_v once per subtree (its leaf masses and time boxes),
+and every term containing that subtree reads it, so shapes of a given size
+share most of their work.  A term's error covers this quadrature of the path
+only, not the solver's own error, which its tolerance bounds.
 :func:`functionals` does the same for several functionals at once, and
 integrates a term they share once.  It serves every functional that
 declares, through ``time_boxes(shape, mass)`` with the total leaf mass,
@@ -45,7 +42,10 @@ jump-chain density are test oracles in ``tests/tests_support.py``.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -55,11 +55,6 @@ from .kernels import Kernel
 from .simulate import ConstantOne, time_boxes_of
 from .smoluchowski import MassSpectrum, SolutionPath
 from .trees import TreeShape, preorder, shapes_up_to, symmetry_exponent
-
-# splits of every solver step tried in turn by the recursive evaluator
-REFINEMENTS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
-# relative rounding of a float: the Romberg exit's floor on its test and error
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -77,9 +72,9 @@ class TimeIntegral(NamedTuple):
 
     ``one`` is the same integral with f replaced by 1; each error estimates
     its value's error, absolute, as the quadrature of the path's dense
-    output.  ``converged`` is False when the refinement levels ran out
-    before two successive trapezoid values, or two successive Richardson
-    values above their rounding, agreed within tol / 10.
+    output: the gap between the 16- and 12-point rules, floored at the
+    value's rounding for a term with a merge; a leaf's is 0.  ``converged``
+    is False when an error is above tol / 10.
     """
 
     value: float
@@ -89,27 +84,48 @@ class TimeIntegral(NamedTuple):
     converged: bool = True
 
 
-def _refine(grid: np.ndarray, r: int) -> np.ndarray:
-    """``grid`` with every cell split into ``r`` equal parts."""
-    fine = grid[:-1, None] + np.diff(grid)[:, None] * (np.arange(r) / r)
-    return np.append(fine.ravel(), grid[-1])
+@functools.cache
+def _collocation(p: int) -> tuple:
+    """The p Chebyshev points of the first kind in (-1, 1), ascending, and
+    the (p + 1) x p matrix taking an integrand's values there to the integrals
+    of its interpolant from -1 to each point and to 1: c_k = (2 - [k = 0]) / p
+    * sum_j h_j T_k(x_j) by discrete orthogonality, and T_k integrates to T_1,
+    T_2 / 4, then T_(k+1) / (2(k+1)) - T_(k-1) / (2(k-1)).
+    """
+    # math.cos and the recurrence: numpy's cos pages in 0.5 MB on its first call
+    x = np.array([-math.cos((2 * j + 1) * math.pi / (2 * p)) for j in range(p)])
+    # T_0 .. T_p at the points, at 1 and at -1
+    u = np.append(x, [1.0, -1.0])
+    t = np.empty((p + 2, p + 1))
+    t[:, 0], t[:, 1] = 1.0, u
+    for k in range(1, p):
+        t[:, k + 1] = 2.0 * u * t[:, k] - t[:, k - 1]
+    coef = t[:p, :p].T * (2.0 / p)
+    coef[0] *= 0.5
+    k = np.arange(2, p)
+    anti = np.column_stack((t[:, 1], t[:, 2] / 4,
+                            t[:, k + 1] / (2 * (k + 1)) - t[:, k - 1] / (2 * (k - 1))))
+    return x, (anti[:-1] - anti[-1]) @ coef
 
 
 class _Level:
-    """One refinement level: the grid ``x`` and what terms share on it.
+    """One collocation rule on a batch grid, and what terms share on it.
 
-    Holds exp(-G_m) and exp(G_m) on ``x`` per mass m, and the array A_v of
-    every subtree v with fewer than ``keep_below`` leaves, keyed by its
-    leaf masses and boxes: (left key, right key, box), a leaf's key its mass.
+    ``x`` holds the rule's p points in each cell of ``grid``, cell by cell,
+    then the grid's end.  Holds exp(-G_m) and exp(G_m) on ``x`` per mass m,
+    and the array A_v of every subtree v with fewer than ``keep_below``
+    leaves, keyed by its leaf masses and boxes: (left key, right key, box),
+    a leaf's key its mass.
     """
 
-    def __init__(self, path: SolutionPath, x: np.ndarray, keep_below: int):
-        self.kernel, self.x = path.kernel, x
-        self.dx = np.diff(x)
-        self._exponent = path.cumulative_exponents(x)
-        self.keep_below = keep_below
-        self._exps = {}
-        self._subtrees = {}
+    def __init__(self, path: SolutionPath, grid: np.ndarray, p: int, keep_below: int):
+        points, self.matrix = _collocation(p)
+        self.kernel, self.grid, self.p = path.kernel, grid, p
+        self.half = 0.5 * np.diff(grid)
+        inner = grid[:-1, None] + self.half[:, None] * (1.0 + points)
+        self.x = np.append(inner.ravel(), grid[-1])
+        self._exponent = path.cumulative_exponents(self.x)
+        self.keep_below, self._exps, self._subtrees = keep_below, {}, {}
 
     def _exp(self, m: float) -> tuple:
         e = self._exps.get(m)
@@ -119,12 +135,11 @@ class _Level:
         return e
 
     def integral(self, shape: TreeShape, masses, boxes) -> float:
-        """A_root(x[-1]) by cumulative trapezoids on ``x``.
+        """A_root(x[-1]), each node's integral cumulated cell by cell.
 
         An internal node's integrand counts only on the cells inside its
         (lo, hi) box; ``boxes`` lists them in pre-order, or is None for none.
         """
-        x, dx = self.x, self.dx
         leaf_masses = iter(masses)
         node_boxes = iter(boxes) if boxes is not None else itertools.repeat(None)
         nodes = [(s, next(leaf_masses) if s.is_leaf else next(node_boxes))
@@ -140,12 +155,14 @@ class _Level:
             a = self._subtrees.get(key)
             if a is None:
                 exp_neg, exp_pos = self._exp(m)
-                h = self.kernel.evaluate(ml, mr) * al * ar * exp_pos
-                cells = 0.5 * dx * (h[:-1] + h[1:])
+                h = self.kernel.evaluate(ml, mr) * al[:-1] * ar[:-1] * exp_pos[:-1]
+                # per cell: the integral to each of its points, then to its end
+                cells = (h.reshape(-1, self.p) @ self.matrix.T) * self.half[:, None]
                 if item is not None:
                     lo, hi = item
-                    cells = np.where((x[:-1] >= lo) & (x[1:] <= hi), cells, 0.0)
-                a = exp_neg * np.concatenate(([0.0], np.cumsum(cells)))
+                    cells[(self.grid[:-1] < lo) | (self.grid[1:] > hi)] = 0.0
+                ends = np.concatenate(([0.0], np.cumsum(cells[:, -1])))
+                a = exp_neg * np.append((ends[:-1, None] + cells[:, :-1]).ravel(), ends[-1])
                 if s.n_leaves < self.keep_below:
                     self._subtrees[key] = a
             done.append((key, m, a))
@@ -165,20 +182,12 @@ def _time_integrals(fs: tuple, items: list, path: SolutionPath, t: float,
     Each group is integrated once, and every f reads it times its own c, so
     several functionals share their common terms float for float.  Groups
     with the same cuts form a batch on the solver's step ends cut at ``t``
-    and at those endpoints.  Every cell is split into r = 1, 2, 4, ...
-    parts, one level at a time for the whole batch, so its groups share G_m
-    and subtree arrays; K is ``path.kernel``.  At level 2r a group has the
-    trapezoid values T_r, T_2r and their Richardson value R(2r) = T_2r +
-    (T_2r - T_r) / 3, and it drops out by the first exit that every column
-    (the f == 1 integral, and the boxed one) passes:
-
-    - |T_2r - T_r| <= tol / 10: R(2r), with error |T_2r - T_r| / 3;
-    - from the third level on, max(|R(2r) - R(r)|, eps * |R(2r)|) <= tol / 10:
-      R(2r) + (R(2r) - R(r)) / 15, with error the larger of |R(2r) - R(r)| / 15
-      and eps * |R(2r)|, the value's rounding; so a tol below that rounding
-      is not reported as met;
-    - ``REFINEMENTS`` runs out: R(2r), with error |T_2r - T_r| / 3, not
-      converged.
+    and at those endpoints, evaluated on the 16-point rule and then on the
+    12-point one, each a :class:`_Level` whose groups share G_m and subtree
+    arrays; K is ``path.kernel``.  A group's error per column (the f == 1
+    integral, and the boxed one) is the gap between the rules, floored for a
+    shape with a merge at eps times the value, so a tol below the value's
+    rounding is not reported as met; a leaf's is 0, as both read exp(-G_m(t)).
 
     A ``tol`` that is not positive (NaN, 0 or negative) raises ``ValueError``
     before anything is integrated.
@@ -207,36 +216,18 @@ def _time_integrals(fs: tuple, items: list, path: SolutionPath, t: float,
             row.append((c, group))
         reads.append(row)
     done = {}  # group -> its TimeIntegral with c = 1
-    for cuts, pending in batches.items():
+    for cuts, batch in batches.items():
         grid = np.unique(np.concatenate([path.ends[path.ends < t], [t], cuts]))
-        keep_below = max(shape.n_leaves for shape, _, _ in pending.values())
-        prev = {}  # group -> (T_r, R(r)) of its last level; R(r) None at r = 1
-        for r in REFINEMENTS:
-            if not pending:
-                break
-            level = _Level(path, _refine(grid, r), keep_below)
-            for group, (shape, masses, box_sets) in list(pending.items()):
-                cur = np.array([level.integral(shape, masses, b) for b in box_sets])
-                if group not in prev:
-                    prev[group] = (cur, None)
-                    continue
-                last, last_rich = prev[group]
-                step = cur - last
-                rich = cur + step / 3.0
-                converged = bool((np.abs(step) <= 0.1 * tol).all())
-                est, err = rich, np.abs(step) / 3.0
-                if not converged and last_rich is not None:
-                    jump = rich - last_rich
-                    floor = _EPS * np.abs(rich)
-                    if (np.maximum(np.abs(jump), floor) <= 0.1 * tol).all():
-                        converged = True
-                        est, err = rich + jump / 15.0, np.maximum(np.abs(jump) / 15.0, floor)
-                if converged or r == REFINEMENTS[-1]:
-                    done[group] = TimeIntegral(float(est[-1]), float(err[-1]),
-                                               float(est[0]), float(err[0]), converged)
-                    del pending[group]
-                else:
-                    prev[group] = (cur, rich)
+        keep_below = max(shape.n_leaves for shape, _, _ in batch.values())
+        # group -> its columns on the 16-point rule, then on the 12-point one
+        value, check = ({group: np.array([level.integral(shape, masses, b) for b in box_sets])
+                         for group, (shape, masses, box_sets) in batch.items()}
+                        for level in (_Level(path, grid, p, keep_below) for p in (16, 12)))
+        for group, (shape, _, _) in batch.items():
+            est, floor = value[group], 0.0 if shape.is_leaf else np.finfo(float).eps
+            err = np.maximum(np.abs(est - check[group]), floor * np.abs(est))
+            done[group] = TimeIntegral(float(est[-1]), float(err[-1]), float(est[0]),
+                                       float(err[0]), bool((err <= 0.1 * tol).all()))
     empty = TimeIntegral(0.0, 0.0, 0.0, 0.0)
 
     def scaled(c: float, group: tuple) -> TimeIntegral:
@@ -253,13 +244,17 @@ def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
 
     This is the labeled-tree transition functional at fixed leaf masses; no
     symmetry factor and no initial-measure weights are applied.  Returns a
-    :class:`TimeIntegral`, whose errors are aimed at tol / 10.
+    :class:`TimeIntegral`; it is ``converged`` when its errors are at most
+    tol / 10.  A number of ``masses`` other than the shape's leaf count
+    raises ``ValueError``.
 
     ``f.time_boxes(shape, sum(masses))`` gives f on this shape as a constant
     times time-box indicators, and the recursive evaluator integrates it; an
     f without ``time_boxes`` raises ``TypeError``.  This is a one-term call
     of the evaluator behind :func:`terms`.
     """
+    if len(masses) != shape.n_leaves:
+        raise ValueError(f"{len(masses)} masses for a shape of {shape.n_leaves} leaves")
     ((integral,),), _ = _time_integrals((f,), [(shape, masses)], path, t, tol)
     return integral
 
@@ -293,7 +288,7 @@ def terms(f: Callable, tau_max_leaves: int, path: SolutionPath,
     canonical shape and ordered assignment of mu0's atoms to its leaves,
     where coefficient = 2^(-q(shape)) * (product of the atoms' weights).
     Assignments of zero weight are skipped.  All terms are integrated
-    together, one refinement level at a time, so they share subtrees.
+    together, one rule at a time, so they share subtrees.
 
     ``kernel`` and ``mu0`` stay only for the benchmark's positional calls and
     must be the path's: ``path.kernel``, and the spectrum whose weights, at
@@ -375,8 +370,11 @@ def pushforward_check(path: SolutionPath, mu0: MassSpectrum, kernel: Kernel,
     integer units of the solver's mass quantum, and compares with the solved
     weight at that lattice point (0 off the lattice).  The terms are
     integrated at their default tol, 1e-8.  ``mu0`` and ``kernel`` must be
-    the path's, as in :func:`terms`, or ``ValueError`` is raised.
+    the path's, as in :func:`terms`, and ``n_max`` an integer of at least 1,
+    or ``ValueError`` is raised.
     """
+    if not isinstance(n_max, numbers.Integral) or n_max < 1:
+        raise ValueError(f"n_max must be an integer of at least 1, got {n_max!r}")
     unit = {m: path.unit_of(m) for m in mu0.masses}
     sums: dict[int, float] = {}
     for _, masses, coef, integral in terms(

@@ -171,6 +171,22 @@ def test_manifest_hashes_the_kernel_table_once(tmp_path, monkeypatch, command):
     assert sorted(hashed) == sorted(inputs)
 
 
+def test_a_plan_names_its_kernel_table_relative_to_itself(tmp_path, monkeypatch):
+    # the file name was read against the working directory, so the plan ran
+    # only from its own directory
+    plandir = tmp_path / "plandir"
+    plandir.mkdir()
+    (plandir / "k.csv").write_text("x,y,value\n1,1,1\n1,2,1\n2,2,1\n")
+    (plandir / "plan.json").write_text(json.dumps({
+        "kernel": "k.csv", "t": 1.0, "functionals": [{"type": "leaf"}],
+        "n_ladder": [10, 20], "replicas": [30, 30], "tau_max_leaves": 1}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["lln", "plandir/plan.json", "--jobs", "1", "--out", "out"]) in (0, 1)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["input_hashes"] == {path: sha256(path)
+                                        for path in ("plandir/k.csv", "plandir/plan.json")}
+
+
 def test_limit_csv_values(tmp_path):
     import csv
 

@@ -656,7 +656,7 @@ from coagtree import cli, limit
 
 
 def loaded():
-    return [m for m in ("numpy.random", "_hashlib") if m in sys.modules]
+    return [m for m in ("numpy.random", "_hashlib", "numpy.polynomial") if m in sys.modules]
 
 
 seen = {"import": loaded()}
@@ -684,7 +684,8 @@ print(json.dumps(seen))
 def test_limit_side_loads_no_rng_or_hash_module():
     # the limit side draws no random number, so numpy.random (6 MB with the
     # OpenSSL that its seeding pulls in) waits for the first replica stream,
-    # and hashlib (3.5 MB) for the first input file of a manifest
+    # and hashlib (3.5 MB) for the first input file of a manifest; the limit
+    # evaluator builds its Chebyshev rules without numpy.polynomial (0.77 MB)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", RNG_AND_HASH_USE], env=env, cwd=ROOT,
                           capture_output=True, text=True, check=True)

@@ -467,11 +467,14 @@ def test_functionals_refuse_a_mu0_that_is_not_the_paths(path):
 # moved by at most 9.2e-16, tail bounds 1.3e-15, errors to their rounding
 # floor), and again when the path's dense output replaced its linear
 # interpolation between 2001 grid times (the cherry's values moved from
-# 6.0e-9 below their closed form 0.125 to 5.0e-11 / 5.9e-11 above it)
+# 6.0e-9 below their closed form 0.125 to 5.0e-11 / 5.9e-11 above it), and
+# again when Chebyshev collocation replaced the refinement ladder (values
+# moved by at most 5.9e-16, tail bounds 1.9e-14, errors from ~3e-12 to the
+# values' rounding)
 LIMIT_WORKLOAD_GOLDEN = {
-    "mono_tau4": ('0x1.00000001b7ffdp-3', '0x1.a83d777777777p-39', '0x1.0000002732c18p-5'),
-    "bi_tau3": ('0x1.0000000203e5ep-3', '0x1.0a10333333333p-38', '0x1.0000001bf60a8p-4'),
-    "additive_box_tau3": ('0x1.cb85978c61f17p-6', '0x1.9bd7844444444p-40', '0x1.2d65297ffccb4p-4'),
+    "mono_tau4": ('0x1.00000001b7ff2p-3', '0x1.00000001b7ff2p-55', '0x1.0000002733420p-5'),
+    "bi_tau3": ('0x1.0000000203e49p-3', '0x1.0000000203e49p-55', '0x1.0000001bf65f8p-4'),
+    "additive_box_tau3": ('0x1.cb85978c61f05p-6', '0x1.cb85978c61f05p-58', '0x1.2d65297ffccbcp-4'),
 }
 
 
@@ -498,22 +501,22 @@ def test_pushforward_rows_keep_their_floats():
     mono = pushforward_check(solve(MONO, CONSTANT, 2.0, tol=1e-8), MONO, CONSTANT, 2.0, 4)
     assert [tuple(x.hex() for x in row) for row in mono.rows] == list((
         ('0x1.0000000000000p+0', '0x1.000000014c52fp-2', '0x1.00000022fa64dp-2'),
-        ('0x1.0000000000000p+1', '0x1.00000001b7ffdp-3', '0x1.ffffff291b990p-4'),
-        ('0x1.8000000000000p+1', '0x1.0000000223ed1p-4', '0x1.0000006cc00f2p-4'),
-        ('0x1.0000000000000p+2', '0x1.000000028f51bp-5', '0x1.0000002c96814p-5'),
+        ('0x1.0000000000000p+1', '0x1.00000001b7ff2p-3', '0x1.ffffff291b990p-4'),
+        ('0x1.8000000000000p+1', '0x1.0000000223ab4p-4', '0x1.0000006cc00f2p-4'),
+        ('0x1.0000000000000p+2', '0x1.000000028f577p-5', '0x1.0000002c96814p-5'),
     ))
-    assert mono.max_discrepancy.hex() == '0x1.b4a8cd4000000p-29'
+    assert mono.max_discrepancy.hex() == '0x1.b4a8ca8000000p-29'
     bi = pushforward_check(solve(BIDISPERSE, CONSTANT, 2.0, tol=1e-8), BIDISPERSE,
                            CONSTANT, 2.0, 3)
     assert [tuple(x.hex() for x in row) for row in bi.rows] == list((
         ('0x1.0000000000000p+0', '0x1.00000001746b6p-3', '0x1.0000002d4776dp-3'),
-        ('0x1.0000000000000p+1', '0x1.40000001f564ep-3', '0x1.400000098b5d0p-3'),
-        ('0x1.8000000000000p+1', '0x1.20000002565bfp-4', '0x1.1fffff84c7274p-4'),
-        ('0x1.0000000000000p+2', '0x1.c0000003f2aa1p-5', '0x1.cfffffe972a55p-5'),
-        ('0x1.4000000000000p+2', '0x1.80000003dd888p-6', '0x1.0400007da43dcp-5'),
-        ('0x1.8000000000000p+2', '0x1.0000000293b05p-7', '0x1.6a00005d0103ap-6'),
+        ('0x1.0000000000000p+1', '0x1.40000001f5648p-3', '0x1.400000098b5d0p-3'),
+        ('0x1.8000000000000p+1', '0x1.2000000256504p-4', '0x1.1fffff84c7274p-4'),
+        ('0x1.0000000000000p+2', '0x1.c0000003f26acp-5', '0x1.cfffffe972a55p-5'),
+        ('0x1.4000000000000p+2', '0x1.80000003dd0c7p-6', '0x1.0400007da43dcp-5'),
+        ('0x1.8000000000000p+2', '0x1.00000002935dap-7', '0x1.6a00005d0103ap-6'),
     ))
-    assert bi.max_discrepancy.hex() == '0x1.d40000b76e56fp-7'
+    assert bi.max_discrepancy.hex() == '0x1.d40000b76ea9ap-7'
 
 
 def test_a_kernel_or_mu0_that_is_not_the_paths_is_refused(path):
@@ -615,40 +618,75 @@ def test_mono_limit_cells_converge_at_every_tol(kernel_name, t):
 
 @pytest.mark.parametrize("case", ("mono_tau4", "bi_tau3", "additive_box_tau3",
                                   "pushforward", "lln-plan"))
-def test_workload_terms_stop_at_four_splits_per_solver_cell(monkeypatch, case):
+def test_workload_batches_build_the_16_and_12_point_levels(monkeypatch, case):
     # the benchmark's limit functionals, its pushforward check and the lln
-    # plan's functionals call: two agreeing Richardson values stop a term one
-    # level before two agreeing trapezoids would, so no level is finer than
-    # 16 splits per solver step, 337 points on the 21-step path at tol 1e-8
-    # (the name is from the 2001-point time grid the path once kept, where
-    # the same stop came at 4 splits per grid cell)
+    # plan's functionals call: each batch of terms, one per set of box cuts,
+    # is evaluated once on the 16-point rule and then once on the 12-point
+    # one, on the same grid; no level is built again
     additive = builtin("additive")
     mono = solve(MONO, CONSTANT, 2.0, tol=1e-8)
     cherry = ShapeIndicator(CHERRY)
-    call = {
-        "mono_tau4": lambda: functional(cherry, 4, mono, CONSTANT, MONO, 2.0),
-        "bi_tau3": lambda: functional(cherry, 3, solve(BIDISPERSE, CONSTANT, 2.0, tol=1e-8),
-                                      CONSTANT, BIDISPERSE, 2.0),
-        "additive_box_tau3": lambda: functional(
+    call, batches = {
+        "mono_tau4": (lambda: functional(cherry, 4, mono, CONSTANT, MONO, 2.0), 1),
+        "bi_tau3": (lambda: functional(cherry, 3, solve(BIDISPERSE, CONSTANT, 2.0, tol=1e-8),
+                                       CONSTANT, BIDISPERSE, 2.0), 1),
+        "additive_box_tau3": (lambda: functional(
             ShapeTimeBoxIndicator(CHERRY, ((0.2, 0.6),)), 3,
-            solve(MONO, additive, 1.0, tol=1e-8), additive, MONO, 1.0),
-        "pushforward": lambda: pushforward_check(mono, MONO, CONSTANT, 2.0, 4),
-        "lln-plan": lambda: functionals(
+            solve(MONO, additive, 1.0, tol=1e-8), additive, MONO, 1.0), 2),
+        "pushforward": (lambda: pushforward_check(mono, MONO, CONSTANT, 2.0, 4), 1),
+        "lln-plan": (lambda: functionals(
             (ShapeIndicator(LEAF), cherry, ShapeTimeBoxIndicator(CHERRY, ((0.5, 1.5),))),
-            2, mono, MONO, 2.0, tol=1e-8),
+            2, mono, MONO, 2.0, tol=1e-8), 2),
     }[case]
-    splits = []
+    built = []
 
     class CountedLevel(limit._Level):
-        def __init__(self, path, x, keep_below):
-            # no cut falls inside the first solver step, so the points of x
-            # before path.ends[1] are that step's splits
-            splits.append(int(np.searchsorted(x, path.ends[1])))
-            super().__init__(path, x, keep_below)
+        def __init__(self, path, grid, p, keep_below):
+            super().__init__(path, grid, p, keep_below)
+            built.append((tuple(grid), p, len(self.x)))
 
     monkeypatch.setattr(limit, "_Level", CountedLevel)
     call()
-    assert splits and max(splits) <= 16, splits
+    assert [p for _, p, _ in built] == [16, 12] * batches
+    grids = [grid for grid, _, _ in built]
+    assert grids[::2] == grids[1::2] and len(set(grids)) == batches
+    # p points in each cell between the grid's times, and the end t
+    assert all(n == p * (len(grid) - 1) + 1 for grid, p, n in built)
+
+
+# two coarse paths on which the refinement ladder's 512 splits per solver
+# step left 3 and 31 cells unconverged at tol 1e-12
+COARSE_CASES = {
+    # name: (kernel, mu0, t, the path's solve tol)
+    "constant-mono": ("constant", MONO, 2.0, 1e-3),
+    "inverse-sum": ("inverse-sum", MassSpectrum((1.0, 2.0), (0.7, 0.3)), 5.0, 1e-4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COARSE_CASES))
+def test_terms_converge_on_a_coarse_path(case):
+    name, mu0, t, solve_tol = COARSE_CASES[case]
+    kernel = builtin(name)
+    path = solve(mu0, kernel, t, tol=solve_tol)
+    cells = list(terms(ConstantOne(), 6, path, kernel, mu0, t, tol=1e-12))
+    assert [(shape.serial, masses) for shape, masses, _, integral in cells
+            if not integral.converged] == []
+    assert max(integral.one_error for *_, integral in cells) <= 1e-13
+
+
+def test_time_integral_refuses_a_mass_count_other_than_the_leaf_count(path):
+    # three masses once integrated the (1, 1) cherry, while a mass cutoff
+    # read the third; one mass escaped as a bare StopIteration
+    for masses in ((1.0, 1.0, 7.0), (1.0,)):
+        with pytest.raises(ValueError, match=f"{len(masses)} masses .* 2 leaves"):
+            time_integral(CHERRY, masses, path, 2.0, MassCutoff(2.5))
+
+
+@pytest.mark.parametrize("n_max", (0, -3, 2.5, None))
+def test_pushforward_check_refuses_an_n_max_below_one(path, n_max):
+    # n_max 0 or -3 compared no mass and passed with a discrepancy of 0.0
+    with pytest.raises(ValueError, match="n_max"):
+        pushforward_check(path, MONO, CONSTANT, 2.0, n_max)
 
 
 @pytest.mark.parametrize("tol", (math.nan, 0.0, -1.0))
