@@ -7,7 +7,7 @@ mean-field spectrum.
 """
 
 import coagtree as ct
-from coagtree.limit import time_integral
+from coagtree.limit import functionals, time_integral
 from coagtree.trees import LEAF, shape_node
 
 
@@ -26,9 +26,10 @@ def main():
         print(f"cherry term, {name}: {term.value:.10f} (error {term.error:.1e})")
     print("expected: 0.25 and 1/7 = 0.1428571429 (constant-kernel closed forms)\n")
 
-    for name, shape in (("leaf", LEAF), ("cherry", cherry),
-                        ("three-chain", shape_node(LEAF, cherry))):
-        res = ct.functional(ct.ShapeIndicator(shape), 3, path, kernel, mu0, t)
+    # one integration for the three functionals; K and mu0 are the path's
+    names = ("leaf", "cherry", "three-chain")
+    fs = tuple(ct.ShapeIndicator(s) for s in (LEAF, cherry, shape_node(LEAF, cherry)))
+    for name, res in zip(names, functionals(fs, 3, path, t)):
         print(f"<{name} indicator, mu~_t> = {res.value:.8f} "
               f"(quadrature error {res.error:.1e}, tail {res.tail_bound:.4f})")
     print("expected: 0.25, 0.125, 0.0625 (constant-kernel closed forms)")

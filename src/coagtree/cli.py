@@ -195,8 +195,7 @@ def cmd_limit(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["shape_serial", "mass_assignment", "value", "error"])
         for shape, masses, coef, integral in limit_measure.terms(
-                ConstantOne(), args.max_leaves, path, kernel, mu0, args.t,
-                tol=args.tol):
+                ConstantOne(), args.max_leaves, path, args.t, tol=args.tol):
             writer.writerow([
                 shape.serial, ";".join(repr(m) for m in masses),
                 repr(coef * integral.value), repr(coef * integral.error)])

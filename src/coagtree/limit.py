@@ -33,10 +33,11 @@ that it is a constant times per-node time-box indicators on each shape:
 the built-in functionals of :mod:`coagtree.simulate`.  Any other f is
 refused with ``TypeError``.
 
-The evaluator takes K from the solution path, ``path.kernel``, and
-:func:`terms` refuses a ``kernel`` or ``mu0`` that is not the path's.  The
-density at one tree in its product and recursive forms, the nested
-Gauss-Legendre quadrature that checks the evaluator, and the finite-N
+The evaluator takes K and mu0 from the solution path: ``path.kernel``, and
+the nonzero ``path.y_old[0]`` at ``path.masses``.  Only :func:`functional`
+and :func:`pushforward_check` take a ``kernel`` and ``mu0``, and refuse any
+but the path's.  The density at one tree in its product and recursive
+forms, the nested Gauss-Legendre quadrature that checks the evaluator, and the finite-N
 jump-chain density are test oracles in ``tests/tests_support.py``.
 """
 
@@ -259,53 +260,51 @@ def time_integral(shape: TreeShape, masses, path: SolutionPath, t: float,
     return integral
 
 
-def _listed_terms(tau_max_leaves: int, path: SolutionPath, mu0: MassSpectrum) -> list:
-    """``(shape, masses, coefficient)`` of every term to ``tau_max_leaves``
-    leaves, as :func:`terms` yields them; ``ValueError`` when ``mu0`` is not
-    the path's."""
+def _check_mu0(path: SolutionPath, mu0: MassSpectrum) -> None:
+    """``ValueError`` when ``mu0`` is not the initial measure ``path`` was
+    solved from: its weights, at their lattice points, are the path's at 0."""
     given = {path.unit_of(m): w for m, w in zip(mu0.masses, mu0.weights) if w}
     if given != {u: w for u, w in zip(path.units.tolist(), path.y_old[0].tolist()) if w}:
         raise ValueError("mu0 is not the initial measure the path was solved from")
-    atoms = list(zip(mu0.masses, mu0.weights))
+
+
+def _listed_terms(tau_max_leaves: int, path: SolutionPath) -> list:
+    """``(shape, masses, coefficient)`` of every term to ``tau_max_leaves``
+    leaves, as :func:`terms` yields them: the atoms are the path's own, its
+    nonzero weights at time 0 on its lattice floats."""
+    atoms = [(m, w) for m, w in zip(path.masses.tolist(), path.y_old[0].tolist()) if w]
     listed = []
     for shape in shapes_up_to(tau_max_leaves):
         sym = 2.0 ** (-symmetry_exponent(shape))
         for combo in itertools.product(atoms, repeat=shape.n_leaves):
             masses = tuple(m for m, _ in combo)
-            weight = 1.0
-            for _, w in combo:
-                weight *= w
+            weight = math.prod(w for _, w in combo)
             if weight > 0:
                 listed.append((shape, masses, sym * weight))
     return listed
 
 
-def terms(f: Callable, tau_max_leaves: int, path: SolutionPath,
-          kernel: Kernel, mu0: MassSpectrum, t: float, tol: float = 1e-8):
+def terms(f: Callable, tau_max_leaves: int, path: SolutionPath, t: float,
+          tol: float = 1e-8):
     """The terms of <f, mu~_t> over shapes with at most ``tau_max_leaves`` leaves.
 
     Yields ``(shape, masses, coefficient, time_integral(...))`` for every
-    canonical shape and ordered assignment of mu0's atoms to its leaves,
-    where coefficient = 2^(-q(shape)) * (product of the atoms' weights).
-    Assignments of zero weight are skipped.  All terms are integrated
-    together, one rule at a time, so they share subtrees.
-
-    ``kernel`` and ``mu0`` stay only for the benchmark's positional calls and
-    must be the path's: ``path.kernel``, and the spectrum whose weights, at
-    their lattice points, are the path's at time 0.  Others raise
-    ``ValueError`` when the first term is asked for.
+    canonical shape and ordered assignment of the path's initial atoms to
+    its leaves, where coefficient = 2^(-q(shape)) * (product of the atoms'
+    weights).  The atoms are the nonzero ``path.y_old[0]`` at ``path.masses``,
+    so every leaf mass is a lattice float the solve stepped, and K is
+    ``path.kernel``.  All terms are integrated together, one rule at a time,
+    so they share subtrees.
     """
-    if kernel != path.kernel:
-        raise ValueError(f"kernel {kernel.name!r} is not the path's {path.kernel.name!r}")
-    listed = _listed_terms(tau_max_leaves, path, mu0)
+    listed = _listed_terms(tau_max_leaves, path)
     (integrals,), _ = _time_integrals(
         (f,), [(shape, masses) for shape, masses, _ in listed], path, t, tol)
     for (shape, masses, coef), integral in zip(listed, integrals):
         yield shape, masses, coef, integral
 
 
-def functionals(fs: tuple, tau_max_leaves: int, path: SolutionPath,
-                mu0: MassSpectrum, t: float, tol: float = 1e-8) -> tuple:
+def functionals(fs: tuple, tau_max_leaves: int, path: SolutionPath, t: float,
+                tol: float = 1e-8) -> tuple:
     """<f, mu~_t> for every f in ``fs``, each supported on shapes with at
     most ``tau_max_leaves`` leaves: one :class:`LimitFunctionalResult` per f.
 
@@ -313,23 +312,20 @@ def functionals(fs: tuple, tau_max_leaves: int, path: SolutionPath,
     that several functionals share, as the same group of shape, leaf masses
     and time boxes, is integrated once; each result is float for float what
     :func:`functional` gives for its f alone.  Each sums its f's terms in
-    :func:`terms` order.  The tail bound is the mu~_t-mass of trees outside
-    the enumerated shapes, computed from the f == 1 integrals against the
-    solved total cluster density.  ``unconverged`` counts the terms whose
-    time integrals did not converge, ``terms`` the terms summed and
-    ``integrals`` the distinct time integrals of the whole call.  K is the
-    path's; ``mu0`` must be the path's, as in :func:`terms`, or
-    ``ValueError`` is raised.
+    :func:`terms` order, over the path's initial atoms with K the path's.
+    The tail bound is the mu~_t-mass of trees outside the enumerated shapes,
+    computed from the f == 1 integrals against the solved total cluster
+    density.  ``unconverged`` counts the terms whose time integrals did not
+    converge, ``terms`` the terms summed and ``integrals`` the distinct time
+    integrals of the whole call.
     """
-    listed = _listed_terms(tau_max_leaves, path, mu0)
+    listed = _listed_terms(tau_max_leaves, path)
     per_f, n_integrals = _time_integrals(
         fs, [(shape, masses) for shape, masses, _ in listed], path, t, tol)
     total = path.moment(0.0, t)
     results = []
     for integrals in per_f:
-        value = 0.0
-        error = 0.0
-        captured = 0.0
+        value = error = captured = 0.0
         unconverged = 0
         for (_, _, coef), integral in zip(listed, integrals):
             value += coef * integral.value
@@ -348,11 +344,14 @@ def functional(f: Callable, tau_max_leaves: int, path: SolutionPath,
     """<f, mu~_t> for f supported on shapes with at most ``tau_max_leaves`` leaves.
 
     The one-element case of :func:`functionals`.  ``kernel`` and ``mu0``
-    must be the path's, as in :func:`terms`, or ``ValueError`` is raised.
+    stay for the benchmark's positional calls and must be the path's:
+    ``path.kernel``, and the spectrum whose weights at their lattice points
+    are ``path.y_old[0]``.  Others raise ``ValueError``.
     """
     if kernel != path.kernel:
         raise ValueError(f"kernel {kernel.name!r} is not the path's {path.kernel.name!r}")
-    return functionals((f,), tau_max_leaves, path, mu0, t, tol)[0]
+    _check_mu0(path, mu0)
+    return functionals((f,), tau_max_leaves, path, t, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -366,28 +365,23 @@ def pushforward_check(path: SolutionPath, mu0: MassSpectrum, kernel: Kernel,
     """Compare the mass pushforward of mu~_t against mu_t for small masses.
 
     For each total mass reachable with at most ``n_max`` atoms, sums the
-    limit-measure weight of the :func:`terms` of that mass, keyed by its
-    integer units of the solver's mass quantum, and compares with the solved
+    limit-measure weight of the :func:`terms` of that mass, keyed by the
+    lattice units of the path's own ``masses``, and compares with the solved
     weight at that lattice point (0 off the lattice).  The terms are
     integrated at their default tol, 1e-8.  ``mu0`` and ``kernel`` must be
-    the path's, as in :func:`terms`, and ``n_max`` an integer of at least 1,
-    or ``ValueError`` is raised.
+    the path's, as in :func:`functional`, and ``n_max`` an integer of at
+    least 1, or ``ValueError`` is raised.
     """
     if not isinstance(n_max, numbers.Integral) or n_max < 1:
         raise ValueError(f"n_max must be an integer of at least 1, got {n_max!r}")
-    unit = {m: path.unit_of(m) for m in mu0.masses}
+    if kernel != path.kernel:
+        raise ValueError(f"kernel {kernel.name!r} is not the path's {path.kernel.name!r}")
+    _check_mu0(path, mu0)
+    unit = dict(zip(path.masses.tolist(), path.units.tolist()))
     sums: dict[int, float] = {}
-    for _, masses, coef, integral in terms(
-            ConstantOne(), n_max, path, kernel, mu0, t):
+    for _, masses, coef, integral in terms(ConstantOne(), n_max, path, t):
         key = sum(unit[m] for m in masses)
         sums[key] = sums.get(key, 0.0) + coef * integral.one
-    weights = path.weights_at(t)
-    rows = []
-    worst = 0.0
-    for u in sorted(sums):
-        k = int(np.searchsorted(path.units, u))
-        on_lattice = k < len(path.units) and path.units[k] == u
-        solver_w = float(weights[k]) if on_lattice else 0.0
-        rows.append((float(u * path.quantum), sums[u], solver_w))
-        worst = max(worst, abs(sums[u] - solver_w))
-    return PushforwardReport(tuple(rows), worst)
+    solved = dict(zip(path.units.tolist(), path.weights_at(t).tolist()))
+    rows = tuple((float(u * path.quantum), sums[u], solved.get(u, 0.0)) for u in sorted(sums))
+    return PushforwardReport(rows, max([0.0] + [abs(lim - sol) for _, lim, sol in rows]))

@@ -48,34 +48,37 @@ class ExperimentPlan:
     solver_tol: ClassVar[float] = 1e-8
 
     def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        # the field names in quotes, as a plan file's keys; a bool is an
+        # Integral too, but True is no count, seed or number of a plan
+        def integer(x) -> bool:
+            return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+        if not integer(self.jobs) or self.jobs < 1:
+            raise ValueError(f'"jobs" must be an integer of at least 1, got {self.jobs!r}')
         if len(self.replicas) != len(self.n_ladder):
             raise ValueError("need one replica count per ladder size")
         if len(self.n_ladder) < 2:
             raise ValueError("ladder needs at least two sizes")
-        if not all(isinstance(r, numbers.Integral) for r in self.replicas):
+        if not all(integer(r) for r in self.replicas):
             raise ValueError(f'"replicas" needs integer counts, got {self.replicas!r}')
         if any(r < 30 for r in self.replicas):
             raise ValueError("need at least 30 replicas per size for CLT intervals")
-        # the field names in quotes, as a plan file's keys
-        if not 0 < self.t < math.inf:
+        if isinstance(self.t, bool) or not 0 < self.t < math.inf:
             raise ValueError(f'"t" must be positive and finite, got {self.t!r}')
         sizes = self.n_ladder
-        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in sizes) \
-                or len(set(sizes)) < len(sizes):
+        if not all(integer(n) and n >= 1 for n in sizes) or len(set(sizes)) < len(sizes):
             raise ValueError(f'"n_ladder" needs distinct positive integer sizes, got {sizes!r}')
         names = [name for name, _ in self.functionals]
         if not names or len(set(names)) < len(names):
             raise ValueError(f'"functionals" needs one or more distinct names, got {names!r}')
         if not sum(self.mu0.weights) > 0:
             raise ValueError(f'"mu0" needs a positive total weight, got {self.mu0.weights!r}')
-        if not isinstance(self.tau_max_leaves, numbers.Integral) or self.tau_max_leaves < 1:
+        if not integer(self.tau_max_leaves) or self.tau_max_leaves < 1:
             raise ValueError('"tau_max_leaves" must be an integer of at least 1, got '
                              f"{self.tau_max_leaves!r}")
-        if not self.quad_tol > 0:
+        if isinstance(self.quad_tol, bool) or not self.quad_tol > 0:
             raise ValueError(f'"quad_tol" must be positive, got {self.quad_tol!r}')
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not integer(self.seed) or self.seed < 0:
             raise ValueError(f'"seed" must be a nonnegative integer, got {self.seed!r}')
         check_gelation(self.kernel, self.mu0.masses, self.mu0.weights, self.t)
 
@@ -204,7 +207,7 @@ def run_lln(plan: ExperimentPlan) -> ConvergenceReport:
     path = solve(plan.mu0, plan.kernel, plan.t, tol=plan.solver_tol)
     solved = time.perf_counter()
     names, fs = zip(*plan.functionals)
-    results = limit_measure.functionals(fs, plan.tau_max_leaves, path, plan.mu0, plan.t,
+    results = limit_measure.functionals(fs, plan.tau_max_leaves, path, plan.t,
                                         tol=plan.quad_tol)
     limits = dict(zip(names, results))
     tails = {name: res.tail_bound for name, res in limits.items()}

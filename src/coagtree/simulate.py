@@ -669,6 +669,10 @@ class MassCutoff:
 
     M: float
 
+    def __post_init__(self):
+        if math.isnan(self.M):  # NaN fails both comparisons below: f read NaN on every tree
+            raise ValueError(f"mass cutoff M must not be NaN, got {self.M!r}")
+
     def time_boxes(self, shape: TreeShape, mass: float) -> tuple:
         if mass <= self.M:
             return 1.0, None

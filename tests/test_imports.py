@@ -178,7 +178,7 @@ def test_only_the_public_limit_calls_take_a_kernel():
             for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
                 if arg.arg == "kernel":
                     taking[node.name] = arg.annotation and ast.unparse(arg.annotation)
-    assert taking == dict.fromkeys(("terms", "functional", "pushforward_check"), "Kernel")
+    assert taking == dict.fromkeys(("functional", "pushforward_check"), "Kernel")
 
 
 ORACLE_SAMPLERS = {"simulate_coupled", "simulate_direct", "construction_agreement_test"}
@@ -667,7 +667,7 @@ with tempfile.TemporaryDirectory() as out:
     kernel, mu0 = coagtree.builtin("constant"), coagtree.MassSpectrum.monodisperse()
     path = coagtree.solve(mu0, kernel, 1.0)
     leaf = coagtree.ShapeIndicator(coagtree.LEAF)
-    limit.functionals((leaf,), 2, path, mu0, 1.0)
+    limit.functionals((leaf,), 2, path, 1.0)
     limit.pushforward_check(path, mu0, kernel, 1.0, 3)
     seen["functionals, pushforward_check"] = loaded()
     spectrum = pathlib.Path(out) / "mu0.csv"

@@ -74,6 +74,20 @@ def test_plan_refuses_repeated_names_and_fractional_integers():
         ExperimentPlan(CONSTANT, MONO, 1.0, (leaf,), n_ladder=(20, 60), replicas=(30.5, 40))
 
 
+def test_plan_refuses_booleans_for_numbers_and_a_fractional_job_count():
+    # each once ran as 1, and jobs=1.5 failed only in run_lln, after the
+    # solve and the limit integration, with a TypeError
+    leaf = ("leaf", ShapeIndicator(LEAF))
+    ladder = dict(n_ladder=(20, 60), replicas=(40, 30))
+    for key, value in (("t", True), ("quad_tol", True), ("seed", True),
+                       ("tau_max_leaves", True), ("n_ladder", (True, 5)),
+                       ("replicas", (True, 40)), ("jobs", True), ("jobs", 1.5)):
+        fields = dict(kernel=CONSTANT, mu0=MONO, t=1.0, functionals=(leaf,), **ladder)
+        fields[key] = value
+        with pytest.raises(ValueError, match=f'"{key}"'):
+            ExperimentPlan(**fields)
+
+
 def test_plan_refuses_fewer_than_one_job():
     f = (("leaf", ShapeIndicator(LEAF)),)
     for jobs in (0, -3):
