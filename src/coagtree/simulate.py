@@ -16,7 +16,10 @@ three numbers only, so replicas give the same results in any order and in
 any worker process.  ``rng_for`` is one seating of ``replica_stream(seed,
 stream)``, which gives the streams replica after replica from one Philox.
 ``numpy.random`` loads with the first stream, so the limit side, which
-draws nothing, never imports it.
+draws nothing, never imports it.  A run reads the stream's ``rng.random``
+doubles in order, a block per Generator call: its k-th draw is the k-th
+double whatever the block size, and the unread rest of its last block
+stays inside its own replica stream.
 
 A run's ``EventLog`` holds its merges as plain ``(time, left, right)`` rows,
 left < right, in time order.  Merge k creates node N + k, so node ids are
@@ -224,9 +227,17 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
     c is the running maximum of K(x, y) / (phi(x) phi(y)) over the pairs of
     masses seen so far, updated when a mass first appears, so the ratio is
     at most 1; a ratio above 1 (a kernel that disagrees with its own earlier
-    values) raises ``ValueError``.  The acceptance uniform is drawn only when
+    values) raises ``ValueError``.  The acceptance uniform is read only when
     the ratio is below 1.  With the constant kernel every proposal is
-    accepted, and each event draws one exponential and two uniforms.
+    accepted, and each event reads three uniforms.
+
+    Every uniform is the next double of ``rng.random``, read from a block
+    that one ``rng.random(k)`` call fills, with k = min(max(16, 4N), 256);
+    when fewer than 4 (the most a proposal reads) are left unread, they go
+    before a new block.  The waiting time is Exp(1) as -log1p(-U), at most
+    53 ln 2.  So the k-th uniform a run reads is the k-th double of
+    ``rng.random`` whatever the block size, and a scalar view that draws
+    one double per uniform reproduces the run bit for bit.
 
     A run has two phases.  It starts in the uniform phase when N <= 2^14,
     every initial mass has the same phi = w, w is an integer and
@@ -255,7 +266,7 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
     """
     kernel = cfg.kernel
     evaluate = kernel.evaluate
-    exponential, uniform = rng.standard_exponential, rng.random
+    log1p = math.log1p
     n0 = cfg.n
     size = 2 * n0 - 1  # one slot per node id; merged clusters get new ids
     state, seen, mass, start_phi, start_tree, s1, w = cfg._sampler_start
@@ -268,6 +279,11 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
         steps = _descent_steps(size)
     rate_scale = 2.0 * cfg.n_eff
     horizon = cfg.horizon
+    # the uniforms, read in order from blocks of rng.random; buf[pos] is the
+    # next one, and a proposal reads at most 4.  Past 256 a larger block
+    # saves under 5 ns a draw, and holds more memory and more unread draws
+    block = min(max(16, 4 * n0), 256)
+    buf, pos, end = [], 0, -4
 
     times, lefts, rights = [], [], []
     proposals = 0
@@ -278,11 +294,16 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
         total = scale * s1
         if not total > 0.0:
             break
-        t += exponential() * rate_scale / total
+        if pos > end:  # fewer than 4 unread: they go before a new block
+            buf = buf[pos:] + rng.random(block).tolist()
+            pos, end = 0, len(buf) - 4
+        # Exp(1) as -log1p(-U), U < 1
+        t += -log1p(-buf[pos]) * rate_scale / total
         if t > horizon:
             break
         proposals += 1
-        target = uniform() * total
+        target = buf[pos + 1] * total
+        pos += 2
         if live is not None:
             # the first p live ids sum to p w exactly, as in the Fenwick tree,
             # so i is live[p] for the largest p with p w scale <= target, and
@@ -298,7 +319,8 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
             pi = pj = w
             rest_i = rest_j = s1 - w
             # q w is an integer below 2^52, so // gives that q exactly
-            q = int(uniform() * rest_i // w)
+            q = int(buf[pos] * rest_i // w)
+            pos += 1
             if q >= p:  # skip i's position
                 q += 1
             j = live[q]
@@ -319,7 +341,8 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
             rest_i = s1 - pi
             # j: the same descent with slot i counted as empty, its phi taken
             # off every node that covers it
-            target = uniform() * rest_i
+            target = buf[pos] * rest_i
+            pos += 1
             j, acc = 0, 0.0
             for step in steps:
                 k = j + step
@@ -335,7 +358,9 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
         num = 2.0 * evaluate(mass[i], mass[j]) * rest_i * rest_j
         den = scale * pi * pj * (rest_i + rest_j)
         if num < den:
-            if uniform() * den >= num:
+            u = buf[pos]
+            pos += 1
+            if u * den >= num:
                 continue
         elif not num <= den * (1.0 + RATIO_ROUNDING):
             raise ValueError(
@@ -501,12 +526,16 @@ class EmpiricalHistoricalMeasure:
     @functools.cached_property
     def _cells(self) -> tuple:
         """The distinct (shape id, mass) cells of the live atoms, in order of
-        first appearance, and each live atom's index among them."""
+        first appearance, each live atom's index among them, and each
+        cell's atom positions (indices into ``atoms``), ascending."""
         index = {}
         atoms = self.atoms
         cells = zip(map(self.shape.__getitem__, atoms), map(self.mass.__getitem__, atoms))
         cell_of = [index.setdefault(cell, len(index)) for cell in cells]
-        return tuple(index), cell_of
+        members = [[] for _ in index]
+        for pos, k in enumerate(cell_of):
+            members[k].append(pos)
+        return tuple(index), cell_of, members
 
     def preorder_times(self, node: int) -> list:
         """Merge times under ``node`` in pre-order, the child with fewer
@@ -572,23 +601,21 @@ def evaluate_functional(m: EmpiricalHistoricalMeasure, f: Callable) -> float:
     """<f, mu~_t^N> = (1/N) sum over atoms of f.
 
     ``f.time_boxes(shape, mass)`` is called once per distinct (shape id,
-    mass) cell of the live atoms, and only the atoms whose cell has time
-    boxes and c != 0 read their merge times; no tree is built.  The values
-    are summed with ``sum`` in live-id order.  An f without ``time_boxes``
-    raises ``TypeError``.
+    mass) cell of the live atoms, and only the atoms of the cells with time
+    boxes and c != 0 are visited, to read their merge times; no tree is
+    built.  The values are summed with ``sum`` in live-id order.  An f
+    without ``time_boxes`` raises ``TypeError``.
     """
     form = time_boxes_of(f)
-    cells, cell_of = m._cells
-    shapes, atoms = m.shapes, m.atoms
+    cells, cell_of, members = m._cells
+    shapes, atoms, preorder_times = m.shapes, m.atoms, m.preorder_times
     forms = [form(shapes[s], x) for s, x in cells]
     values = list(map([c for c, _ in forms].__getitem__, cell_of))
-    boxed = {k: boxes for k, (c, boxes) in enumerate(forms)
-             if boxes is not None and c != 0.0}
-    if boxed:
-        for pos, k in enumerate(cell_of):
-            boxes = boxed.get(k)
-            if boxes is not None and not _in_boxes(boxes, m.preorder_times(atoms[pos])):
-                values[pos] = 0.0
+    for k, (c, boxes) in enumerate(forms):
+        if boxes is not None and c != 0.0:
+            for pos in members[k]:
+                if not _in_boxes(boxes, preorder_times(atoms[pos])):
+                    values[pos] = 0.0
     return m.weight * sum(values)
 
 

@@ -43,16 +43,16 @@ def test_cli_outputs_are_pinned(tmp_path):
     assert main(["simulate", "--kernel", "constant", "--n", "10000", "--t", "2",
                  "--seed", "1", "--out", str(out)]) == 0
     assert sha256(out / "trees.txt") == \
-        "33bfc9ff81e8b12a4b66b8ac51fabd76f895b39d99cb0cae544cc7b7e0cc24c3"
+        "66d07e4076a28b8151e85f21838de5dddeb940c339be1f4df307256695ad529e"
     assert sha256(out / "events.csv") == \
-        "b710fa12001ce8c2d948288eef045d32f6c36cdbe8384b58f2f21c9ada410e6c"
+        "a7099f69d5fc3c63abe16d31f736df3057d0e0263dadb89ba67c592420b4a5ed"
     out = tmp_path / "gal"
     assert main(["gallery", "--seed", "1010", "--out", str(out)]) == 0
     assert {name: sha256(out / f"gallery-{name}.txt")
             for name in ("constant", "inverse-sum", "product")} == {
-        "constant": "03f7c74fb1e4a2ebf5c7f4cf92de63063f53caef6799aa23d0b4bf63d9b32888",
-        "inverse-sum": "fa21fa38302442fe36779c41beae60f71bca46a8b328855ca569552c9b89bd35",
-        "product": "5f85f0c9a0572c4f1d8342c47b7c69e91514fcf64d900301f608fd224b2c8ac5",
+        "constant": "8be2fe4e880ed09db6aa4c6f3eb51227bf735e7519efa743ff29b3182d541ab9",
+        "inverse-sum": "8c07fc8643cd9b49076dae8f61a98ce48bd7c33c4338ec709434e10c2319b815",
+        "product": "2e14eceee276414d4ae9566b4d1aaed517033ede86c0601e018e75ca2ecd378d",
     }
 
 

@@ -27,6 +27,7 @@ from coagtree.simulate import (
 )
 from coagtree.trees import LEAF, preorder, shape_node, shapes_with_leaves
 from tests_support import (
+    ScalarView,
     _shape_weight,
     hist_leaf,
     hist_node,
@@ -106,13 +107,49 @@ def event_keys(log):
     (2, 400, None), (3, 400, None), (6, 200, None), (6, 200, 7),
     (100, 20, None), (100, 20, 150), (1000, 3, None)])
 def test_constant_kernel_matches_the_reference_sampler(n, replicas, rate_n):
-    # thinning with K = 1 accepts every proposal and draws what the O(#clusters)
-    # jump chain drew, so the two logs agree bit for bit
+    # thinning with K = 1 accepts every proposal and reads the doubles that
+    # the O(#clusters) jump chain draws one at a time through the scalar
+    # view, so the two logs agree bit for bit
     cfg = SimConfig.monodisperse(n, CONSTANT, 3.0, rate_n=rate_n)
     for r in range(replicas):
         log = simulate(cfg, rng_for(14, r))
-        assert event_keys(log) == event_keys(reference_simulate_direct(cfg, rng_for(14, r)))
+        want = reference_simulate_direct(cfg, ScalarView(rng_for(14, r)))
+        assert event_keys(log) == event_keys(want)
         assert log.proposals == len(log.events)
+
+
+class _CountingDraws:
+    """A generator that counts what ``simulate`` asks of it: the size of
+    each ``random(k)`` block, and the name of every other call."""
+
+    def __init__(self, rng):
+        self.rng, self.blocks, self.other = rng, [], []
+
+    def random(self, size=None):
+        if size is None:
+            self.other.append("random()")
+        else:
+            self.blocks.append(size)
+        return self.rng.random(size)
+
+    def __getattr__(self, name):
+        self.other.append(name)
+        return getattr(self.rng, name)
+
+
+def test_the_sampler_reads_its_uniforms_in_blocks():
+    # a scalar Generator call costs about as much as 20 doubles of a block:
+    # no draw may fall back to standard_exponential() or a scalar random(),
+    # and a proposal reads at most 4 doubles, so the blocks cover them
+    cfg = SimConfig.monodisperse(1000, CONSTANT, 2.0)
+    draws = _CountingDraws(rng_for(30))
+    log = simulate(cfg, draws)
+    assert draws.other == []
+    assert log.events == simulate(cfg, rng_for(30)).events
+    assert log.proposals > 400
+    block = draws.blocks[0]
+    assert set(draws.blocks) == {block}
+    assert len(draws.blocks) <= math.ceil(4 * log.proposals / block) + 1
 
 
 def counting(kernel):
@@ -176,7 +213,7 @@ def test_sampler_matches_the_reference_thinning_sampler(case, tmp_path):
     merged = 0
     for r in range(60):
         log = simulate(cfg, rng_for(18, r))
-        want = reference_thinning_sampler(ref, rng_for(18, r))
+        want = reference_thinning_sampler(ref, ScalarView(rng_for(18, r)))
         assert event_keys(log) == event_keys(want), r
         assert log.proposals == want.proposals, r
         assert all(type(row) is tuple and len(row) == 3 for row in log.events)
@@ -204,28 +241,46 @@ class _BoundaryDraws:
     whose majorant c never moves, with every proposal accepted.  Each first
     uniform puts the target on a rank boundary p w scale of the live-id
     search, or one float below it, and each second uniform does the same
-    for q w; an acceptance uniform is 0."""
+    for q w; an acceptance uniform is 0.
+
+    The reference sampler asks for each draw by its role, and gets it from
+    ``standard_exponential()`` (the exponential, -log1p(-U) of a recorded U)
+    and ``random()`` (the first target, the second target, then any
+    acceptance uniform).  Every double handed out is recorded, and
+    ``random(k)`` gives ``simulate`` the next k in stream order, 0.5 past
+    the last: so ``simulate`` reads each proposal's draws in their roles
+    too, whether or not a proposal reads an acceptance uniform."""
 
     def __init__(self, n: int, w: float, c: float):
         self.n, self.w, self.c = n, w, c
         self.proposals, self.draws = 0, 0
+        self.stream, self.read = [], 0
 
     def standard_exponential(self) -> float:
         self.proposals += 1
         self.draws = 0
-        return 1e-3
+        u = -math.expm1(-1e-3)
+        self.stream.append(u)
+        return -math.log1p(-u)
 
-    def random(self) -> float:
+    def random(self, size=None):
+        if size is not None:
+            block = self.stream[self.read:self.read + size]
+            self.read += size
+            return np.array(block + [0.5] * (size - len(block)))
         self.draws += 1
         k, w = self.proposals, self.w
         live = self.n - (k - 1)
         s1 = w * live
         if self.draws == 1:
             scale = self.c * (s1 - w)
-            return _largest_draw((7 * k) % live * w * scale, scale * s1, k % 2 == 0)
-        if self.draws == 2:
-            return _largest_draw((5 * k) % (live - 1) * w, s1 - w, k % 4 < 2)
-        return 0.0
+            u = _largest_draw((7 * k) % live * w * scale, scale * s1, k % 2 == 0)
+        elif self.draws == 2:
+            u = _largest_draw((5 * k) % (live - 1) * w, s1 - w, k % 4 < 2)
+        else:
+            u = 0.0
+        self.stream.append(u)
+        return u
 
 
 def _phi_three(x):
@@ -240,8 +295,9 @@ def test_rank_search_matches_the_fenwick_descent_on_boundaries(kernel, w, c):
     # live-id search must land where the Fenwick descent does
     n = 300
     cfg = SimConfig((1.0,) * n, kernel, 10.0)
-    log = simulate(cfg, _BoundaryDraws(n, w, c))
-    want = reference_thinning_sampler(cfg, _BoundaryDraws(n, w, c))
+    draws = _BoundaryDraws(n, w, c)
+    want = reference_thinning_sampler(cfg, draws)
+    log = simulate(cfg, draws)
     assert len(log.events) == log.proposals == n - 1
     assert event_keys(log) == event_keys(want)
     assert log.proposals == want.proposals

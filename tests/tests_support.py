@@ -9,12 +9,13 @@ with its own canonical text (the package keeps a history as leaf masses
 plus merge rows), with a measure's atom built as one, the lifetime
 intervals of its sub-clusters, its kernel product and the limit density at
 it in product and recursive form; the built-in functionals' values read
-from a tree alone; nested Gauss-Legendre quadrature over node times; the coupled exponential-clock
-construction and its agreement test with the sampler; the reference
-jump-chain and thinning samplers, replica streams, history building,
-history text writer and scanner, mass lattice, pair index and mean-field
-solve; the sub-clusters of a tree alive at a time and their interaction
-rates; the distinct labelings of a shape; the finite-N jump-chain
+from a tree alone; nested Gauss-Legendre quadrature over node times; the
+coupled exponential-clock construction and its agreement test with the
+sampler; the reference jump-chain and thinning samplers and the scalar
+view of a generator that they draw through; replica streams, history
+building, history text writer and scanner, mass lattice, pair index and
+mean-field solve; the sub-clusters of a tree alive at a time and their
+interaction rates; the distinct labelings of a shape; the finite-N jump-chain
 density; and the closed-form limit cells of the constant and additive
 kernels from a mono start.
 
@@ -24,8 +25,8 @@ live here rather than in ``src/`` (``test_imports.py`` keeps it so).
 
 import csv
 import functools
+import heapq
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -289,6 +290,23 @@ def reference_rng_for(seed, replica=0, stream=0):
     """The replica stream that ``rng_for`` replaced: a fresh key, then jumped."""
     key = SeedSequence((int(seed), int(stream))).generate_state(2)
     return Generator(Philox(key=int(key[0]) << 64 | int(key[1])).jumped(replica))
+
+
+class ScalarView:
+    """A generator read one double at a time, in the order ``simulate``
+    reads the doubles of its ``rng.random`` blocks: ``random()`` is the next
+    ``rng.random()``, and ``standard_exponential()`` is -log1p(-U) of the
+    next one.  The reference samplers draw through it, so they read the
+    same doubles as ``simulate`` and give its floats."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self) -> float:
+        return self.rng.random()
+
+    def standard_exponential(self) -> float:
+        return -math.log1p(-self.rng.random())
 
 
 def reference_atoms(log, t):
@@ -568,6 +586,8 @@ def reference_simulate_direct(cfg, rng):
     Maintains per-cluster rate sums R_i = sum_{j != i} K(m_i, m_j); total
     event rate is sum_i R_i / (2N).  The first cluster of a merging pair is
     drawn proportionally to R_i, the partner proportionally to K(m_i, m_j).
+    Given a ``ScalarView`` of the generator ``simulate`` gets, it draws the
+    doubles ``simulate`` reads.
     """
     kernel = cfg.kernel
     n0 = cfg.n
@@ -622,6 +642,10 @@ def simulate_coupled(cfg, rng):
     tree's canonical label key.  Clocks are drawn lazily: the initial pairs,
     then at each merge the new cluster's pairs, each batch in sorted key
     order, so only trees reachable from the realized trajectory get a clock.
+    A batch's exponentials come from one ``standard_exponential(k)`` call,
+    which gives the doubles of k scalar calls.  N / K is evaluated once per
+    ordered pair of masses a run meets, and the clocks wait in a heap, from
+    which the pairs of merged clusters are dropped when they reach its top.
     """
     if cfg.n > 12:
         raise ConfigError("coupled construction is limited to N <= 12")
@@ -632,7 +656,8 @@ def simulate_coupled(cfg, rng):
     live = {i: (str(i), 0.0, float(m)) for i, m in enumerate(cfg.masses)}
     ids = list(live)
     new = [(a, b) for x, a in enumerate(ids) for b in ids[x + 1:]]
-    clocks = {}  # (node id, node id), smaller first -> (S, pair key), live pairs only
+    scales = {}  # (mass, mass) -> N / K
+    clocks = []  # heap of (S, pair key, node id, node id), smaller id first
     events = []
     next_id = cfg.n
     while new:
@@ -640,16 +665,19 @@ def simulate_coupled(cfg, rng):
         for a, b in new:
             ka, kb = live[a][0], live[b][0]
             keyed.append(("{%s,%s}" % ((ka, kb) if ka < kb else (kb, ka)), a, b))
-        for key, a, b in sorted(keyed):
+        keyed.sort()
+        for (key, a, b), u in zip(keyed, rng.standard_exponential(len(keyed)).tolist()):
             (_, sa, ma), (_, sb, mb) = live[a], live[b]
-            rate = evaluate(ma, mb)
-            clocks[a, b] = (max(sa, sb) + (rate_n / float(rate)) * rng.standard_exponential(),
-                            key)
-        (a, b), (s, key) = min(clocks.items(), key=operator.itemgetter(1))
+            scale = scales.get((ma, mb))
+            if scale is None:
+                scale = scales[ma, mb] = rate_n / float(evaluate(ma, mb))
+            heapq.heappush(clocks, (max(sa, sb) + scale * u, key, a, b))
+        while clocks[0][2] not in live or clocks[0][3] not in live:
+            heapq.heappop(clocks)
+        s, key, a, b = heapq.heappop(clocks)
         if s > cfg.horizon:
             break
         events.append((s, a, b))
-        clocks = {pair: c for pair, c in clocks.items() if a not in pair and b not in pair}
         mass = live.pop(a)[2] + live.pop(b)[2]
         new = [(i, next_id) for i in live]
         live[next_id] = (key, s, mass)
@@ -746,7 +774,8 @@ def reference_thinning_sampler(cfg, rng):
     memoised per config and its Fenwick helpers inlined: each run builds its
     own ``_Majorant`` from scratch, paying one kernel row per mass it meets,
     and descends and updates the tree through ``_fenwick_find`` and
-    ``_fenwick_add``.  Same law, same draws, same floats.
+    ``_fenwick_add``.  Same law, same floats, and, through a ``ScalarView``
+    of ``simulate``'s generator, the same draws.
     """
     evaluate = cfg.kernel.evaluate
     n0 = cfg.n
