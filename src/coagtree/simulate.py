@@ -2,11 +2,11 @@
 
 ``simulate(cfg, rng)`` samples the process (pairwise merge rate K(x, y)/N)
 by majorant thinning: pairs proposed in proportion to phi(x) phi(y) and
-accepted with probability K / majorant.  While every live phi is the same
-(in runs of up to 2^14 particles), a proposal picks two live ids by their
-rank in a sorted list; from the first merge that makes a different phi on,
-it descends a Fenwick tree, O(log N) work per proposal.  Its initial state
-is built once per ``SimConfig``, and so is every majorant state a run
+accepted with probability K / majorant.  The live clusters are grouped
+by phi value, one class per phi met, each a list of live ids; a proposal
+bisects the classes' prefix sums of count x phi and then divides inside
+the class, and a merge swap-removes its two ids.  Its initial state is
+built once per ``SimConfig``, and so is every majorant state a run
 reaches: each ``SimConfig`` keeps them in a trie keyed by the masses in the
 order met.
 
@@ -37,6 +37,7 @@ import functools
 import itertools
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -129,30 +130,26 @@ class SimConfig:
 
     @functools.cached_property
     def _sampler_start(self) -> tuple:
-        """``simulate``'s initial state: the majorant state over the
-        initial masses (a node of this config's majorant trie), phi by mass,
-        per-slot mass and phi, their Fenwick tree, phi's sum, and w: the one
-        phi of every initial mass when the run may start in the uniform
-        phase, else None.  A uniform-phase start has no phi list or tree
-        (None) and sum w N.  Built once; runs copy the dict and the lists,
-        and share the trie."""
+        """``simulate``'s initial state: the majorant state over the initial
+        masses (a node of this config's majorant trie), the phi class of
+        each mass met and of each phi value, and per class, in first-met
+        order, its phi, its live ids (ascending) and the prefix sums of
+        count x phi; then the mass of each node id, 0 past the leaves.
+        Built once; runs copy the dicts and lists, and share the trie."""
         state = _MajorantState()
-        seen = {}
-        n0 = self.n
-        mass = [float(x) for x in self.masses] + [0.0] * (n0 - 1)
-        for x in mass[:n0]:
-            if x not in seen:
+        seen, by_phi, phis, members = {}, {}, [], []
+        mass = [float(x) for x in self.masses]
+        for i, x in enumerate(mass):
+            k = seen.get(x)
+            if k is None:
                 state = state.step(self.kernel, x)
-                seen[x] = state.phi
-        # an integer w with w (2N - 1) < 2^52 makes every sum of live phi exact
-        w = state.phi_floor
-        exact = w.is_integer() and w * (2 * n0 - 1) < 2.0 ** 52
-        if exact and n0 <= _RANK_SEARCH_MAX_N and w == max(seen.values()):
-            # a uniform-phase run reads no phi list or tree before its
-            # handover, which builds its own
-            return state, seen, mass, None, None, w * n0, w
-        phi = [seen[x] for x in mass[:n0]] + [0.0] * (n0 - 1)
-        return state, seen, mass, phi, _fenwick(phi), math.fsum(phi), None
+                k = seen[x] = by_phi.setdefault(state.phi, len(phis))
+                if k == len(phis):
+                    phis.append(state.phi)
+                    members.append([])
+            members[k].append(i)
+        cum = list(itertools.accumulate(map(operator.mul, map(len, members), phis)))
+        return state, seen, by_phi, phis, members, cum, mass + [0.0] * (self.n - 1)
 
     @functools.cached_property
     def _shape_table(self) -> tuple:
@@ -203,11 +200,6 @@ class EventLog:
 # not a kernel above its majorant
 RATIO_ROUNDING = 1e-12
 
-# runs of more particles start on the Fenwick tree: each merge in the uniform
-# phase deletes two ids from a list of up to N, which moves O(N) memory and
-# from about 4e4 ids costs more than the two descents it saves
-_RANK_SEARCH_MAX_N = 1 << 14
-
 
 def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
     """Thinning sampler.
@@ -239,44 +231,41 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
     ``rng.random`` whatever the block size, and a scalar view that draws
     one double per uniform reproduces the run bit for bit.
 
-    A run has two phases.  It starts in the uniform phase when N <= 2^14,
-    every initial mass has the same phi = w, w is an integer and
-    w (2N - 1) < 2^52.  Every sum of live phi is then an exact integer, so
-    the first p live ids sum to p w, and i and j are found by rank in the
-    ascending list of live ids, each rank by one division (i's then
-    corrected to the rank that the Fenwick descent's rounding gives).  A
-    merge deletes its two ids from the list and appends the new one.  At
-    the first merge that makes a mass with a different phi, the run hands
-    over to the Fenwick phase: a Fenwick tree over phi, one slot per node
-    id, built from the live ids, each with phi w.  Every later
-    proposal descends that tree, O(log N) work each.  Both phases pick the
-    same i and j from the same draws, so where a run hands over changes
-    none of its rows or proposals.  The phase follows N and the phi values
-    met, not the kernel's name.
+    The proposal reads only phi, so the live clusters are grouped by phi
+    value: one class per distinct phi met, in first-met order, each with
+    its live ids in a list.  cum[k] is the prefix sum of count x phi over
+    classes 0..k, and S1 = cum[-1].  i's class is the first k with cum[k] >
+    U S1, and its position in the class (target - cum[k - 1]) / phi_k,
+    rounded down.  j is picked the same way from U' (S1 - phi_i), with phi_i
+    taken off i's class and off every class after it, and i's position
+    skipped inside i's class.  A position that rounding carries past its
+    class's length is a rejection; a target never passes the last class,
+    since U < 1 and fl(U s) < s for s > 0.  A merge swap-removes i and j
+    from their lists (the larger position first in a shared class), appends
+    the new id to its class and recomputes cum from the lowest class
+    touched.  With one phi for every mass (the constant and inverse-sum
+    kernels) there is one class; that refresh is the one cost that grows
+    with the class count, so a run that meets thousands of distinct phi
+    values pays up to thousands of steps per merge.
 
-    The state at time 0 (the majorant over the initial masses, S1 and w,
-    and phi and the Fenwick tree for a run that starts on the tree) is built
-    once per ``cfg``.  Each run works on
-    its own copy of the masses, and of phi and the tree from its handover
-    on.  The majorant state (c and phi_floor) after each sequence of masses
-    met is memoised per ``cfg``: a trie keyed by the masses in the order
-    met, whose nodes are built from the same kernel row as when each run
-    built its own.  So a run never sees masses that another run created, and
-    draws what it would have drawn alone.
+    The state at time 0 (the majorant over the initial masses and the
+    classes) is built once per ``cfg``.  Each run works on its own copy of
+    the classes and the masses.  The majorant state (c and phi_floor) after
+    each sequence of masses met is memoised per ``cfg``: a trie keyed by
+    the masses in the order met, whose nodes are built from the same kernel
+    row as when each run built its own.  So a run never sees masses that
+    another run created, and draws what it would have drawn alone.
     """
     kernel = cfg.kernel
     evaluate = kernel.evaluate
     log1p = math.log1p
     n0 = cfg.n
-    size = 2 * n0 - 1  # one slot per node id; merged clusters get new ids
-    state, seen, mass, start_phi, start_tree, s1, w = cfg._sampler_start
-    seen, mass = seen.copy(), mass.copy()
+    size = 2 * n0 - 1  # merged clusters get new ids, up to size - 1
+    state, seen, by_phi, phis, members, cum, mass = cfg._sampler_start
+    seen, by_phi, phis, cum = seen.copy(), by_phi.copy(), phis.copy(), cum.copy()
+    members, mass = [ids.copy() for ids in members], mass.copy()
+    classes = len(phis)
     c, phi_floor = state.c, state.phi_floor
-    # uniform phase: the live ids in ascending order, while every phi is w
-    live = list(range(n0)) if w is not None else None
-    if live is None:
-        phi, tree = start_phi.copy(), start_tree.copy()
-        steps = _descent_steps(size)
     rate_scale = 2.0 * cfg.n_eff
     horizon = cfg.horizon
     # the uniforms, read in order from blocks of rng.random; buf[pos] is the
@@ -290,6 +279,7 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
     t = 0.0
     next_id = n0
     while next_id < size:  # two or more clusters alive
+        s1 = cum[-1]
         scale = c * (s1 - phi_floor)
         total = scale * s1
         if not total > 0.0:
@@ -302,60 +292,40 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
         if t > horizon:
             break
         proposals += 1
-        target = buf[pos + 1] * total
+        # i: position p of class ci, the first class whose prefix sum
+        # exceeds the target (some class does: the target is below s1)
+        target = buf[pos + 1] * s1
         pos += 2
-        if live is not None:
-            # the first p live ids sum to p w exactly, as in the Fenwick tree,
-            # so i is live[p] for the largest p with p w scale <= target, and
-            # j the q-th live id other than i for the largest q with q w <=
-            # the second target.  U < 1 keeps both inside ``live``, so no
-            # proposal here lands past the end or on a dead slot
-            p = int(target / (w * scale))
-            while p * w * scale > target:
-                p -= 1
-            while (p + 1) * w * scale <= target:
-                p += 1
-            i = live[p]
-            pi = pj = w
-            rest_i = rest_j = s1 - w
-            # q w is an integer below 2^52, so // gives that q exactly
-            q = int(buf[pos] * rest_i // w)
-            pos += 1
-            if q >= p:  # skip i's position
-                q += 1
-            j = live[q]
-        else:
-            # i: the first slot whose prefix sum of phi, times scale, exceeds
-            # the target, by descending the 1-based Fenwick tree (slot k at
-            # k + 1); a draw that rounding carries onto a dead slot is a
-            # rejection
-            i, acc = 0, 0.0
-            for step in steps:
-                k = i + step
-                s = acc + tree[k]
-                if s * scale <= target:
-                    i, acc = k, s
-            if i == size or phi[i] == 0.0:
-                continue
-            pi = phi[i]
-            rest_i = s1 - pi
-            # j: the same descent with slot i counted as empty, its phi taken
-            # off every node that covers it
-            target = buf[pos] * rest_i
-            pos += 1
-            j, acc = 0, 0.0
-            for step in steps:
-                k = j + step
-                s = acc + tree[k]
-                if j <= i < k:
-                    s -= pi
-                if s <= target:
-                    j, acc = k, s
-            if j == size or j == i or phi[j] == 0.0:
-                continue
-            pj = phi[j]
-            rest_j = s1 - pj
-        num = 2.0 * evaluate(mass[i], mass[j]) * rest_i * rest_j
+        ci = 0 if target < cum[0] else bisect_right(cum, target)
+        below = cum[ci - 1] if ci else 0.0
+        pi = phis[ci]
+        ids = members[ci]
+        p = int((target - below) / pi)
+        if p >= len(ids):
+            continue
+        rest_i = s1 - pi
+        # j: the same with phi_i off cum[ci:] and position p skipped
+        target = buf[pos] * rest_i
+        pos += 1
+        if target < below:  # a class below i's
+            cj = bisect_right(cum, target, 0, ci)
+            base = cum[cj - 1] if cj else 0.0
+        elif cum[ci] - pi > target:  # i's class
+            cj, base = ci, below
+        else:  # a class above i's
+            cj = bisect_right(cum, target, ci + 1, key=lambda s: s - pi)
+            base = cum[cj - 1] - pi
+        pj = phis[cj]
+        ids_j = members[cj]
+        q = int((target - base) / pj)
+        if cj == ci and q >= p:
+            q += 1
+        if q >= len(ids_j):
+            continue
+        i, j = ids[p], ids_j[q]
+        mi, mj = mass[i], mass[j]
+        rest_j = s1 - pj
+        num = 2.0 * evaluate(mi, mj) * rest_i * rest_j
         den = scale * pi * pj * (rest_i + rest_j)
         if num < den:
             u = buf[pos]
@@ -364,46 +334,39 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
                 continue
         elif not num <= den * (1.0 + RATIO_ROUNDING):
             raise ValueError(
-                f"kernel {cfg.kernel.name!r} at masses ({mass[i]!r}, {mass[j]!r}) "
+                f"kernel {cfg.kernel.name!r} at masses ({mi!r}, {mj!r}) "
                 f"is above the thinning majorant: acceptance ratio {num / den!r}")
 
-        x = mass[i] + mass[j]
-        px = seen.get(x)
-        if px is None:  # a mass new to this run moves the majorant
+        x = mi + mj
+        cx = seen.get(x)
+        if cx is None:  # a mass new to this run moves the majorant
             state = state.step(kernel, x)
-            px = seen[x] = state.phi
             c, phi_floor = state.c, state.phi_floor
-        if live is not None:
-            if px == w:  # the larger position goes first
-                if p < q:
-                    del live[q], live[p]
-                else:
-                    del live[p], live[q]
-                live.append(next_id)
-            else:
-                # hand over to a Fenwick tree over the live ids, each with
-                # phi w (its sums are exact integers, as in the uniform phase)
-                phi = [0.0] * size
-                for k in live:
-                    phi[k] = w
-                tree, live = _fenwick(phi), None
-                steps = _descent_steps(size)
-        if live is None:
-            # Fenwick updates: slots i and j empty, slot next_id gets px
-            k = i + 1
-            while k <= size:
-                tree[k] -= pi
-                k += k & -k
-            k = j + 1
-            while k <= size:
-                tree[k] -= pj
-                k += k & -k
-            k = next_id + 1
-            while k <= size:
-                tree[k] += px
-                k += k & -k
-            phi[i] = phi[j] = 0.0
-            phi[next_id] = px
+            cx = by_phi.get(state.phi)
+            if cx is None:
+                cx = by_phi[state.phi] = classes
+                phis.append(state.phi)
+                members.append([])
+                cum.append(0.0)
+                classes += 1
+            seen[x] = cx
+        # swap-remove i and j, in a shared class the larger position first
+        if cj == ci and p < q:
+            p, q = q, p
+        ids[p] = ids[-1]
+        ids.pop()
+        ids_j[q] = ids_j[-1]
+        ids_j.pop()
+        members[cx].append(next_id)
+        # cum again from the lowest class touched
+        lo = ci if ci < cj else cj
+        if cx < lo:
+            lo = cx
+        acc = cum[lo - 1] if lo else 0.0
+        while lo < classes:
+            acc += len(members[lo]) * phis[lo]
+            cum[lo] = acc
+            lo += 1
         times.append(t)
         if i < j:
             lefts.append(i)
@@ -412,7 +375,6 @@ def simulate(cfg: SimConfig, rng: Generator) -> EventLog:
             lefts.append(j)
             rights.append(i)
         mass[next_id] = x
-        s1 += px - pi - pj
         next_id += 1
     return EventLog(cfg, tuple(zip(times, lefts, rights)), proposals)
 
@@ -463,30 +425,6 @@ class _MajorantState:
         child = _MajorantState(max(self.c, largest), min(self.phi_floor, p), x, p, self)
         self.children[x] = child
         return child
-
-
-def _descent_steps(size: int) -> list:
-    """A Fenwick descent's steps over ``size`` slots: top, the largest power
-    of two not above size, down to 1."""
-    return [1 << b for b in range(size.bit_length() - 1, -1, -1)]
-
-
-def _fenwick(weights: list) -> list:
-    """1-based Fenwick tree over ``weights`` (slot k at index k + 1), O(len).
-
-    Past the last slot it is padded with +inf up to index 2 top - 1, top the
-    largest power of two not above the slot count: a descent reads nodes up
-    to there, and a prefix sum of +inf exceeds every finite target, so it
-    never steps past the last slot.
-    """
-    tree = [0.0] + weights
-    size = len(weights)
-    for k in range(1, size + 1):
-        up = k + (k & -k)
-        if up <= size:
-            tree[up] += tree[k]
-    top = 1 << (size.bit_length() - 1)
-    return tree + [math.inf] * (2 * top - 1 - size)
 
 
 # ---------------------------------------------------------------------------

@@ -43,16 +43,16 @@ def test_cli_outputs_are_pinned(tmp_path):
     assert main(["simulate", "--kernel", "constant", "--n", "10000", "--t", "2",
                  "--seed", "1", "--out", str(out)]) == 0
     assert sha256(out / "trees.txt") == \
-        "66d07e4076a28b8151e85f21838de5dddeb940c339be1f4df307256695ad529e"
+        "64586468e621f916acf4d9bc5cce471dfa40bf48db5265c5e0842d5ec0fab661"
     assert sha256(out / "events.csv") == \
-        "a7099f69d5fc3c63abe16d31f736df3057d0e0263dadb89ba67c592420b4a5ed"
+        "56b8f07ac4d8e6686e3727a6599af70cb1cfdd21a55742c3d636a80f4cd13108"
     out = tmp_path / "gal"
     assert main(["gallery", "--seed", "1010", "--out", str(out)]) == 0
     assert {name: sha256(out / f"gallery-{name}.txt")
             for name in ("constant", "inverse-sum", "product")} == {
-        "constant": "8be2fe4e880ed09db6aa4c6f3eb51227bf735e7519efa743ff29b3182d541ab9",
-        "inverse-sum": "8c07fc8643cd9b49076dae8f61a98ce48bd7c33c4338ec709434e10c2319b815",
-        "product": "2e14eceee276414d4ae9566b4d1aaed517033ede86c0601e018e75ca2ecd378d",
+        "constant": "39874da57828648bd2022582c9da159fef0001f1969051fb149da5ccc14a87e5",
+        "inverse-sum": "8a8ffb0ea68355a0a129b387dc5db73d9986e6f243b7c7f71f1fbd56c99bda65",
+        "product": "18d436c326a0dd82ef1c16b463e53d6f7904129c8ecd75ff3ab4070e0d369c3c",
     }
 
 

@@ -353,9 +353,10 @@ def test_tightness_diagnostic():
 
 
 # Replica-side numbers of small plans, as float.hex, computed with the
-# sampler reading each run's rng.random doubles in blocks (an exponential
-# is -log1p(-U)), and checked then against the SeedSequence-and-jumped
-# streams, a fresh sampler state per run and one HistoricalTree per atom.
+# sampler picking its pairs by phi class from each run's rng.random
+# doubles, read in blocks (an exponential is -log1p(-U)).  The pins before
+# them were checked against the SeedSequence-and-jumped streams, a fresh
+# sampler state per run and one HistoricalTree per atom.
 # Any change to a stream, to the sampler's draws or to how the measure
 # sums its atoms shows here.
 GOLDEN_FUNCTIONALS = (
@@ -368,32 +369,32 @@ GOLDEN_FUNCTIONALS = (
 )
 GOLDEN_ROWS = {
     "constant": [
-        ('leaf', 40, '0x1.506d3a06d3a09p-1', '0x1.9fe96a0587dfcp-7'),
-        ('cherry', 40, '0x1.fc962fc962fcap-4', '0x1.290a7e9b11c8bp-9'),
-        ('cherry-box', 40, '0x1.34e81b4e81b50p-4', '0x1.ca267be004d04p-10'),
-        ('mass<=2.5', 40, '0x1.95c28f5c28f5cp-1', '0x1.7a6dc24845257p-8'),
+        ('leaf', 40, '0x1.4f5c28f5c28f7p-1', '0x1.954bb4e22eb8ep-7'),
+        ('cherry', 40, '0x1.0444444444444p-3', '0x1.194824902b818p-9'),
+        ('cherry-box', 40, '0x1.3bbbbbbbbbbbcp-4', '0x1.0310f37224e91p-9'),
+        ('mass<=2.5', 40, '0x1.9681b4e81b4e9p-1', '0x1.7c43fd2d40b0fp-8'),
         ('one', 40, '0x1.9eeeeeeeeeef0p-1', '0x1.18e078559f62ap-8'),
-        ('cherry*mass<=3', 40, '0x1.fc962fc962fcap-4', '0x1.290a7e9b11c8bp-9'),
-        ('leaf', 120, '0x1.53579be02468cp-1', '0x1.522f2601cb568p-9'),
-        ('cherry', 120, '0x1.f258bf258bf25p-4', '0x1.8431af8213519p-11'),
-        ('cherry-box', 120, '0x1.16c16c16c16c2p-4', '0x1.05594f1bb64b0p-11'),
-        ('mass<=2.5', 120, '0x1.97f6e5d4c3b2ap-1', '0x1.18d06379ccbd7p-10'),
+        ('cherry*mass<=3', 40, '0x1.0444444444444p-3', '0x1.194824902b818p-9'),
+        ('leaf', 120, '0x1.527d27d27d27dp-1', '0x1.423d55db4046ep-9'),
+        ('cherry', 120, '0x1.02468acf1357ap-3', '0x1.d9e6c52595523p-11'),
+        ('cherry-box', 120, '0x1.3333333333334p-4', '0x1.d309c4e9fd693p-12'),
+        ('mass<=2.5', 120, '0x1.987654320fedcp-1', '0x1.2794e30044f7fp-10'),
         ('one', 120, '0x1.a0b60b60b60b5p-1', '0x1.a6ad8b36dc9fcp-11'),
-        ('cherry*mass<=3', 120, '0x1.f258bf258bf25p-4', '0x1.8431af8213519p-11'),
+        ('cherry*mass<=3', 120, '0x1.02468acf1357ap-3', '0x1.d9e6c52595523p-11'),
     ],
     "additive": [
-        ('leaf', 40, '0x1.2d3a06d3a06d5p-2', '0x1.e679a74cb39f5p-8'),
-        ('cherry', 40, '0x1.75c28f5c28f5cp-4', '0x1.f86eccde928dcp-10'),
-        ('cherry-box', 40, '0x1.ae147ae147ae1p-5', '0x1.5c3abb83742e5p-10'),
-        ('mass<=2.5', 40, '0x1.6000000000000p-2', '0x1.f9ece891ca325p-8'),
-        ('one', 40, '0x1.f62fc962fc963p-2', '0x1.bf3751b33d915p-8'),
-        ('cherry*mass<=3', 40, '0x1.1eb851eb851ebp-4', '0x1.788de6f022fd5p-10'),
-        ('leaf', 120, '0x1.2eeeeeeeeeeefp-2', '0x1.a94b21efea077p-10'),
-        ('cherry', 120, '0x1.5b05b05b05b06p-4', '0x1.d33f5617839a6p-11'),
-        ('cherry-box', 120, '0x1.89abcdf012345p-5', '0x1.9029b947a8b92p-12'),
-        ('mass<=2.5', 120, '0x1.5be02468acf12p-2', '0x1.cb1b93796c51ap-10'),
-        ('one', 120, '0x1.f7c048d159e25p-2', '0x1.d8aab965ca626p-10'),
-        ('cherry*mass<=3', 120, '0x1.07f6e5d4c3b2ap-4', '0x1.322b61cc97e72p-11'),
+        ('leaf', 40, '0x1.2da740da740dcp-2', '0x1.e35101840848fp-8'),
+        ('cherry', 40, '0x1.681b4e81b4e83p-4', '0x1.437dceaf9e6fcp-9'),
+        ('cherry-box', 40, '0x1.8888888888889p-5', '0x1.a22989dd2c247p-10'),
+        ('mass<=2.5', 40, '0x1.5b17e4b17e4b2p-2', '0x1.0e12ffbbdf474p-7'),
+        ('one', 40, '0x1.f5c28f5c28f5dp-2', '0x1.a23563086f5b1p-8'),
+        ('cherry*mass<=3', 40, '0x1.0a3d70a3d70a4p-4', '0x1.26e978d4fdf3cp-9'),
+        ('leaf', 120, '0x1.2ea61d950c83fp-2', '0x1.b998027d72d0dp-10'),
+        ('cherry', 120, '0x1.6666666666669p-4', '0x1.54dcceaee7669p-11'),
+        ('cherry-box', 120, '0x1.ae147ae147ae2p-5', '0x1.d3ca9c5aad4d9p-12'),
+        ('mass<=2.5', 120, '0x1.5abcdf0123456p-2', '0x1.b624270e4ca44p-10'),
+        ('one', 120, '0x1.f69d0369d0369p-2', '0x1.90efec09b2d5ap-10'),
+        ('cherry*mass<=3', 120, '0x1.02468acf13579p-4', '0x1.b8569b6c4da96p-12'),
     ],
 }
 # survival: direct, its SE, exponential, its SE; jump: merged fraction, chi2 p, pair p
@@ -439,9 +440,11 @@ def test_lln_workload_report_is_pinned():
     # "full"): the sha256 of its report.json text; re-pinned when Chebyshev
     # collocation replaced the limit's refinement ladder (limit values moved
     # by at most 3.1e-16, errors from ~3e-12 to ~3e-17, z-scores by at most
-    # 3.6e-9, verdicts unchanged), and again when the sampler came to read
-    # its uniforms in blocks and its exponentials as -log1p(-U) (new
-    # replica draws; the limit side unchanged, verdicts still PASS)
+    # 3.6e-9, verdicts unchanged), again when the sampler came to read its
+    # uniforms in blocks and its exponentials as -log1p(-U) (new replica
+    # draws; the limit side unchanged, verdicts still PASS), and again when
+    # its proposals came to pick by phi class (the same draws pick other
+    # ids; verdicts still PASS)
     plan = ExperimentPlan(
         CONSTANT, MONO, 2.0,
         (("leaf", ShapeIndicator(LEAF)), ("cherry", ShapeIndicator(CHERRY)),
@@ -450,4 +453,4 @@ def test_lln_workload_report_is_pinned():
         tau_max_leaves=2, jobs=1)
     report = run_lln(plan).to_json()
     assert hashlib.sha256(report.encode()).hexdigest() == \
-        "b97546a264e812a9f9edd7c50078bbd2e4623457530096a53357f5fa335c5117"
+        "bbc5e5025c47e9504d84a5285ae62346f427ee54a098bca849f64d5b4193b286"

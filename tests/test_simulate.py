@@ -172,8 +172,8 @@ def _eval_step_phi(x, y):
     return 0.5 * (_step_phi(x) + _step_phi(y))
 
 
-# phi is 2 up to mass 4, so a mono start hands over to the Fenwick tree only
-# after several merges, at the first one that makes a mass above 4
+# phi is 2 up to mass 4, so masses 1 to 4 share one class, and each mass
+# above 4 that a merge makes opens a class of its own
 STEP_PHI = Kernel("step-phi", _eval_step_phi, _step_phi)
 
 # kernel, initial masses, horizon, rate_n
@@ -237,28 +237,33 @@ def _largest_draw(bound, total, strict):
 
 
 class _BoundaryDraws:
-    """Stands in for a Generator on a mono run whose phi is w everywhere and
-    whose majorant c never moves, with every proposal accepted.  Each first
-    uniform puts the target on a rank boundary p w scale of the live-id
-    search, or one float below it, and each second uniform does the same
-    for q w; an acceptance uniform is 0.
+    """Stands in for a Generator, with every proposal's targets on a class
+    or in-class position boundary, or one float below it.
 
-    The reference sampler asks for each draw by its role, and gets it from
-    ``standard_exponential()`` (the exponential, -log1p(-U) of a recorded U)
-    and ``random()`` (the first target, the second target, then any
-    acceptance uniform).  Every double handed out is recorded, and
-    ``random(k)`` gives ``simulate`` the next k in stream order, 0.5 past
-    the last: so ``simulate`` reads each proposal's draws in their roles
-    too, whether or not a proposal reads an acceptance uniform."""
+    The reference sampler calls ``watch`` with the prefix sums, phis and
+    sizes of the classes that its next target is read against; the
+    boundaries are each prefix sum and, inside each class, base + p phi for
+    p = 1 .. size - 1.  The next ``random()`` puts the target, u times the
+    last prefix sum, in turn on a class boundary, one float below one, on
+    a position boundary and one float below one; an acceptance uniform,
+    read with no ``watch`` before it, is 0.  The exponential is -log1p(-U)
+    of a fixed U.
 
-    def __init__(self, n: int, w: float, c: float):
-        self.n, self.w, self.c = n, w, c
-        self.proposals, self.draws = 0, 0
-        self.stream, self.read = [], 0
+    Every double handed out is recorded, and ``random(k)`` gives
+    ``simulate`` the next k in stream order, 0.5 past the last: so
+    ``simulate`` reads each proposal's draws in their roles too."""
+
+    def __init__(self):
+        self.stream, self.read, self.bounds, self.targets = [], 0, None, 0
+
+    def watch(self, cum, phis, sizes):
+        base, inside = 0.0, []
+        for s, phi, size in zip(cum, phis, sizes):
+            inside += [base + p * phi for p in range(1, size)]
+            base = s
+        self.bounds = cum, inside or cum
 
     def standard_exponential(self) -> float:
-        self.proposals += 1
-        self.draws = 0
         u = -math.expm1(-1e-3)
         self.stream.append(u)
         return -math.log1p(-u)
@@ -268,17 +273,12 @@ class _BoundaryDraws:
             block = self.stream[self.read:self.read + size]
             self.read += size
             return np.array(block + [0.5] * (size - len(block)))
-        self.draws += 1
-        k, w = self.proposals, self.w
-        live = self.n - (k - 1)
-        s1 = w * live
-        if self.draws == 1:
-            scale = self.c * (s1 - w)
-            u = _largest_draw((7 * k) % live * w * scale, scale * s1, k % 2 == 0)
-        elif self.draws == 2:
-            u = _largest_draw((5 * k) % (live - 1) * w, s1 - w, k % 4 < 2)
-        else:
-            u = 0.0
+        u = 0.0
+        if self.bounds is not None:
+            k = self.targets
+            cum, bounds = self.bounds[0], self.bounds[k % 4 // 2]
+            u = _largest_draw(bounds[(7 * k) % len(bounds)], cum[-1], k % 2 == 1)
+            self.targets, self.bounds = k + 1, None
         self.stream.append(u)
         return u
 
@@ -287,28 +287,36 @@ def _phi_three(x):
     return np.full(np.shape(x), 3.0)
 
 
-@pytest.mark.parametrize("kernel,w,c", [
-    (builtin("inverse-sum"), 1.0, 1.0 / 3.0),
-    (Kernel("phi-three", CONSTANT.evaluate, _phi_three), 3.0, 1.0 / 9.0)])
-def test_rank_search_matches_the_fenwick_descent_on_boundaries(kernel, w, c):
-    # targets on, and one float below, each boundary between two ranks: the
-    # live-id search must land where the Fenwick descent does
-    n = 300
-    cfg = SimConfig((1.0,) * n, kernel, 10.0)
-    draws = _BoundaryDraws(n, w, c)
-    want = reference_thinning_sampler(cfg, draws)
+# kernel, initial masses, proposals whose position rounding carries past
+# its class's size
+BOUNDARY_CASES = {
+    "i-past": (builtin("additive"), (938.1, 0.72, 7.11) * 24, 1),
+    "j-past-below-i": (PRODUCT, (8.2, 952.44) * 25, 1),
+    "j-past-in-and-above-i": (builtin("additive"), (3.0, 0.4, 303.43) * 28, 4),
+    "inverse-sum": (builtin("inverse-sum"), (1.0,) * 120, 0),
+    "phi-three": (Kernel("phi-three", CONSTANT.evaluate, _phi_three), (1.0,) * 120, 0),
+}
+
+
+@pytest.mark.parametrize("kernel,masses,rejected", BOUNDARY_CASES.values(),
+                         ids=BOUNDARY_CASES)
+def test_class_pick_on_boundaries(kernel, masses, rejected):
+    # targets on, and one float below, each class and position boundary:
+    # simulate must pick what the reference's scan picks, never a dead id or
+    # a position past its class, and reject what rounding carries past
+    cfg = SimConfig(masses, kernel, 10.0, allow_gelation=True)
+    draws = _BoundaryDraws()
+    want = reference_thinning_sampler(cfg, draws, draws.watch)
     log = simulate(cfg, draws)
-    assert len(log.events) == log.proposals == n - 1
+    assert len(log.events) == len(masses) - 1
+    assert log.proposals == len(log.events) + rejected
     assert event_keys(log) == event_keys(want)
     assert log.proposals == want.proposals
-
-
-def test_only_runs_up_to_the_size_bound_start_by_rank():
-    # above 2^14 particles, the live list's deletions cost more than the
-    # Fenwick descents, so such a run starts on the tree
-    phase = [SimConfig.monodisperse(n, CONSTANT, 1.0)._sampler_start[-1]
-             for n in (1 << 14, (1 << 14) + 1)]
-    assert phase == [1.0, None]
+    live = set(range(len(masses)))
+    for node, (_, i, j) in enumerate(log.events, len(masses)):
+        assert i < j and i in live and j in live
+        live -= {i, j}
+        live.add(node)
 
 
 def test_tabulated_kernel_thins_little(tmp_path):
@@ -455,6 +463,31 @@ def test_coupled_runs_to_completion():
     m = empirical_measure(log, 1000.0)
     assert m.atoms == (14,)
     assert m.mass[14] == measure_tree(m, 14).mass == 8.0
+
+
+@pytest.mark.parametrize("name", ["additive", "product"])
+def test_first_two_merges_follow_the_coupled_construction(name):
+    # the law past the first event, across several phi classes: the labelled
+    # pairs of the first two merges (a run with fewer merges is its own,
+    # shorter sequence) by a chi-square contingency, and the second merge
+    # time by KS, against the exact coupled construction.  The horizon,
+    # seed, streams, replica count and p > 0.001 were fixed before the
+    # first run.  t = 0.3 is past the product kernel's mean-field gelation
+    # time, 0.26, which does not bound N = 5
+    cfg = SimConfig((1.0, 1.0, 2.0, 2.0, 3.0), builtin(name), 0.3, allow_gelation=True)
+    replicas = 20000
+    samples = []
+    for sim, stream in ((simulate, 17), (simulate_coupled, 19)):
+        rng_at = replica_stream(32, stream)
+        firsts = [sim(cfg, rng_at(r)).events[:2] for r in range(replicas)]
+        samples.append((Counter(tuple((i, j) for _, i, j in rows) for rows in firsts),
+                        [rows[1][0] for rows in firsts if len(rows) == 2]))
+    (pairs, times), (want_pairs, want_times) = samples
+    keys = sorted(pairs.keys() | want_pairs.keys())
+    table = [[pairs[k] for k in keys], [want_pairs[k] for k in keys]]
+    assert len(keys) > 40
+    assert stats.chi2_contingency(table).pvalue > 0.001
+    assert stats.ks_2samp(times, want_times).pvalue > 0.001
 
 
 def test_exchangeability_mass_relabeling():

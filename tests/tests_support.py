@@ -26,6 +26,7 @@ live here rather than in ``src/`` (``test_imports.py`` keeps it so).
 import csv
 import functools
 import heapq
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -586,8 +587,10 @@ def reference_simulate_direct(cfg, rng):
     Maintains per-cluster rate sums R_i = sum_{j != i} K(m_i, m_j); total
     event rate is sum_i R_i / (2N).  The first cluster of a merging pair is
     drawn proportionally to R_i, the partner proportionally to K(m_i, m_j).
-    Given a ``ScalarView`` of the generator ``simulate`` gets, it draws the
-    doubles ``simulate`` reads.
+    Its cluster arrays keep ``simulate``'s one-class order: a merge
+    swap-removes its two clusters, the later position first, and appends
+    the merger.  Given a ``ScalarView`` of the generator ``simulate`` gets,
+    it draws the doubles ``simulate`` reads.
     """
     kernel = cfg.kernel
     n0 = cfg.n
@@ -617,15 +620,17 @@ def reference_simulate_direct(cfg, rng):
         j = int(np.searchsorted(cum2, rng.random() * cum2[-1], side="right"))
         a, b = min(i, j), max(i, j)
         new_mass = m[a] + m[b]
-        events.append((t, int(ids[a]), int(ids[b])))
+        events.append((t, *sorted((int(ids[a]), int(ids[b])))))
 
         # rate update: every other cluster swaps its (a, b) terms for the merger
         ka = np.asarray(kernel.evaluate(m, m[a]), dtype=float)
         kb = np.asarray(kernel.evaluate(m, m[b]), dtype=float)
         knew = np.asarray(kernel.evaluate(m, new_mass), dtype=float)
         r += knew - ka - kb
-        keep = np.ones(len(m), dtype=bool)
-        keep[a] = keep[b] = False
+        # the sampler's order: b then a swap-removed, the merger appended
+        keep = list(range(len(m)))
+        _swap_remove(keep, b)
+        _swap_remove(keep, a)
         m = np.append(m[keep], new_mass)
         ids = np.append(ids[keep], next_id)
         r = np.append(r[keep], 0.0)
@@ -769,29 +774,37 @@ def reference_simulate_coupled(cfg, rng):
     return EventLog(cfg, tuple(events))
 
 
-def reference_thinning_sampler(cfg, rng):
-    """The thinning sampler as it was before its majorant states were
-    memoised per config and its Fenwick helpers inlined: each run builds its
-    own ``_Majorant`` from scratch, paying one kernel row per mass it meets,
-    and descends and updates the tree through ``_fenwick_find`` and
-    ``_fenwick_add``.  Same law, same floats, and, through a ``ScalarView``
-    of ``simulate``'s generator, the same draws.
+def reference_thinning_sampler(cfg, rng, watch=None):
+    """The thinning sampler's phi-class rule, kept simple: each run builds
+    its own ``_Majorant`` from scratch, paying one kernel row per mass it
+    meets, and each proposal rebuilds the classes' prefix sums and scans
+    them in order (``_class_pick``) where ``simulate`` keeps the sums from
+    merge to merge and bisects them.  Same law, same floats, and, through a
+    ``ScalarView`` of ``simulate``'s generator, the same draws.
+
+    ``watch``, if given, is called before each target draw with the prefix
+    sums, phis and class sizes that the draw's target is read against.
     """
     evaluate = cfg.kernel.evaluate
     n0 = cfg.n
-    size = 2 * n0 - 1  # one slot per node id; merged clusters get new ids
     majorant = _Majorant(cfg.kernel)
-    mass = [float(x) for x in cfg.masses] + [0.0] * (n0 - 1)
-    phi = [majorant.phi(x) for x in mass[:n0]] + [0.0] * (n0 - 1)
-    tree, s1 = _fenwick(phi), math.fsum(phi)
-    top = 1 << (size.bit_length() - 1)
+    mass = [float(x) for x in cfg.masses]
+    phis, members = [], []  # per phi class, in first-met order: phi, live ids
+    for i, x in enumerate(mass):
+        p = majorant.phi(x)
+        if p not in phis:
+            phis.append(p)
+            members.append([])
+        members[phis.index(p)].append(i)
     rate_scale = 2.0 * cfg.n_eff
 
     events = []
     proposals = 0
     t = 0.0
-    next_id = n0
-    while next_id < size:  # two or more clusters alive
+    while len(mass) < 2 * n0 - 1:  # two or more clusters alive
+        sizes = [len(ids) for ids in members]
+        cum = list(itertools.accumulate(k * p for k, p in zip(sizes, phis)))
+        s1 = cum[-1]
         scale = majorant.c * (s1 - majorant.phi_floor)
         total = scale * s1
         if not total > 0.0:
@@ -800,17 +813,26 @@ def reference_thinning_sampler(cfg, rng):
         if t > cfg.horizon:
             break
         proposals += 1
-        # a draw that rounding carries onto a dead slot is a rejection
-        i = _fenwick_find(tree, top, rng.random() * total, scale)
-        if i == size or phi[i] == 0.0:
+        if watch is not None:
+            watch(cum, phis, sizes)
+        # a draw that rounding carries past a class's ids is a rejection
+        ci, p = _class_pick(cum, phis, sizes, rng.random() * s1)
+        if p is None:
             continue
-        pi = phi[i]
-        rest_i = s1 - pi
-        j = _fenwick_find(tree, top, rng.random() * rest_i, 1.0, i, pi)
-        if j == size or j == i or phi[j] == 0.0:
+        pi = phis[ci]
+        # j: phi_i off i's class and every class after it, i's position skipped
+        cum_j = [s - pi if k >= ci else s for k, s in enumerate(cum)]
+        sizes[ci] -= 1
+        if watch is not None:
+            watch(cum_j, phis, sizes)
+        cj, q = _class_pick(cum_j, phis, sizes, rng.random() * (s1 - pi))
+        if q is None:
             continue
-        pj = phi[j]
-        rest_j = s1 - pj
+        if cj == ci and q >= p:
+            q += 1
+        i, j = members[ci][p], members[cj][q]
+        pj = phis[cj]
+        rest_i, rest_j = s1 - pi, s1 - pj
         num = 2.0 * evaluate(mass[i], mass[j]) * rest_i * rest_j
         den = scale * pi * pj * (rest_i + rest_j)
         if num < den:
@@ -824,14 +846,35 @@ def reference_thinning_sampler(cfg, rng):
         x = mass[i] + mass[j]
         events.append((t, min(i, j), max(i, j)))
         px = majorant.phi(x)
-        _fenwick_add(tree, i, -pi)
-        _fenwick_add(tree, j, -pj)
-        _fenwick_add(tree, next_id, px)
-        phi[i] = phi[j] = 0.0
-        mass[next_id], phi[next_id] = x, px
-        s1 += px - pi - pj
-        next_id += 1
+        for k, pos in sorted([(ci, p), (cj, q)], reverse=True):
+            _swap_remove(members[k], pos)
+        if px not in phis:
+            phis.append(px)
+            members.append([])
+        members[phis.index(px)].append(len(mass))
+        mass.append(x)
     return EventLog(cfg, tuple(events), proposals)
+
+
+def _class_pick(cum: list, phis: list, sizes: list, target: float) -> tuple:
+    """(class, position) of ``target``: the first class whose prefix sum
+    exceeds it, and the rounded-down quotient of its residual by the class's
+    phi; position None when rounding carries it past the class's size.  A
+    target is u < 1 times the last prefix sum, so it is below that sum."""
+    base = 0.0
+    for k, s in enumerate(cum):
+        if s > target:
+            pos = int((target - base) / phis[k])
+            return k, (pos if pos < sizes[k] else None)
+        base = s
+    raise AssertionError(f"target {target!r} is past the last prefix sum {cum[-1]!r}")
+
+
+def _swap_remove(ids: list, pos: int) -> None:
+    """Remove ``ids[pos]`` by moving the last id into its place."""
+    last = ids.pop()
+    if pos < len(ids):
+        ids[pos] = last
 
 
 class _Majorant:
@@ -865,48 +908,6 @@ class _Majorant:
         self.c = max(self.c, largest)
         self.phi_floor = min(self.phi_floor, p)
         return p
-
-
-def _fenwick(weights: list) -> list:
-    """1-based Fenwick tree over ``weights`` (slot k at index k + 1), O(len)."""
-    tree = [0.0] + weights
-    size = len(weights)
-    for k in range(1, size + 1):
-        up = k + (k & -k)
-        if up <= size:
-            tree[up] += tree[k]
-    return tree
-
-
-def _fenwick_add(tree: list, slot: int, delta: float) -> None:
-    k, end = slot + 1, len(tree)
-    while k < end:
-        tree[k] += delta
-        k += k & -k
-
-
-def _fenwick_find(tree: list, top: int, target: float, scale: float,
-                  skip: int = -1, skip_weight: float = 0.0) -> int:
-    """First slot whose prefix sum times ``scale`` exceeds ``target``.
-
-    ``top`` is the largest power of two not above the slot count.  Slot
-    ``skip`` counts as empty: ``skip_weight``, its weight, is taken off every
-    node that covers it.  Returns the slot count when no prefix exceeds.
-    """
-    size = len(tree) - 1
-    skip += 1
-    pos, acc = 0, 0.0
-    step = top
-    while step:
-        nxt = pos + step
-        if nxt <= size:
-            s = acc + tree[nxt]
-            if pos < skip <= nxt:
-                s -= skip_weight
-            if s * scale <= target:
-                pos, acc = nxt, s
-        step >>= 1
-    return pos
 
 
 def reference_lattice(masses, k_max):
